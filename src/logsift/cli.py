@@ -60,9 +60,6 @@ DEFAULTS = {
     "rebalance_every": 1000,
     "batch_mode": False,
     "batch_size": 256,
-    "ann_m": 16,
-    "ann_ef_construction": 200,
-    "ann_ef_search": 64,
     "seed": 0,
 }
 
@@ -153,10 +150,7 @@ def cmd_ingest(args) -> int:
     weights = _load_weights(cfg, provider)
     client = _build_parser_client(cfg)
     demos = load_demonstrations(cfg["demos"])
-    index = CentroidIndex(m=int(cfg["ann_m"]),
-                          ef_construction=int(cfg["ann_ef_construction"]),
-                          ef_search=int(cfg["ann_ef_search"]),
-                          seed=int(cfg["seed"]))
+    index = CentroidIndex()
     pipeline = Pipeline(
         provider=provider, weights=weights, index=index,
         parser=ClusterParser(client=client, demos=demos, store=TemplateStore()),

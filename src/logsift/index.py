@@ -1,20 +1,18 @@
-"""Weighted centroid store with approximate nearest-neighbor search.
+"""Weighted centroid store with exact nearest-neighbor search.
 
-One unit vector per cluster, kept in a navigable small-world graph so the
-closest centroid can be found in roughly logarithmic time. For indices no
-larger than the search breadth the query falls back to an exhaustive dot
-product scan, which is both faster at that scale and exactly correct (the
-acceptance tests rely on this). Ties on similarity break toward the lowest
-cluster id.
+One unit vector per cluster. The live vectors are also kept as the rows of
+one contiguous matrix, so a query scores every centroid in a single
+matrix-vector product and the answer is exact at every index size. Ties on
+similarity break toward the lowest cluster id, whatever row a centroid
+occupies.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -55,138 +53,38 @@ def _check_unit(vector: np.ndarray) -> np.ndarray:
     return vector
 
 
-@dataclass
-class _Node:
-    level: int
-    # neighbors[l] = set of cluster ids linked at layer l
-    neighbors: list = field(default_factory=list)
-
-
 class CentroidIndex:
-    """HNSW-backed map cluster_id -> ClusterCentroid with cosine search."""
+    """Map cluster_id -> ClusterCentroid with exact cosine search."""
 
-    def __init__(self, m: int = 16, ef_construction: int = 200,
-                 ef_search: int = 64, seed: int = 0):
-        self.m = m
-        self.m0 = 2 * m
-        self.ef_construction = ef_construction
-        self.ef_search = ef_search
-        self._ml = 1.0 / math.log(m)
-        self._rng = np.random.default_rng(seed)
-        self._centroids: dict[int, ClusterCentroid] = {}
-        self._nodes: dict[int, _Node] = {}
-        self._entry: Optional[int] = None
+    def __init__(self):
+        # row r of the matrix is the vector of _live[r]; rows [:len(self)]
+        # are live and _rows maps a cluster id to its row
+        self._matrix = np.empty((0, 0))
+        self._live: list[ClusterCentroid] = []
+        self._rows: dict[int, int] = {}
         self._next_id = 0
 
     def __len__(self) -> int:
-        return len(self._centroids)
+        return len(self._live)
 
     def __contains__(self, cluster_id: int) -> bool:
-        return cluster_id in self._centroids
+        return cluster_id in self._rows
 
     def get(self, cluster_id: int) -> ClusterCentroid:
         try:
-            return self._centroids[cluster_id]
+            return self._live[self._rows[cluster_id]]
         except KeyError:
             raise ClusterNotFoundError(f"cluster {cluster_id} not in index") from None
 
     def ids(self) -> list[int]:
-        return sorted(self._centroids)
+        return sorted(self._rows)
 
     def centroids(self) -> Iterator[ClusterCentroid]:
         for cid in self.ids():
-            yield self._centroids[cid]
+            yield self.get(cid)
 
     def total_weight(self) -> int:
-        return sum(c.weight for c in self._centroids.values())
-
-    # ---- graph internals -------------------------------------------------
-
-    def _sim(self, a: np.ndarray, cid: int) -> float:
-        return float(a @ self._centroids[cid].vector)
-
-    def _max_degree(self, layer: int) -> int:
-        return self.m0 if layer == 0 else self.m
-
-    def _search_layer(self, query: np.ndarray, entry: int, layer: int,
-                      ef: int) -> list[tuple[float, int]]:
-        """Best-first search; returns up to ef (sim, id) pairs, best first."""
-        visited = {entry}
-        start = (self._sim(query, entry), entry)
-        candidates = [start]  # max-heap by sim (kept sorted, small ef)
-        results = [start]
-        while candidates:
-            candidates.sort(key=lambda t: (-t[0], t[1]))
-            c_sim, c_id = candidates.pop(0)
-            worst = min(results)[0] if len(results) >= ef else -2.0
-            if c_sim < worst:
-                break
-            for nb in self._nodes[c_id].neighbors[layer]:
-                if nb in visited:
-                    continue
-                visited.add(nb)
-                sim = self._sim(query, nb)
-                if len(results) < ef or sim > min(results)[0]:
-                    candidates.append((sim, nb))
-                    results.append((sim, nb))
-                    if len(results) > ef:
-                        results.remove(min(results))
-        results.sort(key=lambda t: (-t[0], t[1]))
-        return results
-
-    def _link(self, cid: int, layer: int, candidates: list[tuple[float, int]]):
-        node = self._nodes[cid]
-        chosen = [nb for _, nb in candidates[: self._max_degree(layer)] if nb != cid]
-        node.neighbors[layer] = set(chosen)
-        for nb in chosen:
-            nb_set = self._nodes[nb].neighbors[layer]
-            nb_set.add(cid)
-            if len(nb_set) > self._max_degree(layer):
-                vec = self._centroids[nb].vector
-                worst = min(nb_set, key=lambda x: (self._sim(vec, x), -x))
-                nb_set.discard(worst)
-                self._nodes[worst].neighbors[layer].discard(nb)
-
-    def _graph_insert(self, cid: int):
-        level = int(-math.log(max(self._rng.random(), 1e-300)) * self._ml)
-        node = _Node(level=level, neighbors=[set() for _ in range(level + 1)])
-        self._nodes[cid] = node
-        if self._entry is None:
-            self._entry = cid
-            return
-        entry = self._entry
-        entry_level = self._nodes[entry].level
-        query = self._centroids[cid].vector
-        cur = entry
-        for layer in range(entry_level, level, -1):
-            cur = self._search_layer(query, cur, layer, 1)[0][1]
-        for layer in range(min(level, entry_level), -1, -1):
-            found = self._search_layer(query, cur, layer, self.ef_construction)
-            self._link(cid, layer, found)
-            cur = found[0][1]
-        if level > entry_level:
-            self._entry = cid
-
-    def _graph_remove(self, cid: int):
-        node = self._nodes.pop(cid)
-        for layer, nbs in enumerate(node.neighbors):
-            for nb in nbs:
-                self._nodes[nb].neighbors[layer].discard(cid)
-            # repair: cross-link the orphaned neighborhood
-            nbs = sorted(nbs)
-            for a in nbs:
-                vec = self._centroids[a].vector
-                a_set = self._nodes[a].neighbors[layer]
-                for b in nbs:
-                    if b == a or b in a_set:
-                        continue
-                    if len(a_set) < self._max_degree(layer):
-                        a_set.add(b)
-                        self._nodes[b].neighbors[layer].add(a)
-        if self._entry == cid:
-            self._entry = max(
-                self._nodes, key=lambda x: (self._nodes[x].level, -x), default=None
-            )
+        return sum(c.weight for c in self._live)
 
     # ---- public operations -----------------------------------------------
 
@@ -195,35 +93,36 @@ class CentroidIndex:
                parse_state: ParseState = ParseState.UNPARSED) -> int:
         vector = _check_unit(vector)
         cid = self._next_id
-        self._next_id += 1
-        self._centroids[cid] = ClusterCentroid(
+        row = len(self._live)
+        if row == len(self._matrix):
+            grown = np.empty((max(16, 2 * row), len(vector)))
+            if row:
+                grown[:row] = self._matrix[:row]
+            self._matrix = grown
+        self._matrix[row] = vector
+        self._rows[cid] = row
+        self._live.append(ClusterCentroid(
             cluster_id=cid, vector=vector, weight=weight,
             template_id=template_id, parse_state=parse_state,
-        )
-        self._graph_insert(cid)
+        ))
+        self._next_id += 1
         return cid
 
     def nearest(self, query: np.ndarray,
                 exclude: Optional[int] = None) -> Optional[SearchHit]:
-        query = np.asarray(query, dtype=np.float64)
-        live = [cid for cid in self._centroids if cid != exclude]
-        if not live:
+        n = len(self._live)
+        if n - (exclude in self._rows) == 0:
             return None
-        if len(self._centroids) <= self.ef_search:
-            # exact scan; lowest id wins ties
-            best = max(live, key=lambda cid: (self._sim(query, cid), -cid))
-            return SearchHit(best, self._sim(query, best))
-        entry = self._entry
-        cur = entry
-        for layer in range(self._nodes[entry].level, 0, -1):
-            cur = self._search_layer(query, cur, layer, 1)[0][1]
-        found = self._search_layer(query, cur, 0, self.ef_search)
-        for sim, cid in found:
-            if cid != exclude:
-                return SearchHit(cid, sim)
-        # excluded id was the only one reachable; fall back to a scan
-        best = max(live, key=lambda cid: (self._sim(query, cid), -cid))
-        return SearchHit(best, self._sim(query, best))
+        # einsum rather than BLAS gemv: gemv sums a row in an order that
+        # depends on the row's position, so two equal centroids could score
+        # an ulp apart and the lowest-id tie-break would follow row order
+        sims = np.einsum("ij,j->i", self._matrix[:n],
+                         np.asarray(query, dtype=np.float64))
+        if exclude in self._rows:
+            sims[self._rows[exclude]] = -np.inf
+        best = sims.max()
+        cid = min(self._live[row].cluster_id for row in np.flatnonzero(sims == best))
+        return SearchHit(cid, float(best))
 
     def update_moving_average(self, cluster_id: int,
                               incoming: np.ndarray) -> ClusterCentroid:
@@ -238,15 +137,19 @@ class CentroidIndex:
             # antipodal cancellation; keep the old direction
             return centroid
         centroid.vector = moved / norm
-        self._graph_remove(cluster_id)
-        self._graph_insert(cluster_id)
+        self._matrix[self._rows[cluster_id]] = centroid.vector
         return centroid
 
     def remove(self, cluster_id: int) -> None:
-        if cluster_id not in self._centroids:
+        if cluster_id not in self._rows:
             raise ClusterNotFoundError(f"cluster {cluster_id} not in index")
-        self._graph_remove(cluster_id)
-        del self._centroids[cluster_id]
+        row = self._rows.pop(cluster_id)
+        last = self._live.pop()
+        if row < len(self._live):
+            # the last row fills the hole, keeping the live rows contiguous
+            self._live[row] = last
+            self._matrix[row] = self._matrix[len(self._live)]
+            self._rows[last.cluster_id] = row
 
     # ---- snapshots ---------------------------------------------------------
 
@@ -254,8 +157,6 @@ class CentroidIndex:
         doc = {
             "version": SNAPSHOT_VERSION,
             "next_id": self._next_id,
-            "params": {"m": self.m, "ef_construction": self.ef_construction,
-                       "ef_search": self.ef_search},
             "centroids": [
                 {
                     "id": c.cluster_id,
@@ -273,7 +174,8 @@ class CentroidIndex:
         os.replace(tmp, path)
 
     @classmethod
-    def load(cls, path: str, seed: int = 0) -> "CentroidIndex":
+    def load(cls, path: str) -> "CentroidIndex":
+        """Read a snapshot; the HNSW `params` block of older files is ignored."""
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -283,21 +185,16 @@ class CentroidIndex:
             raise SnapshotFormatError(
                 f"unsupported snapshot version in {path}: {doc.get('version') if isinstance(doc, dict) else doc!r}"
             )
-        params = doc.get("params", {})
-        index = cls(m=params.get("m", 16),
-                    ef_construction=params.get("ef_construction", 200),
-                    ef_search=params.get("ef_search", 64), seed=seed)
+        index = cls()
         try:
             for entry in doc["centroids"]:
-                cid = entry["id"]
-                index._centroids[cid] = ClusterCentroid(
-                    cluster_id=cid,
-                    vector=_check_unit(np.array(entry["vector"], dtype=np.float64)),
-                    weight=int(entry["weight"]),
-                    template_id=entry["template_id"],
-                    parse_state=ParseState(entry["parse_state"]),
-                )
-                index._graph_insert(cid)
+                if entry["id"] in index:
+                    raise ValueError(f"duplicate cluster id {entry['id']}")
+                index._next_id = entry["id"]  # insert gives out the saved id
+                index.insert(np.array(entry["vector"], dtype=np.float64),
+                             weight=int(entry["weight"]),
+                             template_id=entry["template_id"],
+                             parse_state=ParseState(entry["parse_state"]))
             index._next_id = doc["next_id"]
         except (KeyError, TypeError, ValueError) as exc:
             raise SnapshotFormatError(f"malformed snapshot {path}: {exc}") from exc

@@ -188,10 +188,18 @@ class Pipeline:
         return self.force_rebalance()
 
     def force_rebalance(self) -> MergeReport:
+        weights = {c.cluster_id: c.weight for c in self.index.centroids()}
         report = rebalance(self.index, self.config.similarity_threshold)
         self._since_rebalance = 0
-        # merged clusters need a representative log for (re-)parsing
         for event in report.merges:
+            a, b = event.absorbed_ids
+            weights[event.surviving_id] = weights[a] + weights[b]
+            if self.parser is not None:
+                # merge_pair's rule: the heavier side, the older on a tie
+                winner = a if (weights[a], -a) >= (weights[b], -b) else b
+                self.parser.store.merge(event.absorbed_ids, winner,
+                                        event.surviving_id)
+            # merged clusters need a representative log for (re-)parsing
             if event.surviving_id not in self.first_log:
                 for absorbed in event.absorbed_ids:
                     if absorbed in self.first_log:

@@ -259,6 +259,16 @@ class TemplateStore:
         entry = self._entries.get(cluster_id)
         return entry["template"] if entry else None
 
+    def merge(self, absorbed_ids: tuple[int, int], winner_id: int,
+              surviving_id: int) -> None:
+        """Re-key the entries of two merged clusters. A merge of two parsed
+        clusters is parsed with the winner's template, so the winner's entry
+        moves to the survivor; any other survivor is parsed afresh."""
+        entries = {cid: self._entries.pop(cid, None) for cid in absorbed_ids}
+        if all(e is not None and e["parse_state"] == ParseState.PARSED.value
+               for e in entries.values()):
+            self._entries[surviving_id] = entries[winner_id]
+
     def save(self, path: str) -> None:
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:

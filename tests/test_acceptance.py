@@ -92,26 +92,51 @@ def test_criterion_1_metric_oracle_equivalence():
 def test_criterion_2_index_exactness():
     start = time.monotonic()
     rng = np.random.default_rng(77)
-    mismatches = 0
+    mismatches = queries = large_queries = 0
     for _ in range(200):
-        dim = int(rng.integers(2, 12))
-        ef = int(rng.integers(8, 64))
-        n = int(rng.integers(1, ef + 1))  # N <= search breadth
-        index = CentroidIndex(ef_search=ef)
-        stored = {}
+        dim = int(rng.integers(2, 65))
+        n = int(rng.integers(1, 300))
+        index = CentroidIndex()
         for _ in range(n):
-            v = random_unit(rng, dim)
-            stored[index.insert(v)] = v
+            ids = index.ids()
+            if ids and rng.random() < 0.15:
+                # an exact duplicate, so ties on similarity occur
+                index.insert(index.get(ids[int(rng.integers(len(ids)))]).vector)
+            else:
+                index.insert(random_unit(rng, dim))
+        # updates and removals; a removal moves another centroid's row
+        for _ in range(n // 2):
+            ids = index.ids()
+            cid = ids[int(rng.integers(len(ids)))]
+            if len(ids) > 1 and rng.random() < 0.5:
+                index.remove(cid)
+            else:
+                index.update_moving_average(cid, random_unit(rng, dim))
+        stored = {c.cluster_id: c.vector for c in index.centroids()}
+        ids = index.ids()
         for _ in range(50):
-            q = random_unit(rng, dim)
-            want_id, want_sim = oracle_nearest(stored, q)
-            hit = index.nearest(q)
-            if hit.cluster_id != want_id or abs(hit.similarity - want_sim) > 1e-12:
+            exclude = None
+            if rng.random() < 0.5:
+                q = random_unit(rng, dim)
+            else:
+                # a stored centroid, as rebalance queries; often excluded
+                q = stored[ids[int(rng.integers(len(ids)))]]
+                if rng.random() < 0.5:
+                    exclude = ids[int(rng.integers(len(ids)))]
+            want_id, want_sim = oracle_nearest(stored, q, exclude=exclude)
+            hit = index.nearest(q, exclude=exclude)
+            queries += 1
+            large_queries += len(index) > 64
+            if want_id is None:
+                mismatches += hit is not None
+            elif (hit is None or hit.cluster_id != want_id
+                  or abs(hit.similarity - want_sim) > 1e-12):
                 mismatches += 1
     elapsed = time.monotonic() - start
-    _report("criterion 2: index exactness for N <= search breadth",
+    _report("criterion 2: index exactness at every size",
             mismatches == 0 and elapsed < 30,
-            f"200 indices x 50 queries, {mismatches} mismatches, {elapsed:.2f}s")
+            f"200 indices x 50 queries ({large_queries} at N > 64), "
+            f"{mismatches} mismatches, {elapsed:.2f}s")
 
 
 def test_criterion_3_centroid_algebra():

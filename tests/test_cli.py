@@ -226,3 +226,11 @@ def test_unknown_config_key(tmp_path, corpus_csv):
     rc = main(["ingest", "--config", str(cfg), "--input", corpus_csv,
                "--snapshot-out", str(tmp_path / "s.json")])
     assert rc == EXIT_CONFIG
+
+
+def test_removed_index_keys_rejected(tmp_path, corpus_csv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ann_ef_search": 64}))
+    rc = main(["ingest", "--config", str(cfg), "--input", corpus_csv,
+               "--snapshot-out", str(tmp_path / "s.json")])
+    assert rc == EXIT_CONFIG

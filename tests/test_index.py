@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,7 @@ class TestNearest:
         rng = np.random.default_rng(11)
         for _ in range(30):
             dim = int(rng.integers(2, 10))
-            index = CentroidIndex(ef_search=64)
+            index = CentroidIndex()
             stored = {}
             for _ in range(int(rng.integers(1, 50))):
                 v = random_unit(rng, dim)
@@ -88,24 +90,29 @@ class TestNearest:
                 assert hit.cluster_id == want_id
                 assert hit.similarity == pytest.approx(want_sim)
 
-    def test_graph_path_finds_good_neighbors(self):
-        # above ef_search the graph search is approximate; on a well-spread
-        # random set it should still land on (or extremely near) the argmax
+    def test_matches_oracle_above_64_entries(self):
         rng = np.random.default_rng(5)
-        index = CentroidIndex(ef_search=16)
+        index = CentroidIndex()
         stored = {}
         for _ in range(200):
             v = random_unit(rng, 8)
             stored[index.insert(v)] = v
-        hits = 0
         for _ in range(50):
             q = random_unit(rng, 8)
             want_id, want_sim = oracle_nearest(stored, q)
             hit = index.nearest(q)
-            assert hit.similarity <= want_sim + 1e-12
-            if hit.cluster_id == want_id:
-                hits += 1
-        assert hits >= 40  # high recall, not exactness
+            assert hit.cluster_id == want_id
+            assert hit.similarity == pytest.approx(want_sim, abs=1e-12)
+
+    def test_tie_breaks_to_lowest_id_after_removal_moves_rows(self):
+        index = CentroidIndex()
+        first = index.insert(unit(0, 1, 0))
+        low = index.insert(unit(1, 0, 0))
+        index.insert(unit(0, 0, 1))
+        high = index.insert(unit(1, 0, 0))
+        index.remove(first)  # the last row, `high`, now sits before `low`
+        assert index.nearest(unit(1, 0, 0)).cluster_id == low
+        assert index.nearest(unit(1, 0, 0), exclude=low).cluster_id == high
 
 
 class TestUpdateMovingAverage:
@@ -221,6 +228,7 @@ class TestSnapshot:
                 c.parse_state = ParseState.PARSED
         path = str(tmp_path / "snap.json")
         index.snapshot(path)
+        assert "params" not in json.loads((tmp_path / "snap.json").read_text())
         loaded = CentroidIndex.load(path)
         assert loaded.ids() == index.ids()
         for cid in index.ids():
@@ -244,8 +252,40 @@ class TestSnapshot:
     def test_empty_roundtrip(self, tmp_path):
         path = str(tmp_path / "empty.json")
         index = CentroidIndex()
+        index.remove(index.insert(unit(1, 0)))
+        index.remove(index.insert(unit(0, 1)))
         index.snapshot(path)
         loaded = CentroidIndex.load(path)
         assert len(loaded) == 0
         # ids keep advancing from where the snapshot left off
-        index.insert(unit(1, 0))
+        assert loaded.insert(unit(1, 0)) == 2
+
+    def test_version_1_with_graph_params_loads(self, tmp_path):
+        # snapshots written by the HNSW index carried its tuning parameters
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "next_id": 5,
+            "params": {"m": 16, "ef_construction": 200, "ef_search": 64},
+            "centroids": [
+                {"id": 1, "weight": 3, "template_id": 0, "parse_state": "parsed",
+                 "vector": [1.0, 0.0]},
+                {"id": 4, "weight": 1, "template_id": None,
+                 "parse_state": "unparsed", "vector": [0.0, 1.0]},
+            ],
+        }))
+        loaded = CentroidIndex.load(str(path))
+        assert loaded.ids() == [1, 4]
+        assert loaded.get(1).weight == 3
+        assert loaded.get(1).parse_state == ParseState.PARSED
+        assert loaded.nearest(unit(0.1, 1)).cluster_id == 4
+        assert loaded.insert(unit(1, 1)) == 5
+
+    def test_duplicate_ids_rejected(self, tmp_path):
+        path = tmp_path / "dup.json"
+        entry = {"id": 0, "weight": 1, "template_id": None,
+                 "parse_state": "unparsed", "vector": [1.0, 0.0]}
+        path.write_text(json.dumps({"version": 1, "next_id": 1,
+                                    "centroids": [entry, entry]}))
+        with pytest.raises(SnapshotFormatError):
+            CentroidIndex.load(str(path))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from logsift import (
     IngestConfig,
     LogRecord,
     MockCompletionClient,
+    ParseState,
     Pipeline,
     grouping_accuracy,
 )
@@ -163,6 +166,30 @@ class TestRebalanceCadence:
             pipe.ingest(record)
         report = pipe.maybe_rebalance()
         assert report.merges == []
+
+
+class TestMergedTemplates:
+    def test_merge_of_parsed_clusters_keeps_the_winner_template(
+            self, provider, identity_weights, tmp_path):
+        pipe = make_pipeline(provider, identity_weights)
+        light = pipe.ingest(LogRecord("s", "disk full on volume 7"))
+        heavy = pipe.ingest(LogRecord("s", "network link down on port 3"))
+        # drift the second cluster onto the first; the extra joins make it
+        # the heavier side, whose template the merged cluster keeps
+        target = pipe.index.get(light.cluster_id).vector
+        for _ in range(20):
+            pipe.index.update_moving_average(heavy.cluster_id, target)
+        [event] = pipe.force_rebalance().merges
+        assert pipe.index.get(event.surviving_id).parse_state == ParseState.PARSED
+        again = pipe.ingest(LogRecord("s", "disk full on volume 7"))
+        assert again.cluster_id == event.surviving_id
+        assert again.template == heavy.template
+        path = tmp_path / "templates.json"
+        pipe.parser.store.save(str(path))
+        entries = json.loads(path.read_text())
+        assert list(entries) == [str(event.surviving_id)]
+        assert entries[str(event.surviving_id)]["source_log"] == \
+            "network link down on port 3"
 
 
 class TestDeadLetters:
