@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
-
-import numpy as np
 
 from .embedding import EncoderWeights, HashingProvider, RemoteProvider
 from .errors import (
@@ -24,6 +22,7 @@ from .errors import (
     SchemaError,
     SnapshotFormatError,
 )
+from .files import atomic_write
 from .index import CentroidIndex
 from .ingest import IngestConfig, Pipeline
 from .metrics import evaluate, load_dataset
@@ -62,13 +61,6 @@ DEFAULTS = {
     "batch_size": 256,
     "seed": 0,
 }
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _load_config(args) -> dict:
@@ -160,22 +152,34 @@ def cmd_ingest(args) -> int:
     )
     records = _read_records(args.input)
 
-    out_lines: list[str] = []
+    assignments, reports = [], []
     if cfg["batch_mode"]:
         size = int(cfg["batch_size"])
         for start in range(0, len(records), size):
-            assignments, _ = pipeline.ingest_batch(records[start:start + size])
-            out_lines.extend(a.to_json() for a in assignments)
-            pipeline.maybe_rebalance()
+            batch, _ = pipeline.ingest_batch(records[start:start + size])
+            assignments.extend(batch)
+            reports.append(pipeline.maybe_rebalance())
         if records:
-            pipeline.force_rebalance()
+            reports.append(pipeline.force_rebalance())
     else:
         for record in records:
-            out_lines.append(pipeline.ingest(record).to_json())
-            pipeline.maybe_rebalance()
+            assignments.append(pipeline.ingest(record))
+            reports.append(pipeline.maybe_rebalance())
 
+    # each row names the cluster its log ended in after the last rebalance
+    survivor = {absorbed: event.surviving_id for report in reports if report
+                for event in report.merges for absorbed in event.absorbed_ids}
+    out_lines: list[str] = []
+    for assignment in assignments:
+        cid = assignment.cluster_id
+        while cid in survivor:
+            cid = survivor[cid]
+        final = replace(assignment, cluster_id=cid,
+                        template=pipeline.parser.store.template_for(cid))
+        out_lines.append(final.to_json())
     if args.assignments_out:
-        _atomic_write(args.assignments_out, "\n".join(out_lines) + ("\n" if out_lines else ""))
+        with atomic_write(args.assignments_out) as fh:
+            fh.write("\n".join(out_lines) + ("\n" if out_lines else ""))
     else:
         for line in out_lines:
             print(line)
@@ -198,7 +202,8 @@ def cmd_evaluate(args) -> int:
                            for r in rows]
     report = evaluate(predicted_templates, list(dataset.templates))
     if args.report_out:
-        _atomic_write(args.report_out, report.to_json() + "\n")
+        with atomic_write(args.report_out) as fh:
+            fh.write(report.to_json() + "\n")
     print(report.to_table())
     return EXIT_OK
 
@@ -231,8 +236,8 @@ def cmd_train_encoder(args) -> int:
     result = train(pairs, train_cfg)
     result.weights.save(args.weights_out)
     if args.loss_trace_out:
-        _atomic_write(args.loss_trace_out,
-                      json.dumps({"loss_trace": result.loss_trace}, indent=2) + "\n")
+        with atomic_write(args.loss_trace_out) as fh:
+            fh.write(json.dumps({"loss_trace": result.loss_trace}, indent=2) + "\n")
     print(f"initial loss {result.loss_trace[0]:.6f}, "
           f"final loss {result.loss_trace[-1]:.6f}", file=sys.stderr)
     return EXIT_OK
@@ -244,7 +249,8 @@ def cmd_rebalance(args) -> int:
     index.snapshot(args.snapshot_out or args.snapshot)
     text = json.dumps(report.to_dict(), indent=2)
     if args.report_out:
-        _atomic_write(args.report_out, text + "\n")
+        with atomic_write(args.report_out) as fh:
+            fh.write(text + "\n")
     print(text)
     return EXIT_OK
 
@@ -272,7 +278,8 @@ def cmd_export_embeddings(args) -> int:
             values = ",".join(repr(float(x)) for x in vector)
             rows.append(f"{i},1,{values}")
     header = "id,weight," + ",".join(f"v{k}" for k in range(dim))
-    _atomic_write(args.output, "\n".join([header] + rows) + "\n")
+    with atomic_write(args.output) as fh:
+        fh.write("\n".join([header] + rows) + "\n")
     print(f"wrote {len(rows)} vectors to {args.output}", file=sys.stderr)
     return EXIT_OK
 

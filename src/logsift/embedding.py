@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     ProviderError,
 )
+from .files import atomic_write
 from .records import LogRecord
 
 NORM_EPS = 1e-12
@@ -178,10 +179,8 @@ class EncoderWeights:
             "w2": self.w2.tolist(),
             "b2": self.b2.tolist(),
         }
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(doc, fh)
-        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "EncoderWeights":

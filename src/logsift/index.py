@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import enum
 import json
-import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import ClusterNotFoundError, SnapshotFormatError
+from .files import atomic_write
 
 UNIT_TOL = 1e-6
 NORM_EPS = 1e-12
@@ -168,10 +168,8 @@ class CentroidIndex:
                 for c in self.centroids()
             ],
         }
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(doc, fh)
-        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "CentroidIndex":

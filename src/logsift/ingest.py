@@ -7,19 +7,23 @@ and searched "in parallel", so a record may not see clusters created by its
 batch peers; duplicate clusters for a simultaneously-arriving unseen
 pattern are expected and repaired by the next rebalance, after which the
 surviving clusters are parsed.
+
+Both modes commit a record through one create-or-join step. A merge's
+outcome comes from its `MergeEvent`: the survivor takes the template entry
+of `kept_from` and its first constituent's representative log.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .embedding import EmbeddingProvider, EncoderWeights, embed_log
-from .errors import ConfigError, LogsiftError, ProviderError
-from .index import CentroidIndex, ParseState
+from .errors import ConfigError, LogsiftError
+from .index import CentroidIndex, ParseState, SearchHit
 from .parsing import ClusterParser
 from .rebalance import MergeReport, rebalance
 from .records import LogRecord
@@ -47,13 +51,7 @@ class ClusterAssignment:
     template: Optional[str] = None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "log_index": self.log_index,
-            "cluster_id": self.cluster_id,
-            "created_new": self.created_new,
-            "similarity": self.similarity,
-            "template": self.template,
-        })
+        return json.dumps(asdict(self))
 
 
 class Pipeline:
@@ -82,15 +80,27 @@ class Pipeline:
             return None
         return self.parser.parse_cluster(self.index, cluster_id, representative)
 
-    def _create_cluster(self, record: LogRecord, vector: np.ndarray,
-                        defer_parse: bool) -> ClusterAssignment:
-        cid = self.index.insert(vector)
-        self.first_log[cid] = record
-        template = None if defer_parse else self._parse(cid)
-        return ClusterAssignment(
-            log_index=self._log_counter, cluster_id=cid,
-            created_new=True, similarity=1.0, template=template,
+    def _commit(self, record: LogRecord, vector: np.ndarray,
+                hit: Optional[SearchHit], defer_parse: bool) -> ClusterAssignment:
+        """Join `hit` if it is still live and at or above the threshold, else
+        create a cluster (parsed now unless `defer_parse`)."""
+        joins = (hit is not None and hit.cluster_id in self.index
+                 and hit.similarity >= self.config.similarity_threshold)
+        if joins:
+            cid, similarity = hit.cluster_id, hit.similarity
+            self.index.update_moving_average(cid, vector)
+            template = self.parser.store.template_for(cid) if self.parser else None
+        else:
+            cid, similarity = self.index.insert(vector), 1.0
+            self.first_log[cid] = record
+            template = None if defer_parse else self._parse(cid)
+        assignment = ClusterAssignment(
+            log_index=self._log_counter, cluster_id=cid, created_new=not joins,
+            similarity=similarity, template=template,
         )
+        self._log_counter += 1
+        self._since_rebalance += 1
+        return assignment
 
     # ---- operations ----------------------------------------------------------
 
@@ -99,24 +109,11 @@ class Pipeline:
         a new cluster (parsed immediately in sequential mode)."""
         try:
             vector = embed_log(record, self.provider, self.weights)
-        except (ProviderError, LogsiftError) as exc:
+        except LogsiftError as exc:
             self.dead_letters.append((record, exc))
             raise
-        hit = self.index.nearest(vector)
-        if hit is None or hit.similarity < self.config.similarity_threshold:
-            assignment = self._create_cluster(record, vector,
-                                              defer_parse=self.config.batch_mode)
-        else:
-            self.index.update_moving_average(hit.cluster_id, vector)
-            template = (self.parser.store.template_for(hit.cluster_id)
-                        if self.parser else None)
-            assignment = ClusterAssignment(
-                log_index=self._log_counter, cluster_id=hit.cluster_id,
-                created_new=False, similarity=hit.similarity, template=template,
-            )
-        self._log_counter += 1
-        self._since_rebalance += 1
-        return assignment
+        return self._commit(record, vector, self.index.nearest(vector),
+                            defer_parse=self.config.batch_mode)
 
     def ingest_batch(self, records: list[LogRecord],
                      rng: Optional[np.random.Generator] = None
@@ -132,13 +129,12 @@ class Pipeline:
         """
         if not self.config.batch_mode:
             raise ConfigError("ingest_batch requires batch_mode")
-        embedded: list[tuple[int, LogRecord, np.ndarray]] = []
+        embedded: list[tuple[LogRecord, np.ndarray]] = []
         errors: list[tuple[LogRecord, Exception]] = []
-        for pos, record in enumerate(records):
+        for record in records:
             try:
-                embedded.append((pos, record,
-                                 embed_log(record, self.provider, self.weights)))
-            except (ProviderError, LogsiftError) as exc:
+                embedded.append((record, embed_log(record, self.provider, self.weights)))
+            except LogsiftError as exc:
                 self.dead_letters.append((record, exc))
                 errors.append((record, exc))
 
@@ -156,29 +152,15 @@ class Pipeline:
                 if not pending[pick]:
                     live.remove(pick)
 
-        decisions: dict[int, Optional[object]] = {}
+        decisions: dict[int, Optional[SearchHit]] = {}
         assignments: dict[int, ClusterAssignment] = {}
         for kind, slot in events:
-            pos, record, vector = embedded[slot]
+            record, vector = embedded[slot]
             if kind == 0:
                 decisions[slot] = self.index.nearest(vector)
             else:
-                hit = decisions[slot]
-                if (hit is None
-                        or hit.similarity < self.config.similarity_threshold
-                        or hit.cluster_id not in self.index):
-                    assignments[slot] = self._create_cluster(record, vector,
-                                                             defer_parse=True)
-                else:
-                    self.index.update_moving_average(hit.cluster_id, vector)
-                    assignments[slot] = ClusterAssignment(
-                        log_index=self._log_counter, cluster_id=hit.cluster_id,
-                        created_new=False, similarity=hit.similarity,
-                        template=(self.parser.store.template_for(hit.cluster_id)
-                                  if self.parser else None),
-                    )
-                self._log_counter += 1
-                self._since_rebalance += 1
+                assignments[slot] = self._commit(record, vector, decisions[slot],
+                                                 defer_parse=True)
         return [assignments[s] for s in sorted(assignments)], errors
 
     def maybe_rebalance(self) -> Optional[MergeReport]:
@@ -188,23 +170,16 @@ class Pipeline:
         return self.force_rebalance()
 
     def force_rebalance(self) -> MergeReport:
-        weights = {c.cluster_id: c.weight for c in self.index.centroids()}
         report = rebalance(self.index, self.config.similarity_threshold)
         self._since_rebalance = 0
         for event in report.merges:
-            a, b = event.absorbed_ids
-            weights[event.surviving_id] = weights[a] + weights[b]
             if self.parser is not None:
-                # merge_pair's rule: the heavier side, the older on a tie
-                winner = a if (weights[a], -a) >= (weights[b], -b) else b
-                self.parser.store.merge(event.absorbed_ids, winner,
-                                        event.surviving_id)
-            # merged clusters need a representative log for (re-)parsing
-            if event.surviving_id not in self.first_log:
-                for absorbed in event.absorbed_ids:
-                    if absorbed in self.first_log:
-                        self.first_log[event.surviving_id] = self.first_log[absorbed]
-                        break
+                self.parser.store.merge(event)
+            # the survivor is (re-)parsed from its first constituent's record
+            records = [self.first_log.pop(cid) for cid in event.absorbed_ids
+                       if cid in self.first_log]
+            if records:
+                self.first_log[event.surviving_id] = records[0]
         self.parse_pending()
         return report
 

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import MalformedResponseError, ProviderError
+from .files import atomic_write
 from .index import CentroidIndex, ParseState
+from .rebalance import MergeEvent
 from .records import LogRecord
 
 TASK_INSTRUCTIONS = (
@@ -259,21 +261,16 @@ class TemplateStore:
         entry = self._entries.get(cluster_id)
         return entry["template"] if entry else None
 
-    def merge(self, absorbed_ids: tuple[int, int], winner_id: int,
-              surviving_id: int) -> None:
-        """Re-key the entries of two merged clusters. A merge of two parsed
-        clusters is parsed with the winner's template, so the winner's entry
-        moves to the survivor; any other survivor is parsed afresh."""
-        entries = {cid: self._entries.pop(cid, None) for cid in absorbed_ids}
-        if all(e is not None and e["parse_state"] == ParseState.PARSED.value
-               for e in entries.values()):
-            self._entries[surviving_id] = entries[winner_id]
+    def merge(self, event: MergeEvent) -> None:
+        """Re-key the entries of two merged clusters: the entry whose
+        template the survivor kept moves to it, and both absorbed entries go."""
+        entries = {cid: self._entries.pop(cid, None) for cid in event.absorbed_ids}
+        if event.kept_from is not None:
+            self._entries[event.surviving_id] = entries[event.kept_from]
 
     def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(self._entries, fh, indent=2)
-        os.replace(tmp, path)
 
 
 @dataclass

@@ -10,12 +10,12 @@ Each merge strictly decreases the cluster count, so the pass terminates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .errors import ClusterNotFoundError
-from .index import CentroidIndex, ParseState
+from .index import CentroidIndex, ClusterCentroid, ParseState
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class MergeEvent:
     absorbed_ids: tuple[int, int]
     surviving_id: int
     similarity: float
+    kept_from: Optional[int]  # absorbed id whose template survives, if any
 
 
 @dataclass
@@ -33,25 +34,22 @@ class MergeReport:
     merges: list[MergeEvent] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "clusters_before": self.clusters_before,
-            "clusters_after": self.clusters_after,
-            "passes": self.passes,
-            "merges": [
-                {"absorbed_ids": list(m.absorbed_ids),
-                 "surviving_id": m.surviving_id,
-                 "similarity": m.similarity}
-                for m in self.merges
-            ],
-        }
+        return asdict(self)
+
+
+def _winner(a: ClusterCentroid, b: ClusterCentroid) -> Optional[ClusterCentroid]:
+    """The constituent whose template a merge of `a` and `b` keeps: the
+    heavier, the older id on a tie; None unless both sides are parsed."""
+    if a.parse_state != ParseState.PARSED or b.parse_state != ParseState.PARSED:
+        return None
+    return a if (a.weight, -a.cluster_id) >= (b.weight, -b.cluster_id) else b
 
 
 def merge_pair(index: CentroidIndex, id_a: int, id_b: int) -> int:
     """Replace two clusters by their weight-proportional average.
 
-    The merged template comes from the heavier constituent (older id on a
-    tie); if either side is unparsed the merged cluster is unparsed again so
-    the parser revisits it.
+    The merged cluster keeps `_winner`'s template id and stays parsed; with
+    no winner it is unparsed again so the parser revisits it.
     """
     if id_a == id_b:
         raise ValueError("cannot merge a cluster with itself")
@@ -61,8 +59,8 @@ def merge_pair(index: CentroidIndex, id_a: int, id_b: int) -> int:
     norm = np.linalg.norm(merged)
     if norm < 1e-12:
         raise ValueError("merged centroid is degenerate (antipodal constituents)")
-    winner = a if (a.weight, -a.cluster_id) >= (b.weight, -b.cluster_id) else b
-    if a.parse_state == ParseState.PARSED and b.parse_state == ParseState.PARSED:
+    winner = _winner(a, b)
+    if winner is not None:
         state, template_id = ParseState.PARSED, winner.template_id
     else:
         state, template_id = ParseState.UNPARSED, None
@@ -86,11 +84,13 @@ def rebalance(index: CentroidIndex, threshold: float) -> MergeReport:
             continue
         hit = index.nearest(index.get(cid).vector, exclude=cid)
         if hit is not None and hit.similarity >= threshold:
+            winner = _winner(index.get(cid), index.get(hit.cluster_id))
             survivor = merge_pair(index, cid, hit.cluster_id)
             report.merges.append(MergeEvent(
                 absorbed_ids=(cid, hit.cluster_id),
                 surviving_id=survivor,
                 similarity=hit.similarity,
+                kept_from=None if winner is None else winner.cluster_id,
             ))
             # re-process the merged vector at the current position
             work[i] = survivor

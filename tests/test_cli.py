@@ -65,6 +65,26 @@ class TestIngestCommand:
         assert rc == EXIT_OK
         assert len(CentroidIndex.load(snap)) == 5
 
+    def test_batch_mode_rows_carry_final_clusters(self, corpus_csv, tmp_path):
+        # rows are written after the last rebalance, so they name the
+        # clusters that survived it and the templates parsed for them
+        snap = str(tmp_path / "snap.json")
+        assigns = str(tmp_path / "assign.jsonl")
+        report = str(tmp_path / "report.json")
+        rc = main(["ingest", "--input", corpus_csv, "--snapshot-out", snap,
+                   "--assignments-out", assigns,
+                   "--batch-mode", "--batch-size", "25"])
+        assert rc == EXIT_OK
+        live = set(CentroidIndex.load(snap).ids())
+        rows = [json.loads(line) for line in open(assigns).read().splitlines()]
+        assert len(rows) == 100
+        assert {row["cluster_id"] for row in rows} <= live
+        rc = main(["evaluate", "--dataset", corpus_csv,
+                   "--assignments", assigns, "--report-out", report])
+        assert rc == EXIT_OK
+        doc = json.loads(open(report).read())
+        assert [doc[k] for k in ("GA", "FGA", "PA", "FTA")] == [1.0] * 4
+
 
 class TestEvaluateCommand:
     def _run_ingest(self, corpus_csv, tmp_path):

@@ -134,6 +134,13 @@ class TestBatchIngest:
         pipe.force_rebalance()
         assert pipe.index.total_weight() == 400
 
+    def test_representatives_follow_merges(self, corpus, provider,
+                                           identity_weights):
+        pipe = make_pipeline(provider, identity_weights, batch_mode=True)
+        pipe.ingest_batch(list(corpus.records[:200]))
+        assert pipe.force_rebalance().merges
+        assert set(pipe.first_log) == set(pipe.index.ids())
+
     def test_parsing_deferred_until_rebalance(self, corpus, provider,
                                               identity_weights):
         pipe = make_pipeline(provider, identity_weights, batch_mode=True)
@@ -169,27 +176,45 @@ class TestRebalanceCadence:
 
 
 class TestMergedTemplates:
-    def test_merge_of_parsed_clusters_keeps_the_winner_template(
-            self, provider, identity_weights, tmp_path):
-        pipe = make_pipeline(provider, identity_weights)
-        light = pipe.ingest(LogRecord("s", "disk full on volume 7"))
-        heavy = pipe.ingest(LogRecord("s", "network link down on port 3"))
-        # drift the second cluster onto the first; the extra joins make it
-        # the heavier side, whose template the merged cluster keeps
-        target = pipe.index.get(light.cluster_id).vector
+    @staticmethod
+    def merge_two_parsed(provider, weights, tmp_path, first_joins):
+        """Parse two clusters, drift the second onto the first with 20 joins,
+        give the first `first_joins` joins, and merge them. Checks that the
+        next hit and the saved templates carry the template of the event's
+        kept_from; returns the assignment kept_from names and the first one."""
+        pipe = make_pipeline(provider, weights)
+        first = pipe.ingest(LogRecord("s", "disk full on volume 7"))
+        second = pipe.ingest(LogRecord("s", "network link down on port 3"))
+        target = pipe.index.get(first.cluster_id).vector
         for _ in range(20):
-            pipe.index.update_moving_average(heavy.cluster_id, target)
+            pipe.index.update_moving_average(second.cluster_id, target)
+        for _ in range(first_joins):
+            pipe.index.update_moving_average(first.cluster_id, target)
         [event] = pipe.force_rebalance().merges
         assert pipe.index.get(event.surviving_id).parse_state == ParseState.PARSED
+        kept = {first.cluster_id: first, second.cluster_id: second}[event.kept_from]
         again = pipe.ingest(LogRecord("s", "disk full on volume 7"))
         assert again.cluster_id == event.surviving_id
-        assert again.template == heavy.template
+        assert again.template == kept.template
         path = tmp_path / "templates.json"
         pipe.parser.store.save(str(path))
         entries = json.loads(path.read_text())
         assert list(entries) == [str(event.surviving_id)]
-        assert entries[str(event.surviving_id)]["source_log"] == \
-            "network link down on port 3"
+        assert entries[str(event.surviving_id)]["template"] == kept.template
+        return kept, first
+
+    def test_merge_of_parsed_clusters_keeps_the_winner_template(
+            self, provider, identity_weights, tmp_path):
+        # the second cluster is heavier
+        kept, first = self.merge_two_parsed(provider, identity_weights,
+                                            tmp_path, first_joins=0)
+        assert kept.cluster_id != first.cluster_id
+
+    def test_merge_of_equal_weights_keeps_the_older_template(
+            self, provider, identity_weights, tmp_path):
+        kept, first = self.merge_two_parsed(provider, identity_weights,
+                                            tmp_path, first_joins=20)
+        assert kept is first
 
 
 class TestDeadLetters:

@@ -139,3 +139,59 @@ class TestRebalance:
         report = rebalance(index, 0.95)
         assert len(index) == 1
         assert len(report.merges) == 2
+
+
+PARSED, UNPARSED, FAILED = ParseState.PARSED, ParseState.UNPARSED, ParseState.FAILED
+
+
+class TestMergeOutcome:
+    """Each event's kept_from against a replay of the pre-merge weights and
+    parse states: heavier wins, the older id on a tie, and the survivor
+    keeps a template only when both sides were parsed."""
+
+    @staticmethod
+    def replay(before, report):
+        weights = {cid: w for cid, (w, _) in before.items()}
+        states = {cid: s for cid, (_, s) in before.items()}
+        kept = []
+        for event in report.merges:
+            a, b = event.absorbed_ids
+            both = states[a] == states[b] == PARSED
+            winner = a if (weights[a], -a) >= (weights[b], -b) else b
+            kept.append(winner if both else None)
+            weights[event.surviving_id] = weights[a] + weights[b]
+            states[event.surviving_id] = PARSED if both else UNPARSED
+        return kept
+
+    @pytest.mark.parametrize("groups", [
+        # PARSED/PARSED: heavier first, heavier second, ties, a chain of three
+        [[(3, PARSED), (1, PARSED)], [(1, PARSED), (4, PARSED)],
+         [(2, PARSED), (2, PARSED)], [(1, PARSED), (1, PARSED)],
+         [(2, PARSED), (1, PARSED), (3, PARSED)]],
+        [[(5, PARSED), (2, UNPARSED)], [(1, UNPARSED), (1, PARSED)],
+         [(2, PARSED), (2, PARSED), (1, UNPARSED)]],
+        [[(3, FAILED), (1, PARSED)], [(1, PARSED), (2, FAILED)],
+         [(2, FAILED), (2, PARSED)]],
+    ], ids=["parsed-parsed", "parsed-unparsed", "failed-parsed"])
+    def test_kept_from_matches_replay(self, groups):
+        # each group's members point almost the same way; groups are orthogonal
+        index = CentroidIndex()
+        template_ids = {}
+        for g, members in enumerate(groups):
+            for k, (weight, state) in enumerate(members):
+                v = np.zeros(2 * len(groups))
+                v[2 * g], v[2 * g + 1] = 1.0, 0.01 * k
+                tid = None if state is UNPARSED else len(template_ids)
+                cid = index.insert(v / np.linalg.norm(v), weight=weight,
+                                   template_id=tid, parse_state=state)
+                template_ids[cid] = tid
+        before = {c.cluster_id: (c.weight, c.parse_state) for c in index.centroids()}
+        report = rebalance(index, 0.9)
+        assert len(index) == len(groups)
+        kept = [event.kept_from for event in report.merges]
+        assert kept == self.replay(before, report)
+        for event in report.merges:
+            template_ids[event.surviving_id] = template_ids.get(event.kept_from)
+        for c in index.centroids():
+            assert c.template_id == template_ids[c.cluster_id]
+            assert (c.parse_state == PARSED) == (c.template_id is not None)
