@@ -1,9 +1,12 @@
 """Operator command line: ingest, evaluate, train-encoder, rebalance,
 export-embeddings.
 
-Configuration is a JSON key-value file; every key can be overridden by the
-matching flag, and flags win. Exit codes: 0 success, 2 config error, 3 IO
-error, 4 provider/client error, 5 data or schema error.
+Each setting is one flag, its default read from the library class that
+owns it where one does. A JSON file (--config) keyed by the flags' dests
+can give settings too, and flags win; a key is valid if it is a setting of
+any subcommand, and each subcommand uses its own. Exit codes: 0 success,
+2 config error (a bad flag or setting value too), 3 IO error,
+4 provider/client error, 5 data or schema error.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .parsing import (
     ClusterParser,
     MockCompletionClient,
     RemoteCompletionClient,
-    TemplateStore,
     load_demonstrations,
 )
 from .records import LogRecord
@@ -43,72 +45,28 @@ EXIT_IO = 3
 EXIT_PROVIDER = 4
 EXIT_DATA = 5
 
-DEFAULTS = {
-    "provider": "hashing",
-    "provider_dim": 512,
-    "provider_url": None,
-    "provider_model": None,
-    "provider_key_env": "EMBEDDING_API_KEY",
-    "completion": "mock",
-    "completion_url": None,
-    "completion_model": None,
-    "completion_key_env": "COMPLETION_API_KEY",
-    "weights": None,
-    "demos": None,
-    "threshold": 0.9,
-    "rebalance_every": 1000,
-    "batch_mode": False,
-    "batch_size": 256,
-    "seed": 0,
-}
+
+def _build_provider(args):
+    if args.provider == "hashing":
+        return HashingProvider(dim=args.provider_dim)
+    if not args.provider_url or not args.provider_model:
+        raise ConfigError("remote provider requires provider_url and provider_model")
+    return RemoteProvider(url=args.provider_url, model=args.provider_model,
+                          dim=args.provider_dim, api_key_env=args.provider_key_env)
 
 
-def _load_config(args) -> dict:
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"cannot parse config {args.config}: {exc}") from exc
-        unknown = set(loaded) - set(cfg)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
-    for key in cfg:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
-
-
-def _build_provider(cfg: dict):
-    if cfg["provider"] == "hashing":
-        return HashingProvider(dim=int(cfg["provider_dim"]))
-    if cfg["provider"] == "remote":
-        if not cfg["provider_url"] or not cfg["provider_model"]:
-            raise ConfigError("remote provider requires provider_url and provider_model")
-        return RemoteProvider(url=cfg["provider_url"], model=cfg["provider_model"],
-                              dim=int(cfg["provider_dim"]),
-                              api_key_env=cfg["provider_key_env"])
-    raise ConfigError(f"unknown provider {cfg['provider']!r}")
-
-
-def _build_parser_client(cfg: dict):
-    if cfg["completion"] == "mock":
+def _build_parser_client(args):
+    if args.completion == "mock":
         return MockCompletionClient()
-    if cfg["completion"] == "remote":
-        if not cfg["completion_url"] or not cfg["completion_model"]:
-            raise ConfigError("remote completion requires completion_url and completion_model")
-        return RemoteCompletionClient(url=cfg["completion_url"],
-                                      model=cfg["completion_model"],
-                                      api_key_env=cfg["completion_key_env"])
-    raise ConfigError(f"unknown completion client {cfg['completion']!r}")
+    if not args.completion_url or not args.completion_model:
+        raise ConfigError("remote completion requires completion_url and completion_model")
+    return RemoteCompletionClient(url=args.completion_url, model=args.completion_model,
+                                  api_key_env=args.completion_key_env)
 
 
-def _load_weights(cfg: dict, provider) -> EncoderWeights:
-    if cfg["weights"]:
-        weights = EncoderWeights.load(cfg["weights"])
+def _load_weights(args, provider) -> EncoderWeights:
+    if args.weights:
+        weights = EncoderWeights.load(args.weights)
         if weights.input_dim != provider.dim + 1:
             raise ConfigError(
                 f"weights expect provider dim {weights.input_dim - 1}, "
@@ -137,26 +95,26 @@ def _read_records(path: str) -> list[LogRecord]:
 
 
 def cmd_ingest(args) -> int:
-    cfg = _load_config(args)
-    provider = _build_provider(cfg)
-    weights = _load_weights(cfg, provider)
-    client = _build_parser_client(cfg)
-    demos = load_demonstrations(cfg["demos"])
+    if args.batch_size < 1:
+        raise ConfigError("batch_size must be positive")
+    provider = _build_provider(args)
+    weights = _load_weights(args, provider)
+    client = _build_parser_client(args)
+    demos = load_demonstrations(args.demos)
     index = CentroidIndex()
     pipeline = Pipeline(
         provider=provider, weights=weights, index=index,
-        parser=ClusterParser(client=client, demos=demos, store=TemplateStore()),
-        config=IngestConfig(similarity_threshold=float(cfg["threshold"]),
-                            rebalance_every_n=int(cfg["rebalance_every"]),
-                            batch_mode=bool(cfg["batch_mode"])),
+        parser=ClusterParser(client=client, demos=demos),
+        config=IngestConfig(similarity_threshold=args.threshold,
+                            rebalance_every_n=args.rebalance_every,
+                            batch_mode=args.batch_mode),
     )
     records = _read_records(args.input)
 
     assignments, reports = [], []
-    if cfg["batch_mode"]:
-        size = int(cfg["batch_size"])
-        for start in range(0, len(records), size):
-            batch, _ = pipeline.ingest_batch(records[start:start + size])
+    if args.batch_mode:
+        for start in range(0, len(records), args.batch_size):
+            batch, _ = pipeline.ingest_batch(records[start:start + args.batch_size])
             assignments.extend(batch)
             reports.append(pipeline.maybe_rebalance())
         if records:
@@ -209,19 +167,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_train_encoder(args) -> int:
-    cfg = _load_config(args)
-    provider = _build_provider(cfg)
-    try:
-        ratio = Fraction(args.ratio.replace(":", "/")) if args.ratio else Fraction(1, 5)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"invalid ratio {args.ratio!r}") from exc
+    provider = _build_provider(args)
     train_cfg = TrainConfig(
         learning_rate=args.learning_rate,
         batch_size=args.batch_size,
         epochs=args.epochs,
         pairs_per_dataset=args.pairs_per_dataset,
-        similar_to_dissimilar_ratio=ratio,
-        rng_seed=int(cfg["seed"]),
+        similar_to_dissimilar_ratio=args.ratio,
+        rng_seed=args.seed,
     )
     per_dataset_pairs = []
     for path in args.datasets:
@@ -256,7 +209,6 @@ def cmd_rebalance(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    cfg = _load_config(args)
     rows: list[str] = []
     if args.snapshot:
         index = CentroidIndex.load(args.snapshot)
@@ -267,8 +219,8 @@ def cmd_export_embeddings(args) -> int:
             rows.append(f"{c.cluster_id},{c.weight},{values}")
         dim = dim or 0
     else:
-        provider = _build_provider(cfg)
-        weights = _load_weights(cfg, provider)
+        provider = _build_provider(args)
+        weights = _load_weights(args, provider)
         from .embedding import embed_log
 
         records = _read_records(args.corpus)
@@ -287,87 +239,143 @@ def cmd_export_embeddings(args) -> int:
 # ---- argument parsing --------------------------------------------------------
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--provider", choices=["hashing", "remote"])
-    p.add_argument("--provider-dim", type=int, dest="provider_dim")
-    p.add_argument("--provider-url", dest="provider_url")
-    p.add_argument("--provider-model", dest="provider_model")
-    p.add_argument("--provider-key-env", dest="provider_key_env")
-    p.add_argument("--weights", help="encoder weights file (identity init if omitted)")
-    p.add_argument("--seed", type=int)
+class _ArgParser(argparse.ArgumentParser):
+    """argparse that takes whole flags only, so a removed flag is not read as
+    a longer one (--weights as --weights-out), and records which flags are
+    settings: values a --config file may give too, keyed by the flag's dest."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+        self.settings: dict[str, argparse.Action] = {}
+        self.commands: dict[str, _ArgParser] = {}
+
+    def setting(self, *flags, **kwargs) -> None:
+        action = self.add_argument(*flags, **kwargs)
+        self.settings[action.dest] = action
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="logsift",
-        description="Online log clustering and template extraction",
-    )
+def _ratio(text: str) -> Fraction:
+    try:
+        return Fraction(text.replace(":", "/"))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid ratio {text!r}") from None
+
+
+def _provider_settings(p: _ArgParser):
+    p.add_argument("--config", help="JSON file of settings; flags override it")
+    p.setting("--provider", choices=["hashing", "remote"], default="hashing")
+    p.setting("--provider-dim", type=int, default=HashingProvider.DIM)
+    p.setting("--provider-url")
+    p.setting("--provider-model")
+    p.setting("--provider-key-env", default=RemoteProvider.KEY_ENV)
+
+
+def build_arg_parser() -> _ArgParser:
+    parser = _ArgParser(prog="logsift",
+                        description="Online log clustering and template extraction")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("ingest", help="cluster a log stream and extract templates")
-    _add_config_flags(p)
+    _provider_settings(p)
     p.add_argument("--input", required=True, help="log file, .csv dataset, or - for stdin")
-    p.add_argument("--snapshot-out", required=True, dest="snapshot_out")
-    p.add_argument("--assignments-out", dest="assignments_out")
-    p.add_argument("--templates-out", dest="templates_out")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--rebalance-every", type=int, dest="rebalance_every")
-    p.add_argument("--batch-mode", action="store_const", const=True,
-                   default=None, dest="batch_mode")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--completion", choices=["mock", "remote"])
-    p.add_argument("--completion-url", dest="completion_url")
-    p.add_argument("--completion-model", dest="completion_model")
-    p.add_argument("--completion-key-env", dest="completion_key_env")
-    p.add_argument("--demos", help="JSON file of parsing demonstrations")
+    p.add_argument("--snapshot-out", required=True)
+    p.add_argument("--assignments-out")
+    p.add_argument("--templates-out")
+    p.setting("--weights", help="encoder weights file (identity init if omitted)")
+    p.setting("--threshold", type=float, default=IngestConfig.similarity_threshold)
+    p.setting("--rebalance-every", type=int, default=IngestConfig.rebalance_every_n)
+    p.setting("--batch-mode", action="store_true")
+    p.setting("--batch-size", type=int, default=256)
+    p.setting("--completion", choices=["mock", "remote"], default="mock")
+    p.setting("--completion-url")
+    p.setting("--completion-model")
+    p.setting("--completion-key-env", default=RemoteCompletionClient.KEY_ENV)
+    p.setting("--demos", help="JSON file of parsing demonstrations")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("evaluate", help="score assignments against a labeled dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--assignments", required=True, help="JSON-lines from ingest")
-    p.add_argument("--report-out", dest="report_out")
+    p.add_argument("--report-out")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("train-encoder", help="fine-tune encoder weights on labeled logs")
-    _add_config_flags(p)
+    _provider_settings(p)
     p.add_argument("--datasets", nargs="+", required=True)
-    p.add_argument("--weights-out", required=True, dest="weights_out")
-    p.add_argument("--loss-trace-out", dest="loss_trace_out")
-    p.add_argument("--learning-rate", type=float, default=0.0005, dest="learning_rate")
-    p.add_argument("--batch-size", type=int, default=2048, dest="batch_size")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--pairs-per-dataset", type=int, default=24000,
-                   dest="pairs_per_dataset")
-    p.add_argument("--ratio", default="1:5",
-                   help="similar:dissimilar pair ratio, e.g. 1:5")
-    p.add_argument("--pair-order", choices=["concatenated", "interleaved"],
-                   default="concatenated", dest="pair_order")
+    p.add_argument("--weights-out", required=True)
+    p.add_argument("--loss-trace-out")
+    p.setting("--seed", type=int, default=TrainConfig.rng_seed)
+    p.setting("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.setting("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.setting("--epochs", type=int, default=TrainConfig.epochs)
+    p.setting("--pairs-per-dataset", type=int, default=TrainConfig.pairs_per_dataset)
+    p.setting("--ratio", type=_ratio, default=TrainConfig.similar_to_dissimilar_ratio,
+              help="similar:dissimilar pair ratio, e.g. 1:5")
+    p.setting("--pair-order", choices=["concatenated", "interleaved"],
+              default="concatenated")
     p.set_defaults(func=cmd_train_encoder)
 
     p = sub.add_parser("rebalance", help="merge similar clusters in a snapshot")
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--snapshot-out", dest="snapshot_out")
-    p.add_argument("--threshold", type=float, default=0.9)
-    p.add_argument("--report-out", dest="report_out")
+    p.add_argument("--snapshot-out")
+    p.add_argument("--threshold", type=float, default=IngestConfig.similarity_threshold)
+    p.add_argument("--report-out")
     p.set_defaults(func=cmd_rebalance)
 
-    p = sub.add_parser("export-embeddings",
-                       help="dump centroid or corpus vectors as CSV")
-    _add_config_flags(p)
+    p = sub.add_parser("export-embeddings", help="dump centroid or corpus vectors as CSV")
+    _provider_settings(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--snapshot")
     group.add_argument("--corpus")
     p.add_argument("--output", required=True)
+    p.setting("--weights", help="encoder weights file (identity init if omitted)")
     p.set_defaults(func=cmd_export_embeddings)
 
     return parser
 
 
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse a command line. The settings of a --config file go in front of
+    the command's flags, so each is checked as its flag is and a flag given
+    on the command line wins. A key that is a setting of no command is an
+    error; the command skips the settings of others."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
+    with open(args.config) as fh:
+        try:
+            loaded = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"cannot parse config {args.config}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"config {args.config} is not a JSON object")
+    unknown = set(loaded).difference(*(p.settings for p in parser.commands.values()))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    flags = []
+    for key, value in loaded.items():
+        action = parser.commands[args.command].settings.get(key)
+        if action is None or value is None:  # another command's, or left unset
+            continue
+        switch = action.nargs == 0  # true or false; any other setting takes a value
+        if isinstance(value, bool) != switch or isinstance(value, (list, dict)):
+            raise ConfigError(f"config key {key!r} cannot be {json.dumps(value)}")
+        if not switch:
+            flags.append(f"{action.option_strings[0]}={value}")
+        elif value:
+            flags += action.option_strings
+    return parser.parse_args([argv[0], *flags, *argv[1:]])
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
     try:
+        args = parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: --help, or a bad flag or setting value
+        return exc.code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .errors import (
 )
 from .files import atomic_write
 from .records import LogRecord
+from .remote import api_key, post_json
 
 NORM_EPS = 1e-12
 WORD_COUNT_SCALE = 100.0
@@ -46,7 +46,9 @@ class HashingProvider(EmbeddingProvider):
     their tokens, which is enough to exercise the full pipeline offline.
     """
 
-    def __init__(self, dim: int = 512):
+    DIM = 512
+
+    def __init__(self, dim: int = DIM):
         if dim < 2:
             raise ConfigError("provider dimension must be >= 2")
         self.dim = dim
@@ -70,44 +72,25 @@ class RemoteProvider(EmbeddingProvider):
 
     Request body: {"model": ..., "input": text}; response body must carry
     one float array under "embedding". The API key is read from the
-    environment variable named in the config, never stored.
+    environment variable named in the config, never written out.
     """
 
-    def __init__(self, url: str, model: str, dim: int,
-                 api_key_env: str = "EMBEDDING_API_KEY",
-                 timeout: float = 30.0, retries: int = 2):
-        if api_key_env not in os.environ:
-            raise ConfigError(f"credentials env var {api_key_env!r} not set")
+    TIMEOUT_S = 30.0
+    KEY_ENV = "EMBEDDING_API_KEY"
+
+    def __init__(self, url: str, model: str, dim: int, api_key_env: str = KEY_ENV):
         self.url = url
         self.model = model
         self.dim = dim
-        self._key = os.environ[api_key_env]
-        self.timeout = timeout
-        self.retries = retries
+        self._key = api_key(api_key_env)
 
     def embed(self, text: str) -> np.ndarray:
-        import requests
-
-        last_err = None
-        for _ in range(self.retries + 1):
-            try:
-                resp = requests.post(
-                    self.url,
-                    json={"model": self.model, "input": text},
-                    headers={"Authorization": f"Bearer {self._key}"},
-                    timeout=self.timeout,
-                )
-                resp.raise_for_status()
-                values = np.asarray(resp.json()["embedding"], dtype=np.float64)
-            except Exception as exc:  # transport or schema failure
-                last_err = exc
-                continue
-            if values.shape != (self.dim,):
-                raise DimensionMismatchError(
-                    f"provider returned dim {values.shape}, expected {self.dim}"
-                )
-            return values
-        raise ProviderError(f"embedding request failed: {last_err}")
+        values = post_json(self.url, self._key, {"model": self.model, "input": text},
+                           self.TIMEOUT_S, "embedding")
+        try:
+            return np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ProviderError(f"embedding is not a float array: {exc!r}") from exc
 
 
 @dataclass
@@ -200,7 +183,7 @@ def embed_raw(record: LogRecord, provider: EmbeddingProvider) -> np.ndarray:
             f"provider dim {values.shape} != configured {provider.dim}"
         )
     if not np.all(np.isfinite(values)):
-        raise ProviderError("provider returned non-finite values", record=record)
+        raise ProviderError("provider returned non-finite values")
     return values
 
 

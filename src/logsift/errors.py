@@ -10,11 +10,7 @@ class ConfigError(LogsiftError):
 
 
 class ProviderError(LogsiftError):
-    """Embedding/completion service transport failure (retryable)."""
-
-    def __init__(self, message, record=None):
-        super().__init__(message)
-        self.record = record
+    """Embedding/completion call failed after its retries, or replied unusably."""
 
 
 class DimensionMismatchError(LogsiftError):

@@ -58,7 +58,7 @@ class Pipeline:
     """Owns the index, parser, dead-letter list, and rebalance cadence."""
 
     def __init__(self, provider: EmbeddingProvider, weights: EncoderWeights,
-                 index: CentroidIndex, parser: Optional[ClusterParser] = None,
+                 index: CentroidIndex, parser: ClusterParser,
                  config: Optional[IngestConfig] = None):
         self.provider = provider
         self.weights = weights
@@ -73,8 +73,6 @@ class Pipeline:
     # ---- internals ---------------------------------------------------------
 
     def _parse(self, cluster_id: int) -> Optional[str]:
-        if self.parser is None:
-            return None
         representative = self.first_log.get(cluster_id)
         if representative is None:
             return None
@@ -89,7 +87,7 @@ class Pipeline:
         if joins:
             cid, similarity = hit.cluster_id, hit.similarity
             self.index.update_moving_average(cid, vector)
-            template = self.parser.store.template_for(cid) if self.parser else None
+            template = self.parser.store.template_for(cid)
         else:
             cid, similarity = self.index.insert(vector), 1.0
             self.first_log[cid] = record
@@ -173,8 +171,7 @@ class Pipeline:
         report = rebalance(self.index, self.config.similarity_threshold)
         self._since_rebalance = 0
         for event in report.merges:
-            if self.parser is not None:
-                self.parser.store.merge(event)
+            self.parser.store.merge(event)
             # the survivor is (re-)parsed from its first constituent's record
             records = [self.first_log.pop(cid) for cid in event.absorbed_ids
                        if cid in self.first_log]
@@ -185,8 +182,6 @@ class Pipeline:
 
     def parse_pending(self) -> int:
         """Parse every cluster that is unparsed or previously failed."""
-        if self.parser is None:
-            return 0
         parsed = 0
         for centroid in list(self.index.centroids()):
             if centroid.parse_state in (ParseState.UNPARSED, ParseState.FAILED):

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import MalformedResponseError, ProviderError
+from .errors import MalformedResponseError
 from .files import atomic_write
 from .index import CentroidIndex, ParseState
 from .rebalance import MergeEvent
 from .records import LogRecord
+from .remote import api_key, post_json
 
 TASK_INSTRUCTIONS = (
     "You are an expert in log analysis. A log message consists of a fixed "
@@ -193,41 +193,25 @@ class MockCompletionClient(CompletionClient):
 class RemoteCompletionClient(CompletionClient):
     """HTTP JSON completion client; key from an environment variable."""
 
-    def __init__(self, url: str, model: str,
-                 api_key_env: str = "COMPLETION_API_KEY",
-                 timeout: float = 60.0):
-        from .errors import ConfigError
+    TIMEOUT_S = 60.0
+    KEY_ENV = "COMPLETION_API_KEY"
 
-        if api_key_env not in os.environ:
-            raise ConfigError(f"credentials env var {api_key_env!r} not set")
+    def __init__(self, url: str, model: str, api_key_env: str = KEY_ENV):
         self.url = url
         self.model = model
-        self._key = os.environ[api_key_env]
-        self.timeout = timeout
+        self._key = api_key(api_key_env)
         self.query_count = 0
 
     def complete(self, system: str, user: str) -> str:
-        import requests
-
         self.query_count += 1
-        try:
-            resp = requests.post(
-                self.url,
-                json={
-                    "model": self.model,
-                    "temperature": 0,
-                    "messages": [
-                        {"role": "system", "content": system},
-                        {"role": "user", "content": user},
-                    ],
-                },
-                headers={"Authorization": f"Bearer {self._key}"},
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            return resp.json()["content"]
-        except Exception as exc:
-            raise ProviderError(f"completion request failed: {exc}") from exc
+        return post_json(self.url, self._key, {
+            "model": self.model,
+            "temperature": 0,
+            "messages": [
+                {"role": "system", "content": system},
+                {"role": "user", "content": user},
+            ],
+        }, self.TIMEOUT_S, "content")
 
 
 class TemplateStore:

@@ -1,0 +1,53 @@
+"""The one HTTP call of the package, shared by the remote embedding provider
+and the remote completion client: a JSON POST with bearer auth. Connection
+errors, timeouts, HTTP 429 and 5xx are retried, up to ATTEMPTS tries in
+all, each after a pause drawn uniformly from [0, min(BACKOFF_CAP_S,
+BACKOFF_S * 2**retry)] ("full jitter"); no other failure is retried."""
+
+import os
+import random
+from time import sleep
+
+from .errors import ConfigError, ProviderError
+
+ATTEMPTS = 3
+BACKOFF_S = 0.5
+BACKOFF_CAP_S = 4.0
+
+
+def api_key(env: str) -> str:
+    if env not in os.environ:
+        raise ConfigError(f"credentials env var {env!r} not set")
+    return os.environ[env]
+
+
+def backoff(retry: int) -> float:
+    return random.uniform(0.0, min(BACKOFF_CAP_S, BACKOFF_S * 2 ** retry))
+
+
+def post_json(url: str, key: str, body: dict, timeout: float, field: str):
+    """POST `body` to `url` and return `field` of the JSON reply; raise
+    ProviderError when that fails."""
+    import requests  # only remote runs pay for importing it
+
+    for attempt in range(ATTEMPTS):
+        if attempt:
+            sleep(backoff(attempt - 1))
+        try:
+            resp = requests.post(url, json=body, timeout=timeout,
+                                 headers={"Authorization": f"Bearer {key}"})
+        except (requests.ConnectionError, requests.Timeout) as exc:
+            failure = exc
+            continue
+        except requests.RequestException as exc:
+            raise ProviderError(f"POST {url} failed: {exc}") from exc
+        failure = f"HTTP {resp.status_code}"
+        if resp.status_code == 429 or resp.status_code >= 500:
+            continue
+        if resp.status_code >= 400:
+            raise ProviderError(f"POST {url} failed: {failure}")
+        try:
+            return resp.json()[field]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ProviderError(f"POST {url}: no {field!r} in reply: {exc!r}") from exc
+    raise ProviderError(f"POST {url} failed {ATTEMPTS} times, last: {failure}")

@@ -3,8 +3,8 @@
 Templates are built from disjoint constant-token vocabularies with one
 parameter slot, so under the hashing provider two logs of the same template
 share almost all token mass (similarity well above 0.9) while logs of
-different templates share none (similarity near 0). generate_corpus asserts
-both margins so a pipeline test can rely on the separation.
+different templates share none (similarity near 0). similarity_margins
+measures both margins so a pipeline test can check the separation.
 """
 
 from __future__ import annotations
@@ -76,14 +76,3 @@ def similarity_margins(corpus: SyntheticCorpus, provider: EmbeddingProvider,
     min_within = float(sims[same & off_diag].min())
     max_cross = float(sims[~same].max())
     return min_within, max_cross
-
-
-def assert_separated(corpus: SyntheticCorpus, provider: EmbeddingProvider,
-                     weights: EncoderWeights, threshold: float = 0.9):
-    """Fail loudly if the corpus does not straddle the clustering threshold."""
-    min_within, max_cross = similarity_margins(corpus, provider, weights)
-    if not (min_within > threshold > max_cross):
-        raise AssertionError(
-            f"corpus not separated at {threshold}: "
-            f"min within={min_within:.4f}, max cross={max_cross:.4f}"
-        )

@@ -7,7 +7,9 @@ from logsift.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    build_arg_parser,
     main,
+    parse_args,
 )
 from logsift.index import CentroidIndex
 from logsift.synthetic import generate_corpus
@@ -254,3 +256,96 @@ def test_removed_index_keys_rejected(tmp_path, corpus_csv):
     rc = main(["ingest", "--config", str(cfg), "--input", corpus_csv,
                "--snapshot-out", str(tmp_path / "s.json")])
     assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--batch-mode", "--batch-size", "-5"], None),
+    (["--batch-mode", "--batch-size", "0"], None),
+    ([], {"threshold": "abc"}),
+    ([], {"batch_mode": "false"}),
+    ([], {"provider_url": True}),
+])
+def test_bad_setting_value_is_config_error(tmp_path, corpus_csv, flags, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        flags = [*flags, "--config", str(cfg)]
+    rc = main(["ingest", "--input", corpus_csv,
+               "--snapshot-out", str(tmp_path / "s.json"), *flags])
+    assert rc == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--input", "x.log", "--snapshot-out", "s.json", "--seed", "1"],
+    ["export-embeddings", "--corpus", "x.log", "--output", "o.csv", "--seed", "1"],
+    ["train-encoder", "--datasets", "x.csv", "--weights-out", "w.json",
+     "--weights", "w0.json"],
+])
+def test_flag_the_command_ignores_is_rejected(argv):
+    assert main(argv) == EXIT_CONFIG
+
+
+# The commands that read --config, each with the operands it requires.
+CONFIG_COMMANDS = {
+    "ingest": ["--input", "x.log", "--snapshot-out", "s.json"],
+    "train-encoder": ["--datasets", "x.csv", "--weights-out", "w.json"],
+    "export-embeddings": ["--corpus", "x.log", "--output", "o.csv"],
+}
+PARSER = build_arg_parser()
+SETTINGS = {key: action for command in CONFIG_COMMANDS
+            for key, action in PARSER.commands[command].settings.items()}
+# two valid values per setting type: one for the file, one for the flag
+SAMPLES = {"float": (0.25, "0.75"), "int": (3, "7"), "str": ("a", "b"),
+           "_ratio": ("1:3", "1:4")}
+
+
+@pytest.mark.parametrize("key", sorted(SETTINGS))
+def test_config_key_is_shared_and_the_flag_wins(tmp_path, key):
+    action = SETTINGS[key]
+    flag = action.option_strings[0]
+    if action.nargs == 0:  # a switch, which a flag can only turn on
+        file_value, flag_args, from_file, from_flag = True, [flag], True, True
+    else:
+        file_value, flag_text = (
+            (action.choices[-1], action.choices[0]) if action.choices
+            else SAMPLES[getattr(action.type, "__name__", "str")])
+        flag_args = [flag, flag_text]
+        convert = action.type or str
+        from_file, from_flag = convert(str(file_value)), convert(flag_text)
+    assert from_file != action.default
+    assert action.nargs == 0 or from_flag != from_file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: file_value}))
+    for command, operands in CONFIG_COMMANDS.items():
+        args = parse_args([command, "--config", str(cfg), *operands])
+        if key not in PARSER.commands[command].settings:
+            assert not hasattr(args, key)
+            continue
+        assert getattr(args, key) == from_file
+        args = parse_args([command, "--config", str(cfg), *operands, *flag_args])
+        assert getattr(args, key) == from_flag
+
+
+def test_null_config_value_leaves_the_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict.fromkeys(SETTINGS)))
+    for command, operands in CONFIG_COMMANDS.items():
+        args = parse_args([command, "--config", str(cfg), *operands])
+        for key, action in PARSER.commands[command].settings.items():
+            assert getattr(args, key) == action.default
+
+
+def test_train_encoder_reads_batch_size_from_config(tmp_path, corpus_csv):
+    def train(name, *extra):
+        rc = main(["train-encoder", "--datasets", corpus_csv,
+                   "--weights-out", str(tmp_path / f"{name}.json"),
+                   "--pairs-per-dataset", "60", "--epochs", "2",
+                   "--provider-dim", "16", *extra])
+        assert rc == EXIT_OK
+        return (tmp_path / f"{name}.json").read_text()
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"batch_size": 4}))
+    from_file = train("file", "--config", str(cfg))
+    assert from_file == train("flag", "--batch-size", "4")
+    assert from_file != train("default")

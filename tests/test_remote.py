@@ -1,0 +1,151 @@
+"""The shared HTTP helper and the two remote clients built on it, run
+against a scripted stand-in for `requests.post` (there is no network)."""
+
+import numpy as np
+import pytest
+import requests
+
+from logsift import remote
+from logsift.cli import EXIT_PROVIDER, main
+from logsift.embedding import RemoteProvider, embed_raw
+from logsift.errors import DimensionMismatchError, ProviderError
+from logsift.index import CentroidIndex, ParseState
+from logsift.parsing import ClusterParser, RemoteCompletionClient
+from logsift.records import LogRecord
+
+
+class FakeResponse:
+    def __init__(self, status_code, body=None):
+        self.status_code = status_code
+        self._body = body
+
+    def json(self):
+        return self._body
+
+
+class ScriptedPost:
+    """Stands in for `requests.post`: each call takes the next outcome,
+    raising it if it is an exception and answering it otherwise (an int is
+    an empty reply with that status); the last outcome repeats."""
+
+    def __init__(self, *outcomes):
+        self.outcomes = list(outcomes)
+        self.calls = []
+
+    def __call__(self, url, json, headers, timeout):
+        self.calls.append({"url": url, "json": json, "headers": headers,
+                           "timeout": timeout})
+        outcome = self.outcomes[min(len(self.calls), len(self.outcomes)) - 1]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return FakeResponse(outcome) if isinstance(outcome, int) else outcome
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    slept = []
+    monkeypatch.setattr(remote, "sleep", slept.append)
+    return slept
+
+
+def script(monkeypatch, *outcomes):
+    post = ScriptedPost(*outcomes)
+    monkeypatch.setattr(requests, "post", post)
+    return post
+
+
+OK = FakeResponse(200, {"ok": True})
+
+
+@pytest.mark.parametrize("first", [requests.ConnectionError("refused"),
+                                   requests.Timeout("slow"), 503, 429])
+def test_transient_failure_then_success(monkeypatch, sleeps, first):
+    post = script(monkeypatch, first, OK)
+    assert remote.post_json("http://svc", "k", {"q": 1}, 7.0, "ok") is True
+    assert len(post.calls) == 2 and len(sleeps) == 1
+    assert post.calls[1] == {"url": "http://svc", "json": {"q": 1},
+                             "headers": {"Authorization": "Bearer k"},
+                             "timeout": 7.0}
+
+
+@pytest.mark.parametrize("status", [400, 401, 404])
+def test_client_error_is_not_retried(monkeypatch, sleeps, status):
+    post = script(monkeypatch, status, OK)
+    with pytest.raises(ProviderError, match=f"HTTP {status}"):
+        remote.post_json("http://svc", "k", {}, 1.0, "ok")
+    assert len(post.calls) == 1 and sleeps == []
+
+
+@pytest.mark.parametrize("failure", [503, requests.ConnectionError("refused")])
+def test_exhausted_budget_raises(monkeypatch, sleeps, failure):
+    post = script(monkeypatch, failure)
+    with pytest.raises(ProviderError, match="3 times"):
+        remote.post_json("http://svc", "k", {}, 1.0, "ok")
+    assert len(post.calls) == remote.ATTEMPTS
+    assert len(sleeps) == remote.ATTEMPTS - 1
+
+
+@pytest.mark.parametrize("body", [{"other": 1}, ["ok"]])
+def test_reply_without_the_field_is_not_retried(monkeypatch, sleeps, body):
+    post = script(monkeypatch, FakeResponse(200, body))
+    with pytest.raises(ProviderError, match="no 'ok' in reply"):
+        remote.post_json("http://svc", "k", {}, 1.0, "ok")
+    assert len(post.calls) == 1 and sleeps == []
+
+
+def test_delays_grow_and_stay_under_the_cap(monkeypatch, sleeps):
+    # every draw at the top of its jitter range
+    monkeypatch.setattr(remote.random, "uniform", lambda low, high: high)
+    ceilings = [remote.backoff(retry) for retry in range(10)]
+    assert ceilings == sorted(ceilings)
+    assert ceilings[0] > 0 and max(ceilings) == remote.BACKOFF_CAP_S
+    script(monkeypatch, 503)
+    with pytest.raises(ProviderError):
+        remote.post_json("http://svc", "k", {}, 1.0, "ok")
+    assert sleeps == ceilings[:remote.ATTEMPTS - 1]
+    assert sleeps[0] < sleeps[1]
+
+
+def test_jittered_delay_is_within_its_ceiling():
+    for retry in range(6):
+        ceiling = min(remote.BACKOFF_CAP_S, remote.BACKOFF_S * 2 ** retry)
+        assert all(0.0 <= remote.backoff(retry) <= ceiling for _ in range(50))
+
+
+def test_wrong_dimension_is_not_retried(monkeypatch, sleeps):
+    monkeypatch.setenv("EMBEDDING_API_KEY", "k")
+    post = script(monkeypatch, FakeResponse(200, {"embedding": [0.1, 0.2, 0.3]}))
+    provider = RemoteProvider(url="http://emb", model="m", dim=4)
+    with pytest.raises(DimensionMismatchError):
+        embed_raw(LogRecord("t", "disk full on /dev/sda1"), provider)
+    assert len(post.calls) == 1 and sleeps == []
+    assert post.calls[0]["timeout"] == RemoteProvider.TIMEOUT_S == 30.0
+    assert post.calls[0]["json"] == {"model": "m", "input": "disk full on /dev/sda1"}
+
+
+def test_completion_survives_one_503(monkeypatch, sleeps):
+    monkeypatch.setenv("COMPLETION_API_KEY", "k")
+    reply = FakeResponse(200, {"content": "LogTemplate[2]: `disk full on {dev}`"})
+    post = script(monkeypatch, 503, reply)
+    client = RemoteCompletionClient(url="http://llm", model="m")
+    index = CentroidIndex()
+    cid = index.insert(np.array([1.0, 0.0]))
+    parser = ClusterParser(client=client)
+    template = parser.parse_cluster(index, cid, LogRecord("t", "disk full on /dev/sda1"))
+    assert template == "disk full on <*>"
+    assert index.get(cid).parse_state == ParseState.PARSED
+    assert len(post.calls) == 2 and len(sleeps) == 1
+    assert post.calls[0]["timeout"] == RemoteCompletionClient.TIMEOUT_S == 60.0
+
+
+def test_ingest_exits_4_when_the_budget_runs_out(monkeypatch, sleeps, tmp_path):
+    monkeypatch.setenv("EMBEDDING_API_KEY", "k")
+    post = script(monkeypatch, 503)
+    logs = tmp_path / "app.log"
+    logs.write_text("disk full on /dev/sda1\n")
+    rc = main(["ingest", "--input", str(logs),
+               "--snapshot-out", str(tmp_path / "s.json"),
+               "--provider", "remote", "--provider-url", "http://emb",
+               "--provider-model", "m", "--provider-dim", "8"])
+    assert rc == EXIT_PROVIDER
+    assert len(post.calls) == remote.ATTEMPTS
