@@ -7,7 +7,6 @@ to repair drift and parallel-ingest duplicates.
 """
 
 from .embedding import (
-    EmbeddingProvider,
     EncoderWeights,
     HashingProvider,
     RemoteProvider,
@@ -16,11 +15,9 @@ from .embedding import (
     encode,
     fuse_word_count,
 )
-from .index import CentroidIndex, ClusterCentroid, ParseState, SearchHit
-from .ingest import ClusterAssignment, IngestConfig, Pipeline
+from .index import CentroidIndex, ParseState
+from .ingest import IngestConfig, Pipeline
 from .metrics import (
-    LabeledDataset,
-    MetricsReport,
     evaluate,
     fga,
     fta,
@@ -30,14 +27,13 @@ from .metrics import (
 )
 from .parsing import (
     ClusterParser,
-    CompletionClient,
     MockCompletionClient,
     TemplateStore,
     build_prompt,
     extract_template,
     load_demonstrations,
 )
-from .rebalance import MergeReport, merge_pair, rebalance
+from .rebalance import merge_pair, rebalance
 from .records import LogRecord
 from .training import (
     TrainConfig,
@@ -53,23 +49,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CentroidIndex",
-    "ClusterAssignment",
-    "ClusterCentroid",
     "ClusterParser",
-    "CompletionClient",
-    "EmbeddingProvider",
     "EncoderWeights",
     "HashingProvider",
     "IngestConfig",
-    "LabeledDataset",
     "LogRecord",
-    "MergeReport",
-    "MetricsReport",
     "MockCompletionClient",
     "ParseState",
     "Pipeline",
     "RemoteProvider",
-    "SearchHit",
     "TemplateStore",
     "TrainConfig",
     "TrainingPair",

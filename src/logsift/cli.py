@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .embedding import EncoderWeights, HashingProvider, RemoteProvider
+from .embedding import EncoderWeights, HashingProvider, RemoteProvider, embed_log
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -144,8 +144,12 @@ def cmd_ingest(args) -> int:
     index.snapshot(args.snapshot_out)
     if args.templates_out:
         pipeline.parser.store.save(args.templates_out)
-    print(f"ingested {len(records)} logs into {len(index)} clusters", file=sys.stderr)
-    return EXIT_OK
+    # batch mode skips a record whose embedding failed; name each one
+    for record, exc in pipeline.dead_letters:
+        print(f"dead letter: {record.content!r}: {exc}", file=sys.stderr)
+    print(f"ingested {len(assignments)} of {len(records)} logs "
+          f"into {len(index)} clusters", file=sys.stderr)
+    return EXIT_PROVIDER if pipeline.dead_letters else EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
@@ -176,16 +180,12 @@ def cmd_train_encoder(args) -> int:
         similar_to_dissimilar_ratio=args.ratio,
         rng_seed=args.seed,
     )
-    per_dataset_pairs = []
+    pairs = []
     for path in args.datasets:
         dataset = load_dataset(path)
         labeled = [(LogRecord(source_id=path, content=c), t)
                    for c, t in zip(dataset.contents, dataset.templates)]
-        per_dataset_pairs.append(build_pair_dataset(labeled, train_cfg, provider))
-    if args.pair_order == "interleaved":
-        pairs = [p for group in zip(*per_dataset_pairs) for p in group]
-    else:
-        pairs = [p for group in per_dataset_pairs for p in group]
+        pairs.extend(build_pair_dataset(labeled, train_cfg, provider))
     result = train(pairs, train_cfg)
     result.weights.save(args.weights_out)
     if args.loss_trace_out:
@@ -221,8 +221,6 @@ def cmd_export_embeddings(args) -> int:
     else:
         provider = _build_provider(args)
         weights = _load_weights(args, provider)
-        from .embedding import embed_log
-
         records = _read_records(args.corpus)
         dim = weights.output_dim
         for i, record in enumerate(records):
@@ -312,8 +310,6 @@ def build_arg_parser() -> _ArgParser:
     p.setting("--pairs-per-dataset", type=int, default=TrainConfig.pairs_per_dataset)
     p.setting("--ratio", type=_ratio, default=TrainConfig.similar_to_dissimilar_ratio,
               help="similar:dissimilar pair ratio, e.g. 1:5")
-    p.setting("--pair-order", choices=["concatenated", "interleaved"],
-              default="concatenated")
     p.set_defaults(func=cmd_train_encoder)
 
     p = sub.add_parser("rebalance", help="merge similar clusters in a snapshot")

@@ -22,10 +22,10 @@ from .errors import (
     ProviderError,
 )
 from .files import atomic_write
+from .index import NORM_EPS
 from .records import LogRecord
 from .remote import api_key, post_json
 
-NORM_EPS = 1e-12
 WORD_COUNT_SCALE = 100.0
 
 
@@ -132,20 +132,13 @@ class EncoderWeights:
         return self.w2.shape[0]
 
     @classmethod
-    def identity_init(cls, provider_dim: int,
-                      hidden_dim: int | None = None,
-                      output_dim: int | None = None) -> "EncoderWeights":
-        """Identity-padded start: the encoder initially reproduces the raw
-        provider embedding (word-count column passes through layer 1 and is
-        dropped by layer 2 when output_dim == provider_dim)."""
+    def identity_init(cls, provider_dim: int) -> "EncoderWeights":
+        """Identity start: layer 1 passes the fused (D+1)-vector through and
+        layer 2 drops the word-count column, so the encoder initially
+        reproduces the raw provider embedding."""
         d_in = provider_dim + 1
-        h = d_in if hidden_dim is None else hidden_dim
-        e = provider_dim if output_dim is None else output_dim
-        w1 = np.zeros((h, d_in))
-        np.fill_diagonal(w1[: min(h, d_in), : min(h, d_in)], 1.0)
-        w2 = np.zeros((e, h))
-        np.fill_diagonal(w2[: min(e, h), : min(e, h)], 1.0)
-        return cls(w1=w1, b1=np.zeros(h), w2=w2, b2=np.zeros(e))
+        return cls(w1=np.eye(d_in), b1=np.zeros(d_in),
+                   w2=np.eye(provider_dim, d_in), b2=np.zeros(provider_dim))
 
     def copy(self) -> "EncoderWeights":
         return EncoderWeights(self.w1.copy(), self.b1.copy(),

@@ -20,7 +20,7 @@ from .errors import ClusterNotFoundError, SnapshotFormatError
 from .files import atomic_write
 
 UNIT_TOL = 1e-6
-NORM_EPS = 1e-12
+NORM_EPS = 1e-12  # a vector shorter than this has no direction
 
 SNAPSHOT_VERSION = 1
 

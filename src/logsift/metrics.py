@@ -22,6 +22,10 @@ from typing import Hashable, Sequence
 
 from .errors import SchemaError
 
+# the Loghub-2.0 structured-log schema
+CONTENT_COLUMN = "Content"
+TEMPLATE_COLUMN = "EventTemplate"
+
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -32,23 +36,21 @@ class LabeledDataset:
         return len(self.contents)
 
 
-def load_dataset(path: str, content_column: str = "Content",
-                 template_column: str = "EventTemplate") -> LabeledDataset:
-    """Read a delimited structured log file with Content/EventTemplate columns."""
+def load_dataset(path: str) -> LabeledDataset:
+    """Read a Loghub-2.0 structured log CSV: its Content and EventTemplate
+    columns."""
     contents: list[str] = []
     templates: list[str] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                content_column not in reader.fieldnames or \
-                template_column not in reader.fieldnames:
+        if not {CONTENT_COLUMN, TEMPLATE_COLUMN} <= set(reader.fieldnames or ()):
             raise SchemaError(
-                f"{path}: expected columns {content_column!r} and "
-                f"{template_column!r}, found {reader.fieldnames}"
+                f"{path}: expected columns {CONTENT_COLUMN!r} and "
+                f"{TEMPLATE_COLUMN!r}, found {reader.fieldnames}"
             )
         for line_no, row in enumerate(reader, start=2):
-            content = row[content_column]
-            template = row[template_column]
+            content = row[CONTENT_COLUMN]
+            template = row[TEMPLATE_COLUMN]
             if content is None or template is None:
                 raise SchemaError(f"{path}:{line_no}: short row")
             if not template.strip():

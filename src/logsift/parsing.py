@@ -225,14 +225,9 @@ class TemplateStore:
         self._by_text: dict[str, int] = {}
         self._entries: dict[int, dict] = {}
 
-    def template_id_for(self, text: str) -> int:
-        if text not in self._by_text:
-            self._by_text[text] = len(self._by_text)
-        return self._by_text[text]
-
     def record(self, cluster_id: int, template: str, parse_state: ParseState,
                source_log: str) -> int:
-        tid = self.template_id_for(template)
+        tid = self._by_text.setdefault(template, len(self._by_text))
         self._entries[cluster_id] = {
             "template": template,
             "template_id": tid,

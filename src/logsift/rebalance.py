@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .index import CentroidIndex, ClusterCentroid, ParseState
+from .index import NORM_EPS, CentroidIndex, ClusterCentroid, ParseState
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class MergeEvent:
 class MergeReport:
     clusters_before: int
     clusters_after: int
-    passes: int = 1
     merges: list[MergeEvent] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -57,7 +56,7 @@ def merge_pair(index: CentroidIndex, id_a: int, id_b: int) -> int:
     b = index.get(id_b)
     merged = (a.weight * a.vector + b.weight * b.vector) / (a.weight + b.weight)
     norm = np.linalg.norm(merged)
-    if norm < 1e-12:
+    if norm < NORM_EPS:
         raise ValueError("merged centroid is degenerate (antipodal constituents)")
     winner = _winner(a, b)
     if winner is not None:

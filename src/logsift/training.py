@@ -21,8 +21,12 @@ from .embedding import (
     embed_raw,
     fuse_word_count,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateEmbeddingError
+from .index import NORM_EPS
 from .records import LogRecord
+
+GRADIENT_CHECK_PARAMS = 200  # entries sampled per parameter array
+GRADIENT_CHECK_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,7 @@ def _forward(left, right, w: EncoderWeights):
 def predict_similarity(pair: TrainingPair, weights: EncoderWeights) -> float:
     """Cosine similarity of the two encoded vectors, in [-1, 1]."""
     _, _, _, _, nu, nv, sim = _forward(pair.left[None, :], pair.right[None, :], weights)
-    if min(nu[0], nv[0]) < 1e-12:
-        from .errors import DegenerateEmbeddingError
+    if min(nu[0], nv[0]) < NORM_EPS:
         raise DegenerateEmbeddingError("encoded pair member has near-zero norm")
     return float(np.clip(sim[0], -1.0, 1.0))
 
@@ -133,8 +136,11 @@ def mse_loss(pairs: list[TrainingPair], weights: EncoderWeights) -> float:
     """Mean squared error between predicted cosine similarity and labels."""
     if not pairs:
         raise ValueError("empty batch")
-    left, right, labels = _stack(pairs)
-    *_, sim = _forward(left, right, weights)
+    return _loss(*_stack(pairs), weights)
+
+
+def _loss(left, right, labels, w: EncoderWeights) -> float:
+    *_, sim = _forward(left, right, w)
     return float(np.mean((labels - sim) ** 2))
 
 
@@ -182,7 +188,7 @@ def train(pairs: list[TrainingPair], cfg: TrainConfig,
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     rng = np.random.default_rng(cfg.rng_seed)
-    trace = [mse_loss(pairs, weights)]
+    trace = [_loss(left, right, labels, weights)]
     for _ in range(cfg.epochs):
         order = rng.permutation(len(pairs))
         for start in range(0, len(pairs), cfg.batch_size):
@@ -195,7 +201,7 @@ def train(pairs: list[TrainingPair], cfg: TrainConfig,
                 m_hat = m_i / (1 - beta1**step)
                 v_hat = v_i / (1 - beta2**step)
                 p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        epoch_loss = mse_loss(pairs, weights)
+        epoch_loss = _loss(left, right, labels, weights)
         if not np.isfinite(epoch_loss):
             raise ArithmeticError(
                 f"non-finite loss after epoch {len(trace)}; lower the learning rate"
@@ -205,8 +211,7 @@ def train(pairs: list[TrainingPair], cfg: TrainConfig,
 
 
 def gradient_check(weights: EncoderWeights, small_batch: list[TrainingPair],
-                   h: float = 1e-5, max_params: int = 200,
-                   seed: int = 0) -> float:
+                   h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients
     over a sampled parameter subset."""
     if not 1 <= len(small_batch) <= 8:
@@ -217,19 +222,19 @@ def gradient_check(weights: EncoderWeights, small_batch: list[TrainingPair],
     w = weights.copy()
     analytic = _gradients(left, right, labels, w)
     params = [w.w1, w.b1, w.w2, w.b2]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(GRADIENT_CHECK_SEED)
     worst = 0.0
     for p, g in zip(params, analytic):
         flat = p.reshape(-1)
         g_flat = g.reshape(-1)
-        count = min(max_params, flat.size)
+        count = min(GRADIENT_CHECK_PARAMS, flat.size)
         picks = rng.choice(flat.size, size=count, replace=False)
         for k in picks:
             orig = flat[k]
             flat[k] = orig + h
-            plus = mse_loss(small_batch, w)
+            plus = _loss(left, right, labels, w)
             flat[k] = orig - h
-            minus = mse_loss(small_batch, w)
+            minus = _loss(left, right, labels, w)
             flat[k] = orig
             numeric = (plus - minus) / (2 * h)
             denom = max(abs(numeric) + abs(g_flat[k]), 1e-8)

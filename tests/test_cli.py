@@ -258,6 +258,15 @@ def test_removed_index_keys_rejected(tmp_path, corpus_csv):
     assert rc == EXIT_CONFIG
 
 
+def test_removed_pair_order_key_rejected(tmp_path, corpus_csv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pair_order": "concatenated"}))
+    rc = main(["train-encoder", "--config", str(cfg), "--datasets", corpus_csv,
+               "--weights-out", str(tmp_path / "w.json"), "--provider-dim", "8",
+               "--pairs-per-dataset", "10", "--epochs", "0"])
+    assert rc == EXIT_CONFIG
+
+
 @pytest.mark.parametrize("flags, config", [
     (["--batch-mode", "--batch-size", "-5"], None),
     (["--batch-mode", "--batch-size", "0"], None),
@@ -280,6 +289,8 @@ def test_bad_setting_value_is_config_error(tmp_path, corpus_csv, flags, config):
     ["export-embeddings", "--corpus", "x.log", "--output", "o.csv", "--seed", "1"],
     ["train-encoder", "--datasets", "x.csv", "--weights-out", "w.json",
      "--weights", "w0.json"],
+    ["train-encoder", "--datasets", "x.csv", "--weights-out", "w.json",
+     "--pair-order", "interleaved"],
 ])
 def test_flag_the_command_ignores_is_rejected(argv):
     assert main(argv) == EXIT_CONFIG

@@ -71,14 +71,14 @@ class TestFuseWordCount:
 
 class TestEncode:
     def test_identity_on_unit_input(self):
-        w = EncoderWeights.identity_init(3, hidden_dim=4, output_dim=4)
-        fused = np.array([1.0, 0.0, 0.0, 0.0])
-        assert np.allclose(encode(fused, w), fused)
+        w = EncoderWeights.identity_init(3)
+        fused = np.array([1.0, 0.0, 0.0, 0.07])
+        assert np.allclose(encode(fused, w), [1.0, 0.0, 0.0])
 
     def test_identity_normalizes(self):
-        w = EncoderWeights.identity_init(3, hidden_dim=4, output_dim=4)
-        out = encode(np.array([3.0, 4.0, 0.0, 0.0]), w)
-        assert np.allclose(out, [0.6, 0.8, 0.0, 0.0])
+        w = EncoderWeights.identity_init(3)
+        out = encode(np.array([3.0, 4.0, 0.0, 0.02]), w)
+        assert np.allclose(out, [0.6, 0.8, 0.0])
 
     def test_unit_norm_over_random_draws(self):
         rng = np.random.default_rng(1)

@@ -149,3 +149,26 @@ def test_ingest_exits_4_when_the_budget_runs_out(monkeypatch, sleeps, tmp_path):
                "--provider-model", "m", "--provider-dim", "8"])
     assert rc == EXIT_PROVIDER
     assert len(post.calls) == remote.ATTEMPTS
+
+
+def test_batch_ingest_reports_its_dead_letters(monkeypatch, sleeps, tmp_path, capsys):
+    monkeypatch.setenv("EMBEDDING_API_KEY", "k")
+    ok = FakeResponse(200, {"embedding": [1.0] + [0.0] * 7})
+    # the second line's embedding call fails every attempt
+    script(monkeypatch, ok, *[503] * remote.ATTEMPTS, ok)
+    logs = tmp_path / "app.log"
+    logs.write_text("disk full on sda1\nfan failed on rack7\ndisk full on sdb2\n")
+    assignments = tmp_path / "assign.jsonl"
+    rc = main(["ingest", "--input", str(logs), "--batch-mode",
+               "--snapshot-out", str(tmp_path / "s.json"),
+               "--assignments-out", str(assignments),
+               "--templates-out", str(tmp_path / "t.json"),
+               "--provider", "remote", "--provider-url", "http://emb",
+               "--provider-model", "m", "--provider-dim", "8"])
+    assert rc == EXIT_PROVIDER
+    assert len(assignments.read_text().splitlines()) == 2
+    assert CentroidIndex.load(str(tmp_path / "s.json")).total_weight() == 2
+    assert (tmp_path / "t.json").exists()
+    err = capsys.readouterr().err
+    assert "'fan failed on rack7'" in err and "HTTP 503" in err
+    assert "disk full" not in err

@@ -65,14 +65,14 @@ class TestPredictSimilarity:
             pytest.approx(1.0, abs=1e-6)
 
     def test_orthogonal(self):
-        w = EncoderWeights.identity_init(3, output_dim=4)
+        w = EncoderWeights.identity_init(3)
         left = np.array([1.0, 0.0, 0.0, 0.0])
         right = np.array([0.0, 1.0, 0.0, 0.0])
         assert predict_similarity(TrainingPair(left, right, 0.0), w) == \
             pytest.approx(0.0, abs=1e-6)
 
     def test_antipodal(self):
-        w = EncoderWeights.identity_init(3, output_dim=4)
+        w = EncoderWeights.identity_init(3)
         left = np.array([1.0, 0.0, 0.0, 0.0])
         assert predict_similarity(TrainingPair(left, -left, 0.0), w) == \
             pytest.approx(-1.0)
@@ -93,13 +93,13 @@ class TestMseLoss:
         assert mse_loss([TrainingPair(v, v, 1.0)], w) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_error(self):
-        w = EncoderWeights.identity_init(3, output_dim=4)
+        w = EncoderWeights.identity_init(3)
         left = np.array([1.0, 0.0, 0.0, 0.0])
         right = np.array([0.0, 1.0, 0.0, 0.0])
         assert mse_loss([TrainingPair(left, right, 1.0)], w) == pytest.approx(1.0)
 
     def test_mean_of_squared_errors(self):
-        w = EncoderWeights.identity_init(3, output_dim=4)
+        w = EncoderWeights.identity_init(3)
         e1 = np.array([1.0, 0.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0, 0.0])
         pairs = [
@@ -138,6 +138,11 @@ class TestTrain:
         assert np.array_equal(result.weights.w2, initial.w2)
         assert np.array_equal(result.weights.b2, initial.b2)
         assert len(set(result.loss_trace)) == 1
+
+    def test_trace_ends_at_the_loss_of_the_returned_weights(self):
+        pairs = make_two_family_pairs()
+        result = train(pairs, TrainConfig(batch_size=16, epochs=5, rng_seed=0))
+        assert result.loss_trace[-1] == mse_loss(pairs, result.weights)
 
     def test_seeded_trace_reproducible(self):
         pairs = make_two_family_pairs()
