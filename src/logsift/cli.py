@@ -20,6 +20,7 @@ from fractions import Fraction
 from .embedding import EncoderWeights, HashingProvider, RemoteProvider, embed_log
 from .errors import (
     ConfigError,
+    DegenerateEmbeddingError,
     DimensionMismatchError,
     ProviderError,
     SchemaError,
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .files import atomic_write
 from .index import CentroidIndex
-from .ingest import IngestConfig, Pipeline
+from .ingest import RECORD_ERRORS, IngestConfig, Pipeline
 from .metrics import evaluate, load_dataset
 from .parsing import (
     ClusterParser,
@@ -121,7 +122,10 @@ def cmd_ingest(args) -> int:
             reports.append(pipeline.force_rebalance())
     else:
         for record in records:
-            assignments.append(pipeline.ingest(record))
+            try:
+                assignments.append(pipeline.ingest(record))
+            except RECORD_ERRORS:
+                continue  # a dead letter, named below
             reports.append(pipeline.maybe_rebalance())
 
     # each row names the cluster its log ended in after the last rebalance
@@ -144,7 +148,7 @@ def cmd_ingest(args) -> int:
     index.snapshot(args.snapshot_out)
     if args.templates_out:
         pipeline.parser.store.save(args.templates_out)
-    # batch mode skips a record whose embedding failed; name each one
+    # both modes skip a record whose embedding failed; name each one
     for record, exc in pipeline.dead_letters:
         print(f"dead letter: {record.content!r}: {exc}", file=sys.stderr)
     print(f"ingested {len(assignments)} of {len(records)} logs "
@@ -378,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SchemaError, SnapshotFormatError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ProviderError, DimensionMismatchError) as exc:
+    except (ProviderError, DimensionMismatchError, DegenerateEmbeddingError) as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
     except OSError as exc:

@@ -5,6 +5,14 @@ provider maps the content to a D-vector, the whitespace word count is
 appended as one scaled feature, and a two-layer affine encoder projects the
 fused vector before L2 normalization. Cosine similarity between two logs is
 then a plain dot product.
+
+The encoder has no activation, so its two layers are one affine map.
+`EncoderWeights` keeps them as the two factors that training updates;
+`EncoderWeights.collapse` multiplies them out into a frozen `AffineMap`,
+which `encode` applies with one matrix-vector product. With identity
+weights the two give bit-identical vectors; otherwise they differ by
+rounding. The vector depends on the content alone, so `Pipeline` embeds
+each distinct line once and keeps its vector (see `logsift.ingest`).
 """
 
 from __future__ import annotations
@@ -93,6 +101,18 @@ class RemoteProvider(EmbeddingProvider):
             raise ProviderError(f"embedding is not a float array: {exc!r}") from exc
 
 
+@dataclass(frozen=True)
+class AffineMap:
+    """The encoder's two layers multiplied out, read-only: matrix (E, D+1)
+    is w2 @ w1 and bias (E,) is w2 @ b1 + b2."""
+
+    matrix: np.ndarray
+    bias: np.ndarray
+
+    def apply(self, fused: np.ndarray) -> np.ndarray:
+        return self.matrix @ fused + self.bias
+
+
 @dataclass
 class EncoderWeights:
     """Two affine layers mapping the fused (D+1)-vector to the clustering space.
@@ -139,6 +159,17 @@ class EncoderWeights:
         d_in = provider_dim + 1
         return cls(w1=np.eye(d_in), b1=np.zeros(d_in),
                    w2=np.eye(provider_dim, d_in), b2=np.zeros(provider_dim))
+
+    def apply(self, fused: np.ndarray) -> np.ndarray:
+        return self.w2 @ (self.w1 @ fused + self.b1) + self.b2
+
+    def collapse(self) -> AffineMap:
+        """The two layers as one map, computed from the weights as they are
+        now: later in-place updates (training) do not reach it."""
+        matrix = self.w2 @ self.w1
+        bias = self.w2 @ self.b1 + self.b2
+        matrix.flags.writeable = bias.flags.writeable = False
+        return AffineMap(matrix, bias)
 
     def copy(self) -> "EncoderWeights":
         return EncoderWeights(self.w1.copy(), self.b1.copy(),
@@ -187,10 +218,10 @@ def fuse_word_count(raw: np.ndarray, word_count: int) -> np.ndarray:
     return np.concatenate([raw, [word_count / WORD_COUNT_SCALE]])
 
 
-def encode(fused: np.ndarray, weights: EncoderWeights) -> np.ndarray:
-    """Two affine layers followed by L2 normalization."""
-    hidden = weights.w1 @ fused + weights.b1
-    out = weights.w2 @ hidden + weights.b2
+def encode(fused: np.ndarray, weights: EncoderWeights | AffineMap) -> np.ndarray:
+    """The encoder (two layers in turn, or one collapsed map) followed by L2
+    normalization."""
+    out = weights.apply(fused)
     norm = np.linalg.norm(out)
     if norm < NORM_EPS:
         raise DegenerateEmbeddingError("encoder output norm below threshold")
@@ -198,7 +229,7 @@ def encode(fused: np.ndarray, weights: EncoderWeights) -> np.ndarray:
 
 
 def embed_log(record: LogRecord, provider: EmbeddingProvider,
-              weights: EncoderWeights) -> np.ndarray:
+              weights: EncoderWeights | AffineMap) -> np.ndarray:
     """Full pipeline: provider embedding -> word-count fusion -> encoder."""
     return encode(fuse_word_count(embed_raw(record, provider), record.word_count),
                   weights)

@@ -11,22 +11,35 @@ surviving clusters are parsed.
 Both modes commit a record through one create-or-join step. A merge's
 outcome comes from its `MergeEvent`: the survivor takes the template entry
 of `kept_from` and its first constituent's representative log.
+
+Both modes embed through one per-pipeline cache keyed by the exact line
+content, which alone fixes the vector: a line repeated while it is among
+the EMBED_CACHE_ENTRIES most recently used reuses its vector, read-only,
+and misses are encoded with the weights collapsed to one matrix. A record
+that fails to embed is a dead letter, except for a dimension mismatch,
+which every record would hit and which stops the run.
 """
 
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .embedding import EmbeddingProvider, EncoderWeights, embed_log
-from .errors import ConfigError, LogsiftError
+from .embedding import AffineMap, EmbeddingProvider, EncoderWeights, embed_log
+from .errors import ConfigError, DegenerateEmbeddingError, ProviderError
 from .index import CentroidIndex, ParseState, SearchHit
 from .parsing import ClusterParser
 from .rebalance import MergeReport, rebalance
 from .records import LogRecord
+
+# lines whose vectors a pipeline keeps; at E=512 each takes about 4 KB
+EMBED_CACHE_ENTRIES = 4096
+# what fails one record's embedding and makes it a dead letter
+RECORD_ERRORS = (ProviderError, DegenerateEmbeddingError)
 
 
 @dataclass
@@ -55,7 +68,8 @@ class ClusterAssignment:
 
 
 class Pipeline:
-    """Owns the index, parser, dead-letter list, and rebalance cadence."""
+    """Owns the index, parser, embedding cache, dead-letter list, and
+    rebalance cadence."""
 
     def __init__(self, provider: EmbeddingProvider, weights: EncoderWeights,
                  index: CentroidIndex, parser: ClusterParser,
@@ -69,8 +83,31 @@ class Pipeline:
         self.first_log: dict[int, LogRecord] = {}  # cluster id -> representative
         self._log_counter = 0
         self._since_rebalance = 0
+        # the weights are read once, at the first embedding
+        self._encoder: Optional[AffineMap] = None
+        self._vectors: OrderedDict[str, np.ndarray] = OrderedDict()  # by content
 
     # ---- internals ---------------------------------------------------------
+
+    def _embed(self, record: LogRecord) -> np.ndarray:
+        """The record's vector: from the cache, or embedded and cached. A
+        record that fails to embed is dead-lettered and its error raised."""
+        vector = self._vectors.get(record.content)
+        if vector is not None:
+            self._vectors.move_to_end(record.content)
+            return vector
+        if self._encoder is None:
+            self._encoder = self.weights.collapse()
+        try:
+            vector = embed_log(record, self.provider, self._encoder)
+        except RECORD_ERRORS as exc:
+            self.dead_letters.append((record, exc))
+            raise
+        vector.flags.writeable = False  # the index keeps it as a centroid vector
+        self._vectors[record.content] = vector
+        if len(self._vectors) > EMBED_CACHE_ENTRIES:
+            self._vectors.popitem(last=False)
+        return vector
 
     def _parse(self, cluster_id: int) -> Optional[str]:
         representative = self.first_log.get(cluster_id)
@@ -105,11 +142,7 @@ class Pipeline:
     def ingest(self, record: LogRecord) -> ClusterAssignment:
         """Route one log: merge into the nearest cluster at or above the similarity threshold or create
         a new cluster (parsed immediately in sequential mode)."""
-        try:
-            vector = embed_log(record, self.provider, self.weights)
-        except LogsiftError as exc:
-            self.dead_letters.append((record, exc))
-            raise
+        vector = self._embed(record)
         return self._commit(record, vector, self.index.nearest(vector),
                             defer_parse=self.config.batch_mode)
 
@@ -131,9 +164,8 @@ class Pipeline:
         errors: list[tuple[LogRecord, Exception]] = []
         for record in records:
             try:
-                embedded.append((record, embed_log(record, self.provider, self.weights)))
-            except LogsiftError as exc:
-                self.dead_letters.append((record, exc))
+                embedded.append((record, self._embed(record)))
+            except RECORD_ERRORS as exc:
                 errors.append((record, exc))
 
         # schedule: interleave (search_i, commit_i) events

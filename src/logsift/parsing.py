@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import MalformedResponseError
+from .errors import MalformedResponseError, ProviderError
 from .files import atomic_write
 from .index import CentroidIndex, ParseState
 from .rebalance import MergeEvent
@@ -264,9 +264,10 @@ class ClusterParser:
                       representative: LogRecord) -> str:
         """Parse the representative (first) log of an unparsed cluster.
 
-        On a malformed response the query is retried once; after a second
-        failure the raw log content becomes the template and the cluster is
-        marked Failed so the next rebalance can queue a re-parse.
+        On a malformed response the query is retried once. After a second
+        malformed response, or a call that fails after the retries of
+        `post_json`, the raw log content becomes the template and the
+        cluster is marked Failed so the next rebalance can queue a re-parse.
         """
         centroid = index.get(cluster_id)
         if centroid.parse_state == ParseState.PARSED:
@@ -274,8 +275,11 @@ class ClusterParser:
         prompt = build_prompt(representative, self.demos)
         template = None
         for _ in range(2):
-            response = self.client.complete(prompt.system_instructions,
-                                            prompt.render())
+            try:
+                response = self.client.complete(prompt.system_instructions,
+                                                prompt.render())
+            except ProviderError:
+                break
             try:
                 template = extract_template(response, prompt.query_index)
                 break

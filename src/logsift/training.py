@@ -27,6 +27,7 @@ from .records import LogRecord
 
 GRADIENT_CHECK_PARAMS = 200  # entries sampled per parameter array
 GRADIENT_CHECK_SEED = 0
+LOSS_CHUNK_ROWS = 2048  # pairs per forward pass of a full-dataset loss
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,14 @@ def mse_loss(pairs: list[TrainingPair], weights: EncoderWeights) -> float:
 
 
 def _loss(left, right, labels, w: EncoderWeights) -> float:
-    *_, sim = _forward(left, right, w)
-    return float(np.mean((labels - sim) ** 2))
+    """The MSE summed over chunks of rows, so a loss over the whole dataset
+    holds a chunk's activations at a time, not the dataset's."""
+    total = 0.0
+    for start in range(0, len(labels), LOSS_CHUNK_ROWS):
+        rows = slice(start, start + LOSS_CHUNK_ROWS)
+        *_, sim = _forward(left[rows], right[rows], w)
+        total += float(np.sum((labels[rows] - sim) ** 2))
+    return total / len(labels)
 
 
 def _gradients(left, right, labels, w: EncoderWeights):

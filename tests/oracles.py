@@ -2,10 +2,13 @@
 
 These deliberately avoid the library's own code paths: groupings are
 compared by exhaustive membership enumeration, the nearest neighbor by a
-full scan, and the merge/update algebra by the closed-form expressions.
+full scan, the merge/update algebra by the closed-form expressions, and
+each line's vector by the two-layer encoder formula, recomputed per line.
 """
 
 import numpy as np
+
+from logsift import Pipeline
 
 
 def oracle_grouping_accuracy(predicted, truth):
@@ -83,3 +86,20 @@ def oracle_moving_average(old, incoming, weight):
 def oracle_merge(v_i, w_i, v_j, w_j):
     v = (w_i * v_i + w_j * v_j) / (w_i + w_j)
     return v / np.linalg.norm(v)
+
+
+def oracle_embed(content, provider, weights):
+    """A line's vector by the two-layer formula, computed afresh: the
+    provider's vector with the word count over 100 appended, through w1
+    and b1, then w2 and b2, scaled to unit length."""
+    fused = np.append(provider.embed(content), len(content.split()) / 100.0)
+    out = weights.w2 @ (weights.w1 @ fused + weights.b1) + weights.b2
+    return out / np.linalg.norm(out)
+
+
+class OraclePipeline(Pipeline):
+    """Pipeline whose every line, repeated or not, is embedded by
+    oracle_embed: no content cache and no collapsed encoder."""
+
+    def _embed(self, record):
+        return oracle_embed(record.content, self.provider, self.weights)

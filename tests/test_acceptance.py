@@ -16,6 +16,7 @@ from logsift import (
     Pipeline,
     TrainConfig,
     TrainingPair,
+    build_pair_dataset,
     evaluate,
     extract_template,
     fga,
@@ -39,6 +40,7 @@ from oracles import (
     oracle_moving_average,
     oracle_nearest,
     oracle_parsing_accuracy,
+    OraclePipeline,
 )
 from test_parsing import CANNED_RESPONSES
 
@@ -316,6 +318,66 @@ def test_criterion_8_cost_property(provider, identity_weights):
             sequential_ok and batch_ok,
             f"sequential {client.query_count}<=created {created}; "
             f"batch {client2.query_count}<=surviving {len(pipe2.index)}")
+
+
+def _ingest_all(pipeline_cls, provider, weights, records, mode):
+    """Ingest `records` as `logsift ingest` does, sequentially or in batches
+    of 64 (with a seeded rng for "batch-rng"), rebalancing every 128 logs;
+    returns the assignments, the final centroids and their templates."""
+    batch = mode != "sequential"
+    pipe = pipeline_cls(provider, weights, CentroidIndex(),
+                        ClusterParser(client=MockCompletionClient()),
+                        IngestConfig(batch_mode=batch, rebalance_every_n=128))
+    rng = np.random.default_rng(5) if mode == "batch-rng" else None
+    assignments = []
+    if batch:
+        for start in range(0, len(records), 64):
+            out, errors = pipe.ingest_batch(records[start:start + 64], rng=rng)
+            assert errors == []
+            assignments += out
+            pipe.maybe_rebalance()
+        pipe.force_rebalance()
+    else:
+        for record in records:
+            assignments.append(pipe.ingest(record))
+            pipe.maybe_rebalance()
+    centroids = list(pipe.index.centroids())
+    templates = [pipe.parser.store.template_for(c.cluster_id) for c in centroids]
+    return assignments, centroids, templates
+
+
+def test_criterion_10_embedding_cache_equivalence(provider, identity_weights):
+    """The content cache and the one-matrix encoder change no output: the
+    pipeline and an oracle that embeds every line afresh with two layers
+    agree exactly at identity weights and on partitions at trained ones."""
+    corpus = generate_corpus(n_templates=8, logs_per_template=5, seed=7)
+    rng = np.random.default_rng(11)
+    records = [corpus.records[i] for i in rng.integers(len(corpus), size=600)]
+    duplicate_share = 1 - len({r.content for r in records}) / len(records)
+
+    for mode in ("sequential", "batch", "batch-rng"):
+        got = _ingest_all(Pipeline, provider, identity_weights, records, mode)
+        want = _ingest_all(OraclePipeline, provider, identity_weights, records, mode)
+        assert got[0] == want[0], mode  # ids, creations, similarities, templates
+        assert [(c.cluster_id, c.weight, c.parse_state, c.template_id, c.vector.tobytes())
+                for c in got[1]] == \
+            [(c.cluster_id, c.weight, c.parse_state, c.template_id, c.vector.tobytes())
+             for c in want[1]], mode
+        assert got[2] == want[2], mode
+
+    labeled = list(zip(corpus.records, corpus.template_ids))
+    trained = train(build_pair_dataset(labeled, TrainConfig(pairs_per_dataset=600),
+                                       provider),
+                    TrainConfig(batch_size=128, epochs=2)).weights
+    got, *_ = _ingest_all(Pipeline, provider, trained, records, "sequential")
+    want, *_ = _ingest_all(OraclePipeline, provider, trained, records, "sequential")
+    same = ([(a.cluster_id, a.created_new) for a in got]
+            == [(a.cluster_id, a.created_new) for a in want])
+    worst = max(abs(a.similarity - b.similarity) for a, b in zip(got, want))
+    _report("criterion 10: embedding cache equivalence", same and worst < 1e-9,
+            f"{len(records)} logs, {duplicate_share:.0%} repeats: identity weights "
+            f"exact in 3 modes; trained weights partition identical: {same}, "
+            f"largest similarity change {worst:.1e}")
 
 
 @pytest.mark.skipif(

@@ -1,16 +1,19 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from logsift.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    EXIT_PROVIDER,
     build_arg_parser,
     main,
     parse_args,
 )
+from logsift.embedding import EncoderWeights
 from logsift.index import CentroidIndex
 from logsift.synthetic import generate_corpus
 
@@ -25,6 +28,15 @@ def corpus_csv(tmp_path_factory):
         for i, (record, tid) in enumerate(zip(corpus.records, corpus.template_ids)):
             writer.writerow([i, record.content, corpus.template_texts[tid]])
     return str(path)
+
+
+@pytest.fixture
+def zero_weights(tmp_path):
+    """A weights file for an 8-d provider that maps every log to zero."""
+    path = str(tmp_path / "zero.json")
+    EncoderWeights(w1=np.zeros((9, 9)), b1=np.zeros(9),
+                   w2=np.zeros((8, 9)), b2=np.zeros(8)).save(path)
+    return path
 
 
 class TestIngestCommand:
@@ -86,6 +98,24 @@ class TestIngestCommand:
         assert rc == EXIT_OK
         doc = json.loads(open(report).read())
         assert [doc[k] for k in ("GA", "FGA", "PA", "FTA")] == [1.0] * 4
+
+
+    @pytest.mark.parametrize("mode", [[], ["--batch-mode"]], ids=["sequential", "batch"])
+    def test_degenerate_embeddings_are_dead_letters(self, tmp_path, capsys, mode,
+                                                    zero_weights):
+        logs = tmp_path / "app.log"
+        logs.write_text("disk full on sda1\nfan failed on rack7\n")
+        snap = str(tmp_path / "snap.json")
+        assigns = tmp_path / "assign.jsonl"
+        rc = main(["ingest", "--input", str(logs), *mode, "--snapshot-out", snap,
+                   "--assignments-out", str(assigns), "--weights", zero_weights,
+                   "--provider-dim", "8"])
+        assert rc == EXIT_PROVIDER
+        assert len(CentroidIndex.load(snap)) == 0
+        assert assigns.read_text() == ""
+        err = capsys.readouterr().err
+        assert "'disk full on sda1'" in err and "'fan failed on rack7'" in err
+        assert "ingested 0 of 2 logs" in err
 
 
 class TestEvaluateCommand:
@@ -230,6 +260,16 @@ class TestExportEmbeddingsCommand:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["v0"]) == 0.6
         assert int(rows[0]["weight"]) == 1
+
+    def test_degenerate_embedding_is_a_provider_error(self, tmp_path, capsys,
+                                                      zero_weights):
+        corpus = tmp_path / "app.log"
+        corpus.write_text("disk full on sda1\n")
+        rc = main(["export-embeddings", "--corpus", str(corpus), "--weights",
+                   zero_weights, "--provider-dim", "8",
+                   "--output", str(tmp_path / "vectors.csv")])
+        assert rc == EXIT_PROVIDER
+        assert "provider error: encoder output norm" in capsys.readouterr().err
 
 
 def test_config_file_flag_override(tmp_path, corpus_csv):

@@ -96,6 +96,37 @@ class TestEncode:
                            w2=np.zeros((2, 2)), b2=np.zeros(2))
         with pytest.raises(DegenerateEmbeddingError):
             encode(np.ones(2), w)
+        with pytest.raises(DegenerateEmbeddingError):
+            encode(np.ones(2), w.collapse())
+
+
+class TestCollapsedEncoder:
+    def test_matches_the_two_layers_on_random_weights(self):
+        rng = np.random.default_rng(4)
+        worst = 0.0
+        for _ in range(200):
+            d_in, h, e = rng.integers(2, 40, size=3)
+            w = EncoderWeights(
+                w1=rng.normal(size=(h, d_in)), b1=rng.normal(size=h),
+                w2=rng.normal(size=(e, h)), b2=rng.normal(size=e),
+            )
+            fused = rng.normal(size=d_in)
+            worst = max(worst, np.abs(encode(fused, w.collapse()) - encode(fused, w)).max())
+        assert worst <= 1e-12
+
+    def test_bit_exact_on_identity_weights(self, corpus, provider, identity_weights):
+        collapsed = identity_weights.collapse()
+        for record in corpus.records[::50]:
+            assert np.array_equal(embed_log(record, provider, collapsed),
+                                  embed_log(record, provider, identity_weights))
+
+    def test_is_a_frozen_copy(self):
+        w = EncoderWeights.identity_init(3)
+        collapsed = w.collapse()
+        w.w2 += 1.0  # training updates the layers in place
+        assert np.array_equal(collapsed.matrix, np.eye(3, 4))
+        assert not collapsed.matrix.flags.writeable
+        assert not collapsed.bias.flags.writeable
 
 
 class TestEmbedLog:

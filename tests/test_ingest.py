@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from logsift import (
     Pipeline,
     grouping_accuracy,
 )
-from logsift.errors import ConfigError
+from logsift import ingest as ingest_module
+from logsift.embedding import EmbeddingProvider
+from logsift.errors import ConfigError, ProviderError
 
 
 def make_pipeline(provider, weights, batch_mode=False, rebalance_every=1000):
@@ -253,3 +256,115 @@ class TestDeadLetters:
         assert len(assignments) == 2
         assert len(errors) == 1
         assert pipe.index.total_weight() == 2
+
+
+class FailsFirstCompletion(MockCompletionClient):
+    """A completion client whose first call has spent its retries."""
+
+    def complete(self, system, user):
+        self.query_count += 1
+        if self.query_count == 1:
+            raise ProviderError("POST http://llm failed 3 times, last: HTTP 503")
+        return super().complete(system, user)
+
+
+class TestCompletionFailure:
+    """A completion call that fails after its retries leaves its cluster
+    FAILED, templated by its raw log, and the next rebalance parses it."""
+
+    def test_sequential(self, provider, identity_weights):
+        pipe = make_pipeline(provider, identity_weights)
+        pipe.parser.client = FailsFirstCompletion()
+        first = pipe.ingest(LogRecord("s", "disk full on volume 7"))
+        assert first.template == "disk full on volume 7"
+        assert pipe.index.get(first.cluster_id).parse_state == ParseState.FAILED
+        second = pipe.ingest(LogRecord("s", "network link down on port 3"))
+        assert second.template == "network link down on port <*>"
+        pipe.force_rebalance()
+        assert pipe.index.get(first.cluster_id).parse_state == ParseState.PARSED
+        assert pipe.parser.store.template_for(first.cluster_id) == "disk full on volume <*>"
+
+    def test_batch(self, provider, identity_weights):
+        pipe = make_pipeline(provider, identity_weights, batch_mode=True)
+        pipe.parser.client = FailsFirstCompletion()
+        assignments, _ = pipe.ingest_batch([LogRecord("s", "disk full on volume 7"),
+                                            LogRecord("s", "network link down on port 3")])
+        pipe.force_rebalance()
+        states = [pipe.index.get(a.cluster_id).parse_state for a in assignments]
+        assert states == [ParseState.FAILED, ParseState.PARSED]
+        pipe.force_rebalance()
+        assert [pipe.parser.store.template_for(a.cluster_id) for a in assignments] == [
+            "disk full on volume <*>", "network link down on port <*>"]
+
+
+class CountingProvider(EmbeddingProvider):
+    """Counts the calls per text; the first `failures` calls raise."""
+
+    def __init__(self, inner, failures=0):
+        self.inner = inner
+        self.dim = inner.dim
+        self.failures = failures
+        self.calls = Counter()
+
+    def embed(self, text):
+        self.calls[text] += 1
+        if self.failures:
+            self.failures -= 1
+            raise ProviderError("down")
+        return self.inner.embed(text)
+
+
+class TestEmbeddingCache:
+    def test_each_distinct_line_is_embedded_once(self, provider, identity_weights):
+        counting = CountingProvider(provider)
+        pipe = make_pipeline(counting, identity_weights, batch_mode=True)
+        a, b, c = (LogRecord("s", text) for text in ("alpha beta", "gamma delta",
+                                                     "epsilon zeta"))
+        pipe.ingest(a)
+        pipe.ingest_batch([a, b, b, c, b])
+        pipe.ingest(c)
+        assert counting.calls == {"alpha beta": 1, "gamma delta": 1, "epsilon zeta": 1}
+        assert pipe.index.total_weight() == 7
+
+    def test_least_recently_used_line_is_evicted(self, provider, identity_weights,
+                                                 monkeypatch):
+        monkeypatch.setattr(ingest_module, "EMBED_CACHE_ENTRIES", 2)
+        counting = CountingProvider(provider)
+        pipe = make_pipeline(counting, identity_weights)
+        for text in ("a x", "b x", "a x", "c x", "b x", "a x"):
+            pipe.ingest(LogRecord("s", text))
+        # "a x" was used after "b x", so "c x" evicts "b x", which evicts "a x"
+        assert counting.calls == {"a x": 2, "b x": 2, "c x": 1}
+
+    def test_failed_embedding_is_not_cached(self, provider, identity_weights):
+        counting = CountingProvider(provider, failures=1)
+        pipe = make_pipeline(counting, identity_weights)
+        record = LogRecord("s", "alpha beta")
+        with pytest.raises(ProviderError):
+            pipe.ingest(record)
+        pipe.ingest(record)
+        pipe.ingest(record)
+        assert counting.calls["alpha beta"] == 2
+        assert pipe.index.total_weight() == 2
+
+    def test_pipelines_share_no_entries(self, provider, identity_weights):
+        counting = CountingProvider(provider)
+        record = LogRecord("s", "alpha beta")
+        for _ in range(2):
+            make_pipeline(counting, identity_weights).ingest(record)
+        assert counting.calls["alpha beta"] == 2
+
+    def test_cached_vectors_are_read_only(self, corpus, provider, identity_weights):
+        pipe = make_pipeline(provider, identity_weights)
+        first, near = corpus.records[:2]
+        created = pipe.ingest(first)
+        cached = pipe.index.get(created.cluster_id).vector  # kept by insert
+        before = cached.copy()
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+        joined = pipe.ingest(near)
+        again = pipe.ingest(first)
+        assert joined.cluster_id == again.cluster_id == created.cluster_id
+        assert again.similarity < 1.0  # the centroid moved: the join wrote elsewhere
+        assert np.array_equal(cached, before)

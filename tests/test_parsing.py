@@ -11,7 +11,7 @@ from logsift import (
     extract_template,
     load_demonstrations,
 )
-from logsift.errors import MalformedResponseError
+from logsift.errors import MalformedResponseError, ProviderError
 from logsift.parsing import normalize_template
 
 
@@ -156,6 +156,23 @@ class TestParseCluster:
         assert client.calls == 2  # one retry
         assert template == record.content
         assert index.get(cid).parse_state == ParseState.FAILED
+
+    def test_failed_call_falls_back_to_raw_log(self):
+        class DownClient:
+            calls = 0
+
+            def complete(self, system, user):
+                self.calls += 1
+                raise ProviderError("POST http://llm failed 3 times, last: HTTP 503")
+
+        client = DownClient()
+        index, cid, parser = self._setup(client)
+        record = LogRecord("s", "session opened for user root")
+        template = parser.parse_cluster(index, cid, record)
+        assert client.calls == 1  # the helper has retried already
+        assert template == record.content
+        assert index.get(cid).parse_state == ParseState.FAILED
+        assert parser.store.template_for(cid) == record.content
 
     def test_mock_client_end_to_end(self):
         index, cid, parser = self._setup(MockCompletionClient())

@@ -151,24 +151,48 @@ def test_ingest_exits_4_when_the_budget_runs_out(monkeypatch, sleeps, tmp_path):
     assert len(post.calls) == remote.ATTEMPTS
 
 
-def test_batch_ingest_reports_its_dead_letters(monkeypatch, sleeps, tmp_path, capsys):
+def ingest_remote(tmp_path, *flags):
+    """`logsift ingest` of three lines with the remote provider (dim 8)."""
+    logs = tmp_path / "app.log"
+    logs.write_text("disk full on sda1\nfan failed on rack7\ndisk full on sdb2\n")
+    return main(["ingest", "--input", str(logs), *flags,
+                 "--snapshot-out", str(tmp_path / "s.json"),
+                 "--assignments-out", str(tmp_path / "assign.jsonl"),
+                 "--templates-out", str(tmp_path / "t.json"),
+                 "--provider", "remote", "--provider-url", "http://emb",
+                 "--provider-model", "m", "--provider-dim", "8"])
+
+
+def check_one_dead_letter(monkeypatch, tmp_path, capsys, *mode):
     monkeypatch.setenv("EMBEDDING_API_KEY", "k")
     ok = FakeResponse(200, {"embedding": [1.0] + [0.0] * 7})
     # the second line's embedding call fails every attempt
     script(monkeypatch, ok, *[503] * remote.ATTEMPTS, ok)
-    logs = tmp_path / "app.log"
-    logs.write_text("disk full on sda1\nfan failed on rack7\ndisk full on sdb2\n")
-    assignments = tmp_path / "assign.jsonl"
-    rc = main(["ingest", "--input", str(logs), "--batch-mode",
-               "--snapshot-out", str(tmp_path / "s.json"),
-               "--assignments-out", str(assignments),
-               "--templates-out", str(tmp_path / "t.json"),
-               "--provider", "remote", "--provider-url", "http://emb",
-               "--provider-model", "m", "--provider-dim", "8"])
-    assert rc == EXIT_PROVIDER
-    assert len(assignments.read_text().splitlines()) == 2
+    assert ingest_remote(tmp_path, *mode) == EXIT_PROVIDER
+    assert len((tmp_path / "assign.jsonl").read_text().splitlines()) == 2
     assert CentroidIndex.load(str(tmp_path / "s.json")).total_weight() == 2
     assert (tmp_path / "t.json").exists()
     err = capsys.readouterr().err
     assert "'fan failed on rack7'" in err and "HTTP 503" in err
     assert "disk full" not in err
+
+
+def test_batch_ingest_reports_its_dead_letters(monkeypatch, sleeps, tmp_path, capsys):
+    check_one_dead_letter(monkeypatch, tmp_path, capsys, "--batch-mode")
+
+
+def test_sequential_ingest_reports_its_dead_letters(monkeypatch, sleeps, tmp_path,
+                                                    capsys):
+    check_one_dead_letter(monkeypatch, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("mode", [[], ["--batch-mode"]], ids=["sequential", "batch"])
+def test_wrong_dimension_stops_the_run(monkeypatch, sleeps, tmp_path, capsys, mode):
+    # a configuration fault that every record would hit: no dead letters
+    monkeypatch.setenv("EMBEDDING_API_KEY", "k")
+    post = script(monkeypatch, FakeResponse(200, {"embedding": [0.1, 0.2, 0.3]}))
+    assert ingest_remote(tmp_path, *mode) == EXIT_PROVIDER
+    assert len(post.calls) == 1
+    assert not (tmp_path / "s.json").exists()
+    err = capsys.readouterr().err
+    assert "provider error" in err and "dead letter" not in err

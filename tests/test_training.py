@@ -14,6 +14,7 @@ from logsift import (
     predict_similarity,
     train,
 )
+from logsift import training
 from logsift.errors import ConfigError
 
 from conftest import make_two_family_pairs
@@ -120,6 +121,17 @@ class TestMseLoss:
                               float(rng.integers(2))) for _ in range(16)]
         assert mse_loss(pairs, w) >= 0.0
 
+
+    def test_chunks_sum_to_the_per_pair_mean(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        w = EncoderWeights(w1=rng.normal(size=(5, 6)), b1=rng.normal(size=5),
+                           w2=rng.normal(size=(4, 5)), b2=rng.normal(size=4))
+        pairs = [TrainingPair(rng.normal(size=6), rng.normal(size=6),
+                              float(rng.integers(2))) for _ in range(37)]
+        reference = np.mean([(p.label - predict_similarity(p, w)) ** 2 for p in pairs])
+        for rows in (1, 5, 37, 100):
+            monkeypatch.setattr(training, "LOSS_CHUNK_ROWS", rows)
+            assert mse_loss(pairs, w) == pytest.approx(reference, rel=1e-12)
 
 class TestTrain:
     def test_loss_decreases_on_separable_families(self):
