@@ -17,7 +17,13 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .embedding import EncoderWeights, HashingProvider, RemoteProvider, embed_log
+from .embedding import (
+    RECORD_ERRORS,
+    EncoderWeights,
+    HashingProvider,
+    RemoteProvider,
+    embed_log,
+)
 from .errors import (
     ConfigError,
     DegenerateEmbeddingError,
@@ -28,7 +34,7 @@ from .errors import (
 )
 from .files import atomic_write
 from .index import CentroidIndex
-from .ingest import RECORD_ERRORS, IngestConfig, Pipeline
+from .ingest import IngestConfig, Pipeline
 from .metrics import evaluate, load_dataset
 from .parsing import (
     ClusterParser,
@@ -227,8 +233,9 @@ def cmd_export_embeddings(args) -> int:
         weights = _load_weights(args, provider)
         records = _read_records(args.corpus)
         dim = weights.output_dim
-        for i, record in enumerate(records):
-            vector = embed_log(record, provider, weights)
+        for i, vector in enumerate(embed_log(records, provider, weights)):
+            if isinstance(vector, Exception):
+                raise vector
             values = ",".join(repr(float(x)) for x in vector)
             rows.append(f"{i},1,{values}")
     header = "id,weight," + ",".join(f"v{k}" for k in range(dim))

@@ -8,11 +8,14 @@ then a plain dot product.
 
 The encoder has no activation, so its two layers are one affine map.
 `EncoderWeights` keeps them as the two factors that training updates;
-`EncoderWeights.collapse` multiplies them out into a frozen `AffineMap`,
-which `encode` applies with one matrix-vector product. With identity
-weights the two give bit-identical vectors; otherwise they differ by
-rounding. The vector depends on the content alone, so `Pipeline` embeds
-each distinct line once and keeps its vector (see `logsift.ingest`).
+`EncoderWeights.collapse` multiplies them out into a frozen `AffineMap`.
+`encode` takes the fused vectors as the rows of one matrix and applies
+either form to all of them with one matrix product; `embed_log` calls the
+provider once per record and encodes the records together. With identity
+weights the two forms, and any batch size, give bit-identical vectors;
+otherwise they differ by rounding. The vector depends on the content
+alone, so `Pipeline` embeds each distinct line once and keeps its vector
+(see `logsift.ingest`).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +39,8 @@ from .records import LogRecord
 from .remote import api_key, post_json
 
 WORD_COUNT_SCALE = 100.0
+# what fails one record's embedding; a dimension mismatch fails them all
+RECORD_ERRORS = (ProviderError, DegenerateEmbeddingError)
 
 
 class EmbeddingProvider:
@@ -110,7 +116,8 @@ class AffineMap:
     bias: np.ndarray
 
     def apply(self, fused: np.ndarray) -> np.ndarray:
-        return self.matrix @ fused + self.bias
+        """Rows (B, D+1) to rows (B, E)."""
+        return fused @ self.matrix.T + self.bias
 
 
 @dataclass
@@ -127,10 +134,15 @@ class EncoderWeights:
     b2: np.ndarray
 
     def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64)
+        try:
+            self.w1 = np.asarray(self.w1, dtype=np.float64)
+            self.b1 = np.asarray(self.b1, dtype=np.float64)
+            self.w2 = np.asarray(self.w2, dtype=np.float64)
+            self.b2 = np.asarray(self.b2, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"encoder weights are not float arrays: {exc}") from exc
+        if self.w1.ndim != 2 or self.w2.ndim != 2:
+            raise ConfigError("encoder weight matrices w1 and w2 must be 2-D")
         h, d_in = self.w1.shape
         e, h2 = self.w2.shape
         if h2 != h or self.b1.shape != (h,) or self.b2.shape != (e,):
@@ -161,7 +173,8 @@ class EncoderWeights:
                    w2=np.eye(provider_dim, d_in), b2=np.zeros(provider_dim))
 
     def apply(self, fused: np.ndarray) -> np.ndarray:
-        return self.w2 @ (self.w1 @ fused + self.b1) + self.b2
+        """Rows (B, D+1) to rows (B, E), one layer after the other."""
+        return (fused @ self.w1.T + self.b1) @ self.w2.T + self.b2
 
     def collapse(self) -> AffineMap:
         """The two layers as one map, computed from the weights as they are
@@ -192,11 +205,18 @@ class EncoderWeights:
     @classmethod
     def load(cls, path: str) -> "EncoderWeights":
         with open(path) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"cannot parse weights file {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"weights file {path} is not a JSON object")
         if doc.get("version") != 1:
             raise ConfigError(f"unsupported weights file version: {doc.get('version')}")
-        return cls(w1=np.array(doc["w1"]), b1=np.array(doc["b1"]),
-                   w2=np.array(doc["w2"]), b2=np.array(doc["b2"]))
+        missing = [key for key in ("w1", "b1", "w2", "b2") if key not in doc]
+        if missing:
+            raise ConfigError(f"weights file {path} lacks {', '.join(missing)}")
+        return cls(w1=doc["w1"], b1=doc["b1"], w2=doc["w2"], b2=doc["b2"])
 
 
 def embed_raw(record: LogRecord, provider: EmbeddingProvider) -> np.ndarray:
@@ -219,17 +239,48 @@ def fuse_word_count(raw: np.ndarray, word_count: int) -> np.ndarray:
 
 
 def encode(fused: np.ndarray, weights: EncoderWeights | AffineMap) -> np.ndarray:
-    """The encoder (two layers in turn, or one collapsed map) followed by L2
-    normalization."""
+    """The encoder (two layers in turn, or one collapsed map) applied to
+    every row of `fused` (B, D+1) with one matrix product, then each row
+    scaled to unit length: (B, E).
+
+    Each row's norm is taken as `np.linalg.norm` takes a vector's. Rows
+    shorter than NORM_EPS have no direction; the error raised for them
+    lists them in `rows`."""
     out = weights.apply(fused)
-    norm = np.linalg.norm(out)
-    if norm < NORM_EPS:
-        raise DegenerateEmbeddingError("encoder output norm below threshold")
-    return out / norm
+    norms = np.sqrt([row.dot(row) for row in out])
+    if (norms < NORM_EPS).any():
+        raise DegenerateEmbeddingError("encoder output norm below threshold",
+                                       rows=np.flatnonzero(norms < NORM_EPS).tolist())
+    out /= norms[:, None]
+    return out
 
 
-def embed_log(record: LogRecord, provider: EmbeddingProvider,
-              weights: EncoderWeights | AffineMap) -> np.ndarray:
-    """Full pipeline: provider embedding -> word-count fusion -> encoder."""
-    return encode(fuse_word_count(embed_raw(record, provider), record.word_count),
-                  weights)
+def embed_log(records: Sequence[LogRecord], provider: EmbeddingProvider,
+              weights: EncoderWeights | AffineMap) -> list[np.ndarray | Exception]:
+    """Full pipeline for each record: provider embedding -> word-count
+    fusion, then one `encode` of every record the provider embedded.
+
+    Returns, per record, its unit vector (an array of its own) or the
+    RECORD_ERRORS instance that stopped it. A dimension mismatch, which
+    every record would hit, raises."""
+    outcomes: list = [None] * len(records)
+    fused: list = [None] * len(records)
+    for i, record in enumerate(records):
+        try:
+            fused[i] = fuse_word_count(embed_raw(record, provider), record.word_count)
+        except RECORD_ERRORS as exc:
+            outcomes[i] = exc
+    rows = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    while rows:
+        try:
+            vectors = encode(np.array([fused[i] for i in rows]), weights)
+        except DegenerateEmbeddingError as exc:
+            # those records fail; the others are encoded again without them
+            for k in exc.rows:
+                outcomes[rows[k]] = exc
+            rows = [i for i in rows if outcomes[i] is None]
+            continue
+        for i, vector in zip(rows, vectors):
+            outcomes[i] = vector.copy()  # no view keeps the whole batch alive
+        break
+    return outcomes

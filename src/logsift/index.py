@@ -5,10 +5,21 @@ one contiguous matrix, so a query scores every centroid in a single
 matrix-vector product and the answer is exact at every index size. Ties on
 similarity break toward the lowest cluster id, whatever row a centroid
 occupies.
+
+`nearest` scores with `einsum`, which sums each row's products in one order
+wherever the row sits. `nearest_batch` scores B queries with one BLAS
+matrix product, whose sums may differ from einsum's in the last bits, and
+then re-scores with einsum every row within TIE_MARGIN of a query's best
+(`exact_best`), so its hits and similarities are `nearest`'s exactly.
+
+A snapshot (version 2) is JSON metadata with each vector stored as base64
+of its little-endian float64 bytes; version 1 files, whose vectors are JSON
+float lists, still load, to bit-identical vectors.
 """
 
 from __future__ import annotations
 
+import base64
 import enum
 import json
 from dataclasses import dataclass
@@ -21,8 +32,12 @@ from .files import atomic_write
 
 UNIT_TOL = 1e-6
 NORM_EPS = 1e-12  # a vector shorter than this has no direction
+# BLAS and einsum dot products of unit vectors differ by under 1e-15, so
+# every row within this of an approximate best holds the exact best
+TIE_MARGIN = 1e-12
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+FLOAT_BYTES = np.dtype("<f8")
 
 
 class ParseState(enum.Enum):
@@ -44,6 +59,19 @@ class ClusterCentroid:
 class SearchHit:
     cluster_id: int
     similarity: float
+
+
+def exact_best(scores: np.ndarray, vectors: np.ndarray,
+               query: np.ndarray) -> tuple[np.ndarray, float]:
+    """The rows of `vectors` tied at the best exact score for `query`, and
+    that score, from approximate `scores` (one per row; -inf passes a row
+    over, and one row at least must have a finite score): the rows within
+    TIE_MARGIN of the best approximate score are re-scored as `nearest`
+    scores them."""
+    rows = np.flatnonzero(scores >= scores.max() - TIE_MARGIN)
+    sims = np.einsum("ij,j->i", vectors[rows], query)
+    best = sims.max()
+    return rows[sims == best], float(best)
 
 
 def _check_unit(vector: np.ndarray) -> np.ndarray:
@@ -124,6 +152,20 @@ class CentroidIndex:
         cid = min(self._live[row].cluster_id for row in np.flatnonzero(sims == best))
         return SearchHit(cid, float(best))
 
+    def nearest_batch(self, queries: np.ndarray) -> list[Optional[SearchHit]]:
+        """`nearest` of each row of `queries` (B, E), all against the index
+        as it is now: one matrix product scores every pair, and each row's
+        near-best centroids are re-scored exactly."""
+        n = len(self._live)
+        if n == 0:
+            return [None] * len(queries)
+        live = self._matrix[:n]
+        hits = []
+        for query, scores in zip(queries, queries @ live.T):
+            rows, best = exact_best(scores, live, query)
+            hits.append(SearchHit(min(self._live[r].cluster_id for r in rows), best))
+        return hits
+
     def update_moving_average(self, cluster_id: int,
                               incoming: np.ndarray) -> ClusterCentroid:
         """Move the centroid toward the incoming vector by 1/(w+1), then
@@ -163,7 +205,8 @@ class CentroidIndex:
                     "weight": c.weight,
                     "template_id": c.template_id,
                     "parse_state": c.parse_state.value,
-                    "vector": c.vector.tolist(),
+                    "vector": base64.b64encode(
+                        c.vector.astype(FLOAT_BYTES, copy=False).tobytes()).decode("ascii"),
                 }
                 for c in self.centroids()
             ],
@@ -173,27 +216,35 @@ class CentroidIndex:
 
     @classmethod
     def load(cls, path: str) -> "CentroidIndex":
-        """Read a snapshot; the HNSW `params` block of older files is ignored."""
+        """Read a version 2 snapshot, or a version 1 one (float lists, and
+        an HNSW `params` block that is ignored)."""
         try:
             with open(path) as fh:
                 doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SnapshotFormatError(f"cannot parse snapshot {path}: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("version") != SNAPSHOT_VERSION:
-            raise SnapshotFormatError(
-                f"unsupported snapshot version in {path}: {doc.get('version') if isinstance(doc, dict) else doc!r}"
-            )
+        version = doc.get("version") if isinstance(doc, dict) else doc
+        if version not in (1, 2):
+            raise SnapshotFormatError(f"unsupported snapshot version in {path}: {version!r}")
         index = cls()
         try:
             for entry in doc["centroids"]:
                 if entry["id"] in index:
                     raise ValueError(f"duplicate cluster id {entry['id']}")
+                if version == 1:
+                    vector = np.array(entry["vector"], dtype=np.float64)
+                else:
+                    vector = np.frombuffer(
+                        base64.b64decode(entry["vector"], validate=True),
+                        dtype=FLOAT_BYTES).astype(np.float64)
+                if vector.ndim != 1 or len(index) and vector.shape != index._matrix[0].shape:
+                    raise ValueError(f"cluster {entry['id']} has a vector of "
+                                     f"shape {vector.shape}, unlike the others")
                 index._next_id = entry["id"]  # insert gives out the saved id
-                index.insert(np.array(entry["vector"], dtype=np.float64),
-                             weight=int(entry["weight"]),
+                index.insert(vector, weight=int(entry["weight"]),
                              template_id=entry["template_id"],
                              parse_state=ParseState(entry["parse_state"]))
             index._next_id = doc["next_id"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
             raise SnapshotFormatError(f"malformed snapshot {path}: {exc}") from exc
         return index

@@ -6,7 +6,10 @@ new cluster is parsed at creation. Batch: records in one batch are embedded
 and searched "in parallel", so a record may not see clusters created by its
 batch peers; duplicate clusters for a simultaneously-arriving unseen
 pattern are expected and repaired by the next rebalance, after which the
-surviving clusters are parsed.
+surviving clusters are parsed. Without an rng every search of a batch runs
+against its start-of-batch state, so the batch is routed by one
+`CentroidIndex.nearest_batch` call, with the same hits as one `nearest`
+per record; the rng schedule keeps a `nearest` per search event.
 
 Both modes commit a record through one create-or-join step. A merge's
 outcome comes from its `MergeEvent`: the survivor takes the template entry
@@ -14,10 +17,13 @@ of `kept_from` and its first constituent's representative log.
 
 Both modes embed through one per-pipeline cache keyed by the exact line
 content, which alone fixes the vector: a line repeated while it is among
-the EMBED_CACHE_ENTRIES most recently used reuses its vector, read-only,
-and misses are encoded with the weights collapsed to one matrix. A record
-that fails to embed is a dead letter, except for a dimension mismatch,
-which every record would hit and which stops the run.
+the EMBED_CACHE_ENTRIES most recently used reuses its vector, read-only.
+A call's misses, each distinct line once, are encoded together with the
+weights collapsed to one matrix (a sequential call is a batch of one),
+and the cache is then used and filled in record order, so its order is
+the one a record-by-record walk would leave. A record that fails to embed
+is a dead letter, except for a dimension mismatch, which every record
+would hit and which stops the run.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .embedding import AffineMap, EmbeddingProvider, EncoderWeights, embed_log
-from .errors import ConfigError, DegenerateEmbeddingError, ProviderError
+from .errors import ConfigError
 from .index import CentroidIndex, ParseState, SearchHit
 from .parsing import ClusterParser
 from .rebalance import MergeReport, rebalance
@@ -38,8 +44,6 @@ from .records import LogRecord
 
 # lines whose vectors a pipeline keeps; at E=512 each takes about 4 KB
 EMBED_CACHE_ENTRIES = 4096
-# what fails one record's embedding and makes it a dead letter
-RECORD_ERRORS = (ProviderError, DegenerateEmbeddingError)
 
 
 @dataclass
@@ -89,25 +93,42 @@ class Pipeline:
 
     # ---- internals ---------------------------------------------------------
 
-    def _embed(self, record: LogRecord) -> np.ndarray:
-        """The record's vector: from the cache, or embedded and cached. A
-        record that fails to embed is dead-lettered and its error raised."""
-        vector = self._vectors.get(record.content)
-        if vector is not None:
-            self._vectors.move_to_end(record.content)
-            return vector
-        if self._encoder is None:
-            self._encoder = self.weights.collapse()
-        try:
-            vector = embed_log(record, self.provider, self._encoder)
-        except RECORD_ERRORS as exc:
-            self.dead_letters.append((record, exc))
-            raise
-        vector.flags.writeable = False  # the index keeps it as a centroid vector
-        self._vectors[record.content] = vector
-        if len(self._vectors) > EMBED_CACHE_ENTRIES:
-            self._vectors.popitem(last=False)
-        return vector
+    def _embed(self, records: list[LogRecord]
+               ) -> tuple[list[tuple[LogRecord, np.ndarray]],
+                          list[tuple[LogRecord, Exception]]]:
+        """Each record with its vector, and each record that failed to embed
+        with its error; the failures are also dead-lettered. Only lines
+        neither cached nor repeated earlier in `records` are embedded."""
+        found: dict[str, object] = {}  # content -> vector or error
+        misses: list[LogRecord] = []
+        for record in records:
+            if record.content not in found:
+                found[record.content] = self._vectors.get(record.content)
+                if found[record.content] is None:
+                    misses.append(record)
+        if misses:
+            if self._encoder is None:
+                self._encoder = self.weights.collapse()
+            for record, outcome in zip(misses, embed_log(misses, self.provider,
+                                                         self._encoder)):
+                if not isinstance(outcome, Exception):
+                    outcome.flags.writeable = False  # the index keeps it as a centroid
+                found[record.content] = outcome
+        embedded, errors = [], []
+        for record in records:
+            vector = found[record.content]
+            if isinstance(vector, Exception):
+                errors.append((record, vector))
+                continue
+            if record.content in self._vectors:
+                self._vectors.move_to_end(record.content)
+            else:
+                self._vectors[record.content] = vector
+                if len(self._vectors) > EMBED_CACHE_ENTRIES:
+                    self._vectors.popitem(last=False)
+            embedded.append((record, vector))
+        self.dead_letters.extend(errors)
+        return embedded, errors
 
     def _parse(self, cluster_id: int) -> Optional[str]:
         representative = self.first_log.get(cluster_id)
@@ -142,7 +163,10 @@ class Pipeline:
     def ingest(self, record: LogRecord) -> ClusterAssignment:
         """Route one log: merge into the nearest cluster at or above the similarity threshold or create
         a new cluster (parsed immediately in sequential mode)."""
-        vector = self._embed(record)
+        embedded, errors = self._embed([record])
+        if errors:
+            raise errors[0][1]
+        [(_, vector)] = embedded
         return self._commit(record, vector, self.index.nearest(vector),
                             defer_parse=self.config.batch_mode)
 
@@ -160,27 +184,24 @@ class Pipeline:
         """
         if not self.config.batch_mode:
             raise ConfigError("ingest_batch requires batch_mode")
-        embedded: list[tuple[LogRecord, np.ndarray]] = []
-        errors: list[tuple[LogRecord, Exception]] = []
-        for record in records:
-            try:
-                embedded.append((record, self._embed(record)))
-            except RECORD_ERRORS as exc:
-                errors.append((record, exc))
+        embedded, errors = self._embed(records)
+        if rng is None:
+            # every search sees the start-of-batch state: one scoring pass
+            hits = self.index.nearest_batch(np.stack([v for _, v in embedded])) \
+                if embedded else []
+            assignments = [self._commit(record, vector, hit, defer_parse=True)
+                           for (record, vector), hit in zip(embedded, hits)]
+            return assignments, errors
 
         # schedule: interleave (search_i, commit_i) events
         events: list[tuple[int, int]] = []  # (kind 0=search 1=commit, slot)
-        if rng is None:
-            events = [(0, i) for i in range(len(embedded))]
-            events += [(1, i) for i in range(len(embedded))]
-        else:
-            pending = [[(0, i), (1, i)] for i in range(len(embedded))]
-            live = list(range(len(embedded)))
-            while live:
-                pick = live[int(rng.integers(len(live)))]
-                events.append(pending[pick].pop(0))
-                if not pending[pick]:
-                    live.remove(pick)
+        pending = [[(0, i), (1, i)] for i in range(len(embedded))]
+        live = list(range(len(embedded)))
+        while live:
+            pick = live[int(rng.integers(len(live)))]
+            events.append(pending[pick].pop(0))
+            if not pending[pick]:
+                live.remove(pick)
 
         decisions: dict[int, Optional[SearchHit]] = {}
         assignments: dict[int, ClusterAssignment] = {}

@@ -218,7 +218,8 @@ class TemplateStore:
     """Reporting-level map: template text -> template_id, cluster -> entry.
 
     Clusters whose extracted templates are textually identical share one
-    template_id without their centroids being merged.
+    template_id without their centroids being merged. A FAILED cluster's
+    raw-log fallback is no template and gets no id.
     """
 
     def __init__(self):
@@ -226,8 +227,10 @@ class TemplateStore:
         self._entries: dict[int, dict] = {}
 
     def record(self, cluster_id: int, template: str, parse_state: ParseState,
-               source_log: str) -> int:
-        tid = self._by_text.setdefault(template, len(self._by_text))
+               source_log: str) -> Optional[int]:
+        tid = None
+        if parse_state == ParseState.PARSED:
+            tid = self._by_text.setdefault(template, len(self._by_text))
         self._entries[cluster_id] = {
             "template": template,
             "template_id": tid,

@@ -68,7 +68,11 @@ def generate_corpus(n_templates: int = 10, logs_per_template: int = 100,
 def similarity_margins(corpus: SyntheticCorpus, provider: EmbeddingProvider,
                        weights: EncoderWeights) -> tuple[float, float]:
     """(min within-template similarity, max cross-template similarity)."""
-    vectors = np.stack([embed_log(r, provider, weights) for r in corpus.records])
+    vectors = embed_log(corpus.records, provider, weights)
+    for vector in vectors:
+        if isinstance(vector, Exception):
+            raise vector
+    vectors = np.stack(vectors)
     labels = np.asarray(corpus.template_ids)
     sims = vectors @ vectors.T
     same = labels[:, None] == labels[None, :]

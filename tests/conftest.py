@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -58,3 +60,12 @@ def make_two_family_pairs(n=120, seed=0):
     for i in range(n):
         pairs.append(TrainingPair(a[i], b[i], 0.0))
     return pairs
+
+
+def write_v1_snapshot(index, path):
+    """Save `index` in the version 1 layout: every vector a JSON list of floats."""
+    with open(path, "w") as fh:
+        json.dump({"version": 1, "next_id": index._next_id, "centroids": [
+            {"id": c.cluster_id, "weight": c.weight, "template_id": c.template_id,
+             "parse_state": c.parse_state.value, "vector": c.vector.tolist()}
+            for c in index.centroids()]}, fh)

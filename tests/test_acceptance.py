@@ -2,6 +2,7 @@
 pass/fail line with its measured numbers."""
 
 import os
+import struct
 import time
 
 import numpy as np
@@ -94,7 +95,8 @@ def test_criterion_1_metric_oracle_equivalence():
 def test_criterion_2_index_exactness():
     start = time.monotonic()
     rng = np.random.default_rng(77)
-    mismatches = queries = large_queries = 0
+    batch_rng = np.random.default_rng(78)  # leaves rng's draws as they were
+    mismatches = queries = large_queries = batch_mismatches = batch_queries = 0
     for _ in range(200):
         dim = int(rng.integers(2, 65))
         n = int(rng.integers(1, 300))
@@ -116,6 +118,17 @@ def test_criterion_2_index_exactness():
                 index.update_moving_average(cid, random_unit(rng, dim))
         stored = {c.cluster_id: c.vector for c in index.centroids()}
         ids = index.ids()
+        # a batch of queries, some of them stored centroids (exact ties
+        # with their duplicates), scored at once as ingest_batch routes
+        batch = np.stack([stored[ids[int(batch_rng.integers(len(ids)))]]
+                          if batch_rng.random() < 0.5 else random_unit(batch_rng, dim)
+                          for _ in range(20)])
+        for query, hit in zip(batch, index.nearest_batch(batch)):
+            want = index.nearest(query)
+            batch_queries += 1
+            batch_mismatches += (hit.cluster_id != want.cluster_id
+                                 or struct.pack("<d", hit.similarity)
+                                 != struct.pack("<d", want.similarity))
         for _ in range(50):
             exclude = None
             if rng.random() < 0.5:
@@ -136,9 +149,10 @@ def test_criterion_2_index_exactness():
                 mismatches += 1
     elapsed = time.monotonic() - start
     _report("criterion 2: index exactness at every size",
-            mismatches == 0 and elapsed < 30,
+            mismatches == 0 and batch_mismatches == 0 and elapsed < 30,
             f"200 indices x 50 queries ({large_queries} at N > 64), "
-            f"{mismatches} mismatches, {elapsed:.2f}s")
+            f"{mismatches} mismatches; {batch_queries} batch-scored queries, "
+            f"{batch_mismatches} differ from nearest; {elapsed:.2f}s")
 
 
 def test_criterion_3_centroid_algebra():
@@ -347,9 +361,10 @@ def _ingest_all(pipeline_cls, provider, weights, records, mode):
 
 
 def test_criterion_10_embedding_cache_equivalence(provider, identity_weights):
-    """The content cache and the one-matrix encoder change no output: the
+    """The content cache and the batch encoder change no output: the
     pipeline and an oracle that embeds every line afresh with two layers
-    agree exactly at identity weights and on partitions at trained ones."""
+    agree exactly at identity weights and on partitions at trained ones,
+    sequentially and in batches."""
     corpus = generate_corpus(n_templates=8, logs_per_template=5, seed=7)
     rng = np.random.default_rng(11)
     records = [corpus.records[i] for i in rng.integers(len(corpus), size=600)]
@@ -369,15 +384,19 @@ def test_criterion_10_embedding_cache_equivalence(provider, identity_weights):
     trained = train(build_pair_dataset(labeled, TrainConfig(pairs_per_dataset=600),
                                        provider),
                     TrainConfig(batch_size=128, epochs=2)).weights
-    got, *_ = _ingest_all(Pipeline, provider, trained, records, "sequential")
-    want, *_ = _ingest_all(OraclePipeline, provider, trained, records, "sequential")
-    same = ([(a.cluster_id, a.created_new) for a in got]
-            == [(a.cluster_id, a.created_new) for a in want])
-    worst = max(abs(a.similarity - b.similarity) for a, b in zip(got, want))
-    _report("criterion 10: embedding cache equivalence", same and worst < 1e-9,
+    same, worst = {}, {}
+    for mode in ("sequential", "batch"):
+        got, *_ = _ingest_all(Pipeline, provider, trained, records, mode)
+        want, *_ = _ingest_all(OraclePipeline, provider, trained, records, mode)
+        same[mode] = ([(a.cluster_id, a.created_new) for a in got]
+                      == [(a.cluster_id, a.created_new) for a in want])
+        worst[mode] = max(abs(a.similarity - b.similarity) for a, b in zip(got, want))
+    _report("criterion 10: embedding cache equivalence",
+            all(same.values()) and max(worst.values()) < 1e-9,
             f"{len(records)} logs, {duplicate_share:.0%} repeats: identity weights "
-            f"exact in 3 modes; trained weights partition identical: {same}, "
-            f"largest similarity change {worst:.1e}")
+            f"exact in 3 modes; trained weights, partition identical / largest "
+            f"similarity change: " + ", ".join(
+                f"{mode} {same[mode]} / {worst[mode]:.1e}" for mode in same))
 
 
 @pytest.mark.skipif(

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 
@@ -15,7 +16,10 @@ from logsift.cli import (
 )
 from logsift.embedding import EncoderWeights
 from logsift.index import CentroidIndex
+from logsift.rebalance import rebalance
 from logsift.synthetic import generate_corpus
+
+from conftest import write_v1_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +187,29 @@ class TestTrainEncoderCommand:
         assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("doc", [
+    "[1, 2]",
+    '{"version": 1, "w1": [[1.0]], "b1": [0.0]}',
+    '{"version": 1, "w1": [1.0], "b1": [0.0], "w2": [[1.0]], "b2": [0.0]}',
+], ids=["not-an-object", "missing-keys", "1d-w1"])
+def test_malformed_weights_file_exits_2(corpus_csv, tmp_path, capsys, doc):
+    weights = tmp_path / "weights.json"
+    weights.write_text(doc)
+    rc = main(["ingest", "--input", corpus_csv, "--weights", str(weights),
+               "--snapshot-out", str(tmp_path / "snap.json")])
+    assert rc == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def random_index(seed, n=40, dim=6):
+    rng = np.random.default_rng(seed)
+    index = CentroidIndex()
+    for _ in range(n):
+        v = rng.normal(size=dim)
+        index.insert(v / np.linalg.norm(v), weight=int(rng.integers(1, 9)))
+    return index
+
+
 class TestRebalanceCommand:
     def test_duplicate_snapshot_collapses(self, tmp_path):
         import numpy as np
@@ -218,6 +245,34 @@ class TestRebalanceCommand:
         rc = main(["rebalance", "--snapshot", str(bad)])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("raw", [None, np.array([0.6, 0.8]).tobytes(),
+                                     np.array([1.0]).tobytes() + b"\0" * 4],
+                             ids=["bad-base64", "two-floats-not-one", "not-whole-floats"])
+    def test_malformed_version_2_vector(self, tmp_path, capsys, raw):
+        snap = tmp_path / "snap.json"
+        random_index(1, n=3, dim=1).snapshot(str(snap))
+        doc = json.loads(snap.read_text())
+        doc["centroids"][1]["vector"] = "AAAA!AAA" if raw is None else \
+            base64.b64encode(raw).decode()
+        snap.write_text(json.dumps(doc))
+        assert main(["rebalance", "--snapshot", str(snap)]) == EXIT_DATA
+        assert "malformed snapshot" in capsys.readouterr().err
+
+    def test_rewrites_version_1_as_version_2(self, tmp_path):
+        v1 = str(tmp_path / "v1.json")
+        write_v1_snapshot(random_index(2), v1)
+        out = tmp_path / "out.json"
+        assert main(["rebalance", "--snapshot", v1, "--snapshot-out", str(out),
+                     "--threshold", "0.5"]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["version"] == 2
+        assert all(isinstance(c["vector"], str) for c in doc["centroids"])
+        expected = random_index(2)
+        rebalance(expected, 0.5)
+        loaded = CentroidIndex.load(str(out))
+        assert [(c.cluster_id, c.weight, c.vector.tobytes()) for c in loaded.centroids()] \
+            == [(c.cluster_id, c.weight, c.vector.tobytes()) for c in expected.centroids()]
+
 
 class TestExportEmbeddingsCommand:
     def test_snapshot_export_shape(self, tmp_path):
@@ -236,6 +291,19 @@ class TestExportEmbeddingsCommand:
         lines = open(out).read().splitlines()
         assert lines[0] == "id,weight," + ",".join(f"v{k}" for k in range(6))
         assert len(lines) == 101
+
+    def test_same_bytes_from_either_snapshot_version(self, tmp_path):
+        index = random_index(3, n=60, dim=16)
+        v1, v2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")
+        write_v1_snapshot(index, v1)
+        index.snapshot(v2)
+        outputs = []
+        for snap in (v1, v2):
+            out = tmp_path / "vectors.csv"
+            assert main(["export-embeddings", "--snapshot", snap, "--output", str(out)]) \
+                == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_empty_index_header_only(self, tmp_path):
         index = CentroidIndex()

@@ -10,7 +10,7 @@ from logsift import (
     encode,
     fuse_word_count,
 )
-from logsift.errors import ConfigError, DegenerateEmbeddingError
+from logsift.errors import ConfigError, DegenerateEmbeddingError, ProviderError
 
 
 class TestLogRecord:
@@ -72,13 +72,13 @@ class TestFuseWordCount:
 class TestEncode:
     def test_identity_on_unit_input(self):
         w = EncoderWeights.identity_init(3)
-        fused = np.array([1.0, 0.0, 0.0, 0.07])
-        assert np.allclose(encode(fused, w), [1.0, 0.0, 0.0])
+        fused = np.array([[1.0, 0.0, 0.0, 0.07]])
+        assert np.allclose(encode(fused, w), [[1.0, 0.0, 0.0]])
 
     def test_identity_normalizes(self):
         w = EncoderWeights.identity_init(3)
-        out = encode(np.array([3.0, 4.0, 0.0, 0.02]), w)
-        assert np.allclose(out, [0.6, 0.8, 0.0])
+        out = encode(np.array([[3.0, 4.0, 0.0, 0.02], [0.0, 0.0, 2.0, 0.5]]), w)
+        assert np.allclose(out, [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])
 
     def test_unit_norm_over_random_draws(self):
         rng = np.random.default_rng(1)
@@ -88,16 +88,37 @@ class TestEncode:
                 w1=rng.normal(size=(h, d_in)), b1=rng.normal(size=h),
                 w2=rng.normal(size=(e, h)), b2=rng.normal(size=e),
             )
-            out = encode(rng.normal(size=d_in), w)
-            assert abs(np.linalg.norm(out) - 1.0) <= 1e-6
+            out = encode(rng.normal(size=(3, d_in)), w)
+            assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) <= 1e-6)
 
     def test_degenerate_norm_rejected(self):
         w = EncoderWeights(w1=np.zeros((2, 2)), b1=np.zeros(2),
                            w2=np.zeros((2, 2)), b2=np.zeros(2))
         with pytest.raises(DegenerateEmbeddingError):
-            encode(np.ones(2), w)
-        with pytest.raises(DegenerateEmbeddingError):
-            encode(np.ones(2), w.collapse())
+            encode(np.ones((1, 2)), w)
+        with pytest.raises(DegenerateEmbeddingError) as caught:
+            encode(np.ones((3, 2)), w.collapse())
+        assert caught.value.rows == (0, 1, 2)
+
+    def test_degenerate_rows_are_named(self):
+        # the map keeps the first component only, so rows 1 and 3 vanish
+        w = EncoderWeights(w1=np.eye(2), b1=np.zeros(2),
+                           w2=np.array([[1.0, 0.0]]), b2=np.zeros(1))
+        fused = np.array([[2.0, 1.0], [0.0, 1.0], [-3.0, 0.0], [0.0, 5.0]])
+        with pytest.raises(DegenerateEmbeddingError) as caught:
+            encode(fused, w)
+        assert caught.value.rows == (1, 3)
+
+    def test_rows_normalized_as_single_vectors(self):
+        # each row's norm as np.linalg.norm takes it, so identity-weight
+        # rows equal the one-vector formula bit for bit at any batch size
+        rng = np.random.default_rng(8)
+        w = EncoderWeights.identity_init(40)
+        fused = np.abs(rng.normal(size=(37, 41)))
+        out = encode(fused, w)
+        for row, f in zip(out, fused):
+            assert np.array_equal(row, f[:40] / np.linalg.norm(f[:40]))
+            assert np.array_equal(row, encode(f[None], w)[0])
 
 
 class TestCollapsedEncoder:
@@ -110,15 +131,16 @@ class TestCollapsedEncoder:
                 w1=rng.normal(size=(h, d_in)), b1=rng.normal(size=h),
                 w2=rng.normal(size=(e, h)), b2=rng.normal(size=e),
             )
-            fused = rng.normal(size=d_in)
+            fused = rng.normal(size=(int(rng.integers(1, 6)), d_in))
             worst = max(worst, np.abs(encode(fused, w.collapse()) - encode(fused, w)).max())
         assert worst <= 1e-12
 
     def test_bit_exact_on_identity_weights(self, corpus, provider, identity_weights):
         collapsed = identity_weights.collapse()
-        for record in corpus.records[::50]:
-            assert np.array_equal(embed_log(record, provider, collapsed),
-                                  embed_log(record, provider, identity_weights))
+        records = corpus.records[::50]
+        for a, b in zip(embed_log(records, provider, collapsed),
+                        embed_log(records, provider, identity_weights)):
+            assert np.array_equal(a, b)
 
     def test_is_a_frozen_copy(self):
         w = EncoderWeights.identity_init(3)
@@ -132,13 +154,43 @@ class TestCollapsedEncoder:
 class TestEmbedLog:
     def test_pure_function(self, provider, identity_weights):
         r = LogRecord("s", "alpha beta gamma")
-        a = embed_log(r, provider, identity_weights)
-        b = embed_log(r, provider, identity_weights)
+        [a] = embed_log([r], provider, identity_weights)
+        [b] = embed_log([r], provider, identity_weights)
         assert np.array_equal(a, b)
 
     def test_unit_norm(self, provider, identity_weights):
-        v = embed_log(LogRecord("s", "x y"), provider, identity_weights)
+        [v] = embed_log([LogRecord("s", "x y")], provider, identity_weights)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-6
+
+    def test_empty_list(self, provider, identity_weights):
+        assert embed_log([], provider, identity_weights) == []
+
+    def test_batch_equals_one_at_a_time(self, corpus, provider, identity_weights):
+        records = corpus.records[::7]
+        batch = embed_log(records, provider, identity_weights.collapse())
+        for record, vector in zip(records, batch):
+            [alone] = embed_log([record], provider, identity_weights.collapse())
+            assert np.array_equal(vector, alone)
+            assert vector.base is None  # its own array, not a view of the batch
+
+    def test_failures_are_returned_in_place(self):
+        class Table:
+            dim = 2
+            vectors = {"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [3.0, 4.0]}
+
+            def embed(self, text):
+                if text == "bad":
+                    raise ProviderError("HTTP 503")
+                return np.array(self.vectors[text])
+
+        # the map keeps the first provider component only: "b" has no direction
+        w = EncoderWeights(w1=np.eye(3), b1=np.zeros(3),
+                           w2=np.array([[1.0, 0.0, 0.0]]), b2=np.zeros(1))
+        records = [LogRecord("s", t) for t in ("a", "bad", "b", "c")]
+        a, bad, b, c = embed_log(records, Table(), w)
+        assert np.array_equal(a, [1.0]) and np.array_equal(c, [1.0])
+        assert isinstance(bad, ProviderError)
+        assert isinstance(b, DegenerateEmbeddingError)
 
     def test_fixture_corpus_separation(self, corpus, provider, identity_weights):
         from logsift.synthetic import similarity_margins
@@ -172,3 +224,17 @@ class TestEncoderWeights:
         assert np.array_equal(w.b1, loaded.b1)
         assert np.array_equal(w.w2, loaded.w2)
         assert np.array_equal(w.b2, loaded.b2)
+
+
+@pytest.mark.parametrize("doc", [
+    "[1, 2]",
+    "not json",
+    '{"version": 1, "w1": [[1.0]], "b1": [0.0], "w2": [[1.0]]}',
+    '{"version": 1, "w1": [1.0, 2.0], "b1": [0.0], "w2": [[1.0]], "b2": [0.0]}',
+    '{"version": 1, "w1": [["x"]], "b1": [0.0], "w2": [[1.0]], "b2": [0.0]}',
+], ids=["not-an-object", "not-json", "missing-b2", "1d-w1", "not-numbers"])
+def test_malformed_weights_file_is_a_config_error(tmp_path, doc):
+    path = tmp_path / "weights.json"
+    path.write_text(doc)
+    with pytest.raises(ConfigError):
+        EncoderWeights.load(str(path))

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from logsift import CentroidIndex, ParseState
 from logsift.errors import ClusterNotFoundError, SnapshotFormatError
 
-from conftest import random_unit
+from conftest import random_unit, write_v1_snapshot
 from oracles import oracle_moving_average, oracle_nearest
 
 
@@ -113,6 +114,37 @@ class TestNearest:
         index.remove(first)  # the last row, `high`, now sits before `low`
         assert index.nearest(unit(1, 0, 0)).cluster_id == low
         assert index.nearest(unit(1, 0, 0), exclude=low).cluster_id == high
+
+
+class TestNearestBatch:
+    def test_empty_index(self):
+        assert CentroidIndex().nearest_batch(np.eye(2)) == [None, None]
+
+    def test_ties_break_to_lowest_id_after_removal_moves_rows(self):
+        index = CentroidIndex()
+        first = index.insert(unit(0, 1, 0))
+        low = index.insert(unit(1, 0, 0))
+        index.insert(unit(0, 0, 1))
+        index.insert(unit(1, 0, 0))
+        index.remove(first)
+        hits = index.nearest_batch(np.stack([unit(1, 0, 0), unit(1, 1, 0)]))
+        assert [h.cluster_id for h in hits] == [low, low]
+
+    def test_equals_one_nearest_per_query(self):
+        # copies of one vector, exact and off by rounding-sized noise, put
+        # several rows within the re-scoring margin of a query's best
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            dim = int(rng.integers(2, 40))
+            base = random_unit(rng, dim)
+            index = CentroidIndex()
+            for _ in range(int(rng.integers(1, 150))):
+                v = [base, base + 1e-15 * rng.normal(size=dim),
+                     random_unit(rng, dim)][int(rng.integers(3))]
+                index.insert(v / np.linalg.norm(v))
+            queries = np.stack([base] + [random_unit(rng, dim) for _ in range(9)])
+            hits = index.nearest_batch(queries)
+            assert hits == [index.nearest(q) for q in queries]
 
 
 class TestUpdateMovingAverage:
@@ -280,6 +312,53 @@ class TestSnapshot:
         assert loaded.get(1).parse_state == ParseState.PARSED
         assert loaded.nearest(unit(0.1, 1)).cluster_id == 4
         assert loaded.insert(unit(1, 1)) == 5
+
+    def test_version_2_stores_raw_floats(self, tmp_path):
+        index = CentroidIndex()
+        v = unit(1, 2, 3)
+        index.insert(v)
+        path = tmp_path / "snap.json"
+        index.snapshot(str(path))
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 2
+        assert base64.b64decode(doc["centroids"][0]["vector"]) == v.astype("<f8").tobytes()
+
+    def test_version_1_and_2_load_bit_equal(self, tmp_path):
+        rng = np.random.default_rng(4)
+        index = CentroidIndex()
+        for i in range(50):
+            cid = index.insert(random_unit(rng, 12), weight=int(rng.integers(1, 9)))
+            if i % 4 == 0:
+                index.get(cid).template_id = i
+                index.get(cid).parse_state = ParseState.PARSED
+        index.remove(7)
+        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        write_v1_snapshot(index, v1)
+        index.snapshot(str(v2))
+        loaded = [CentroidIndex.load(str(p)) for p in (v1, v2)]
+        views = [[(c.cluster_id, c.weight, c.template_id, c.parse_state, c.vector.tobytes())
+                  for c in i.centroids()] for i in loaded]
+        assert views[0] == views[1]
+        assert [i.insert(unit(1, *[0] * 11)) for i in loaded] == [50, 50]
+
+    @pytest.mark.parametrize("version,vectors,message", [
+        (2, ["AAAA!AAA"], "base64"),
+        (2, [np.array([0.6, 0.8, 0.0]).tobytes()[:20]], "multiple of element size"),
+        (2, [unit(1, 1, 1).tobytes(), unit(1, 1).tobytes()], "unlike the others"),
+        (1, [unit(1, 1, 1).tolist(), unit(1, 1).tolist()], "unlike the others"),
+        (1, [unit(1, 1, 1).tolist(), [1.0]], "unlike the others"),
+    ], ids=["bad-base64", "partial-float", "mixed-dims-v2", "mixed-dims-v1",
+            "one-float-v1"])
+    def test_malformed_vectors_rejected(self, tmp_path, version, vectors, message):
+        entries = [{"id": i, "weight": 1, "template_id": None, "parse_state": "unparsed",
+                    "vector": base64.b64encode(v).decode() if isinstance(v, bytes) else v}
+                   for i, v in enumerate([unit(0, 1, 0).tobytes() if version == 2
+                                          else unit(0, 1, 0).tolist()] + vectors)]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": version, "next_id": len(entries),
+                                    "centroids": entries}))
+        with pytest.raises(SnapshotFormatError, match=message):
+            CentroidIndex.load(str(path))
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.json"

@@ -284,6 +284,19 @@ class TestCompletionFailure:
         assert pipe.index.get(first.cluster_id).parse_state == ParseState.PARSED
         assert pipe.parser.store.template_for(first.cluster_id) == "disk full on volume <*>"
 
+    def test_raw_log_fallback_takes_no_template_id(self, provider, identity_weights):
+        pipe = make_pipeline(provider, identity_weights)
+        pipe.parser.client = FailsFirstCompletion()
+        first = pipe.ingest(LogRecord("s", "disk full on volume 7"))
+        second = pipe.ingest(LogRecord("s", "network link down on port 3"))
+        assert pipe.index.get(first.cluster_id).template_id is None
+        pipe.force_rebalance()
+        # the raw text was never a template: ids stay dense, and a later
+        # template equal to it could not share its id
+        assert pipe.parser.store._by_text == {"network link down on port <*>": 0,
+                                              "disk full on volume <*>": 1}
+        assert [pipe.index.get(a.cluster_id).template_id for a in (first, second)] == [1, 0]
+
     def test_batch(self, provider, identity_weights):
         pipe = make_pipeline(provider, identity_weights, batch_mode=True)
         pipe.parser.client = FailsFirstCompletion()
@@ -335,6 +348,32 @@ class TestEmbeddingCache:
             pipe.ingest(LogRecord("s", text))
         # "a x" was used after "b x", so "c x" evicts "b x", which evicts "a x"
         assert counting.calls == {"a x": 2, "b x": 2, "c x": 1}
+
+    def test_batch_leaves_the_order_of_one_record_at_a_time(self, provider,
+                                                            identity_weights,
+                                                            monkeypatch):
+        monkeypatch.setattr(ingest_module, "EMBED_CACHE_ENTRIES", 3)
+        texts = ["a x", "b x", "a x", "c x", "d x", "b x", "a x", "e x", "e x",
+                 "c x", "f x", "a x", "g x", "h x", "a x"]
+        records = [LogRecord("s", t) for t in texts]
+        one_by_one = make_pipeline(provider, identity_weights)
+        for record in records:
+            one_by_one.ingest(record)
+        batch = make_pipeline(provider, identity_weights, batch_mode=True)
+        batch.ingest_batch(records[:4])
+        batch.ingest_batch(records[4:])
+        # "b x" and "a x" are evicted and seen again inside the second batch
+        assert list(batch._vectors) == list(one_by_one._vectors)
+
+    def test_batch_embeds_a_failing_line_once(self, provider, identity_weights):
+        counting = CountingProvider(provider, failures=1)
+        pipe = make_pipeline(counting, identity_weights, batch_mode=True)
+        bad, good = LogRecord("s", "alpha beta"), LogRecord("s", "gamma delta")
+        assignments, errors = pipe.ingest_batch([bad, good, bad])
+        assert counting.calls == {"alpha beta": 1, "gamma delta": 1}
+        assert [(r, type(e)) for r, e in errors] == [(bad, ProviderError)] * 2
+        assert pipe.dead_letters == errors
+        assert len(assignments) == 1
 
     def test_failed_embedding_is_not_cached(self, provider, identity_weights):
         counting = CountingProvider(provider, failures=1)

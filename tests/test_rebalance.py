@@ -5,7 +5,7 @@ from logsift import CentroidIndex, ParseState, merge_pair, rebalance
 from logsift.errors import ClusterNotFoundError
 
 from conftest import random_unit
-from oracles import oracle_merge
+from oracles import oracle_merge, oracle_rebalance
 
 
 def unit(*values):
@@ -141,6 +141,20 @@ class TestRebalance:
         assert len(report.merges) == 2
 
 
+    def test_tie_between_a_survivor_and_an_older_cluster_goes_to_the_lower_id(self):
+        # a survivor keeps the walk slot of the cluster it replaced, so it can
+        # sit before an older cluster; ties still go to the lower id
+        p = np.array([np.cos(0.42), np.sin(0.42), 0.0])  # 24 degrees
+        s1 = p / np.linalg.norm(p)  # what merging p with a copy of itself gives
+        e = np.array([np.cos(0.21), 0.0, np.sin(0.21)])  # 12 degrees
+        index = CentroidIndex()
+        for v in (p, p, s1 * [1, -1, 1], e, e * [1, 1, -1]):
+            index.insert(v / np.linalg.norm(v))
+        # 0+1 -> 5 in slot 0; 3+4 -> 6 = (1, 0, 0), whose equal best partners
+        # are 5 (slot 0) and 2 (slot 2)
+        report = rebalance(index, 0.9)
+        assert [m.absorbed_ids for m in report.merges] == [(0, 1), (3, 4), (6, 2)]
+
 PARSED, UNPARSED, FAILED = ParseState.PARSED, ParseState.UNPARSED, ParseState.FAILED
 
 
@@ -195,3 +209,51 @@ class TestMergeOutcome:
         for c in index.centroids():
             assert c.template_id == template_ids[c.cluster_id]
             assert (c.parse_state == PARSED) == (c.template_id is not None)
+
+
+def clustered_index(seed):
+    """Clusters around a few centres: exact duplicates, near copies within
+    rounding of each other, and spread members that merge in chains; mixed
+    weights and parse states; some removals, which move rows."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(3, 24))
+    centres = [random_unit(rng, dim) for _ in range(int(rng.integers(1, 6)))]
+    index = CentroidIndex()
+    for i in range(int(rng.integers(2, 120))):
+        kind = rng.random()
+        if kind < 0.2 and len(index):
+            ids = index.ids()
+            v = index.get(ids[int(rng.integers(len(ids)))]).vector
+        else:
+            spread = 1e-15 if kind < 0.35 else float(rng.choice([0.05, 0.2, 0.5]))
+            v = centres[int(rng.integers(len(centres)))] + spread * rng.normal(size=dim)
+        parsed = rng.random() < 0.5
+        index.insert(v / np.linalg.norm(v), weight=int(rng.integers(1, 6)),
+                     template_id=i if parsed else None,
+                     parse_state=PARSED if parsed else UNPARSED)
+    for _ in range(int(rng.integers(0, 4))):
+        ids = index.ids()
+        if len(ids) > 2:
+            index.remove(ids[int(rng.integers(len(ids)))])
+    return index
+
+
+def test_gram_pass_equals_one_nearest_per_cluster():
+    merges = chained = duplicates = 0
+    for seed in range(120):
+        threshold = [0.5, 0.8, 0.9, 0.99][seed % 4]
+        got_index, want_index = clustered_index(seed), clustered_index(seed)
+        got = rebalance(got_index, threshold)
+        want = oracle_rebalance(want_index, threshold)
+        assert got == want, seed  # partners, survivors, similarities, kept_from
+        assert [(c.cluster_id, c.weight, c.template_id, c.parse_state, c.vector.tobytes())
+                for c in got_index.centroids()] == \
+            [(c.cluster_id, c.weight, c.template_id, c.parse_state, c.vector.tobytes())
+             for c in want_index.centroids()], seed
+        survivors = set()
+        for event in got.merges:
+            chained += bool(survivors & set(event.absorbed_ids))
+            duplicates += event.similarity == 1.0
+            survivors.add(event.surviving_id)
+        merges += len(got.merges)
+    assert merges > 3000 and chained > 2000 and duplicates > 300, (merges, chained, duplicates)
