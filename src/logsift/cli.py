@@ -233,9 +233,10 @@ def cmd_export_embeddings(args) -> int:
         weights = _load_weights(args, provider)
         records = _read_records(args.corpus)
         dim = weights.output_dim
-        for i, vector in enumerate(embed_log(records, provider, weights)):
+        for i, record in enumerate(records):
+            [vector] = embed_log([record], provider, weights)
             if isinstance(vector, Exception):
-                raise vector
+                raise vector  # stop at the first record that cannot be embedded
             values = ",".join(repr(float(x)) for x in vector)
             rows.append(f"{i},1,{values}")
     header = "id,weight," + ",".join(f"v{k}" for k in range(dim))

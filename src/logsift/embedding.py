@@ -238,27 +238,30 @@ def fuse_word_count(raw: np.ndarray, word_count: int) -> np.ndarray:
     return np.concatenate([raw, [word_count / WORD_COUNT_SCALE]])
 
 
+def _unit(row: np.ndarray) -> np.ndarray:
+    """`row` scaled to unit length; a row shorter than NORM_EPS has no
+    direction."""
+    norm = np.linalg.norm(row)
+    if norm < NORM_EPS:
+        raise DegenerateEmbeddingError("encoder output norm below threshold")
+    return row / norm
+
+
 def encode(fused: np.ndarray, weights: EncoderWeights | AffineMap) -> np.ndarray:
     """The encoder (two layers in turn, or one collapsed map) applied to
     every row of `fused` (B, D+1) with one matrix product, then each row
-    scaled to unit length: (B, E).
-
-    Each row's norm is taken as `np.linalg.norm` takes a vector's. Rows
-    shorter than NORM_EPS have no direction; the error raised for them
-    lists them in `rows`."""
+    scaled to unit length: (B, E)."""
     out = weights.apply(fused)
-    norms = np.sqrt([row.dot(row) for row in out])
-    if (norms < NORM_EPS).any():
-        raise DegenerateEmbeddingError("encoder output norm below threshold",
-                                       rows=np.flatnonzero(norms < NORM_EPS).tolist())
-    out /= norms[:, None]
+    for k, row in enumerate(out):
+        out[k] = _unit(row)
     return out
 
 
 def embed_log(records: Sequence[LogRecord], provider: EmbeddingProvider,
               weights: EncoderWeights | AffineMap) -> list[np.ndarray | Exception]:
     """Full pipeline for each record: provider embedding -> word-count
-    fusion, then one `encode` of every record the provider embedded.
+    fusion, then the encoder applied to every record the provider embedded
+    with one matrix product, and each row scaled as `encode` scales it.
 
     Returns, per record, its unit vector (an array of its own) or the
     RECORD_ERRORS instance that stopped it. A dimension mismatch, which
@@ -271,16 +274,10 @@ def embed_log(records: Sequence[LogRecord], provider: EmbeddingProvider,
         except RECORD_ERRORS as exc:
             outcomes[i] = exc
     rows = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    while rows:
-        try:
-            vectors = encode(np.array([fused[i] for i in rows]), weights)
-        except DegenerateEmbeddingError as exc:
-            # those records fail; the others are encoded again without them
-            for k in exc.rows:
-                outcomes[rows[k]] = exc
-            rows = [i for i in rows if outcomes[i] is None]
-            continue
-        for i, vector in zip(rows, vectors):
-            outcomes[i] = vector.copy()  # no view keeps the whole batch alive
-        break
+    if rows:
+        for i, row in zip(rows, weights.apply(np.array([fused[i] for i in rows]))):
+            try:
+                outcomes[i] = _unit(row)
+            except DegenerateEmbeddingError as exc:
+                outcomes[i] = exc
     return outcomes

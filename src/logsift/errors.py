@@ -18,12 +18,7 @@ class DimensionMismatchError(LogsiftError):
 
 
 class DegenerateEmbeddingError(LogsiftError):
-    """Encoder output norm below the rejection threshold; `rows` lists the
-    rows of an encoded batch that fell below it."""
-
-    def __init__(self, message: str, rows: tuple[int, ...] | list[int] = ()):
-        super().__init__(message)
-        self.rows = tuple(rows)
+    """Encoder output norm below the rejection threshold."""
 
 
 class ClusterNotFoundError(LogsiftError):

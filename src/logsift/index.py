@@ -9,8 +9,9 @@ occupies.
 `nearest` scores with `einsum`, which sums each row's products in one order
 wherever the row sits. `nearest_batch` scores B queries with one BLAS
 matrix product, whose sums may differ from einsum's in the last bits, and
-then re-scores with einsum every row within TIE_MARGIN of a query's best
-(`exact_best`), so its hits and similarities are `nearest`'s exactly.
+then re-scores with einsum every row within TIE_MARGIN of a query's best,
+so its hits and similarities are `nearest`'s exactly. Both pick the hit
+among the tied rows in one place, `_hit`.
 
 A snapshot (version 2) is JSON metadata with each vector stored as base64
 of its little-endian float64 bytes; version 1 files, whose vectors are JSON
@@ -59,19 +60,6 @@ class ClusterCentroid:
 class SearchHit:
     cluster_id: int
     similarity: float
-
-
-def exact_best(scores: np.ndarray, vectors: np.ndarray,
-               query: np.ndarray) -> tuple[np.ndarray, float]:
-    """The rows of `vectors` tied at the best exact score for `query`, and
-    that score, from approximate `scores` (one per row; -inf passes a row
-    over, and one row at least must have a finite score): the rows within
-    TIE_MARGIN of the best approximate score are re-scored as `nearest`
-    scores them."""
-    rows = np.flatnonzero(scores >= scores.max() - TIE_MARGIN)
-    sims = np.einsum("ij,j->i", vectors[rows], query)
-    best = sims.max()
-    return rows[sims == best], float(best)
 
 
 def _check_unit(vector: np.ndarray) -> np.ndarray:
@@ -148,9 +136,7 @@ class CentroidIndex:
                          np.asarray(query, dtype=np.float64))
         if exclude in self._rows:
             sims[self._rows[exclude]] = -np.inf
-        best = sims.max()
-        cid = min(self._live[row].cluster_id for row in np.flatnonzero(sims == best))
-        return SearchHit(cid, float(best))
+        return self._hit(sims, np.arange(n))
 
     def nearest_batch(self, queries: np.ndarray) -> list[Optional[SearchHit]]:
         """`nearest` of each row of `queries` (B, E), all against the index
@@ -162,9 +148,17 @@ class CentroidIndex:
         live = self._matrix[:n]
         hits = []
         for query, scores in zip(queries, queries @ live.T):
-            rows, best = exact_best(scores, live, query)
-            hits.append(SearchHit(min(self._live[r].cluster_id for r in rows), best))
+            rows = np.flatnonzero(scores >= scores.max() - TIE_MARGIN)
+            hits.append(self._hit(np.einsum("ij,j->i", live[rows], query), rows))
         return hits
+
+    def _hit(self, sims: np.ndarray, rows: np.ndarray) -> SearchHit:
+        """The best of `sims`, the einsum scores of matrix `rows`; a tie
+        goes to the lowest cluster id, whatever rows the tied centroids
+        occupy."""
+        best = sims.max()
+        cid = min(self._live[row].cluster_id for row in rows[sims == best])
+        return SearchHit(cid, float(best))
 
     def update_moving_average(self, cluster_id: int,
                               incoming: np.ndarray) -> ClusterCentroid:

@@ -6,15 +6,6 @@ similar as the clustering threshold they are merged into a fresh cluster
 whose vector is the weight-proportional average, and the merged cluster is
 re-examined at the same position so chains of merges collapse in one pass.
 Each merge strictly decreases the cluster count, so the pass terminates.
-
-The lookups read one Gram matrix of the pass's centroids, computed with one
-matrix product when the pass starts. Slot i of the pass holds the cluster
-at position i of the walk: a merge's survivor takes its examined cluster's
-slot, with its row and column filled by one matrix-vector product, and the
-absorbed partner's slot is masked, so the matrix never grows. BLAS scores
-are approximate in the last bits, so each lookup re-scores its near-best
-partners as `CentroidIndex.nearest` scores them (`exact_best`): partners
-and similarities are those of one `nearest(exclude=...)` per lookup.
 """
 
 from __future__ import annotations
@@ -24,14 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .index import (
-    NORM_EPS,
-    TIE_MARGIN,
-    CentroidIndex,
-    ClusterCentroid,
-    ParseState,
-    exact_best,
-)
+from .index import NORM_EPS, CentroidIndex, ClusterCentroid, ParseState
 
 
 @dataclass(frozen=True)
@@ -91,40 +75,25 @@ def rebalance(index: CentroidIndex, threshold: float) -> MergeReport:
     before = len(index)
     report = MergeReport(clusters_before=before, clusters_after=before)
     work = index.ids()
-    if not work:
-        return report
-    vectors = np.stack([index.get(cid).vector for cid in work])
-    gram = vectors @ vectors.T
-    np.fill_diagonal(gram, -np.inf)  # a cluster is not its own partner
-    live = np.ones(len(work), dtype=bool)
     i = 0
     while i < len(work):
-        # no score within TIE_MARGIN of the threshold: no partner exactly at it
-        if not live[i] or gram[i].max() < threshold - TIE_MARGIN:
+        cid = work[i]
+        if cid not in index:
             i += 1
             continue
-        rows, similarity = exact_best(gram[i], vectors, vectors[i])
-        if similarity < threshold:
+        hit = index.nearest(index.get(cid).vector, exclude=cid)
+        if hit is not None and hit.similarity >= threshold:
+            winner = _winner(index.get(cid), index.get(hit.cluster_id))
+            survivor = merge_pair(index, cid, hit.cluster_id)
+            report.merges.append(MergeEvent(
+                absorbed_ids=(cid, hit.cluster_id),
+                surviving_id=survivor,
+                similarity=hit.similarity,
+                kept_from=None if winner is None else winner.cluster_id,
+            ))
+            # re-process the merged vector at the current position
+            work[i] = survivor
+        else:
             i += 1
-            continue
-        j = min(rows, key=work.__getitem__)  # the lowest id on a tie
-        cid, partner = work[i], work[j]
-        winner = _winner(index.get(cid), index.get(partner))
-        survivor = merge_pair(index, cid, partner)
-        report.merges.append(MergeEvent(
-            absorbed_ids=(cid, partner),
-            surviving_id=survivor,
-            similarity=similarity,
-            kept_from=None if winner is None else winner.cluster_id,
-        ))
-        # re-process the merged vector at the current position and slot
-        work[i] = survivor
-        vectors[i] = index.get(survivor).vector
-        live[j] = False
-        gram[j] = gram[:, j] = -np.inf
-        scores = vectors @ vectors[i]
-        scores[~live] = -np.inf
-        scores[i] = -np.inf
-        gram[i] = gram[:, i] = scores
     report.clusters_after = len(index)
     return report

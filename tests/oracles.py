@@ -2,15 +2,13 @@
 
 These deliberately avoid the library's own code paths: groupings are
 compared by exhaustive membership enumeration, the nearest neighbor by a
-full scan, the merge/update algebra by the closed-form expressions, each
-line's vector by the two-layer encoder formula, recomputed per line, and a
-rebalance pass by one `nearest` per examined cluster.
+full scan, the merge/update algebra by the closed-form expressions, and
+each line's vector by the two-layer encoder formula, recomputed per line.
 """
 
 import numpy as np
 
 from logsift import Pipeline
-from logsift.rebalance import MergeEvent, MergeReport, _winner, merge_pair
 
 
 def oracle_grouping_accuracy(predicted, truth):
@@ -97,36 +95,6 @@ def oracle_embed(content, provider, weights):
     fused = np.append(provider.embed(content), len(content.split()) / 100.0)
     out = weights.w2 @ (weights.w1 @ fused + weights.b1) + weights.b2
     return out / np.linalg.norm(out)
-
-
-def oracle_rebalance(index, threshold):
-    """A rebalance pass with one `index.nearest(exclude=...)` per examined
-    cluster: the ascending-id walk, each survivor re-examined in its
-    constituent's place."""
-    before = len(index)
-    report = MergeReport(clusters_before=before, clusters_after=before)
-    work = index.ids()
-    i = 0
-    while i < len(work):
-        cid = work[i]
-        if cid not in index:
-            i += 1
-            continue
-        hit = index.nearest(index.get(cid).vector, exclude=cid)
-        if hit is not None and hit.similarity >= threshold:
-            winner = _winner(index.get(cid), index.get(hit.cluster_id))
-            survivor = merge_pair(index, cid, hit.cluster_id)
-            report.merges.append(MergeEvent(
-                absorbed_ids=(cid, hit.cluster_id),
-                surviving_id=survivor,
-                similarity=hit.similarity,
-                kept_from=None if winner is None else winner.cluster_id,
-            ))
-            work[i] = survivor
-        else:
-            i += 1
-    report.clusters_after = len(index)
-    return report
 
 
 class OraclePipeline(Pipeline):

@@ -196,3 +196,18 @@ def test_wrong_dimension_stops_the_run(monkeypatch, sleeps, tmp_path, capsys, mo
     assert not (tmp_path / "s.json").exists()
     err = capsys.readouterr().err
     assert "provider error" in err and "dead letter" not in err
+
+
+def test_export_embeddings_stops_at_the_first_failing_line(monkeypatch, sleeps, tmp_path):
+    # a provider that refuses every call is asked once, not once per line
+    monkeypatch.setenv("EMBEDDING_API_KEY", "k")
+    post = script(monkeypatch, 401)
+    corpus = tmp_path / "app.log"
+    corpus.write_text("disk full on sda1\nfan failed on rack7\ndisk full on sdb2\n")
+    rc = main(["export-embeddings", "--corpus", str(corpus),
+               "--output", str(tmp_path / "v.csv"),
+               "--provider", "remote", "--provider-url", "http://emb",
+               "--provider-model", "m", "--provider-dim", "8"])
+    assert rc == EXIT_PROVIDER
+    assert len(post.calls) == 1
+    assert not (tmp_path / "v.csv").exists()
