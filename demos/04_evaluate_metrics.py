@@ -39,15 +39,15 @@ report = evaluate(predicted, truth)
 print("perfect run:")
 print(report.to_table())
 
-# now sabotage the run: corrupt one template's text and split one group
+# now sabotage the run: corrupt one template's text, and give half of
+# another cluster's logs a second template, which splits that group
 broken = list(predicted)
 for i, t in enumerate(broken):
     if t == predicted[0]:
         broken[i] = predicted[0] + " oops"        # wrong text, same group
-broken_groups = [a.cluster_id for a in assignments]
-for i in range(50):
-    broken_groups[i] = 9999                       # split half of cluster 0
+for i in range(100, 150):
+    broken[i] = predicted[i] + " split"           # half of the second cluster
 
-report = evaluate(broken, truth, predicted_groups=broken_groups)
+report = evaluate(broken, truth)
 print("\nsabotaged run (one template text corrupted, one group split):")
 print(report.to_table())

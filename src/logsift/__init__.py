@@ -12,7 +12,6 @@ from .embedding import (
     RemoteProvider,
     embed_log,
     embed_raw,
-    encode,
     fuse_word_count,
 )
 from .index import CentroidIndex, ParseState
@@ -65,7 +64,6 @@ __all__ = [
     "build_prompt",
     "embed_log",
     "embed_raw",
-    "encode",
     "evaluate",
     "extract_template",
     "fga",

@@ -170,8 +170,11 @@ def cmd_evaluate(args) -> int:
         raise SchemaError(
             f"row count mismatch: {len(rows)} assignments vs {len(dataset)} dataset rows"
         )
-    predicted_templates = [r.get("template") or f"cluster-{r['cluster_id']}"
-                           for r in rows]
+    predicted_templates = []
+    for n, row in enumerate(rows, start=1):
+        if not isinstance(row, dict) or not (row.get("template") or "cluster_id" in row):
+            raise SchemaError(f"assignment row {n} names no template or cluster_id")
+        predicted_templates.append(str(row.get("template") or f"cluster-{row['cluster_id']}"))
     report = evaluate(predicted_templates, list(dataset.templates))
     if args.report_out:
         with atomic_write(args.report_out) as fh:
@@ -219,26 +222,23 @@ def cmd_rebalance(args) -> int:
 
 
 def cmd_export_embeddings(args) -> int:
-    rows: list[str] = []
     if args.snapshot:
-        index = CentroidIndex.load(args.snapshot)
-        dim = None
-        for c in index.centroids():
-            dim = len(c.vector)
-            values = ",".join(repr(float(x)) for x in c.vector)
-            rows.append(f"{c.cluster_id},{c.weight},{values}")
-        dim = dim or 0
+        entries = [(c.cluster_id, c.weight, c.vector)
+                   for c in CentroidIndex.load(args.snapshot).centroids()]
+        dim = len(entries[0][2]) if entries else 0
     else:
         provider = _build_provider(args)
         weights = _load_weights(args, provider)
-        records = _read_records(args.corpus)
-        dim = weights.output_dim
-        for i, record in enumerate(records):
-            [vector] = embed_log([record], provider, weights)
+        encoder = weights.collapse()  # the map ingest embeds with
+        entries = []
+        for i, record in enumerate(_read_records(args.corpus)):
+            [vector] = embed_log([record], provider, encoder)
             if isinstance(vector, Exception):
                 raise vector  # stop at the first record that cannot be embedded
-            values = ",".join(repr(float(x)) for x in vector)
-            rows.append(f"{i},1,{values}")
+            entries.append((i, 1, vector))
+        dim = weights.output_dim
+    rows = [f"{cid},{weight}," + ",".join(repr(float(x)) for x in vector)
+            for cid, weight, vector in entries]
     header = "id,weight," + ",".join(f"v{k}" for k in range(dim))
     with atomic_write(args.output) as fh:
         fh.write("\n".join([header] + rows) + "\n")

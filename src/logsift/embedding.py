@@ -2,20 +2,20 @@
 
 The final vector for a log is computed in three steps: a text-embedding
 provider maps the content to a D-vector, the whitespace word count is
-appended as one scaled feature, and a two-layer affine encoder projects the
-fused vector before L2 normalization. Cosine similarity between two logs is
+appended as one scaled feature, and an affine encoder projects the fused
+vector before L2 normalization. Cosine similarity between two logs is
 then a plain dot product.
 
 The encoder has no activation, so its two layers are one affine map.
-`EncoderWeights` keeps them as the two factors that training updates;
-`EncoderWeights.collapse` multiplies them out into a frozen `AffineMap`.
-`encode` takes the fused vectors as the rows of one matrix and applies
-either form to all of them with one matrix product; `embed_log` calls the
-provider once per record and encodes the records together. With identity
-weights the two forms, and any batch size, give bit-identical vectors;
-otherwise they differ by rounding. The vector depends on the content
-alone, so `Pipeline` embeds each distinct line once and keeps its vector
-(see `logsift.ingest`).
+`EncoderWeights` keeps them as the two factors that training updates and
+the weights file stores; `EncoderWeights.collapse` multiplies them out
+into a frozen `AffineMap`, the one form every caller embeds with, through
+`embed_log`: a provider call per record, then one matrix product for all.
+A record alone gets the same vector bit for bit whoever embeds it; a row
+of a larger product can differ in the last bits, as BLAS orders its sums
+by the row's position (not at identity weights, where every sum is
+exact). The vector depends on the content alone, so `Pipeline` embeds
+each distinct line once and keeps its vector (see `logsift.ingest`).
 """
 
 from __future__ import annotations
@@ -115,10 +115,6 @@ class AffineMap:
     matrix: np.ndarray
     bias: np.ndarray
 
-    def apply(self, fused: np.ndarray) -> np.ndarray:
-        """Rows (B, D+1) to rows (B, E)."""
-        return fused @ self.matrix.T + self.bias
-
 
 @dataclass
 class EncoderWeights:
@@ -135,10 +131,8 @@ class EncoderWeights:
 
     def __post_init__(self):
         try:
-            self.w1 = np.asarray(self.w1, dtype=np.float64)
-            self.b1 = np.asarray(self.b1, dtype=np.float64)
-            self.w2 = np.asarray(self.w2, dtype=np.float64)
-            self.b2 = np.asarray(self.b2, dtype=np.float64)
+            self.w1, self.b1, self.w2, self.b2 = (
+                np.asarray(a, dtype=np.float64) for a in (self.w1, self.b1, self.w2, self.b2))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"encoder weights are not float arrays: {exc}") from exc
         if self.w1.ndim != 2 or self.w2.ndim != 2:
@@ -156,10 +150,6 @@ class EncoderWeights:
         return self.w1.shape[1]
 
     @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
     def output_dim(self) -> int:
         return self.w2.shape[0]
 
@@ -171,10 +161,6 @@ class EncoderWeights:
         d_in = provider_dim + 1
         return cls(w1=np.eye(d_in), b1=np.zeros(d_in),
                    w2=np.eye(provider_dim, d_in), b2=np.zeros(provider_dim))
-
-    def apply(self, fused: np.ndarray) -> np.ndarray:
-        """Rows (B, D+1) to rows (B, E), one layer after the other."""
-        return (fused @ self.w1.T + self.b1) @ self.w2.T + self.b2
 
     def collapse(self) -> AffineMap:
         """The two layers as one map, computed from the weights as they are
@@ -192,7 +178,7 @@ class EncoderWeights:
         doc = {
             "version": 1,
             "input_dim": self.input_dim,
-            "hidden_dim": self.hidden_dim,
+            "hidden_dim": self.w1.shape[0],
             "output_dim": self.output_dim,
             "w1": self.w1.tolist(),
             "b1": self.b1.tolist(),
@@ -238,46 +224,27 @@ def fuse_word_count(raw: np.ndarray, word_count: int) -> np.ndarray:
     return np.concatenate([raw, [word_count / WORD_COUNT_SCALE]])
 
 
-def _unit(row: np.ndarray) -> np.ndarray:
-    """`row` scaled to unit length; a row shorter than NORM_EPS has no
-    direction."""
-    norm = np.linalg.norm(row)
-    if norm < NORM_EPS:
-        raise DegenerateEmbeddingError("encoder output norm below threshold")
-    return row / norm
-
-
-def encode(fused: np.ndarray, weights: EncoderWeights | AffineMap) -> np.ndarray:
-    """The encoder (two layers in turn, or one collapsed map) applied to
-    every row of `fused` (B, D+1) with one matrix product, then each row
-    scaled to unit length: (B, E)."""
-    out = weights.apply(fused)
-    for k, row in enumerate(out):
-        out[k] = _unit(row)
-    return out
-
-
 def embed_log(records: Sequence[LogRecord], provider: EmbeddingProvider,
-              weights: EncoderWeights | AffineMap) -> list[np.ndarray | Exception]:
+              encoder: AffineMap) -> list[np.ndarray | Exception]:
     """Full pipeline for each record: provider embedding -> word-count
     fusion, then the encoder applied to every record the provider embedded
-    with one matrix product, and each row scaled as `encode` scales it.
+    with one matrix product, and each row scaled to unit length.
 
     Returns, per record, its unit vector (an array of its own) or the
-    RECORD_ERRORS instance that stopped it. A dimension mismatch, which
-    every record would hit, raises."""
+    RECORD_ERRORS instance that stopped it, a row shorter than NORM_EPS
+    having no direction. A dimension mismatch, which every record would
+    hit, raises."""
     outcomes: list = [None] * len(records)
-    fused: list = [None] * len(records)
+    fused: dict[int, np.ndarray] = {}  # record position -> fused vector
     for i, record in enumerate(records):
         try:
             fused[i] = fuse_word_count(embed_raw(record, provider), record.word_count)
         except RECORD_ERRORS as exc:
             outcomes[i] = exc
-    rows = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    if rows:
-        for i, row in zip(rows, weights.apply(np.array([fused[i] for i in rows]))):
-            try:
-                outcomes[i] = _unit(row)
-            except DegenerateEmbeddingError as exc:
-                outcomes[i] = exc
+    if fused:
+        out = np.array(list(fused.values())) @ encoder.matrix.T + encoder.bias
+        for i, row in zip(fused, out):
+            norm = np.linalg.norm(row)
+            outcomes[i] = (DegenerateEmbeddingError("encoder output norm below threshold")
+                           if norm < NORM_EPS else row / norm)
     return outcomes

@@ -238,7 +238,10 @@ class CentroidIndex:
                 index.insert(vector, weight=int(entry["weight"]),
                              template_id=entry["template_id"],
                              parse_state=ParseState(entry["parse_state"]))
-            index._next_id = doc["next_id"]
+            next_id = doc["next_id"]
+            if type(next_id) is not int or next_id <= max(index.ids(), default=-1):
+                raise ValueError(f"next_id {next_id!r} is not an integer above every id")
+            index._next_id = next_id
         except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
             raise SnapshotFormatError(f"malformed snapshot {path}: {exc}") from exc
         return index

@@ -18,12 +18,12 @@ of `kept_from` and its first constituent's representative log.
 Both modes embed through one per-pipeline cache keyed by the exact line
 content, which alone fixes the vector: a line repeated while it is among
 the EMBED_CACHE_ENTRIES most recently used reuses its vector, read-only.
-A call's misses, each distinct line once, are encoded together with the
-weights collapsed to one matrix (a sequential call is a batch of one),
-and the cache is then used and filled in record order, so its order is
-the one a record-by-record walk would leave. A record that fails to embed
-is a dead letter, except for a dimension mismatch, which every record
-would hit and which stops the run.
+A call's misses, each distinct line once, are encoded together by
+`embed_log` with the weights collapsed at the first embedding (a
+sequential call is a batch of one), and the cache is then used and filled
+in record order, so its order is the one a record-by-record walk would
+leave. A record that fails to embed is a dead letter, except for a
+dimension mismatch, which every record would hit and which stops the run.
 """
 
 from __future__ import annotations

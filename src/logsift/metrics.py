@@ -170,17 +170,11 @@ class MetricsReport:
 
 
 def evaluate(predicted_templates: Sequence[str],
-             truth_templates: Sequence[str],
-             predicted_groups: Sequence[Hashable] | None = None) -> MetricsReport:
-    """All four metrics for one dataset.
-
-    Grouping defaults to predicted-template identity (clusters sharing a
-    template count as one group); pass predicted_groups to group by raw
-    cluster ids instead.
-    """
-    groups = predicted_templates if predicted_groups is None else predicted_groups
-    ga = grouping_accuracy(groups, truth_templates)
-    fga_value, n_g, n_p, n_c = fga(groups, truth_templates)
+             truth_templates: Sequence[str]) -> MetricsReport:
+    """All four metrics for one dataset. Logs are grouped by predicted
+    template: clusters sharing a template count as one group."""
+    ga = grouping_accuracy(predicted_templates, truth_templates)
+    fga_value, n_g, n_p, n_c = fga(predicted_templates, truth_templates)
     return MetricsReport(
         ga=ga,
         fga=fga_value,

@@ -14,9 +14,10 @@ import importlib.resources
 import json
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
-from .errors import MalformedResponseError, ProviderError
+from .errors import ConfigError, MalformedResponseError, ProviderError
 from .files import atomic_write
 from .index import CentroidIndex, ParseState
 from .rebalance import MergeEvent
@@ -82,17 +83,23 @@ class Prompt:
 
 
 def load_demonstrations(path: Optional[str] = None) -> tuple[Demonstration, ...]:
-    """Demo bundle: a data file next to the package, overridable by path."""
-    if path is not None:
-        with open(path) as fh:
+    """Demo bundle: a data file next to the package, overridable by path.
+    The file must be a non-empty JSON list of objects whose fields are the
+    three strings of a `Demonstration`."""
+    ref = importlib.resources.files("logsift.data") / "demonstrations.json" \
+        if path is None else Path(path)
+    with ref.open(encoding="utf-8") as fh:
+        try:
             entries = json.load(fh)
-    else:
-        ref = importlib.resources.files("logsift.data") / "demonstrations.json"
-        entries = json.loads(ref.read_text())
-    demos = tuple(Demonstration(**e) for e in entries)
-    if not demos:
-        raise ValueError("demonstration set is empty")
-    return demos
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse demonstrations file {ref}: {exc}") from exc
+    fields = set(Demonstration.__dataclass_fields__)
+    if not (isinstance(entries, list) and entries and all(
+            isinstance(e, dict) and set(e) == fields
+            and all(isinstance(v, str) for v in e.values()) for e in entries)):
+        raise ConfigError(f"demonstrations file {ref} is not a non-empty list of "
+                          f"objects with string fields {', '.join(sorted(fields))}")
+    return tuple(Demonstration(**e) for e in entries)
 
 
 def build_prompt(record: LogRecord,

@@ -150,6 +150,39 @@ class TestEvaluateCommand:
                    "--assignments", str(truncated)])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("row", ['["a template"]', '"a template"', "7",
+                                     '{"log_index": 3}', '{"template": null}'],
+                             ids=["list", "string", "number", "no-template-or-id",
+                                  "null-template-no-id"])
+    def test_bad_row_is_a_data_error(self, corpus_csv, tmp_path, capsys, row):
+        assigns = self._run_ingest(corpus_csv, tmp_path)
+        lines = open(assigns).read().splitlines()
+        lines[4] = row
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["evaluate", "--dataset", corpus_csv, "--assignments", str(bad)])
+        assert rc == EXIT_DATA
+        assert "assignment row 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    "not json",
+    "{}",
+    "[]",
+    '["a log"]',
+    '[{"log": "a b 1", "template": "a b <*>"}]',
+    '[{"log": "a b 1", "reasoning": "r", "template": 3}]',
+    '[{"log": "a b 1", "reasoning": "r", "template": "a b <*>", "extra": "x"}]',
+], ids=["not-json", "object", "empty", "not-objects", "no-reasoning",
+        "number-template", "extra-field"])
+def test_bad_demos_file_exits_2(corpus_csv, tmp_path, capsys, doc):
+    demos = tmp_path / "demos.json"
+    demos.write_text(doc)
+    rc = main(["ingest", "--input", corpus_csv, "--demos", str(demos),
+               "--snapshot-out", str(tmp_path / "snap.json")])
+    assert rc == EXIT_CONFIG
+    assert "config error: " in capsys.readouterr().err
+
 
 class TestTrainEncoderCommand:
     def test_writes_weights_and_trace(self, corpus_csv, tmp_path):
@@ -258,6 +291,15 @@ class TestRebalanceCommand:
         assert main(["rebalance", "--snapshot", str(snap)]) == EXIT_DATA
         assert "malformed snapshot" in capsys.readouterr().err
 
+    def test_next_id_that_reuses_an_id_exits_5(self, tmp_path, capsys):
+        snap = tmp_path / "snap.json"
+        random_index(1, n=3, dim=4).snapshot(str(snap))
+        doc = json.loads(snap.read_text())
+        doc["next_id"] = 1
+        snap.write_text(json.dumps(doc))
+        assert main(["rebalance", "--snapshot", str(snap)]) == EXIT_DATA
+        assert "next_id 1" in capsys.readouterr().err
+
     def test_rewrites_version_1_as_version_2(self, tmp_path):
         v1 = str(tmp_path / "v1.json")
         write_v1_snapshot(random_index(2), v1)
@@ -328,6 +370,33 @@ class TestExportEmbeddingsCommand:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["v0"]) == 0.6
         assert int(rows[0]["weight"]) == 1
+
+    @pytest.mark.parametrize("mode", [[], ["--batch-mode"]], ids=["sequential", "batch"])
+    def test_corpus_vectors_are_the_ones_ingest_commits(self, tmp_path, mode):
+        # random weights, where two layers in turn and the collapsed map
+        # round differently: each line, ingested alone, creates a cluster
+        # whose centroid is its vector, and the export writes that vector
+        rng = np.random.default_rng(11)
+        weights = str(tmp_path / "weights.json")
+        EncoderWeights(w1=rng.normal(size=(48, 33)), b1=rng.normal(size=48),
+                       w2=rng.normal(size=(64, 48)), b2=rng.normal(size=64)).save(weights)
+        corpus = generate_corpus(n_templates=4, logs_per_template=5, seed=3)
+        lines = [r.content for r in corpus.records]
+        settings = ["--weights", weights, "--provider-dim", "32"]
+        exported = tmp_path / "corpus.csv"
+        (tmp_path / "corpus.log").write_text("\n".join(lines) + "\n")
+        assert main(["export-embeddings", "--corpus", str(tmp_path / "corpus.log"),
+                     *settings, "--output", str(exported)]) == EXIT_OK
+        rows = exported.read_text().splitlines()[1:]
+        assert len(rows) == len(lines)
+        for i, line in enumerate(lines):
+            log, snap = tmp_path / "one.log", str(tmp_path / "one.json")
+            log.write_text(line + "\n")
+            assert main(["ingest", "--input", str(log), *mode, *settings,
+                         "--snapshot-out", snap, "--assignments-out",
+                         str(tmp_path / "one.jsonl")]) == EXIT_OK
+            [centroid] = CentroidIndex.load(snap).centroids()
+            assert rows[i].split(",")[2:] == [repr(float(x)) for x in centroid.vector]
 
     def test_degenerate_embedding_is_a_provider_error(self, tmp_path, capsys,
                                                       zero_weights):

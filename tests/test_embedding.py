@@ -7,10 +7,11 @@ from logsift import (
     LogRecord,
     embed_log,
     embed_raw,
-    encode,
     fuse_word_count,
 )
 from logsift.errors import ConfigError, DegenerateEmbeddingError, ProviderError
+
+from oracles import oracle_embed
 
 
 class TestLogRecord:
@@ -69,15 +70,40 @@ class TestFuseWordCount:
             fuse_word_count(np.zeros(3), 0)
 
 
+class Table:
+    """A provider that looks each line's vector up in a table."""
+
+    def __init__(self, vectors):
+        self.vectors = {text: np.asarray(v, dtype=float) for text, v in vectors.items()}
+        self.dim = len(next(iter(self.vectors.values())))
+
+    def embed(self, text):
+        if text == "bad":
+            raise ProviderError("HTTP 503")
+        return self.vectors[text]
+
+
+def words(n, tag="w"):
+    """A line of n words, so its fused word-count feature is n / 100."""
+    return " ".join(f"{tag}{k}" for k in range(n))
+
+
+def embed_rows(raw, word_counts, weights):
+    """embed_log of one record per row of `raw`, with the given word counts."""
+    lines = [words(n, f"r{i}x") for i, n in enumerate(word_counts)]
+    provider = Table(dict(zip(lines, raw)))
+    return embed_log([LogRecord("s", t) for t in lines], provider, weights.collapse())
+
+
 class TestEncode:
     def test_identity_on_unit_input(self):
         w = EncoderWeights.identity_init(3)
-        fused = np.array([[1.0, 0.0, 0.0, 0.07]])
-        assert np.allclose(encode(fused, w), [[1.0, 0.0, 0.0]])
+        [v] = embed_rows([[1.0, 0.0, 0.0]], [7], w)
+        assert np.allclose(v, [1.0, 0.0, 0.0])
 
     def test_identity_normalizes(self):
         w = EncoderWeights.identity_init(3)
-        out = encode(np.array([[3.0, 4.0, 0.0, 0.02], [0.0, 0.0, 2.0, 0.5]]), w)
+        out = embed_rows([[3.0, 4.0, 0.0], [0.0, 0.0, 2.0]], [2, 50], w)
         assert np.allclose(out, [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])
 
     def test_unit_norm_over_random_draws(self):
@@ -88,35 +114,36 @@ class TestEncode:
                 w1=rng.normal(size=(h, d_in)), b1=rng.normal(size=h),
                 w2=rng.normal(size=(e, h)), b2=rng.normal(size=e),
             )
-            out = encode(rng.normal(size=(3, d_in)), w)
+            out = embed_rows(rng.normal(size=(3, d_in - 1)), rng.integers(1, 9, size=3), w)
             assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) <= 1e-6)
 
     def test_degenerate_norm_rejected(self):
         w = EncoderWeights(w1=np.zeros((2, 2)), b1=np.zeros(2),
                            w2=np.zeros((2, 2)), b2=np.zeros(2))
-        with pytest.raises(DegenerateEmbeddingError):
-            encode(np.ones((1, 2)), w)
-        with pytest.raises(DegenerateEmbeddingError):
-            encode(np.ones((3, 2)), w.collapse())
+        for n in (1, 3):
+            out = embed_rows(np.ones((n, 1)), [1] * n, w)
+            assert all(isinstance(v, DegenerateEmbeddingError) for v in out)
 
-    def test_one_degenerate_row_fails_the_matrix(self):
+    def test_only_the_degenerate_rows_fail(self):
         # the map keeps the first component only, so rows 1 and 3 vanish
         w = EncoderWeights(w1=np.eye(2), b1=np.zeros(2),
                            w2=np.array([[1.0, 0.0]]), b2=np.zeros(1))
-        fused = np.array([[2.0, 1.0], [0.0, 1.0], [-3.0, 0.0], [0.0, 5.0]])
-        with pytest.raises(DegenerateEmbeddingError):
-            encode(fused, w)
+        out = embed_rows([[2.0], [0.0], [-3.0], [0.0]], [1, 1, 1, 1], w)
+        assert np.array_equal(out[0], [1.0]) and np.array_equal(out[2], [-1.0])
+        assert isinstance(out[1], DegenerateEmbeddingError)
+        assert isinstance(out[3], DegenerateEmbeddingError)
 
     def test_rows_normalized_as_single_vectors(self):
         # each row's norm as np.linalg.norm takes it, so identity-weight
         # rows equal the one-vector formula bit for bit at any batch size
         rng = np.random.default_rng(8)
         w = EncoderWeights.identity_init(40)
-        fused = np.abs(rng.normal(size=(37, 41)))
-        out = encode(fused, w)
-        for row, f in zip(out, fused):
-            assert np.array_equal(row, f[:40] / np.linalg.norm(f[:40]))
-            assert np.array_equal(row, encode(f[None], w)[0])
+        raw = np.abs(rng.normal(size=(37, 40)))
+        counts = rng.integers(1, 30, size=37)
+        out = embed_rows(raw, counts, w)
+        for k, (row, r) in enumerate(zip(out, raw)):
+            assert np.array_equal(row, r / np.linalg.norm(r))
+            assert np.array_equal(row, embed_rows(raw[k:k + 1], counts[k:k + 1], w)[0])
 
 
 class TestCollapsedEncoder:
@@ -129,16 +156,20 @@ class TestCollapsedEncoder:
                 w1=rng.normal(size=(h, d_in)), b1=rng.normal(size=h),
                 w2=rng.normal(size=(e, h)), b2=rng.normal(size=e),
             )
-            fused = rng.normal(size=(int(rng.integers(1, 6)), d_in))
-            worst = max(worst, np.abs(encode(fused, w.collapse()) - encode(fused, w)).max())
+            lines = [words(int(n), f"r{i}x")
+                     for i, n in enumerate(rng.integers(1, 20, size=rng.integers(1, 6)))]
+            provider = Table({t: rng.normal(size=d_in - 1) for t in lines})
+            out = embed_log([LogRecord("s", t) for t in lines], provider, w.collapse())
+            worst = max(worst, max(np.abs(v - oracle_embed(t, provider, w)).max()
+                                   for t, v in zip(lines, out)))
         assert worst <= 1e-12
 
     def test_bit_exact_on_identity_weights(self, corpus, provider, identity_weights):
-        collapsed = identity_weights.collapse()
         records = corpus.records[::50]
-        for a, b in zip(embed_log(records, provider, collapsed),
-                        embed_log(records, provider, identity_weights)):
-            assert np.array_equal(a, b)
+        for record, v in zip(records, embed_log(records, provider,
+                                                identity_weights.collapse())):
+            assert np.array_equal(v, oracle_embed(record.content, provider,
+                                                  identity_weights))
 
     def test_is_a_frozen_copy(self):
         w = EncoderWeights.identity_init(3)
@@ -152,16 +183,16 @@ class TestCollapsedEncoder:
 class TestEmbedLog:
     def test_pure_function(self, provider, identity_weights):
         r = LogRecord("s", "alpha beta gamma")
-        [a] = embed_log([r], provider, identity_weights)
-        [b] = embed_log([r], provider, identity_weights)
+        [a] = embed_log([r], provider, identity_weights.collapse())
+        [b] = embed_log([r], provider, identity_weights.collapse())
         assert np.array_equal(a, b)
 
     def test_unit_norm(self, provider, identity_weights):
-        [v] = embed_log([LogRecord("s", "x y")], provider, identity_weights)
+        [v] = embed_log([LogRecord("s", "x y")], provider, identity_weights.collapse())
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-6
 
     def test_empty_list(self, provider, identity_weights):
-        assert embed_log([], provider, identity_weights) == []
+        assert embed_log([], provider, identity_weights.collapse()) == []
 
     def test_batch_equals_one_at_a_time(self, corpus, provider, identity_weights):
         records = corpus.records[::7]
@@ -172,20 +203,12 @@ class TestEmbedLog:
             assert vector.base is None  # its own array, not a view of the batch
 
     def test_failures_are_returned_in_place(self):
-        class Table:
-            dim = 2
-            vectors = {"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [3.0, 4.0]}
-
-            def embed(self, text):
-                if text == "bad":
-                    raise ProviderError("HTTP 503")
-                return np.array(self.vectors[text])
-
         # the map keeps the first provider component only: "b" has no direction
         w = EncoderWeights(w1=np.eye(3), b1=np.zeros(3),
                            w2=np.array([[1.0, 0.0, 0.0]]), b2=np.zeros(1))
+        provider = Table({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [3.0, 4.0]})
         records = [LogRecord("s", t) for t in ("a", "bad", "b", "c")]
-        a, bad, b, c = embed_log(records, Table(), w)
+        a, bad, b, c = embed_log(records, provider, w.collapse())
         assert np.array_equal(a, [1.0]) and np.array_equal(c, [1.0])
         assert isinstance(bad, ProviderError)
         assert isinstance(b, DegenerateEmbeddingError)

@@ -368,3 +368,19 @@ class TestSnapshot:
                                     "centroids": [entry, entry]}))
         with pytest.raises(SnapshotFormatError):
             CentroidIndex.load(str(path))
+
+    @pytest.mark.parametrize("next_id", [1, 2, -1, 3.0, "3", True, None],
+                             ids=["reuses-1", "reuses-2", "negative", "float",
+                                  "string", "bool", "null"])
+    def test_next_id_that_could_reuse_an_id_rejected(self, tmp_path, next_id):
+        # ids 0-2 loaded: a next_id of 1 would give out id 1 again
+        index = CentroidIndex()
+        for k in range(3):
+            index.insert(unit(*[float(j == k) for j in range(3)]))
+        path = tmp_path / "snap.json"
+        index.snapshot(str(path))
+        doc = json.loads(path.read_text())
+        doc["next_id"] = next_id
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotFormatError, match="next_id"):
+            CentroidIndex.load(str(path))
