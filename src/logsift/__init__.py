@@ -35,6 +35,7 @@ from .parsing import (
 from .rebalance import merge_pair, rebalance
 from .records import LogRecord
 from .training import (
+    EncoderLayers,
     TrainConfig,
     TrainingPair,
     build_pair_dataset,
@@ -49,6 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CentroidIndex",
     "ClusterParser",
+    "EncoderLayers",
     "EncoderWeights",
     "HashingProvider",
     "IngestConfig",

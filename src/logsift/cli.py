@@ -200,7 +200,7 @@ def cmd_train_encoder(args) -> int:
                    for c, t in zip(dataset.contents, dataset.templates)]
         pairs.extend(build_pair_dataset(labeled, train_cfg, provider))
     result = train(pairs, train_cfg)
-    result.weights.save(args.weights_out)
+    result.layers.collapse().save(args.weights_out)
     if args.loss_trace_out:
         with atomic_write(args.loss_trace_out) as fh:
             fh.write(json.dumps({"loss_trace": result.loss_trace}, indent=2) + "\n")
@@ -229,10 +229,9 @@ def cmd_export_embeddings(args) -> int:
     else:
         provider = _build_provider(args)
         weights = _load_weights(args, provider)
-        encoder = weights.collapse()  # the map ingest embeds with
         entries = []
         for i, record in enumerate(_read_records(args.corpus)):
-            [vector] = embed_log([record], provider, encoder)
+            [vector] = embed_log([record], provider, weights)
             if isinstance(vector, Exception):
                 raise vector  # stop at the first record that cannot be embedded
             entries.append((i, 1, vector))

@@ -7,15 +7,15 @@ vector before L2 normalization. Cosine similarity between two logs is
 then a plain dot product.
 
 The encoder has no activation, so its two layers are one affine map.
-`EncoderWeights` keeps them as the two factors that training updates and
-the weights file stores; `EncoderWeights.collapse` multiplies them out
-into a frozen `AffineMap`, the one form every caller embeds with, through
-`embed_log`: a provider call per record, then one matrix product for all.
-A record alone gets the same vector bit for bit whoever embeds it; a row
-of a larger product can differ in the last bits, as BLAS orders its sums
-by the row's position (not at identity weights, where every sum is
-exact). The vector depends on the content alone, so `Pipeline` embeds
-each distinct line once and keeps its vector (see `logsift.ingest`).
+`EncoderWeights` is that map, read-only, and what a weights file stores;
+training keeps the two factors (`training.EncoderLayers`) and multiplies
+them out once. Every caller embeds with the map through `embed_log`: a
+provider call per record, then one matrix product for all. A record alone
+gets the same vector bit for bit whoever embeds it; a row of a larger
+product can differ in the last bits, as BLAS orders its sums by the row's
+position (not at identity weights, where every sum is exact). The vector
+depends on the content alone, so `Pipeline` embeds each distinct line once
+and keeps its vector (see `logsift.ingest`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     DimensionMismatchError,
     ProviderError,
 )
-from .files import atomic_write
+from .files import atomic_write, decode_floats, encode_floats
 from .index import NORM_EPS
 from .records import LogRecord
 from .remote import api_key, post_json
@@ -72,9 +72,8 @@ class HashingProvider(EmbeddingProvider):
         return int.from_bytes(digest, "big") % self.dim
 
     def embed(self, text: str) -> np.ndarray:
-        counts = np.zeros(self.dim, dtype=np.float64)
-        for token in text.split():
-            counts[self._bucket(token)] += 1.0
+        counts = np.bincount([self._bucket(token) for token in text.split()],
+                             minlength=self.dim)
         norm = np.linalg.norm(counts)
         if norm < NORM_EPS:
             raise DegenerateEmbeddingError("no tokens to hash")
@@ -107,89 +106,69 @@ class RemoteProvider(EmbeddingProvider):
             raise ProviderError(f"embedding is not a float array: {exc!r}") from exc
 
 
+WEIGHTS_VERSION = 2
+
+
 @dataclass(frozen=True)
-class AffineMap:
-    """The encoder's two layers multiplied out, read-only: matrix (E, D+1)
-    is w2 @ w1 and bias (E,) is w2 @ b1 + b2."""
+class EncoderWeights:
+    """The encoder, read-only: one affine map from the fused (D+1)-vector
+    to the clustering space, `matrix` (E, D+1) and `bias` (E,).
+
+    A weights file (version 2) is JSON metadata, `input_dim` (D+1) and
+    `output_dim` (E), with `matrix` (row by row) and `bias` stored as base64
+    of their little-endian float64 bytes. Version 1 files hold the two
+    factors training keeps (`training.EncoderLayers`) as JSON float lists;
+    they still load, multiplied out once as `EncoderLayers.collapse` does,
+    to the same map bit for bit.
+    """
 
     matrix: np.ndarray
     bias: np.ndarray
 
-
-@dataclass
-class EncoderWeights:
-    """Two affine layers mapping the fused (D+1)-vector to the clustering space.
-
-    w1: (H, D+1), b1: (H,), w2: (E, H), b2: (E,). No activation between the
-    layers; the composition is still trained as two separate factors.
-    """
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
     def __post_init__(self):
-        try:
-            self.w1, self.b1, self.w2, self.b2 = (
-                np.asarray(a, dtype=np.float64) for a in (self.w1, self.b1, self.w2, self.b2))
+        try:  # copies, so no caller's array can change the map
+            matrix = np.array(self.matrix, dtype=np.float64)
+            bias = np.array(self.bias, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"encoder weights are not float arrays: {exc}") from exc
-        if self.w1.ndim != 2 or self.w2.ndim != 2:
-            raise ConfigError("encoder weight matrices w1 and w2 must be 2-D")
-        h, d_in = self.w1.shape
-        e, h2 = self.w2.shape
-        if h2 != h or self.b1.shape != (h,) or self.b2.shape != (e,):
-            raise ConfigError("encoder weight dimensions are inconsistent")
-        for a in (self.w1, self.b1, self.w2, self.b2):
-            if not np.all(np.isfinite(a)):
-                raise ConfigError("encoder weights contain non-finite entries")
+        if matrix.ndim != 2 or bias.shape != matrix.shape[:1]:
+            raise ConfigError(f"encoder matrix {matrix.shape} and bias {bias.shape} "
+                              "do not make an affine map")
+        if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(bias))):
+            raise ConfigError("encoder weights contain non-finite entries")
+        matrix.flags.writeable = bias.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "bias", bias)
 
     @property
     def input_dim(self) -> int:
-        return self.w1.shape[1]
+        return self.matrix.shape[1]
 
     @property
     def output_dim(self) -> int:
-        return self.w2.shape[0]
+        return self.matrix.shape[0]
 
     @classmethod
     def identity_init(cls, provider_dim: int) -> "EncoderWeights":
-        """Identity start: layer 1 passes the fused (D+1)-vector through and
-        layer 2 drops the word-count column, so the encoder initially
-        reproduces the raw provider embedding."""
-        d_in = provider_dim + 1
-        return cls(w1=np.eye(d_in), b1=np.zeros(d_in),
-                   w2=np.eye(provider_dim, d_in), b2=np.zeros(provider_dim))
-
-    def collapse(self) -> AffineMap:
-        """The two layers as one map, computed from the weights as they are
-        now: later in-place updates (training) do not reach it."""
-        matrix = self.w2 @ self.w1
-        bias = self.w2 @ self.b1 + self.b2
-        matrix.flags.writeable = bias.flags.writeable = False
-        return AffineMap(matrix, bias)
-
-    def copy(self) -> "EncoderWeights":
-        return EncoderWeights(self.w1.copy(), self.b1.copy(),
-                              self.w2.copy(), self.b2.copy())
+        """The map that passes the provider embedding through and drops the
+        word-count column, so a line's vector is its raw provider embedding."""
+        return cls(np.eye(provider_dim, provider_dim + 1), np.zeros(provider_dim))
 
     def save(self, path: str) -> None:
         doc = {
-            "version": 1,
+            "version": WEIGHTS_VERSION,
             "input_dim": self.input_dim,
-            "hidden_dim": self.w1.shape[0],
             "output_dim": self.output_dim,
-            "w1": self.w1.tolist(),
-            "b1": self.b1.tolist(),
-            "w2": self.w2.tolist(),
-            "b2": self.b2.tolist(),
+            "matrix": encode_floats(self.matrix),
+            "bias": encode_floats(self.bias),
         }
         with atomic_write(path) as fh:
             json.dump(doc, fh)
 
     @classmethod
     def load(cls, path: str) -> "EncoderWeights":
+        """Read a version 2 weights file, or a version 1 one. A file that
+        does not hold one whole, finite map is a ConfigError."""
         with open(path) as fh:
             try:
                 doc = json.load(fh)
@@ -197,12 +176,25 @@ class EncoderWeights:
                 raise ConfigError(f"cannot parse weights file {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"weights file {path} is not a JSON object")
-        if doc.get("version") != 1:
-            raise ConfigError(f"unsupported weights file version: {doc.get('version')}")
-        missing = [key for key in ("w1", "b1", "w2", "b2") if key not in doc]
-        if missing:
-            raise ConfigError(f"weights file {path} lacks {', '.join(missing)}")
-        return cls(w1=doc["w1"], b1=doc["b1"], w2=doc["w2"], b2=doc["b2"])
+        if doc.get("version") not in (1, WEIGHTS_VERSION):
+            raise ConfigError(f"unsupported weights file version: {doc.get('version')!r}")
+        try:
+            if doc["version"] == 1:
+                from .training import EncoderLayers  # here: training imports this module
+                layers = EncoderLayers(*(doc[key] for key in ("w1", "b1", "w2", "b2")))
+                return layers.collapse()
+            rows, cols = doc["output_dim"], doc["input_dim"]
+            if type(rows) is not int or type(cols) is not int or min(rows, cols) < 1:
+                raise ValueError(f"dims {rows!r} x {cols!r} are not positive integers")
+            matrix, bias = decode_floats(doc["matrix"]), decode_floats(doc["bias"])
+            if (matrix.size, bias.size) != (rows * cols, rows):
+                raise ValueError(f"{matrix.size} matrix and {bias.size} bias floats "
+                                 f"do not make a {rows} x {cols} map")
+            return cls(matrix.reshape(rows, cols), bias)
+        except KeyError as exc:
+            raise ConfigError(f"weights file {path} lacks {exc}") from exc
+        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise ConfigError(f"malformed weights file {path}: {exc}") from exc
 
 
 def embed_raw(record: LogRecord, provider: EmbeddingProvider) -> np.ndarray:
@@ -225,7 +217,7 @@ def fuse_word_count(raw: np.ndarray, word_count: int) -> np.ndarray:
 
 
 def embed_log(records: Sequence[LogRecord], provider: EmbeddingProvider,
-              encoder: AffineMap) -> list[np.ndarray | Exception]:
+              encoder: EncoderWeights) -> list[np.ndarray | Exception]:
     """Full pipeline for each record: provider embedding -> word-count
     fusion, then the encoder applied to every record the provider embedded
     with one matrix product, and each row scaled to unit length.

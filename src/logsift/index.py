@@ -14,13 +14,13 @@ so its hits and similarities are `nearest`'s exactly. Both pick the hit
 among the tied rows in one place, `_hit`.
 
 A snapshot (version 2) is JSON metadata with each vector stored as base64
-of its little-endian float64 bytes; version 1 files, whose vectors are JSON
-float lists, still load, to bit-identical vectors.
+of its little-endian float64 bytes (`files.encode_floats`, the codec of
+weights files too); version 1 files, whose vectors are JSON float lists,
+still load, to bit-identical vectors.
 """
 
 from __future__ import annotations
 
-import base64
 import enum
 import json
 from dataclasses import dataclass
@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import ClusterNotFoundError, SnapshotFormatError
-from .files import atomic_write
+from .files import atomic_write, decode_floats, encode_floats
 
 UNIT_TOL = 1e-6
 NORM_EPS = 1e-12  # a vector shorter than this has no direction
@@ -38,7 +38,6 @@ NORM_EPS = 1e-12  # a vector shorter than this has no direction
 TIE_MARGIN = 1e-12
 
 SNAPSHOT_VERSION = 2
-FLOAT_BYTES = np.dtype("<f8")
 
 
 class ParseState(enum.Enum):
@@ -199,8 +198,7 @@ class CentroidIndex:
                     "weight": c.weight,
                     "template_id": c.template_id,
                     "parse_state": c.parse_state.value,
-                    "vector": base64.b64encode(
-                        c.vector.astype(FLOAT_BYTES, copy=False).tobytes()).decode("ascii"),
+                    "vector": encode_floats(c.vector),
                 }
                 for c in self.centroids()
             ],
@@ -228,9 +226,7 @@ class CentroidIndex:
                 if version == 1:
                     vector = np.array(entry["vector"], dtype=np.float64)
                 else:
-                    vector = np.frombuffer(
-                        base64.b64decode(entry["vector"], validate=True),
-                        dtype=FLOAT_BYTES).astype(np.float64)
+                    vector = decode_floats(entry["vector"])
                 if vector.ndim != 1 or len(index) and vector.shape != index._matrix[0].shape:
                     raise ValueError(f"cluster {entry['id']} has a vector of "
                                      f"shape {vector.shape}, unlike the others")

@@ -19,10 +19,9 @@ Both modes embed through one per-pipeline cache keyed by the exact line
 content, which alone fixes the vector: a line repeated while it is among
 the EMBED_CACHE_ENTRIES most recently used reuses its vector, read-only.
 A call's misses, each distinct line once, are encoded together by
-`embed_log` with the weights collapsed at the first embedding (a
-sequential call is a batch of one), and the cache is then used and filled
-in record order, so its order is the one a record-by-record walk would
-leave. A record that fails to embed is a dead letter, except for a
+`embed_log` with the pipeline's encoder map (a sequential call is a batch
+of one), and the cache is then used and filled in record order, so its
+order is the one a record-by-record walk would leave. A record that fails to embed is a dead letter, except for a
 dimension mismatch, which every record would hit and which stops the run.
 """
 
@@ -35,11 +34,11 @@ from typing import Optional
 
 import numpy as np
 
-from .embedding import AffineMap, EmbeddingProvider, EncoderWeights, embed_log
+from .embedding import EmbeddingProvider, EncoderWeights, embed_log
 from .errors import ConfigError
 from .index import CentroidIndex, ParseState, SearchHit
 from .parsing import ClusterParser
-from .rebalance import MergeReport, rebalance
+from .rebalance import MergeReport, check_threshold, rebalance
 from .records import LogRecord
 
 # lines whose vectors a pipeline keeps; at E=512 each takes about 4 KB
@@ -53,8 +52,7 @@ class IngestConfig:
     batch_mode: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.similarity_threshold < 1.0:
-            raise ConfigError("similarity_threshold must be in (0, 1)")
+        check_threshold(self.similarity_threshold)
         if self.rebalance_every_n < 1:
             raise ConfigError("rebalance_every_n must be positive")
 
@@ -87,8 +85,6 @@ class Pipeline:
         self.first_log: dict[int, LogRecord] = {}  # cluster id -> representative
         self._log_counter = 0
         self._since_rebalance = 0
-        # the weights are read once, at the first embedding
-        self._encoder: Optional[AffineMap] = None
         self._vectors: OrderedDict[str, np.ndarray] = OrderedDict()  # by content
 
     # ---- internals ---------------------------------------------------------
@@ -107,10 +103,8 @@ class Pipeline:
                 if found[record.content] is None:
                     misses.append(record)
         if misses:
-            if self._encoder is None:
-                self._encoder = self.weights.collapse()
             for record, outcome in zip(misses, embed_log(misses, self.provider,
-                                                         self._encoder)):
+                                                         self.weights)):
                 if not isinstance(outcome, Exception):
                     outcome.flags.writeable = False  # the index keeps it as a centroid
                 found[record.content] = outcome

@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConfigError
 from .index import NORM_EPS, CentroidIndex, ClusterCentroid, ParseState
 
 
@@ -34,6 +35,13 @@ class MergeReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def check_threshold(threshold: float) -> None:
+    """The rule for a clustering threshold, which `IngestConfig` and every
+    rebalance pass apply: it lies in (0, 1), else ConfigError."""
+    if not 0.0 < threshold < 1.0:
+        raise ConfigError("similarity_threshold must be in (0, 1)")
 
 
 def _winner(a: ClusterCentroid, b: ClusterCentroid) -> Optional[ClusterCentroid]:
@@ -72,6 +80,7 @@ def merge_pair(index: CentroidIndex, id_a: int, id_b: int) -> int:
 
 def rebalance(index: CentroidIndex, threshold: float) -> MergeReport:
     """One merging pass at the given cosine threshold."""
+    check_threshold(threshold)
     before = len(index)
     report = MergeReport(clusters_before=before, clusters_after=before)
     work = index.ids()

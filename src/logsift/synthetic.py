@@ -68,7 +68,7 @@ def generate_corpus(n_templates: int = 10, logs_per_template: int = 100,
 def similarity_margins(corpus: SyntheticCorpus, provider: EmbeddingProvider,
                        weights: EncoderWeights) -> tuple[float, float]:
     """(min within-template similarity, max cross-template similarity)."""
-    vectors = embed_log(corpus.records, provider, weights.collapse())
+    vectors = embed_log(corpus.records, provider, weights)
     for vector in vectors:
         if isinstance(vector, Exception):
             raise vector

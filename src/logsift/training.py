@@ -2,10 +2,12 @@
 
 Pairs of fused vectors are labeled 1 (same ground-truth template) or 0
 (different templates), sampled dissimilar-heavy at a configurable ratio.
-The two affine layers are trained with mini-batch Adam to minimize the MSE
-between the predicted cosine similarity of the encoded pair and the label.
-The backward pass is hand-rolled; gradient_check validates it against a
-central finite-difference oracle.
+The encoder is trained as two affine layers (`EncoderLayers`) with
+mini-batch Adam to minimize the MSE between the predicted cosine
+similarity of the encoded pair and the label; `EncoderLayers.collapse`
+multiplies the result out into the one map inference and weights files
+use (`EncoderWeights`). The backward pass is hand-rolled; gradient_check
+validates it against a central finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +30,56 @@ from .records import LogRecord
 GRADIENT_CHECK_PARAMS = 200  # entries sampled per parameter array
 GRADIENT_CHECK_SEED = 0
 LOSS_CHUNK_ROWS = 2048  # pairs per forward pass of a full-dataset loss
+
+
+@dataclass
+class EncoderLayers:
+    """The encoder as training holds it: two affine layers mapping the fused
+    (D+1)-vector to the clustering space, updated in place.
+
+    w1: (H, D+1), b1: (H,), w2: (E, H), b2: (E,). No activation between the
+    layers, so they compose to one map (`collapse`).
+    """
+
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+
+    def __post_init__(self):
+        try:
+            self.w1, self.b1, self.w2, self.b2 = (
+                np.asarray(a, dtype=np.float64) for a in (self.w1, self.b1, self.w2, self.b2))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"encoder weights are not float arrays: {exc}") from exc
+        if self.w1.ndim != 2 or self.w2.ndim != 2:
+            raise ConfigError("encoder weight matrices w1 and w2 must be 2-D")
+        h = self.w1.shape[0]
+        e, h2 = self.w2.shape
+        if h2 != h or self.b1.shape != (h,) or self.b2.shape != (e,):
+            raise ConfigError("encoder weight dimensions are inconsistent")
+        for a in (self.w1, self.b1, self.w2, self.b2):
+            if not np.all(np.isfinite(a)):
+                raise ConfigError("encoder weights contain non-finite entries")
+
+    @classmethod
+    def identity_init(cls, provider_dim: int) -> "EncoderLayers":
+        """Identity start: layer 1 passes the fused (D+1)-vector through and
+        layer 2 drops the word-count column, so the layers collapse to
+        `EncoderWeights.identity_init`."""
+        d_in = provider_dim + 1
+        return cls(w1=np.eye(d_in), b1=np.zeros(d_in),
+                   w2=np.eye(provider_dim, d_in), b2=np.zeros(provider_dim))
+
+    def collapse(self) -> EncoderWeights:
+        """The two layers as one map, matrix w2 @ w1 and bias w2 @ b1 + b2,
+        computed from the layers as they are now: later in-place updates
+        do not reach it."""
+        return EncoderWeights(self.w2 @ self.w1, self.w2 @ self.b1 + self.b2)
+
+    def copy(self) -> "EncoderLayers":
+        return EncoderLayers(self.w1.copy(), self.b1.copy(),
+                             self.w2.copy(), self.b2.copy())
 
 
 @dataclass(frozen=True)
@@ -114,7 +166,7 @@ def _stack(pairs: list[TrainingPair]):
     return left, right, labels
 
 
-def _forward(left, right, w: EncoderWeights):
+def _forward(left, right, w: EncoderLayers):
     hl = left @ w.w1.T + w.b1
     hr = right @ w.w1.T + w.b1
     u = hl @ w.w2.T + w.b2
@@ -125,22 +177,22 @@ def _forward(left, right, w: EncoderWeights):
     return hl, hr, u, v, nu, nv, sim
 
 
-def predict_similarity(pair: TrainingPair, weights: EncoderWeights) -> float:
+def predict_similarity(pair: TrainingPair, layers: EncoderLayers) -> float:
     """Cosine similarity of the two encoded vectors, in [-1, 1]."""
-    _, _, _, _, nu, nv, sim = _forward(pair.left[None, :], pair.right[None, :], weights)
+    _, _, _, _, nu, nv, sim = _forward(pair.left[None, :], pair.right[None, :], layers)
     if min(nu[0], nv[0]) < NORM_EPS:
         raise DegenerateEmbeddingError("encoded pair member has near-zero norm")
     return float(np.clip(sim[0], -1.0, 1.0))
 
 
-def mse_loss(pairs: list[TrainingPair], weights: EncoderWeights) -> float:
+def mse_loss(pairs: list[TrainingPair], layers: EncoderLayers) -> float:
     """Mean squared error between predicted cosine similarity and labels."""
     if not pairs:
         raise ValueError("empty batch")
-    return _loss(*_stack(pairs), weights)
+    return _loss(*_stack(pairs), layers)
 
 
-def _loss(left, right, labels, w: EncoderWeights) -> float:
+def _loss(left, right, labels, w: EncoderLayers) -> float:
     """The MSE summed over chunks of rows, so a loss over the whole dataset
     holds a chunk's activations at a time, not the dataset's."""
     total = 0.0
@@ -151,7 +203,7 @@ def _loss(left, right, labels, w: EncoderWeights) -> float:
     return total / len(labels)
 
 
-def _gradients(left, right, labels, w: EncoderWeights):
+def _gradients(left, right, labels, w: EncoderLayers):
     """Analytic gradients of the batch MSE w.r.t. all four parameters."""
     n = left.shape[0]
     hl, hr, u, v, nu, nv, sim = _forward(left, right, w)
@@ -170,37 +222,37 @@ def _gradients(left, right, labels, w: EncoderWeights):
 
 @dataclass
 class TrainResult:
-    weights: EncoderWeights
+    layers: EncoderLayers
     loss_trace: list[float] = field(default_factory=list)
 
 
 def train(pairs: list[TrainingPair], cfg: TrainConfig,
-          initial: EncoderWeights | None = None) -> TrainResult:
+          initial: EncoderLayers | None = None) -> TrainResult:
     """Shuffled mini-batch Adam (beta1=0.9, beta2=0.999, eps=1e-8).
 
-    Starts from identity-padded weights unless given. The loss trace holds
+    Starts from identity-padded layers unless given. The loss trace holds
     the full-dataset loss before training and after each epoch. Aborts on a
     non-finite loss.
     """
     if not pairs:
         raise ValueError("no training pairs")
     fused_dim = pairs[0].left.shape[0]
-    weights = (initial.copy() if initial is not None
-               else EncoderWeights.identity_init(fused_dim - 1))
+    layers = (initial.copy() if initial is not None
+              else EncoderLayers.identity_init(fused_dim - 1))
     left, right, labels = _stack(pairs)
 
-    params = [weights.w1, weights.b1, weights.w2, weights.b2]
+    params = [layers.w1, layers.b1, layers.w2, layers.b2]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     rng = np.random.default_rng(cfg.rng_seed)
-    trace = [_loss(left, right, labels, weights)]
+    trace = [_loss(left, right, labels, layers)]
     for _ in range(cfg.epochs):
         order = rng.permutation(len(pairs))
         for start in range(0, len(pairs), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            grads = _gradients(left[batch], right[batch], labels[batch], weights)
+            grads = _gradients(left[batch], right[batch], labels[batch], layers)
             step += 1
             for p, g, m_i, v_i in zip(params, grads, m, v):
                 m_i += (1 - beta1) * (g - m_i)
@@ -208,16 +260,16 @@ def train(pairs: list[TrainingPair], cfg: TrainConfig,
                 m_hat = m_i / (1 - beta1**step)
                 v_hat = v_i / (1 - beta2**step)
                 p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        epoch_loss = _loss(left, right, labels, weights)
+        epoch_loss = _loss(left, right, labels, layers)
         if not np.isfinite(epoch_loss):
             raise ArithmeticError(
                 f"non-finite loss after epoch {len(trace)}; lower the learning rate"
             )
         trace.append(epoch_loss)
-    return TrainResult(weights=weights, loss_trace=trace)
+    return TrainResult(layers=layers, loss_trace=trace)
 
 
-def gradient_check(weights: EncoderWeights, small_batch: list[TrainingPair],
+def gradient_check(layers: EncoderLayers, small_batch: list[TrainingPair],
                    h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients
     over a sampled parameter subset."""
@@ -226,7 +278,7 @@ def gradient_check(weights: EncoderWeights, small_batch: list[TrainingPair],
     if not 1e-6 <= h <= 1e-4:
         raise ValueError("h out of supported range")
     left, right, labels = _stack(small_batch)
-    w = weights.copy()
+    w = layers.copy()
     analytic = _gradients(left, right, labels, w)
     params = [w.w1, w.b1, w.w2, w.b2]
     rng = np.random.default_rng(GRADIENT_CHECK_SEED)

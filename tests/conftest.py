@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -60,6 +61,37 @@ def make_two_family_pairs(n=120, seed=0):
     for i in range(n):
         pairs.append(TrainingPair(a[i], b[i], 0.0))
     return pairs
+
+
+def write_v1_weights(layers, path):
+    """Save the two factors of `layers` in the version 1 weights layout:
+    every array a JSON list of floats."""
+    with open(path, "w") as fh:
+        json.dump({"version": 1, "input_dim": layers.w1.shape[1],
+                   "hidden_dim": layers.w1.shape[0], "output_dim": layers.w2.shape[0],
+                   "w1": layers.w1.tolist(), "b1": layers.b1.tolist(),
+                   "w2": layers.w2.tolist(), "b2": layers.b2.tolist()}, fh)
+
+
+def _floats(*values):
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode()
+
+
+_V2 = {"version": 2, "input_dim": 2, "output_dim": 1}
+# version 2 weights files that hold no whole, finite 1 x 2 map, by what is wrong
+MALFORMED_V2_WEIGHTS = {
+    "bad-base64": {**_V2, "matrix": "AAAA!AAA", "bias": _floats(0.0)},
+    "bytes-not-dims": {**_V2, "matrix": _floats(1.0, 0.0, 0.0), "bias": _floats(0.0)},
+    "not-whole-floats": {**_V2, "matrix": base64.b64encode(b"\0" * 12).decode(),
+                         "bias": _floats(0.0)},
+    "non-finite": {**_V2, "matrix": _floats(1.0, float("nan")), "bias": _floats(0.0)},
+    "missing-bias": {**_V2, "matrix": _floats(1.0, 0.0)},
+    "float-dims": {**_V2, "input_dim": 2.0, "matrix": _floats(1.0, 0.0),
+                   "bias": _floats(0.0)},
+    "string-dims": {**_V2, "output_dim": "1", "matrix": _floats(1.0, 0.0),
+                    "bias": _floats(0.0)},
+    "matrix-not-text": {**_V2, "matrix": [1.0, 0.0], "bias": _floats(0.0)},
+}
 
 
 def write_v1_snapshot(index, path):

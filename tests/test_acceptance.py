@@ -11,6 +11,7 @@ import pytest
 from logsift import (
     CentroidIndex,
     ClusterParser,
+    EncoderLayers,
     EncoderWeights,
     IngestConfig,
     MockCompletionClient,
@@ -259,10 +260,10 @@ def test_criterion_5_batch_rebalance_equivalence(provider, identity_weights):
 def test_criterion_6_trainer_soundness():
     start = time.monotonic()
     rng = np.random.default_rng(9)
-    w = EncoderWeights(w1=rng.normal(size=(9, 9)) * 0.5,
-                       b1=rng.normal(size=9) * 0.1,
-                       w2=rng.normal(size=(8, 9)) * 0.5,
-                       b2=rng.normal(size=8) * 0.1)
+    w = EncoderLayers(w1=rng.normal(size=(9, 9)) * 0.5,
+                      b1=rng.normal(size=9) * 0.1,
+                      w2=rng.normal(size=(8, 9)) * 0.5,
+                      b2=rng.normal(size=8) * 0.1)
     batch = [TrainingPair(rng.normal(size=9), rng.normal(size=9),
                           float(rng.integers(2))) for _ in range(4)]
     grad_err = gradient_check(w, batch, h=1e-5)
@@ -272,13 +273,13 @@ def test_criterion_6_trainer_soundness():
     result = train(pairs, cfg)
     first, final = result.loss_trace[0], result.loss_trace[-1]
 
-    initial = EncoderWeights.identity_init(8)
+    initial = EncoderLayers.identity_init(8)
     frozen = train(pairs, TrainConfig(learning_rate=0.0, batch_size=16,
                                       epochs=5, rng_seed=0), initial=initial)
     unchanged = all(
         np.array_equal(a, b)
-        for a, b in [(frozen.weights.w1, initial.w1), (frozen.weights.b1, initial.b1),
-                     (frozen.weights.w2, initial.w2), (frozen.weights.b2, initial.b2)]
+        for a, b in [(frozen.layers.w1, initial.w1), (frozen.layers.b1, initial.b1),
+                     (frozen.layers.w2, initial.w2), (frozen.layers.b2, initial.b2)]
     )
     elapsed = time.monotonic() - start
     ok = grad_err < 1e-4 and final < 0.1 * first and unchanged and elapsed < 60
@@ -370,9 +371,10 @@ def test_criterion_10_embedding_cache_equivalence(provider, identity_weights):
     records = [corpus.records[i] for i in rng.integers(len(corpus), size=600)]
     duplicate_share = 1 - len({r.content for r in records}) / len(records)
 
+    identity_layers = EncoderLayers.identity_init(provider.dim)
     for mode in ("sequential", "batch", "batch-rng"):
         got = _ingest_all(Pipeline, provider, identity_weights, records, mode)
-        want = _ingest_all(OraclePipeline, provider, identity_weights, records, mode)
+        want = _ingest_all(OraclePipeline, provider, identity_layers, records, mode)
         assert got[0] == want[0], mode  # ids, creations, similarities, templates
         assert [(c.cluster_id, c.weight, c.parse_state, c.template_id, c.vector.tobytes())
                 for c in got[1]] == \
@@ -383,10 +385,10 @@ def test_criterion_10_embedding_cache_equivalence(provider, identity_weights):
     labeled = list(zip(corpus.records, corpus.template_ids))
     trained = train(build_pair_dataset(labeled, TrainConfig(pairs_per_dataset=600),
                                        provider),
-                    TrainConfig(batch_size=128, epochs=2)).weights
+                    TrainConfig(batch_size=128, epochs=2)).layers
     same, worst = {}, {}
     for mode in ("sequential", "batch"):
-        got, *_ = _ingest_all(Pipeline, provider, trained, records, mode)
+        got, *_ = _ingest_all(Pipeline, provider, trained.collapse(), records, mode)
         want, *_ = _ingest_all(OraclePipeline, provider, trained, records, mode)
         same[mode] = ([(a.cluster_id, a.created_new) for a in got]
                       == [(a.cluster_id, a.created_new) for a in want])

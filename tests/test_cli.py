@@ -18,8 +18,9 @@ from logsift.embedding import EncoderWeights
 from logsift.index import CentroidIndex
 from logsift.rebalance import rebalance
 from logsift.synthetic import generate_corpus
+from logsift.training import EncoderLayers
 
-from conftest import write_v1_snapshot
+from conftest import MALFORMED_V2_WEIGHTS, write_v1_snapshot, write_v1_weights
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +39,7 @@ def corpus_csv(tmp_path_factory):
 def zero_weights(tmp_path):
     """A weights file for an 8-d provider that maps every log to zero."""
     path = str(tmp_path / "zero.json")
-    EncoderWeights(w1=np.zeros((9, 9)), b1=np.zeros(9),
-                   w2=np.zeros((8, 9)), b2=np.zeros(8)).save(path)
+    EncoderWeights(np.zeros((8, 9)), np.zeros(8)).save(path)
     return path
 
 
@@ -197,6 +197,7 @@ class TestTrainEncoderCommand:
 
         w = EncoderWeights.load(weights)
         assert w.input_dim == 65
+        assert json.loads(open(weights).read())["version"] == 2
         doc = json.loads(open(trace).read())
         assert len(doc["loss_trace"]) == 4  # initial + 3 epochs
 
@@ -211,7 +212,8 @@ class TestTrainEncoderCommand:
                    "--epochs", "0", "--provider-dim", "32"])
         assert rc == EXIT_OK
         w = EncoderWeights.load(weights)
-        assert np.array_equal(w.w1, EncoderWeights.identity_init(32).w1)
+        assert np.array_equal(w.matrix, EncoderWeights.identity_init(32).matrix)
+        assert np.array_equal(w.bias, EncoderWeights.identity_init(32).bias)
 
     def test_invalid_ratio(self, corpus_csv, tmp_path):
         rc = main(["train-encoder", "--datasets", corpus_csv,
@@ -224,7 +226,9 @@ class TestTrainEncoderCommand:
     "[1, 2]",
     '{"version": 1, "w1": [[1.0]], "b1": [0.0]}',
     '{"version": 1, "w1": [1.0], "b1": [0.0], "w2": [[1.0]], "b2": [0.0]}',
-], ids=["not-an-object", "missing-keys", "1d-w1"])
+    *(json.dumps(doc) for doc in MALFORMED_V2_WEIGHTS.values()),
+], ids=["not-an-object", "missing-keys", "1d-w1",
+        *(f"v2-{name}" for name in MALFORMED_V2_WEIGHTS)])
 def test_malformed_weights_file_exits_2(corpus_csv, tmp_path, capsys, doc):
     weights = tmp_path / "weights.json"
     weights.write_text(doc)
@@ -300,6 +304,20 @@ class TestRebalanceCommand:
         assert main(["rebalance", "--snapshot", str(snap)]) == EXIT_DATA
         assert "next_id 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["7", "1", "0", "-0.5", "nan"])
+    def test_threshold_outside_0_1_exits_2_as_ingest_does(self, tmp_path, capsys,
+                                                          corpus_csv, threshold):
+        snap = tmp_path / "snap.json"
+        random_index(1, n=3, dim=4).snapshot(str(snap))
+        before = snap.read_bytes()
+        assert main(["rebalance", "--snapshot", str(snap),
+                     f"--threshold={threshold}"]) == EXIT_CONFIG
+        assert snap.read_bytes() == before  # not rewritten in place
+        assert main(["ingest", "--input", corpus_csv, f"--threshold={threshold}",
+                     "--snapshot-out", str(tmp_path / "ingest.json")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("config error: similarity_threshold must be in (0, 1)") == 2
+
     def test_rewrites_version_1_as_version_2(self, tmp_path):
         v1 = str(tmp_path / "v1.json")
         write_v1_snapshot(random_index(2), v1)
@@ -347,6 +365,24 @@ class TestExportEmbeddingsCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_same_corpus_bytes_from_either_weights_version(self, tmp_path):
+        rng = np.random.default_rng(12)
+        layers = EncoderLayers(w1=rng.normal(size=(48, 33)), b1=rng.normal(size=48),
+                               w2=rng.normal(size=(64, 48)), b2=rng.normal(size=64))
+        v1, v2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")
+        write_v1_weights(layers, v1)
+        EncoderWeights.load(v1).save(v2)
+        corpus = tmp_path / "corpus.log"
+        corpus.write_text("\n".join(r.content for r in generate_corpus(
+            n_templates=4, logs_per_template=5, seed=3).records) + "\n")
+        outputs = []
+        for weights in (v1, v2):
+            out = tmp_path / "vectors.csv"
+            assert main(["export-embeddings", "--corpus", str(corpus), "--weights", weights,
+                         "--provider-dim", "32", "--output", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_empty_index_header_only(self, tmp_path):
         index = CentroidIndex()
         snap = str(tmp_path / "snap.json")
@@ -378,8 +414,9 @@ class TestExportEmbeddingsCommand:
         # whose centroid is its vector, and the export writes that vector
         rng = np.random.default_rng(11)
         weights = str(tmp_path / "weights.json")
-        EncoderWeights(w1=rng.normal(size=(48, 33)), b1=rng.normal(size=48),
-                       w2=rng.normal(size=(64, 48)), b2=rng.normal(size=64)).save(weights)
+        layers = EncoderLayers(w1=rng.normal(size=(48, 33)), b1=rng.normal(size=48),
+                               w2=rng.normal(size=(64, 48)), b2=rng.normal(size=64))
+        layers.collapse().save(weights)
         corpus = generate_corpus(n_templates=4, logs_per_template=5, seed=3)
         lines = [r.content for r in corpus.records]
         settings = ["--weights", weights, "--provider-dim", "32"]

@@ -1,7 +1,11 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from logsift import (
+    EncoderLayers,
     EncoderWeights,
     HashingProvider,
     LogRecord,
@@ -11,6 +15,7 @@ from logsift import (
 )
 from logsift.errors import ConfigError, DegenerateEmbeddingError, ProviderError
 
+from conftest import MALFORMED_V2_WEIGHTS, PROVIDER_DIM, write_v1_weights
 from oracles import oracle_embed
 
 
@@ -37,6 +42,13 @@ class TestEmbedRaw:
     def test_unit_norm(self, provider):
         v = embed_raw(LogRecord("s", "x y z"), provider)
         assert np.linalg.norm(v) == pytest.approx(1.0)
+
+    def test_bucket_counts_match_a_token_by_token_count(self, corpus, provider):
+        for text in [r.content for r in corpus.records[::25]] + ["a b a", "x x x x"]:
+            counts = np.zeros(provider.dim)
+            for token in text.split():
+                counts[provider._bucket(token)] += 1.0
+            assert np.array_equal(provider.embed(text), counts / np.linalg.norm(counts))
 
     def test_token_overlap_drives_similarity(self, provider):
         a = embed_raw(LogRecord("s", "alpha beta gamma delta"), provider)
@@ -92,7 +104,7 @@ def embed_rows(raw, word_counts, weights):
     """embed_log of one record per row of `raw`, with the given word counts."""
     lines = [words(n, f"r{i}x") for i, n in enumerate(word_counts)]
     provider = Table(dict(zip(lines, raw)))
-    return embed_log([LogRecord("s", t) for t in lines], provider, weights.collapse())
+    return embed_log([LogRecord("s", t) for t in lines], provider, weights)
 
 
 class TestEncode:
@@ -110,24 +122,22 @@ class TestEncode:
         rng = np.random.default_rng(1)
         for _ in range(1000):
             d_in, h, e = rng.integers(2, 8, size=3)
-            w = EncoderWeights(
+            w = EncoderLayers(
                 w1=rng.normal(size=(h, d_in)), b1=rng.normal(size=h),
                 w2=rng.normal(size=(e, h)), b2=rng.normal(size=e),
-            )
+            ).collapse()
             out = embed_rows(rng.normal(size=(3, d_in - 1)), rng.integers(1, 9, size=3), w)
             assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) <= 1e-6)
 
     def test_degenerate_norm_rejected(self):
-        w = EncoderWeights(w1=np.zeros((2, 2)), b1=np.zeros(2),
-                           w2=np.zeros((2, 2)), b2=np.zeros(2))
+        w = EncoderWeights(np.zeros((2, 2)), np.zeros(2))
         for n in (1, 3):
             out = embed_rows(np.ones((n, 1)), [1] * n, w)
             assert all(isinstance(v, DegenerateEmbeddingError) for v in out)
 
     def test_only_the_degenerate_rows_fail(self):
         # the map keeps the first component only, so rows 1 and 3 vanish
-        w = EncoderWeights(w1=np.eye(2), b1=np.zeros(2),
-                           w2=np.array([[1.0, 0.0]]), b2=np.zeros(1))
+        w = EncoderWeights(np.array([[1.0, 0.0]]), np.zeros(1))
         out = embed_rows([[2.0], [0.0], [-3.0], [0.0]], [1, 1, 1, 1], w)
         assert np.array_equal(out[0], [1.0]) and np.array_equal(out[2], [-1.0])
         assert isinstance(out[1], DegenerateEmbeddingError)
@@ -152,7 +162,7 @@ class TestCollapsedEncoder:
         worst = 0.0
         for _ in range(200):
             d_in, h, e = rng.integers(2, 40, size=3)
-            w = EncoderWeights(
+            w = EncoderLayers(
                 w1=rng.normal(size=(h, d_in)), b1=rng.normal(size=h),
                 w2=rng.normal(size=(e, h)), b2=rng.normal(size=e),
             )
@@ -166,13 +176,19 @@ class TestCollapsedEncoder:
 
     def test_bit_exact_on_identity_weights(self, corpus, provider, identity_weights):
         records = corpus.records[::50]
-        for record, v in zip(records, embed_log(records, provider,
-                                                identity_weights.collapse())):
-            assert np.array_equal(v, oracle_embed(record.content, provider,
-                                                  identity_weights))
+        layers = EncoderLayers.identity_init(PROVIDER_DIM)
+        for record, v in zip(records, embed_log(records, provider, identity_weights)):
+            assert np.array_equal(v, oracle_embed(record.content, provider, layers))
+
+    def test_identity_map_is_the_identity_layers_collapsed(self):
+        for d in (1, 3, 40):
+            layers = EncoderLayers.identity_init(d).collapse()
+            direct = EncoderWeights.identity_init(d)
+            assert layers.matrix.tobytes() == direct.matrix.tobytes()
+            assert layers.bias.tobytes() == direct.bias.tobytes()
 
     def test_is_a_frozen_copy(self):
-        w = EncoderWeights.identity_init(3)
+        w = EncoderLayers.identity_init(3)
         collapsed = w.collapse()
         w.w2 += 1.0  # training updates the layers in place
         assert np.array_equal(collapsed.matrix, np.eye(3, 4))
@@ -183,32 +199,31 @@ class TestCollapsedEncoder:
 class TestEmbedLog:
     def test_pure_function(self, provider, identity_weights):
         r = LogRecord("s", "alpha beta gamma")
-        [a] = embed_log([r], provider, identity_weights.collapse())
-        [b] = embed_log([r], provider, identity_weights.collapse())
+        [a] = embed_log([r], provider, identity_weights)
+        [b] = embed_log([r], provider, identity_weights)
         assert np.array_equal(a, b)
 
     def test_unit_norm(self, provider, identity_weights):
-        [v] = embed_log([LogRecord("s", "x y")], provider, identity_weights.collapse())
+        [v] = embed_log([LogRecord("s", "x y")], provider, identity_weights)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-6
 
     def test_empty_list(self, provider, identity_weights):
-        assert embed_log([], provider, identity_weights.collapse()) == []
+        assert embed_log([], provider, identity_weights) == []
 
     def test_batch_equals_one_at_a_time(self, corpus, provider, identity_weights):
         records = corpus.records[::7]
-        batch = embed_log(records, provider, identity_weights.collapse())
+        batch = embed_log(records, provider, identity_weights)
         for record, vector in zip(records, batch):
-            [alone] = embed_log([record], provider, identity_weights.collapse())
+            [alone] = embed_log([record], provider, identity_weights)
             assert np.array_equal(vector, alone)
             assert vector.base is None  # its own array, not a view of the batch
 
     def test_failures_are_returned_in_place(self):
         # the map keeps the first provider component only: "b" has no direction
-        w = EncoderWeights(w1=np.eye(3), b1=np.zeros(3),
-                           w2=np.array([[1.0, 0.0, 0.0]]), b2=np.zeros(1))
+        w = EncoderWeights(np.array([[1.0, 0.0, 0.0]]), np.zeros(1))
         provider = Table({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [3.0, 4.0]})
         records = [LogRecord("s", t) for t in ("a", "bad", "b", "c")]
-        a, bad, b, c = embed_log(records, provider, w.collapse())
+        a, bad, b, c = embed_log(records, provider, w)
         assert np.array_equal(a, [1.0]) and np.array_equal(c, [1.0])
         assert isinstance(bad, ProviderError)
         assert isinstance(b, DegenerateEmbeddingError)
@@ -223,39 +238,89 @@ class TestEmbedLog:
 
 class TestEncoderWeights:
     def test_dim_consistency_checked(self):
-        with pytest.raises(ConfigError):
-            EncoderWeights(w1=np.zeros((3, 2)), b1=np.zeros(2),
-                           w2=np.zeros((2, 3)), b2=np.zeros(2))
+        for matrix, bias in [(np.zeros((3, 2)), np.zeros(2)), (np.zeros(3), np.zeros(3)),
+                             (np.zeros((2, 3)), np.zeros((2, 1)))]:
+            with pytest.raises(ConfigError):
+                EncoderWeights(matrix, bias)
 
     def test_rejects_nonfinite(self):
-        w1 = np.zeros((2, 2))
-        w1[0, 0] = np.nan
+        matrix = np.zeros((2, 2))
+        matrix[0, 0] = np.nan
         with pytest.raises(ConfigError):
-            EncoderWeights(w1=w1, b1=np.zeros(2),
-                           w2=np.zeros((2, 2)), b2=np.zeros(2))
+            EncoderWeights(matrix, np.zeros(2))
+        with pytest.raises(ConfigError):
+            EncoderWeights(np.zeros((2, 2)), [0.0, np.inf])
+
+    def test_holds_a_read_only_copy(self):
+        matrix, bias = np.eye(2, 3), np.zeros(2)
+        w = EncoderWeights(matrix, bias)
+        matrix[0, 0] = bias[0] = 5.0
+        assert np.array_equal(w.matrix, np.eye(2, 3)) and np.array_equal(w.bias, [0, 0])
+        assert matrix.flags.writeable
+        assert not w.matrix.flags.writeable and not w.bias.flags.writeable
 
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
-        w = EncoderWeights(w1=rng.normal(size=(5, 4)), b1=rng.normal(size=5),
-                           w2=rng.normal(size=(3, 5)), b2=rng.normal(size=3))
-        path = str(tmp_path / "weights.json")
-        w.save(path)
-        loaded = EncoderWeights.load(path)
-        assert np.array_equal(w.w1, loaded.w1)
-        assert np.array_equal(w.b1, loaded.b1)
-        assert np.array_equal(w.w2, loaded.w2)
-        assert np.array_equal(w.b2, loaded.b2)
+        w = EncoderLayers(w1=rng.normal(size=(5, 4)), b1=rng.normal(size=5),
+                          w2=rng.normal(size=(3, 5)), b2=rng.normal(size=3)).collapse()
+        path = tmp_path / "weights.json"
+        w.save(str(path))
+        doc = json.loads(path.read_text())
+        assert (doc["version"], doc["input_dim"], doc["output_dim"]) == (2, 4, 3)
+        assert isinstance(doc["matrix"], str) and isinstance(doc["bias"], str)
+        loaded = EncoderWeights.load(str(path))
+        assert loaded.matrix.shape == (3, 4)
+        assert loaded.matrix.tobytes() == w.matrix.tobytes()
+        assert loaded.bias.tobytes() == w.bias.tobytes()
+        assert not loaded.matrix.flags.writeable and not loaded.bias.flags.writeable
+
+    def test_version_1_loads_to_the_two_layers_multiplied_out(self, tmp_path):
+        rng = np.random.default_rng(5)
+        for h, d_in, e in [(5, 4, 3), (48, 33, 64), (1, 2, 1)]:
+            layers = EncoderLayers(w1=rng.normal(size=(h, d_in)), b1=rng.normal(size=h),
+                                   w2=rng.normal(size=(e, h)), b2=rng.normal(size=e))
+            path = str(tmp_path / "v1.json")
+            write_v1_weights(layers, path)
+            loaded = EncoderWeights.load(path)
+            # the order the factors were multiplied out in before version 2
+            assert loaded.matrix.tobytes() == (layers.w2 @ layers.w1).tobytes()
+            assert loaded.bias.tobytes() == (layers.w2 @ layers.b1 + layers.b2).tobytes()
+            assert not loaded.matrix.flags.writeable and not loaded.bias.flags.writeable
+            resaved = str(tmp_path / "v2.json")
+            loaded.save(resaved)
+            again = EncoderWeights.load(resaved)
+            assert again.matrix.tobytes() == loaded.matrix.tobytes()
+            assert again.bias.tobytes() == loaded.bias.tobytes()
 
 
 @pytest.mark.parametrize("doc", [
     "[1, 2]",
     "not json",
+    '{"version": 3, "input_dim": 2, "output_dim": 1, "matrix": "", "bias": ""}',
     '{"version": 1, "w1": [[1.0]], "b1": [0.0], "w2": [[1.0]]}',
     '{"version": 1, "w1": [1.0, 2.0], "b1": [0.0], "w2": [[1.0]], "b2": [0.0]}',
     '{"version": 1, "w1": [["x"]], "b1": [0.0], "w2": [[1.0]], "b2": [0.0]}',
-], ids=["not-an-object", "not-json", "missing-b2", "1d-w1", "not-numbers"])
+    *(json.dumps(doc) for doc in MALFORMED_V2_WEIGHTS.values()),
+], ids=["not-an-object", "not-json", "version-3", "missing-b2", "1d-w1", "not-numbers",
+        *(f"v2-{name}" for name in MALFORMED_V2_WEIGHTS)])
 def test_malformed_weights_file_is_a_config_error(tmp_path, doc):
     path = tmp_path / "weights.json"
     path.write_text(doc)
     with pytest.raises(ConfigError):
         EncoderWeights.load(str(path))
+
+
+def test_loading_a_512_d_map_takes_a_small_multiple_of_its_floats(tmp_path):
+    path = str(tmp_path / "weights.json")
+    weights = EncoderWeights.identity_init(PROVIDER_DIM)
+    weights.save(path)
+    floats = weights.matrix.nbytes + weights.bias.nbytes  # 2.1 MB
+    tracemalloc.start()
+    try:
+        EncoderWeights.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured 3.7x: the file's text, its base64 strings, their bytes and
+    # the map's own copy; a version 1 file of this map parses at 12.2x
+    assert peak < 5 * floats, peak / floats
