@@ -52,12 +52,36 @@ class EmbeddingProvider:
         raise NotImplementedError
 
 
+# tokens whose buckets a HashingProvider remembers; a full memo starts
+# afresh. Full of 24-character tokens it takes about 1.9 MB
+BUCKET_MEMO_ENTRIES = 1 << 14
+
+
+class _BucketMemo(dict):
+    """token -> bucket, each token hashed on its first lookup."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, token: str) -> int:
+        if len(self) >= BUCKET_MEMO_ENTRIES:
+            self.clear()
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        self[token] = bucket = int.from_bytes(digest, "big") % self.dim
+        return bucket
+
+
 class HashingProvider(EmbeddingProvider):
     """Deterministic local provider: L2-normalized bag of hashed tokens.
 
     Each whitespace token is hashed with blake2b into one of `dim` buckets.
     Two logs get a high cosine similarity exactly when they share most of
     their tokens, which is enough to exercise the full pipeline offline.
+    Log lines repeat their template's tokens, so each provider remembers
+    the bucket of each token it hashes, up to BUCKET_MEMO_ENTRIES tokens,
+    then starts afresh. A bucket depends on the token alone, so the memo
+    leaves every vector as it is.
     """
 
     DIM = 512
@@ -66,13 +90,10 @@ class HashingProvider(EmbeddingProvider):
         if dim < 2:
             raise ConfigError("provider dimension must be >= 2")
         self.dim = dim
-
-    def _bucket(self, token: str) -> int:
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "big") % self.dim
+        self._buckets = _BucketMemo(dim)
 
     def embed(self, text: str) -> np.ndarray:
-        counts = np.bincount([self._bucket(token) for token in text.split()],
+        counts = np.bincount([*map(self._buckets.__getitem__, text.split())],
                              minlength=self.dim)
         norm = np.linalg.norm(counts)
         if norm < NORM_EPS:

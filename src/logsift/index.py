@@ -10,8 +10,13 @@ occupies.
 wherever the row sits. `nearest_batch` scores B queries with one BLAS
 matrix product, whose sums may differ from einsum's in the last bits, and
 then re-scores with einsum every row within TIE_MARGIN of a query's best,
-so its hits and similarities are `nearest`'s exactly. Both pick the hit
-among the tied rows in one place, `_hit`.
+so its hits and similarities are `nearest`'s exactly. The selection runs
+over the whole (B, N) score array: each query's best row, and how many
+rows lie within TIE_MARGIN of it. The queries with one such row, nearly
+all of them, get their similarity from one row-wise einsum; only those
+with several go row by row. Both methods settle ties in one place,
+`_hit`, which returns the best row's cluster at once when its score
+occurs once.
 
 A snapshot (version 2) is JSON metadata with each vector stored as base64
 of its little-endian float64 bytes (`files.encode_floats`, the codec of
@@ -140,24 +145,34 @@ class CentroidIndex:
     def nearest_batch(self, queries: np.ndarray) -> list[Optional[SearchHit]]:
         """`nearest` of each row of `queries` (B, E), all against the index
         as it is now: one matrix product scores every pair, and each row's
-        near-best centroids are re-scored exactly."""
+        near-best centroids are re-scored exactly, all at once for the rows
+        with one such centroid."""
         n = len(self._live)
         if n == 0:
             return [None] * len(queries)
         live = self._matrix[:n]
-        hits = []
-        for query, scores in zip(queries, queries @ live.T):
-            rows = np.flatnonzero(scores >= scores.max() - TIE_MARGIN)
-            hits.append(self._hit(np.einsum("ij,j->i", live[rows], query), rows))
+        scores = queries @ live.T
+        top = scores.argmax(axis=1)
+        near = scores >= scores.max(axis=1, keepdims=True) - TIE_MARGIN
+        sims = np.einsum("ij,ij->i", live[top], queries).tolist()
+        hits = [SearchHit(self._live[row].cluster_id, sim)
+                for row, sim in zip(top.tolist(), sims)]
+        for q in np.flatnonzero(np.count_nonzero(near, axis=1) > 1).tolist():
+            rows = np.flatnonzero(near[q])
+            hits[q] = self._hit(np.einsum("ij,j->i", live[rows], queries[q]), rows)
         return hits
 
     def _hit(self, sims: np.ndarray, rows: np.ndarray) -> SearchHit:
         """The best of `sims`, the einsum scores of matrix `rows`; a tie
         goes to the lowest cluster id, whatever rows the tied centroids
         occupy."""
-        best = sims.max()
-        cid = min(self._live[row].cluster_id for row in rows[sims == best])
-        return SearchHit(cid, float(best))
+        top = sims.argmax()
+        best = sims[top]
+        tied = sims == best
+        if np.count_nonzero(tied) == 1:
+            return SearchHit(self._live[rows[top]].cluster_id, float(best))
+        return SearchHit(min(self._live[row].cluster_id for row in rows[tied]),
+                         float(best))
 
     def update_moving_average(self, cluster_id: int,
                               incoming: np.ndarray) -> ClusterCentroid:
@@ -165,7 +180,11 @@ class CentroidIndex:
         renormalize. The weight always increments."""
         incoming = _check_unit(incoming)
         centroid = self.get(cluster_id)
-        moved = centroid.vector + (incoming - centroid.vector) / (centroid.weight + 1)
+        # v + (incoming - v) / (w + 1) in place, one new array for three;
+        # floating-point addition commutes, so the sum is the same bit for bit
+        moved = incoming - centroid.vector
+        moved /= centroid.weight + 1
+        moved += centroid.vector
         centroid.weight += 1
         norm = np.linalg.norm(moved)
         if norm < NORM_EPS:

@@ -21,8 +21,10 @@ the EMBED_CACHE_ENTRIES most recently used reuses its vector, read-only.
 A call's misses, each distinct line once, are encoded together by
 `embed_log` with the pipeline's encoder map (a sequential call is a batch
 of one), and the cache is then used and filled in record order, so its
-order is the one a record-by-record walk would leave. A record that fails to embed is a dead letter, except for a
-dimension mismatch, which every record would hit and which stops the run.
+order is the one a record-by-record walk would leave. A record that fails
+to embed is a dead letter, except for a dimension mismatch, which every
+record would hit and which stops the run; a pipeline whose encoder does
+not take the provider's width plus the word count is not built at all.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .embedding import EmbeddingProvider, EncoderWeights, embed_log
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError
 from .index import CentroidIndex, ParseState, SearchHit
 from .parsing import ClusterParser
 from .rebalance import MergeReport, check_threshold, rebalance
@@ -76,6 +78,10 @@ class Pipeline:
     def __init__(self, provider: EmbeddingProvider, weights: EncoderWeights,
                  index: CentroidIndex, parser: ClusterParser,
                  config: Optional[IngestConfig] = None):
+        if weights.input_dim != provider.dim + 1:  # the provider's floats, the word count
+            raise DimensionMismatchError(
+                f"encoder takes {weights.input_dim} inputs; provider dim {provider.dim} "
+                f"and the word count make {provider.dim + 1}")
         self.provider = provider
         self.weights = weights
         self.index = index

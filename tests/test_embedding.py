@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -13,6 +14,7 @@ from logsift import (
     embed_raw,
     fuse_word_count,
 )
+from logsift import embedding
 from logsift.errors import ConfigError, DegenerateEmbeddingError, ProviderError
 
 from conftest import MALFORMED_V2_WEIGHTS, PROVIDER_DIM, write_v1_weights
@@ -43,12 +45,40 @@ class TestEmbedRaw:
         v = embed_raw(LogRecord("s", "x y z"), provider)
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
+    @staticmethod
+    def hashed_counts(text, dim):
+        counts = np.zeros(dim)
+        for token in text.split():
+            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+            counts[int.from_bytes(digest, "big") % dim] += 1.0
+        return counts / np.linalg.norm(counts)
+
     def test_bucket_counts_match_a_token_by_token_count(self, corpus, provider):
-        for text in [r.content for r in corpus.records[::25]] + ["a b a", "x x x x"]:
-            counts = np.zeros(provider.dim)
-            for token in text.split():
-                counts[provider._bucket(token)] += 1.0
-            assert np.array_equal(provider.embed(text), counts / np.linalg.norm(counts))
+        texts = [r.content for r in corpus.records[::25]] + ["a b a", "x x x x"]
+        for text in texts + texts:  # the second time from the memo
+            assert np.array_equal(provider.embed(text),
+                                  self.hashed_counts(text, provider.dim))
+
+    def test_memo_that_starts_afresh_within_a_line_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(embedding, "BUCKET_MEMO_ENTRIES", 2)
+        provider = HashingProvider(64)
+        for text in ["a b c d a b", "c a e a f", "a a a a"]:
+            assert np.array_equal(provider.embed(text), self.hashed_counts(text, 64))
+            assert len(provider._buckets) <= 2
+
+    def test_vectors_are_pinned(self):
+        # any change to the bucketing changes every partition, so fail here
+        provider = HashingProvider(512)
+        pinned = {
+            "start processing 2 alerts for org org_bff943b3ca":
+                "bc14d7a785b50b4887a317ebce195e727569dc08cf0bb6916618e228ee18408d",
+            "Receiving block blk_-1608999687919862906 src: /10.250.19.102:54106 "
+            "dest: /10.250.19.102:50010":
+                "777ae87d7688fb23e7b802ef2049c223d385469a21d6b3e362a3c0fcf1853c27",
+        }
+        for text, sha in pinned.items():
+            raw = provider.embed(text).astype("<f8").tobytes()
+            assert hashlib.sha256(raw).hexdigest() == sha
 
     def test_token_overlap_drives_similarity(self, provider):
         a = embed_raw(LogRecord("s", "alpha beta gamma delta"), provider)

@@ -6,6 +6,7 @@ import pytest
 
 from logsift import CentroidIndex, ParseState
 from logsift.errors import ClusterNotFoundError, SnapshotFormatError
+from logsift.index import TIE_MARGIN
 
 from conftest import random_unit, write_v1_snapshot
 from oracles import oracle_moving_average, oracle_nearest
@@ -131,20 +132,33 @@ class TestNearestBatch:
         assert [h.cluster_id for h in hits] == [low, low]
 
     def test_equals_one_nearest_per_query(self):
-        # copies of one vector, exact and off by rounding-sized noise, put
-        # several rows within the re-scoring margin of a query's best
+        # one call mixes queries with a single near-best row, with exact
+        # ties (copies of one vector) and with rows a rounding error apart,
+        # after removals have moved rows
         rng = np.random.default_rng(21)
+        kinds = set()
         for _ in range(20):
             dim = int(rng.integers(2, 40))
             base = random_unit(rng, dim)
             index = CentroidIndex()
-            for _ in range(int(rng.integers(1, 150))):
+            for _ in range(int(rng.integers(2, 150))):
                 v = [base, base + 1e-15 * rng.normal(size=dim),
                      random_unit(rng, dim)][int(rng.integers(3))]
                 index.insert(v / np.linalg.norm(v))
-            queries = np.stack([base] + [random_unit(rng, dim) for _ in range(9)])
+            for cid in rng.permutation(index.ids())[:len(index) // 4]:
+                index.remove(int(cid))
+            noisy = base + 1e-15 * rng.normal(size=dim)
+            queries = np.stack([base, noisy / np.linalg.norm(noisy)]
+                               + [random_unit(rng, dim) for _ in range(8)])
             hits = index.nearest_batch(queries)
-            assert hits == [index.nearest(q) for q in queries]
+            assert hits == [index.nearest(q) for q in queries]  # similarities by ==
+            vectors = np.stack([c.vector for c in index.centroids()])
+            for query in queries:
+                sims = np.einsum("ij,j->i", vectors, query)
+                near = np.count_nonzero(sims >= sims.max() - TIE_MARGIN)
+                tied = np.count_nonzero(sims == sims.max())
+                kinds.add("single" if near == 1 else "tie" if near == tied else "near tie")
+        assert kinds == {"single", "tie", "near tie"}
 
 
 class TestUpdateMovingAverage:

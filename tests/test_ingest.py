@@ -7,6 +7,7 @@ import pytest
 from logsift import (
     CentroidIndex,
     ClusterParser,
+    HashingProvider,
     IngestConfig,
     LogRecord,
     MockCompletionClient,
@@ -16,7 +17,7 @@ from logsift import (
 )
 from logsift import ingest as ingest_module
 from logsift.embedding import EmbeddingProvider
-from logsift.errors import ConfigError, ProviderError
+from logsift.errors import ConfigError, DimensionMismatchError, ProviderError
 
 
 def make_pipeline(provider, weights, batch_mode=False, rebalance_every=1000):
@@ -39,6 +40,14 @@ def final_partition(pipeline, assignments, report):
         return cid
 
     return [resolve(a.cluster_id) for a in assignments]
+
+
+def test_encoder_width_is_checked_at_construction(identity_weights):
+    # the map takes the provider's D floats and the word count: D + 1
+    for dim in (8, 16, identity_weights.input_dim):
+        with pytest.raises(DimensionMismatchError, match=f"provider dim {dim}"):
+            make_pipeline(HashingProvider(dim), identity_weights)
+    make_pipeline(HashingProvider(identity_weights.input_dim - 1), identity_weights)
 
 
 class TestSequentialIngest:
