@@ -141,7 +141,7 @@ class TestNearestBatch:
             dim = int(rng.integers(2, 40))
             base = random_unit(rng, dim)
             index = CentroidIndex()
-            for _ in range(int(rng.integers(2, 150))):
+            for _ in range(int(rng.integers(1, 150))):
                 v = [base, base + 1e-15 * rng.normal(size=dim),
                      random_unit(rng, dim)][int(rng.integers(3))]
                 index.insert(v / np.linalg.norm(v))
@@ -200,7 +200,8 @@ class TestUpdateMovingAverage:
                 expected = oracle_moving_average(expected, incoming, weight)
                 weight += 1
                 c = index.update_moving_average(cid, incoming)
-                assert np.allclose(c.vector, expected, atol=1e-9)
+                # the in-place step is the closed form bit for bit
+                assert np.array_equal(c.vector, expected)
                 assert c.weight == weight
 
     def test_missing_id(self):
