@@ -68,7 +68,7 @@ class SearchHit:
 
 def _check_unit(vector: np.ndarray) -> np.ndarray:
     vector = np.asarray(vector, dtype=np.float64)
-    if abs(np.linalg.norm(vector) - 1.0) > UNIT_TOL:
+    if not abs(np.linalg.norm(vector) - 1.0) <= UNIT_TOL:  # a NaN norm fails too
         raise ValueError("vector is not unit-norm")
     return vector
 
@@ -228,7 +228,9 @@ class CentroidIndex:
     @classmethod
     def load(cls, path: str) -> "CentroidIndex":
         """Read a version 2 snapshot, or a version 1 one (float lists, and
-        an HNSW `params` block that is ignored)."""
+        an HNSW `params` block that is ignored). An id that is not an int,
+        a weight that is not a positive int, or a vector that is not finite
+        and unit-length is a SnapshotFormatError."""
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -240,17 +242,23 @@ class CentroidIndex:
         index = cls()
         try:
             for entry in doc["centroids"]:
-                if entry["id"] in index:
-                    raise ValueError(f"duplicate cluster id {entry['id']}")
+                cid, weight = entry["id"], entry["weight"]
+                if type(cid) is not int:  # a bool or a float is no id
+                    raise ValueError(f"cluster id {cid!r} is not an integer")
+                if type(weight) is not int or weight < 1:
+                    raise ValueError(f"cluster {cid} has weight {weight!r}, "
+                                     "not a positive integer")
+                if cid in index:
+                    raise ValueError(f"duplicate cluster id {cid}")
                 if version == 1:
                     vector = np.array(entry["vector"], dtype=np.float64)
                 else:
                     vector = decode_floats(entry["vector"])
                 if vector.ndim != 1 or len(index) and vector.shape != index._matrix[0].shape:
-                    raise ValueError(f"cluster {entry['id']} has a vector of "
+                    raise ValueError(f"cluster {cid} has a vector of "
                                      f"shape {vector.shape}, unlike the others")
-                index._next_id = entry["id"]  # insert gives out the saved id
-                index.insert(vector, weight=int(entry["weight"]),
+                index._next_id = cid  # insert gives out the saved id
+                index.insert(vector, weight=weight,
                              template_id=entry["template_id"],
                              parse_state=ParseState(entry["parse_state"]))
             next_id = doc["next_id"]

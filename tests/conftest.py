@@ -63,14 +63,14 @@ def make_two_family_pairs(n=120, seed=0):
     return pairs
 
 
-def write_v1_weights(layers, path):
-    """Save the two factors of `layers` in the version 1 weights layout:
-    every array a JSON list of floats."""
+def write_v1_weights(w1, b1, w2, b2, path):
+    """Save two affine layers, w1 (H, D+1), b1 (H,), w2 (E, H) and b2 (E,),
+    in the version 1 weights layout: every array a JSON list of floats."""
     with open(path, "w") as fh:
-        json.dump({"version": 1, "input_dim": layers.w1.shape[1],
-                   "hidden_dim": layers.w1.shape[0], "output_dim": layers.w2.shape[0],
-                   "w1": layers.w1.tolist(), "b1": layers.b1.tolist(),
-                   "w2": layers.w2.tolist(), "b2": layers.b2.tolist()}, fh)
+        json.dump({"version": 1, "input_dim": w1.shape[1],
+                   "hidden_dim": w1.shape[0], "output_dim": w2.shape[0],
+                   "w1": w1.tolist(), "b1": b1.tolist(),
+                   "w2": w2.tolist(), "b2": b2.tolist()}, fh)
 
 
 def _floats(*values):
@@ -91,6 +91,21 @@ MALFORMED_V2_WEIGHTS = {
     "string-dims": {**_V2, "output_dim": "1", "matrix": _floats(1.0, 0.0),
                     "bias": _floats(0.0)},
     "matrix-not-text": {**_V2, "matrix": [1.0, 0.0], "bias": _floats(0.0)},
+}
+
+
+# version 1 weights files whose two factors make no whole, finite map, by
+# what is wrong; each loads to a ConfigError, never to a map
+MALFORMED_V1_WEIGHTS = {
+    "inner-dims-disagree": {"version": 1, "w1": [[1.0, 0.0], [0.0, 1.0]], "b1": [0.0, 0.0],
+                            "w2": [[1.0, 0.0, 0.0]], "b2": [0.0]},
+    "b1-wrong-length": {"version": 1, "w1": [[1.0, 0.0], [0.0, 1.0]],
+                        "b1": [0.0, 0.0, 0.0], "w2": [[1.0, 0.0]], "b2": [0.0]},
+    "nan-entry": {"version": 1, "w1": [[1.0, float("nan")]], "b1": [0.0],
+                  "w2": [[1.0]], "b2": [0.0]},
+    # w2 @ b1 + b2 would broadcast a length-1 b2 over both rows
+    "b2-broadcasts": {"version": 1, "w1": [[1.0, 0.0]], "b1": [0.0],
+                      "w2": [[1.0], [1.0]], "b2": [0.0]},
 }
 
 

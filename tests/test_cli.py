@@ -18,9 +18,13 @@ from logsift.embedding import EncoderWeights
 from logsift.index import CentroidIndex
 from logsift.rebalance import rebalance
 from logsift.synthetic import generate_corpus
-from logsift.training import EncoderLayers
 
-from conftest import MALFORMED_V2_WEIGHTS, write_v1_snapshot, write_v1_weights
+from conftest import (
+    MALFORMED_V1_WEIGHTS,
+    MALFORMED_V2_WEIGHTS,
+    write_v1_snapshot,
+    write_v1_weights,
+)
 
 
 @pytest.fixture(scope="module")
@@ -227,8 +231,10 @@ class TestTrainEncoderCommand:
     '{"version": 1, "w1": [[1.0]], "b1": [0.0]}',
     '{"version": 1, "w1": [1.0], "b1": [0.0], "w2": [[1.0]], "b2": [0.0]}',
     *(json.dumps(doc) for doc in MALFORMED_V2_WEIGHTS.values()),
+    *(json.dumps(doc) for doc in MALFORMED_V1_WEIGHTS.values()),
 ], ids=["not-an-object", "missing-keys", "1d-w1",
-        *(f"v2-{name}" for name in MALFORMED_V2_WEIGHTS)])
+        *(f"v2-{name}" for name in MALFORMED_V2_WEIGHTS),
+        *(f"v1-{name}" for name in MALFORMED_V1_WEIGHTS)])
 def test_malformed_weights_file_exits_2(corpus_csv, tmp_path, capsys, doc):
     weights = tmp_path / "weights.json"
     weights.write_text(doc)
@@ -294,6 +300,22 @@ class TestRebalanceCommand:
         snap.write_text(json.dumps(doc))
         assert main(["rebalance", "--snapshot", str(snap)]) == EXIT_DATA
         assert "malformed snapshot" in capsys.readouterr().err
+
+    def test_negative_weight_exits_5_and_writes_nothing(self, tmp_path, capsys):
+        # a weight of -1 would merge into a weight-0 centroid, a 0/0 NaN vector
+        index = CentroidIndex()
+        index.insert(np.array([0.6, 0.8]))
+        index.insert(np.array([0.6, 0.8]))
+        snap = tmp_path / "snap.json"
+        index.snapshot(str(snap))
+        doc = json.loads(snap.read_text())
+        doc["centroids"][1]["weight"] = -1
+        snap.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        assert main(["rebalance", "--snapshot", str(snap),
+                     "--snapshot-out", str(out)]) == EXIT_DATA
+        assert "weight -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_next_id_that_reuses_an_id_exits_5(self, tmp_path, capsys):
         snap = tmp_path / "snap.json"
@@ -367,10 +389,9 @@ class TestExportEmbeddingsCommand:
 
     def test_same_corpus_bytes_from_either_weights_version(self, tmp_path):
         rng = np.random.default_rng(12)
-        layers = EncoderLayers(w1=rng.normal(size=(48, 33)), b1=rng.normal(size=48),
-                               w2=rng.normal(size=(64, 48)), b2=rng.normal(size=64))
         v1, v2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")
-        write_v1_weights(layers, v1)
+        write_v1_weights(rng.normal(size=(48, 33)), rng.normal(size=48),
+                         rng.normal(size=(64, 48)), rng.normal(size=64), v1)
         EncoderWeights.load(v1).save(v2)
         corpus = tmp_path / "corpus.log"
         corpus.write_text("\n".join(r.content for r in generate_corpus(
@@ -409,14 +430,12 @@ class TestExportEmbeddingsCommand:
 
     @pytest.mark.parametrize("mode", [[], ["--batch-mode"]], ids=["sequential", "batch"])
     def test_corpus_vectors_are_the_ones_ingest_commits(self, tmp_path, mode):
-        # random weights, where two layers in turn and the collapsed map
-        # round differently: each line, ingested alone, creates a cluster
-        # whose centroid is its vector, and the export writes that vector
+        # random weights, whose products round in the last bits: each line,
+        # ingested alone, creates a cluster whose centroid is its vector, and
+        # the export writes that vector
         rng = np.random.default_rng(11)
         weights = str(tmp_path / "weights.json")
-        layers = EncoderLayers(w1=rng.normal(size=(48, 33)), b1=rng.normal(size=48),
-                               w2=rng.normal(size=(64, 48)), b2=rng.normal(size=64))
-        layers.collapse().save(weights)
+        EncoderWeights(rng.normal(size=(64, 33)), rng.normal(size=64)).save(weights)
         corpus = generate_corpus(n_templates=4, logs_per_template=5, seed=3)
         lines = [r.content for r in corpus.records]
         settings = ["--weights", weights, "--provider-dim", "32"]

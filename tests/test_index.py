@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ class TestInsert:
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             CentroidIndex().insert(np.array([1.0, 1.0]))
+
+    def test_nan_rejected(self):
+        index = CentroidIndex()
+        with pytest.raises(ValueError):
+            index.insert(np.array([np.nan, 0.0]))
+        assert len(index) == 0
 
 
 class TestNearest:
@@ -207,6 +214,14 @@ class TestUpdateMovingAverage:
     def test_missing_id(self):
         with pytest.raises(ClusterNotFoundError):
             CentroidIndex().update_moving_average(3, unit(1, 0))
+
+    def test_nan_incoming_rejected(self):
+        index = CentroidIndex()
+        cid = index.insert(unit(1, 0))
+        with pytest.raises(ValueError):
+            index.update_moving_average(cid, np.array([np.nan, 0.0]))
+        assert index.get(cid).weight == 1
+        assert np.array_equal(index.get(cid).vector, unit(1, 0))
 
     def test_index_reflects_moved_vector(self):
         index = CentroidIndex()
@@ -398,4 +413,38 @@ class TestSnapshot:
         doc["next_id"] = next_id
         path.write_text(json.dumps(doc))
         with pytest.raises(SnapshotFormatError, match="next_id"):
+            CentroidIndex.load(str(path))
+
+    @pytest.mark.parametrize("field,value", [
+        ("id", 1.5), ("id", True), ("id", "1"), ("id", None),
+        ("weight", 0), ("weight", -1), ("weight", 2.7), ("weight", True), ("weight", "2"),
+    ], ids=["float-id", "bool-id", "string-id", "null-id", "zero-weight",
+            "negative-weight", "float-weight", "bool-weight", "string-weight"])
+    def test_id_and_weight_must_be_integers(self, tmp_path, field, value):
+        index = CentroidIndex()
+        index.insert(unit(1, 0))
+        index.insert(unit(0, 1))
+        path = tmp_path / "snap.json"
+        index.snapshot(str(path))
+        doc = json.loads(path.read_text())
+        doc["centroids"][1][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotFormatError, match=re.escape(f"{field} {value!r}")):
+            CentroidIndex.load(str(path))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_non_finite_vector_rejected(self, tmp_path, version):
+        index = CentroidIndex()
+        index.insert(unit(1, 0))
+        path = tmp_path / "snap.json"
+        if version == 1:
+            write_v1_snapshot(index, path)
+        else:
+            index.snapshot(str(path))
+        doc = json.loads(path.read_text())
+        nan = np.array([np.nan, 0.0])
+        doc["centroids"][0]["vector"] = nan.tolist() if version == 1 else \
+            base64.b64encode(nan.astype("<f8").tobytes()).decode()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotFormatError, match="unit-norm"):
             CentroidIndex.load(str(path))
