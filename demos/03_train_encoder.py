@@ -2,9 +2,9 @@
 Training the similarity encoder
 ===============================
 
-The encoder is one affine map (a matrix and a bias) that reshapes raw
-provider embeddings (plus a scaled word-count feature) so that cosine
-similarity reflects "same template" rather than surface word overlap.  Here we build
+The encoder is a pair of affine layers that reshape raw provider
+embeddings (plus a scaled word-count feature) so that cosine similarity
+reflects "same template" rather than surface word overlap.  Here we build
 a toy setting where raw cosine is almost useless -- every vector shares a
 large common component -- and train the encoder to subtract it.
 

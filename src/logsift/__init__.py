@@ -1,7 +1,7 @@
 """logsift: online log clustering and template extraction.
 
-Logs are embedded (provider vector + word-count feature, through one
-trained affine map), routed to weighted centroid clusters at a cosine threshold,
+Logs are embedded (provider vector + word-count feature + trained linear
+encoder), routed to weighted centroid clusters at a cosine threshold,
 parsed once per cluster via a completion model, and periodically rebalanced
 to repair drift and parallel-ingest duplicates.
 """
@@ -35,6 +35,7 @@ from .parsing import (
 from .rebalance import merge_pair, rebalance
 from .records import LogRecord
 from .training import (
+    EncoderLayers,
     TrainConfig,
     TrainingPair,
     build_pair_dataset,
@@ -49,6 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CentroidIndex",
     "ClusterParser",
+    "EncoderLayers",
     "EncoderWeights",
     "HashingProvider",
     "IngestConfig",

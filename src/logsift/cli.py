@@ -200,7 +200,7 @@ def cmd_train_encoder(args) -> int:
                    for c, t in zip(dataset.contents, dataset.templates)]
         pairs.extend(build_pair_dataset(labeled, train_cfg, provider))
     result = train(pairs, train_cfg)
-    result.weights.save(args.weights_out)
+    result.layers.collapse().save(args.weights_out)
     if args.loss_trace_out:
         with atomic_write(args.loss_trace_out) as fh:
             fh.write(json.dumps({"loss_trace": result.loss_trace}, indent=2) + "\n")

@@ -6,15 +6,16 @@ appended as one scaled feature, and an affine encoder projects the fused
 vector before L2 normalization. Cosine similarity between two logs is
 then a plain dot product.
 
-The encoder has no activation, so it is one affine map: `EncoderWeights`,
-read-only, what training returns and what a weights file stores. Every
-caller embeds with the map through `embed_log`: a provider call per
-record, then one matrix product for all. A record alone gets the same
-vector bit for bit whoever embeds it; a row of a larger product can differ
-in the last bits, as BLAS orders its sums by the row's position (not at
-identity weights, where every sum is exact). The vector depends on the
-content alone, so `Pipeline` embeds each distinct line once and keeps its
-vector (see `logsift.ingest`).
+The encoder has no activation, so its two layers are one affine map.
+`EncoderWeights` is that map, read-only, and what a weights file stores;
+training keeps the two factors (`training.EncoderLayers`) and multiplies
+them out once. Every caller embeds with the map through `embed_log`: a
+provider call per record, then one matrix product for all. A record alone
+gets the same vector bit for bit whoever embeds it; a row of a larger
+product can differ in the last bits, as BLAS orders its sums by the row's
+position (not at identity weights, where every sum is exact). The vector
+depends on the content alone, so `Pipeline` embeds each distinct line once
+and keeps its vector (see `logsift.ingest`).
 """
 
 from __future__ import annotations
@@ -136,10 +137,10 @@ class EncoderWeights:
 
     A weights file (version 2) is JSON metadata, `input_dim` (D+1) and
     `output_dim` (E), with `matrix` (row by row) and `bias` stored as base64
-    of their little-endian float64 bytes. Version 1 files hold two affine
-    layers, `w1` (H, D+1), `b1` (H,), `w2` (E, H) and `b2` (E,), as JSON
-    float lists; they still load, multiplied out to the map `w2 @ w1`,
-    `w2 @ b1 + b2`, bit for bit as before version 2.
+    of their little-endian float64 bytes. Version 1 files hold the two
+    factors training keeps (`training.EncoderLayers`) as JSON float lists;
+    they still load, multiplied out once as `EncoderLayers.collapse` does,
+    to the same map bit for bit.
     """
 
     matrix: np.ndarray
@@ -200,15 +201,9 @@ class EncoderWeights:
             raise ConfigError(f"unsupported weights file version: {doc.get('version')!r}")
         try:
             if doc["version"] == 1:
-                w1, b1, w2, b2 = (np.asarray(doc[key], dtype=np.float64)
-                                  for key in ("w1", "b1", "w2", "b2"))
-                if (w1.ndim != 2 or w2.ndim != 2 or b1.shape != w1.shape[:1]
-                        or w2.shape[1:] != w1.shape[:1] or b2.shape != w2.shape[:1]):
-                    raise ValueError(f"w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} and "
-                                     f"b2 {b2.shape} do not make two affine layers")
-                if not all(np.all(np.isfinite(a)) for a in (w1, b1, w2, b2)):
-                    raise ValueError("encoder weights contain non-finite entries")
-                return cls(w2 @ w1, w2 @ b1 + b2)
+                from .training import EncoderLayers  # here: training imports this module
+                layers = EncoderLayers(*(doc[key] for key in ("w1", "b1", "w2", "b2")))
+                return layers.collapse()
             rows, cols = doc["output_dim"], doc["input_dim"]
             if type(rows) is not int or type(cols) is not int or min(rows, cols) < 1:
                 raise ValueError(f"dims {rows!r} x {cols!r} are not positive integers")

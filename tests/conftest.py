@@ -63,14 +63,14 @@ def make_two_family_pairs(n=120, seed=0):
     return pairs
 
 
-def write_v1_weights(w1, b1, w2, b2, path):
-    """Save two affine layers, w1 (H, D+1), b1 (H,), w2 (E, H) and b2 (E,),
-    in the version 1 weights layout: every array a JSON list of floats."""
+def write_v1_weights(layers, path):
+    """Save the two factors of `layers` in the version 1 weights layout:
+    every array a JSON list of floats."""
     with open(path, "w") as fh:
-        json.dump({"version": 1, "input_dim": w1.shape[1],
-                   "hidden_dim": w1.shape[0], "output_dim": w2.shape[0],
-                   "w1": w1.tolist(), "b1": b1.tolist(),
-                   "w2": w2.tolist(), "b2": b2.tolist()}, fh)
+        json.dump({"version": 1, "input_dim": layers.w1.shape[1],
+                   "hidden_dim": layers.w1.shape[0], "output_dim": layers.w2.shape[0],
+                   "w1": layers.w1.tolist(), "b1": layers.b1.tolist(),
+                   "w2": layers.w2.tolist(), "b2": layers.b2.tolist()}, fh)
 
 
 def _floats(*values):

@@ -3,7 +3,7 @@
 These deliberately avoid the library's own code paths: groupings are
 compared by exhaustive membership enumeration, the nearest neighbor by a
 full scan, the merge/update algebra by the closed-form expressions, and
-each line's vector by the encoder formula, recomputed per line.
+each line's vector by the two-layer encoder formula, recomputed per line.
 """
 
 import numpy as np
@@ -88,20 +88,24 @@ def oracle_merge(v_i, w_i, v_j, w_j):
     return v / np.linalg.norm(v)
 
 
-def oracle_embed(content, provider, weights):
-    """A line's vector by the encoder formula, computed afresh: the
-    provider's vector with the word count over 100 appended, through the
-    map's matrix and bias, scaled to unit length."""
+def oracle_embed(content, provider, layers):
+    """A line's vector by the two-layer formula, computed afresh: the
+    provider's vector with the word count over 100 appended, through w1
+    and b1, then w2 and b2, scaled to unit length."""
     fused = np.append(provider.embed(content), len(content.split()) / 100.0)
-    out = weights.matrix @ fused + weights.bias
+    out = layers.w2 @ (layers.w1 @ fused + layers.b1) + layers.b2
     return out / np.linalg.norm(out)
 
 
 class OraclePipeline(Pipeline):
-    """Pipeline whose every line, repeated or not and in either mode, is
-    embedded on its own by oracle_embed: no content cache and no batch
-    encode."""
+    """Pipeline given the encoder's two layers, whose every line, repeated
+    or not and in either mode, is embedded on its own by oracle_embed: no
+    content cache, no collapsed map and no batch encode."""
+
+    def __init__(self, provider, layers, *args, **kwargs):
+        super().__init__(provider, layers.collapse(), *args, **kwargs)
+        self.layers = layers
 
     def _embed(self, records):
-        return [(r, oracle_embed(r.content, self.provider, self.weights))
+        return [(r, oracle_embed(r.content, self.provider, self.layers))
                 for r in records], []

@@ -18,6 +18,7 @@ from logsift.embedding import EncoderWeights
 from logsift.index import CentroidIndex
 from logsift.rebalance import rebalance
 from logsift.synthetic import generate_corpus
+from logsift.training import EncoderLayers
 
 from conftest import (
     MALFORMED_V1_WEIGHTS,
@@ -389,9 +390,10 @@ class TestExportEmbeddingsCommand:
 
     def test_same_corpus_bytes_from_either_weights_version(self, tmp_path):
         rng = np.random.default_rng(12)
+        layers = EncoderLayers(w1=rng.normal(size=(48, 33)), b1=rng.normal(size=48),
+                               w2=rng.normal(size=(64, 48)), b2=rng.normal(size=64))
         v1, v2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")
-        write_v1_weights(rng.normal(size=(48, 33)), rng.normal(size=48),
-                         rng.normal(size=(64, 48)), rng.normal(size=64), v1)
+        write_v1_weights(layers, v1)
         EncoderWeights.load(v1).save(v2)
         corpus = tmp_path / "corpus.log"
         corpus.write_text("\n".join(r.content for r in generate_corpus(
@@ -430,12 +432,14 @@ class TestExportEmbeddingsCommand:
 
     @pytest.mark.parametrize("mode", [[], ["--batch-mode"]], ids=["sequential", "batch"])
     def test_corpus_vectors_are_the_ones_ingest_commits(self, tmp_path, mode):
-        # random weights, whose products round in the last bits: each line,
-        # ingested alone, creates a cluster whose centroid is its vector, and
-        # the export writes that vector
+        # random weights, where two layers in turn and the collapsed map
+        # round differently: each line, ingested alone, creates a cluster
+        # whose centroid is its vector, and the export writes that vector
         rng = np.random.default_rng(11)
         weights = str(tmp_path / "weights.json")
-        EncoderWeights(rng.normal(size=(64, 33)), rng.normal(size=64)).save(weights)
+        layers = EncoderLayers(w1=rng.normal(size=(48, 33)), b1=rng.normal(size=48),
+                               w2=rng.normal(size=(64, 48)), b2=rng.normal(size=64))
+        layers.collapse().save(weights)
         corpus = generate_corpus(n_templates=4, logs_per_template=5, seed=3)
         lines = [r.content for r in corpus.records]
         settings = ["--weights", weights, "--provider-dim", "32"]

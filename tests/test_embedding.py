@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from logsift import (
+    EncoderLayers,
     EncoderWeights,
     HashingProvider,
     LogRecord,
@@ -155,8 +156,11 @@ class TestEncode:
     def test_unit_norm_over_random_draws(self):
         rng = np.random.default_rng(1)
         for _ in range(1000):
-            d_in, e = rng.integers(2, 8, size=2)
-            w = EncoderWeights(rng.normal(size=(e, d_in)), rng.normal(size=e))
+            d_in, h, e = rng.integers(2, 8, size=3)
+            w = EncoderLayers(
+                w1=rng.normal(size=(h, d_in)), b1=rng.normal(size=h),
+                w2=rng.normal(size=(e, h)), b2=rng.normal(size=e),
+            ).collapse()
             out = embed_rows(rng.normal(size=(3, d_in - 1)), rng.integers(1, 9, size=3), w)
             assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) <= 1e-6)
 
@@ -188,45 +192,43 @@ class TestEncode:
 
 
 class TestCollapsedEncoder:
-    """A version 1 weights file's two layers, multiplied out to one map."""
-
-    def test_matches_the_two_layers_on_random_weights(self, tmp_path):
+    def test_matches_the_two_layers_on_random_weights(self):
         rng = np.random.default_rng(4)
-        path = str(tmp_path / "v1.json")
         worst = 0.0
         for _ in range(200):
             d_in, h, e = rng.integers(2, 40, size=3)
-            w1, b1 = rng.normal(size=(h, d_in)), rng.normal(size=h)
-            w2, b2 = rng.normal(size=(e, h)), rng.normal(size=e)
-            write_v1_weights(w1, b1, w2, b2, path)
+            w = EncoderLayers(
+                w1=rng.normal(size=(h, d_in)), b1=rng.normal(size=h),
+                w2=rng.normal(size=(e, h)), b2=rng.normal(size=e),
+            )
             lines = [words(int(n), f"r{i}x")
                      for i, n in enumerate(rng.integers(1, 20, size=rng.integers(1, 6)))]
             provider = Table({t: rng.normal(size=d_in - 1) for t in lines})
-            out = embed_log([LogRecord("s", t) for t in lines], provider,
-                            EncoderWeights.load(path))
-            for t, v in zip(lines, out):  # the layers in turn, line by line
-                fused = np.append(provider.embed(t), len(t.split()) / 100.0)
-                layered = w2 @ (w1 @ fused + b1) + b2
-                worst = max(worst, np.abs(v - layered / np.linalg.norm(layered)).max())
+            out = embed_log([LogRecord("s", t) for t in lines], provider, w.collapse())
+            worst = max(worst, max(np.abs(v - oracle_embed(t, provider, w)).max()
+                                   for t, v in zip(lines, out)))
         assert worst <= 1e-12
 
     def test_bit_exact_on_identity_weights(self, corpus, provider, identity_weights):
         records = corpus.records[::50]
+        layers = EncoderLayers.identity_init(PROVIDER_DIM)
         for record, v in zip(records, embed_log(records, provider, identity_weights)):
-            assert np.array_equal(v, oracle_embed(record.content, provider,
-                                                  identity_weights))
+            assert np.array_equal(v, oracle_embed(record.content, provider, layers))
 
-    def test_identity_map_is_the_identity_layers_collapsed(self, tmp_path):
-        # the layers an untrained version 1 encoder held: the fused vector
-        # passed through, then the word-count column dropped
-        path = str(tmp_path / "v1.json")
+    def test_identity_map_is_the_identity_layers_collapsed(self):
         for d in (1, 3, 40):
-            write_v1_weights(np.eye(d + 1), np.zeros(d + 1), np.eye(d, d + 1),
-                             np.zeros(d), path)
-            loaded = EncoderWeights.load(path)
+            layers = EncoderLayers.identity_init(d).collapse()
             direct = EncoderWeights.identity_init(d)
-            assert loaded.matrix.tobytes() == direct.matrix.tobytes()
-            assert loaded.bias.tobytes() == direct.bias.tobytes()
+            assert layers.matrix.tobytes() == direct.matrix.tobytes()
+            assert layers.bias.tobytes() == direct.bias.tobytes()
+
+    def test_is_a_frozen_copy(self):
+        w = EncoderLayers.identity_init(3)
+        collapsed = w.collapse()
+        w.w2 += 1.0  # training updates the layers in place
+        assert np.array_equal(collapsed.matrix, np.eye(3, 4))
+        assert not collapsed.matrix.flags.writeable
+        assert not collapsed.bias.flags.writeable
 
 
 class TestEmbedLog:
@@ -294,7 +296,8 @@ class TestEncoderWeights:
 
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
-        w = EncoderWeights(rng.normal(size=(3, 4)), rng.normal(size=3))
+        w = EncoderLayers(w1=rng.normal(size=(5, 4)), b1=rng.normal(size=5),
+                          w2=rng.normal(size=(3, 5)), b2=rng.normal(size=3)).collapse()
         path = tmp_path / "weights.json"
         w.save(str(path))
         doc = json.loads(path.read_text())
@@ -309,14 +312,14 @@ class TestEncoderWeights:
     def test_version_1_loads_to_the_two_layers_multiplied_out(self, tmp_path):
         rng = np.random.default_rng(5)
         for h, d_in, e in [(5, 4, 3), (48, 33, 64), (1, 2, 1)]:
-            w1, b1 = rng.normal(size=(h, d_in)), rng.normal(size=h)
-            w2, b2 = rng.normal(size=(e, h)), rng.normal(size=e)
+            layers = EncoderLayers(w1=rng.normal(size=(h, d_in)), b1=rng.normal(size=h),
+                                   w2=rng.normal(size=(e, h)), b2=rng.normal(size=e))
             path = str(tmp_path / "v1.json")
-            write_v1_weights(w1, b1, w2, b2, path)
+            write_v1_weights(layers, path)
             loaded = EncoderWeights.load(path)
             # the order the factors were multiplied out in before version 2
-            assert loaded.matrix.tobytes() == (w2 @ w1).tobytes()
-            assert loaded.bias.tobytes() == (w2 @ b1 + b2).tobytes()
+            assert loaded.matrix.tobytes() == (layers.w2 @ layers.w1).tobytes()
+            assert loaded.bias.tobytes() == (layers.w2 @ layers.b1 + layers.b2).tobytes()
             assert not loaded.matrix.flags.writeable and not loaded.bias.flags.writeable
             resaved = str(tmp_path / "v2.json")
             loaded.save(resaved)

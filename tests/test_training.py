@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from logsift import (
-    EncoderWeights,
+    EncoderLayers,
     LogRecord,
     TrainConfig,
     TrainingPair,
@@ -22,6 +22,20 @@ from conftest import make_two_family_pairs
 
 def labeled_corpus(corpus):
     return list(zip(corpus.records, corpus.template_ids))
+
+
+class TestEncoderLayers:
+    def test_dim_consistency_checked(self):
+        with pytest.raises(ConfigError):
+            EncoderLayers(w1=np.zeros((3, 2)), b1=np.zeros(2),
+                          w2=np.zeros((2, 3)), b2=np.zeros(2))
+
+    def test_rejects_nonfinite(self):
+        w1 = np.zeros((2, 2))
+        w1[0, 0] = np.nan
+        with pytest.raises(ConfigError):
+            EncoderLayers(w1=w1, b1=np.zeros(2),
+                          w2=np.zeros((2, 2)), b2=np.zeros(2))
 
 
 class TestBuildPairDataset:
@@ -60,27 +74,28 @@ class TestBuildPairDataset:
 
 class TestPredictSimilarity:
     def test_self_similarity(self):
-        w = EncoderWeights.identity_init(3)
+        w = EncoderLayers.identity_init(3)
         v = np.array([1.0, 2.0, 3.0, 0.04])
         assert predict_similarity(TrainingPair(v, v, 1.0), w) == \
             pytest.approx(1.0, abs=1e-6)
 
     def test_orthogonal(self):
-        w = EncoderWeights.identity_init(3)
+        w = EncoderLayers.identity_init(3)
         left = np.array([1.0, 0.0, 0.0, 0.0])
         right = np.array([0.0, 1.0, 0.0, 0.0])
         assert predict_similarity(TrainingPair(left, right, 0.0), w) == \
             pytest.approx(0.0, abs=1e-6)
 
     def test_antipodal(self):
-        w = EncoderWeights.identity_init(3)
+        w = EncoderLayers.identity_init(3)
         left = np.array([1.0, 0.0, 0.0, 0.0])
         assert predict_similarity(TrainingPair(left, -left, 0.0), w) == \
             pytest.approx(-1.0)
 
     def test_bounded(self):
         rng = np.random.default_rng(0)
-        w = EncoderWeights(rng.normal(size=(3, 5)), rng.normal(size=3))
+        w = EncoderLayers(w1=rng.normal(size=(4, 5)), b1=rng.normal(size=4),
+                           w2=rng.normal(size=(3, 4)), b2=rng.normal(size=3))
         for _ in range(100):
             pair = TrainingPair(rng.normal(size=5), rng.normal(size=5), 0.0)
             assert -1.0 <= predict_similarity(pair, w) <= 1.0
@@ -88,18 +103,18 @@ class TestPredictSimilarity:
 
 class TestMseLoss:
     def test_perfect_fit_is_zero(self):
-        w = EncoderWeights.identity_init(3)
+        w = EncoderLayers.identity_init(3)
         v = np.array([1.0, 2.0, 3.0, 0.04])
         assert mse_loss([TrainingPair(v, v, 1.0)], w) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_error(self):
-        w = EncoderWeights.identity_init(3)
+        w = EncoderLayers.identity_init(3)
         left = np.array([1.0, 0.0, 0.0, 0.0])
         right = np.array([0.0, 1.0, 0.0, 0.0])
         assert mse_loss([TrainingPair(left, right, 1.0)], w) == pytest.approx(1.0)
 
     def test_mean_of_squared_errors(self):
-        w = EncoderWeights.identity_init(3)
+        w = EncoderLayers.identity_init(3)
         e1 = np.array([1.0, 0.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0, 0.0])
         pairs = [
@@ -110,11 +125,12 @@ class TestMseLoss:
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
-            mse_loss([], EncoderWeights.identity_init(2))
+            mse_loss([], EncoderLayers.identity_init(2))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
-        w = EncoderWeights(rng.normal(size=(4, 4)), rng.normal(size=4))
+        w = EncoderLayers(w1=rng.normal(size=(4, 4)), b1=rng.normal(size=4),
+                           w2=rng.normal(size=(4, 4)), b2=rng.normal(size=4))
         pairs = [TrainingPair(rng.normal(size=4), rng.normal(size=4),
                               float(rng.integers(2))) for _ in range(16)]
         assert mse_loss(pairs, w) >= 0.0
@@ -122,7 +138,8 @@ class TestMseLoss:
 
     def test_chunks_sum_to_the_per_pair_mean(self, monkeypatch):
         rng = np.random.default_rng(6)
-        w = EncoderWeights(rng.normal(size=(4, 6)), rng.normal(size=4))
+        w = EncoderLayers(w1=rng.normal(size=(5, 6)), b1=rng.normal(size=5),
+                           w2=rng.normal(size=(4, 5)), b2=rng.normal(size=4))
         pairs = [TrainingPair(rng.normal(size=6), rng.normal(size=6),
                               float(rng.integers(2))) for _ in range(37)]
         reference = np.mean([(p.label - predict_similarity(p, w)) ** 2 for p in pairs])
@@ -139,30 +156,19 @@ class TestTrain:
 
     def test_zero_learning_rate_is_noop(self):
         pairs = make_two_family_pairs()
-        initial = EncoderWeights.identity_init(8)
+        initial = EncoderLayers.identity_init(8)
         cfg = TrainConfig(learning_rate=0.0, batch_size=16, epochs=5, rng_seed=0)
         result = train(pairs, cfg, initial=initial)
-        assert np.array_equal(result.weights.matrix, initial.matrix)
-        assert np.array_equal(result.weights.bias, initial.bias)
+        assert np.array_equal(result.layers.w1, initial.w1)
+        assert np.array_equal(result.layers.b1, initial.b1)
+        assert np.array_equal(result.layers.w2, initial.w2)
+        assert np.array_equal(result.layers.b2, initial.b2)
         assert len(set(result.loss_trace)) == 1
-
-    def test_returns_a_frozen_map_and_leaves_the_initial_one(self):
-        pairs = make_two_family_pairs()
-        rng = np.random.default_rng(3)
-        initial = EncoderWeights(np.eye(8, 9) + 0.1 * rng.normal(size=(8, 9)),
-                                 0.1 * rng.normal(size=8))
-        matrix, bias = initial.matrix.copy(), initial.bias.copy()
-        result = train(pairs, TrainConfig(batch_size=16, epochs=3, rng_seed=0),
-                       initial=initial)
-        assert not np.array_equal(result.weights.matrix, matrix)  # it trained
-        assert np.array_equal(initial.matrix, matrix) and np.array_equal(initial.bias, bias)
-        assert not result.weights.matrix.flags.writeable
-        assert not result.weights.bias.flags.writeable
 
     def test_trace_ends_at_the_loss_of_the_returned_weights(self):
         pairs = make_two_family_pairs()
         result = train(pairs, TrainConfig(batch_size=16, epochs=5, rng_seed=0))
-        assert result.loss_trace[-1] == mse_loss(pairs, result.weights)
+        assert result.loss_trace[-1] == mse_loss(pairs, result.layers)
 
     def test_seeded_trace_reproducible(self):
         pairs = make_two_family_pairs()
@@ -181,26 +187,32 @@ class TestTrain:
 class TestGradientCheck:
     def test_random_init_matches_finite_differences(self):
         rng = np.random.default_rng(17)
-        w = EncoderWeights(rng.normal(size=(6, 7)) * 0.5, rng.normal(size=6) * 0.1)
+        w = EncoderLayers(w1=rng.normal(size=(7, 7)) * 0.5,
+                           b1=rng.normal(size=7) * 0.1,
+                           w2=rng.normal(size=(6, 7)) * 0.5,
+                           b2=rng.normal(size=6) * 0.1)
         batch = [TrainingPair(rng.normal(size=7), rng.normal(size=7),
                               float(rng.integers(2))) for _ in range(4)]
         assert gradient_check(w, batch, h=1e-5) < 1e-4
 
     def test_stationary_point(self):
         # identical pairs labeled 1 with prediction exactly 1: zero gradient
-        w = EncoderWeights.identity_init(3)
+        w = EncoderLayers.identity_init(3)
         v = np.array([1.0, 0.0, 0.0, 0.0])
         batch = [TrainingPair(v, v, 1.0)]
         from logsift.training import _gradients, _stack
 
         left, right, labels = _stack(batch)
-        grads = _gradients(left, right, labels, w.matrix, w.bias)
+        grads = _gradients(left, right, labels, w)
         for g in grads:
             assert np.allclose(g, 0.0, atol=1e-12)
 
     def test_error_stays_bounded_when_h_doubles(self):
         rng = np.random.default_rng(23)
-        w = EncoderWeights(rng.normal(size=(4, 5)) * 0.5, rng.normal(size=4) * 0.1)
+        w = EncoderLayers(w1=rng.normal(size=(5, 5)) * 0.5,
+                           b1=rng.normal(size=5) * 0.1,
+                           w2=rng.normal(size=(4, 5)) * 0.5,
+                           b2=rng.normal(size=4) * 0.1)
         batch = [TrainingPair(rng.normal(size=5), rng.normal(size=5), 1.0)
                  for _ in range(4)]
         err_small = gradient_check(w, batch, h=1e-5)
@@ -209,7 +221,7 @@ class TestGradientCheck:
         assert err_large < max(8 * err_small, 1e-6)
 
     def test_rejects_oversized_batch(self):
-        w = EncoderWeights.identity_init(2)
+        w = EncoderLayers.identity_init(2)
         v = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             gradient_check(w, [TrainingPair(v, v, 1.0)] * 9)
