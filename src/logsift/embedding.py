@@ -244,9 +244,10 @@ def embed_log(records: Sequence[LogRecord], provider: EmbeddingProvider,
     with one matrix product, and each row scaled to unit length.
 
     Returns, per record, its unit vector (an array of its own) or the
-    RECORD_ERRORS instance that stopped it, a row shorter than NORM_EPS
-    having no direction. A dimension mismatch, which every record would
-    hit, raises."""
+    RECORD_ERRORS instance that stopped it: a row shorter than NORM_EPS has
+    no direction, and one whose norm overflows (finite provider values
+    above about 1e154) cannot be scaled. A dimension mismatch, which every
+    record would hit, raises."""
     outcomes: list = [None] * len(records)
     fused: dict[int, np.ndarray] = {}  # record position -> fused vector
     for i, record in enumerate(records):
@@ -258,6 +259,7 @@ def embed_log(records: Sequence[LogRecord], provider: EmbeddingProvider,
         out = np.array(list(fused.values())) @ encoder.matrix.T + encoder.bias
         for i, row in zip(fused, out):
             norm = np.linalg.norm(row)
-            outcomes[i] = (DegenerateEmbeddingError("encoder output norm below threshold")
-                           if norm < NORM_EPS else row / norm)
+            outcomes[i] = (row / norm if NORM_EPS <= norm < np.inf else
+                           DegenerateEmbeddingError(f"encoder output norm {norm:.3g} "
+                                                    "cannot be scaled to unit length"))
     return outcomes

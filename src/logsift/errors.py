@@ -18,7 +18,7 @@ class DimensionMismatchError(LogsiftError):
 
 
 class DegenerateEmbeddingError(LogsiftError):
-    """Encoder output norm below the rejection threshold."""
+    """Encoder output norm below the rejection threshold, or too large to scale."""
 
 
 class ClusterNotFoundError(LogsiftError):

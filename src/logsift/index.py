@@ -1,22 +1,20 @@
 """Weighted centroid store with exact nearest-neighbor search.
 
-One unit vector per cluster. The live vectors are also kept as the rows of
-one contiguous matrix, so a query scores every centroid in a single
-matrix-vector product and the answer is exact at every index size. Ties on
-similarity break toward the lowest cluster id, whatever row a centroid
-occupies.
+One unit vector per cluster, held once as its `ClusterCentroid.vector`
+(float64). Ties on similarity break toward the lowest cluster id, whatever
+row a centroid occupies.
 
-`nearest` scores with `einsum`, which sums each row's products in one order
-wherever the row sits. `nearest_batch` scores B queries with one BLAS
-matrix product, whose sums may differ from einsum's in the last bits, and
-then re-scores with einsum every row within TIE_MARGIN of a query's best,
-so its hits and similarities are `nearest`'s exactly. The selection runs
-over the whole (B, N) score array: each query's best row, and how many
-rows lie within TIE_MARGIN of it. The queries with one such row, nearly
-all of them, get their similarity from one row-wise einsum; only those
-with several go row by row. Both methods settle ties in one place,
-`_hit`, which returns the best row's cluster at once when its score
-occurs once.
+Search screens, then re-scores. The live vectors, rounded to float32, are
+the rows of one contiguous matrix, the screen: `nearest` scores every row
+with one float32 matrix-vector product, `nearest_batch` scores B queries
+with one matrix product. A screened score is within a proven δ of the
+exact one, so every row within 2δ + TIE_MARGIN of a query's screened best
+is kept (`_screen_margin`: 6.1e-5 at E = 512), and among them lies the
+row `einsum` scores best. The kept rows are re-scored from their
+centroids' own vectors with `einsum`, which sums each row's products in
+one order wherever the row sits, so hits and similarities are those of a
+full `einsum` scan, bit for bit. Nearly always one row is kept and
+re-scored alone; with several, `_settle` breaks the tie.
 
 A snapshot (version 2) is JSON metadata with each vector stored as base64
 of its little-endian float64 bytes (`files.encode_floats`, the codec of
@@ -28,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -38,8 +37,9 @@ from .files import atomic_write, decode_floats, encode_floats
 
 UNIT_TOL = 1e-6
 NORM_EPS = 1e-12  # a vector shorter than this has no direction
-# BLAS and einsum dot products of unit vectors differ by under 1e-15, so
-# every row within this of an approximate best holds the exact best
+# slack on the screen's proven margin (`_screen_margin`) for what its
+# relative bound leaves out: float32 rounds an entry below 2⁻¹²⁶ with an
+# absolute error of up to 2⁻¹⁵⁰
 TIE_MARGIN = 1e-12
 
 SNAPSHOT_VERSION = 2
@@ -66,20 +66,42 @@ class SearchHit:
     similarity: float
 
 
-def _check_unit(vector: np.ndarray) -> np.ndarray:
-    vector = np.asarray(vector, dtype=np.float64)
-    if not abs(np.linalg.norm(vector) - 1.0) <= UNIT_TOL:  # a NaN norm fails too
+def _check_unit(vectors: np.ndarray) -> np.ndarray:
+    """`vectors` as float64, each row (or the one vector) of unit length."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim == 1:  # np.linalg.norm's sum, without its overhead
+        unit = abs(math.sqrt(vectors.dot(vectors)) - 1.0) <= UNIT_TOL
+    else:
+        norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
+        unit = np.all(np.abs(norms - 1.0) <= UNIT_TOL)
+    if not unit:  # a NaN norm fails too
         raise ValueError("vector is not unit-norm")
-    return vector
+    return vectors
+
+
+def _screen_margin(dim: int) -> np.float64:
+    """How far below a query's screened best the row einsum scores best
+    can screen, at E = `dim`. With u = 2⁻²⁴ and S = Σ|q_i·c_i| ≤ ‖q‖·‖c‖ ≤
+    (1 + UNIT_TOL)², rounding the query and a centroid to float32 moves
+    their dot product by at most (2u + u²)·S, and a float32 dot product of
+    E terms errs by at most E·u·S in any summation order (Jeannerod & Rump,
+    2013). einsum's float64 score errs by at most E·2⁻⁵³·S. For E up to
+    eight million both errors, second-order terms included, fit in
+    δ = (E + 3)·u·(1 + UNIT_TOL)², so the best row screens at most 2δ
+    below the screened best. A float64 scalar, so the cut below a screened
+    best is computed and compared in float64."""
+    delta = (dim + 3) * 2.0 ** -24 * (1.0 + UNIT_TOL) ** 2
+    return np.float64(2.0 * delta + TIE_MARGIN)
 
 
 class CentroidIndex:
     """Map cluster_id -> ClusterCentroid with exact cosine search."""
 
     def __init__(self):
-        # row r of the matrix is the vector of _live[r]; rows [:len(self)]
-        # are live and _rows maps a cluster id to its row
-        self._matrix = np.empty((0, 0))
+        # row r of the screen is _live[r].vector rounded to float32; rows
+        # [:len(self)] are live and _rows maps a cluster id to its row
+        self._screen = np.empty((0, 0), dtype=np.float32)
+        self._margin = _screen_margin(0)  # of the screen's width
         self._live: list[ClusterCentroid] = []
         self._rows: dict[int, int] = {}
         self._next_id = 0
@@ -114,12 +136,13 @@ class CentroidIndex:
         vector = _check_unit(vector)
         cid = self._next_id
         row = len(self._live)
-        if row == len(self._matrix):
-            grown = np.empty((max(16, 2 * row), len(vector)))
+        if row == len(self._screen):
+            grown = np.empty((max(16, 2 * row), len(vector)), dtype=np.float32)
             if row:
-                grown[:row] = self._matrix[:row]
-            self._matrix = grown
-        self._matrix[row] = vector
+                grown[:row] = self._screen[:row]
+            self._screen = grown
+            self._margin = _screen_margin(len(vector))
+        self._screen[row] = vector
         self._rows[cid] = row
         self._live.append(ClusterCentroid(
             cluster_id=cid, vector=vector, weight=weight,
@@ -130,48 +153,51 @@ class CentroidIndex:
 
     def nearest(self, query: np.ndarray,
                 exclude: Optional[int] = None) -> Optional[SearchHit]:
+        """The centroid most similar to the unit vector `query`, other than
+        `exclude`; None if there is none."""
+        query = _check_unit(query)
         n = len(self._live)
-        if n - (exclude in self._rows) == 0:
+        excluded = self._rows.get(exclude)
+        if n - (excluded is not None) == 0:
             return None
-        # einsum rather than BLAS gemv: gemv sums a row in an order that
-        # depends on the row's position, so two equal centroids could score
-        # an ulp apart and the lowest-id tie-break would follow row order
-        sims = np.einsum("ij,j->i", self._matrix[:n],
-                         np.asarray(query, dtype=np.float64))
-        if exclude in self._rows:
-            sims[self._rows[exclude]] = -np.inf
-        return self._hit(sims, np.arange(n))
+        scores = np.dot(self._screen[:n], query.astype(np.float32))
+        if excluded is not None:
+            scores[excluded] = -np.inf
+        top = int(scores.argmax())
+        return self._settle(query, top, scores >= scores[top] - self._margin)
 
     def nearest_batch(self, queries: np.ndarray) -> list[Optional[SearchHit]]:
         """`nearest` of each row of `queries` (B, E), all against the index
-        as it is now: one matrix product scores every pair, and each row's
-        near-best centroids are re-scored exactly, all at once for the rows
-        with one such centroid."""
+        as it is now: one matrix product screens every pair, and the rows
+        with one kept centroid, nearly all of them, are re-scored at once."""
+        queries = _check_unit(queries)
         n = len(self._live)
-        if n == 0:
+        if n == 0 or len(queries) == 0:
             return [None] * len(queries)
-        live = self._matrix[:n]
-        scores = queries @ live.T
+        scores = queries.astype(np.float32) @ self._screen[:n].T
         top = scores.argmax(axis=1)
-        near = scores >= scores.max(axis=1, keepdims=True) - TIE_MARGIN
-        sims = np.einsum("ij,ij->i", live[top], queries).tolist()
-        hits = [SearchHit(self._live[row].cluster_id, sim)
-                for row, sim in zip(top.tolist(), sims)]
-        for q in np.flatnonzero(np.count_nonzero(near, axis=1) > 1).tolist():
-            rows = np.flatnonzero(near[q])
-            hits[q] = self._hit(np.einsum("ij,j->i", live[rows], queries[q]), rows)
+        kept = scores >= scores.max(axis=1, keepdims=True) - self._margin
+        rows = top.tolist()
+        best = np.array([self._live[row].vector for row in rows])
+        sims = np.einsum("ij,ij->i", best, queries).tolist()
+        hits = [SearchHit(self._live[row].cluster_id, sim) for row, sim in zip(rows, sims)]
+        for q in np.flatnonzero(np.count_nonzero(kept, axis=1) > 1).tolist():
+            hits[q] = self._settle(queries[q], top[q], kept[q])
         return hits
 
-    def _hit(self, sims: np.ndarray, rows: np.ndarray) -> SearchHit:
-        """The best of `sims`, the einsum scores of matrix `rows`; a tie
-        goes to the lowest cluster id, whatever rows the tied centroids
-        occupy."""
-        top = sims.argmax()
-        best = sims[top]
-        tied = sims == best
-        if np.count_nonzero(tied) == 1:
-            return SearchHit(self._live[rows[top]].cluster_id, float(best))
-        return SearchHit(min(self._live[row].cluster_id for row in rows[tied]),
+    def _settle(self, query: np.ndarray, top: int, kept: np.ndarray) -> SearchHit:
+        """The exact hit of `query` among the `kept` rows of its screen,
+        `top` the screened best: their einsum scores from the centroids' own
+        vectors. One kept row is re-scored alone; among several, a tie goes
+        to the lowest cluster id, whatever rows the tied centroids occupy."""
+        if np.count_nonzero(kept) == 1:
+            best = self._live[top]
+            return SearchHit(best.cluster_id, float(np.einsum("j,j->", best.vector, query)))
+        rows = np.flatnonzero(kept)
+        sims = np.einsum("ij,j->i", np.array([self._live[row].vector
+                                              for row in rows.tolist()]), query)
+        best = sims.max()
+        return SearchHit(min(self._live[row].cluster_id for row in rows[sims == best]),
                          float(best))
 
     def update_moving_average(self, cluster_id: int,
@@ -191,7 +217,7 @@ class CentroidIndex:
             # antipodal cancellation; keep the old direction
             return centroid
         centroid.vector = moved / norm
-        self._matrix[self._rows[cluster_id]] = centroid.vector
+        self._screen[self._rows[cluster_id]] = centroid.vector
         return centroid
 
     def remove(self, cluster_id: int) -> None:
@@ -202,7 +228,7 @@ class CentroidIndex:
         if row < len(self._live):
             # the last row fills the hole, keeping the live rows contiguous
             self._live[row] = last
-            self._matrix[row] = self._matrix[len(self._live)]
+            self._screen[row] = self._screen[len(self._live)]
             self._rows[last.cluster_id] = row
 
     # ---- snapshots ---------------------------------------------------------
@@ -229,8 +255,9 @@ class CentroidIndex:
     def load(cls, path: str) -> "CentroidIndex":
         """Read a version 2 snapshot, or a version 1 one (float lists, and
         an HNSW `params` block that is ignored). An id that is not an int,
-        a weight that is not a positive int, or a vector that is not finite
-        and unit-length is a SnapshotFormatError."""
+        a weight that is not a positive int, a template id that is neither
+        an int nor null, a parsed cluster with no template id, or a vector
+        that is not finite and unit-length is a SnapshotFormatError."""
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -250,17 +277,23 @@ class CentroidIndex:
                                      "not a positive integer")
                 if cid in index:
                     raise ValueError(f"duplicate cluster id {cid}")
+                template_id = entry["template_id"]
+                state = ParseState(entry["parse_state"])
+                if template_id is not None and type(template_id) is not int:
+                    raise ValueError(f"cluster {cid} has template_id {template_id!r}, "
+                                     "not an integer or null")
+                if state == ParseState.PARSED and template_id is None:
+                    raise ValueError(f"cluster {cid} is parsed with no template id")
                 if version == 1:
                     vector = np.array(entry["vector"], dtype=np.float64)
                 else:
                     vector = decode_floats(entry["vector"])
-                if vector.ndim != 1 or len(index) and vector.shape != index._matrix[0].shape:
+                if vector.ndim != 1 or len(index) and vector.shape != index._live[0].vector.shape:
                     raise ValueError(f"cluster {cid} has a vector of "
                                      f"shape {vector.shape}, unlike the others")
                 index._next_id = cid  # insert gives out the saved id
-                index.insert(vector, weight=weight,
-                             template_id=entry["template_id"],
-                             parse_state=ParseState(entry["parse_state"]))
+                index.insert(vector, weight=weight, template_id=template_id,
+                             parse_state=state)
             next_id = doc["next_id"]
             if type(next_id) is not int or next_id <= max(index.ids(), default=-1):
                 raise ValueError(f"next_id {next_id!r} is not an integer above every id")

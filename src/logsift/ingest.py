@@ -8,8 +8,9 @@ batch peers; duplicate clusters for a simultaneously-arriving unseen
 pattern are expected and repaired by the next rebalance, after which the
 surviving clusters are parsed. Without an rng every search of a batch runs
 against its start-of-batch state, so the batch is routed by one
-`CentroidIndex.nearest_batch` call, with the same hits as one `nearest`
-per record; the rng schedule keeps a `nearest` per search event.
+`CentroidIndex.nearest_batch` call: one float32 product screens every
+record, and each is re-scored exactly, so its hit is the one `nearest`
+gives it bit for bit. The rng schedule keeps a `nearest` per search event.
 
 Both modes commit a record through one create-or-join step. A merge's
 outcome comes from its `MergeEvent`: the survivor takes the template entry

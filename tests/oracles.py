@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own code paths: groupings are
 compared by exhaustive membership enumeration, the nearest neighbor by a
-full scan, the merge/update algebra by the closed-form expressions, and
-each line's vector by the two-layer encoder formula, recomputed per line.
+full scan (of dot products, or of the einsum scores the index must equal
+bit for bit), the merge/update algebra by the closed-form expressions,
+and each line's vector by the two-layer encoder formula, recomputed per
+line.
 """
 
 import numpy as np
@@ -76,6 +78,18 @@ def oracle_nearest(vectors_by_id, query, exclude=None):
         if best_sim is None or sim > best_sim:
             best_id, best_sim = cid, sim
     return best_id, best_sim
+
+
+def oracle_scan_nearest(vectors_by_id, query, exclude=None):
+    """The full scan the index must equal bit for bit: one einsum over every
+    vector but `exclude`'s, stacked in id order, so the first best is the
+    lowest id on ties."""
+    ids = [cid for cid in sorted(vectors_by_id) if cid != exclude]
+    if not ids:
+        return None, None
+    sims = np.einsum("ij,j->i", np.stack([vectors_by_id[cid] for cid in ids]), query)
+    top = int(sims.argmax())
+    return ids[top], float(sims[top])
 
 
 def oracle_moving_average(old, incoming, weight):

@@ -327,6 +327,19 @@ class TestRebalanceCommand:
         assert main(["rebalance", "--snapshot", str(snap)]) == EXIT_DATA
         assert "next_id 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("template_id,message", [
+        ([1, 2], "template_id [1, 2]"), (None, "parsed with no template"),
+    ], ids=["list", "null"])
+    def test_a_parsed_cluster_without_an_integer_template_exits_5(
+            self, tmp_path, capsys, template_id, message):
+        snap = tmp_path / "snap.json"
+        random_index(1, n=3, dim=4).snapshot(str(snap))
+        doc = json.loads(snap.read_text())
+        doc["centroids"][1].update(parse_state="parsed", template_id=template_id)
+        snap.write_text(json.dumps(doc))
+        assert main(["rebalance", "--snapshot", str(snap)]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("threshold", ["7", "1", "0", "-0.5", "nan"])
     def test_threshold_outside_0_1_exits_2_as_ingest_does(self, tmp_path, capsys,
                                                           corpus_csv, threshold):

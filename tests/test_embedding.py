@@ -263,6 +263,20 @@ class TestEmbedLog:
         assert isinstance(bad, ProviderError)
         assert isinstance(b, DegenerateEmbeddingError)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("row", [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]],
+                             ids=["norm-overflows", "row-overflows"])
+    def test_a_row_too_large_to_scale_fails_its_record(self, row):
+        # finite provider values above about 1e154 square past the float
+        # range: the row's norm is inf, and scaling by it leaves no direction
+        w = EncoderWeights(np.array([row, [0.0, 1.0, 0.0]]), np.zeros(2))
+        provider = Table({"a": [1.0, 0.0], "huge": [1e308, 1e308], "c": [0.0, 4.0]})
+        records = [LogRecord("s", t) for t in ("a", "huge", "c")]
+        a, huge, c = embed_log(records, provider, w)
+        assert isinstance(huge, DegenerateEmbeddingError)
+        assert np.array_equal(a, [1.0, 0.0])
+        assert abs(np.linalg.norm(c) - 1.0) <= 1e-12
+
     def test_fixture_corpus_separation(self, corpus, provider, identity_weights):
         from logsift.synthetic import similarity_margins
 

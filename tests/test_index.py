@@ -1,16 +1,17 @@
 import base64
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from logsift import CentroidIndex, ParseState
 from logsift.errors import ClusterNotFoundError, SnapshotFormatError
-from logsift.index import TIE_MARGIN
+from logsift.index import _screen_margin
 
 from conftest import random_unit, write_v1_snapshot
-from oracles import oracle_moving_average, oracle_nearest
+from oracles import oracle_moving_average, oracle_nearest, oracle_scan_nearest
 
 
 def unit(*values):
@@ -124,9 +125,30 @@ class TestNearest:
         assert index.nearest(unit(1, 0, 0), exclude=low).cluster_id == high
 
 
+class TestQueryChecks:
+    @pytest.mark.parametrize("query", [[np.nan, 0.0], [np.inf, 0.0], [0.6, 0.7],
+                                       [0.0, 0.0]],
+                             ids=["nan", "inf", "short", "zero"])
+    def test_nearest_and_nearest_batch_refuse_the_same_queries(self, query):
+        index = CentroidIndex()
+        index.insert(unit(1, 0))
+        index.insert(unit(0, 1))
+        with pytest.raises(ValueError, match="not unit-norm"):
+            index.nearest(np.array(query))
+        with pytest.raises(ValueError, match="not unit-norm"):
+            index.nearest(np.array(query), exclude=0)
+        with pytest.raises(ValueError, match="not unit-norm"):
+            index.nearest_batch(np.stack([unit(1, 0), query]))
+
+
 class TestNearestBatch:
     def test_empty_index(self):
         assert CentroidIndex().nearest_batch(np.eye(2)) == [None, None]
+
+    def test_empty_batch(self):
+        index = CentroidIndex()
+        index.insert(unit(1, 0))
+        assert index.nearest_batch(np.empty((0, 2))) == []
 
     def test_ties_break_to_lowest_id_after_removal_moves_rows(self):
         index = CentroidIndex()
@@ -139,9 +161,9 @@ class TestNearestBatch:
         assert [h.cluster_id for h in hits] == [low, low]
 
     def test_equals_one_nearest_per_query(self):
-        # one call mixes queries with a single near-best row, with exact
-        # ties (copies of one vector) and with rows a rounding error apart,
-        # after removals have moved rows
+        # one call mixes queries whose screen keeps a single row, several
+        # rows that tie exactly (copies of one vector), and several rows a
+        # rounding error apart, after removals have moved rows
         rng = np.random.default_rng(21)
         kinds = set()
         for _ in range(20):
@@ -161,11 +183,74 @@ class TestNearestBatch:
             assert hits == [index.nearest(q) for q in queries]  # similarities by ==
             vectors = np.stack([c.vector for c in index.centroids()])
             for query in queries:
-                sims = np.einsum("ij,j->i", vectors, query)
-                near = np.count_nonzero(sims >= sims.max() - TIE_MARGIN)
-                tied = np.count_nonzero(sims == sims.max())
-                kinds.add("single" if near == 1 else "tie" if near == tied else "near tie")
+                screened = vectors.astype(np.float32) @ query.astype(np.float32)
+                kept = screened >= screened.max() - _screen_margin(dim)
+                sims = np.einsum("ij,j->i", vectors[kept], query)
+                kinds.add("single" if len(sims) == 1 else
+                          "tie" if np.all(sims == sims[0]) else "near tie")
         assert kinds == {"single", "tie", "near tie"}
+
+
+def test_screen_keeps_the_exact_best_at_512_dims():
+    # at E = 512 the float32 screen errs by up to about 1e-7 here, and its
+    # margin is 6.1e-5: centroids scoring within that of each other, some
+    # exact ties, rank differently in the screen than in the exact scores,
+    # and the excluded row, a copy of the query, is the screened best
+    rng = np.random.default_rng(512)
+    dim = 512
+    delta = _screen_margin(dim) / 2
+    reordered = 0
+    for _ in range(40):
+        query = random_unit(rng, dim)
+        index = CentroidIndex()
+        for _ in range(int(rng.integers(0, 30))):
+            index.insert(random_unit(rng, dim))
+        # rows scoring 1e-12 to 1e-5 below the query's own 1.0, all inside
+        # the margin: a step of length s off the query costs about s² / 2
+        near = []
+        for gap in 10.0 ** rng.uniform(-12, -5, size=int(rng.integers(2, 12))):
+            v = query + np.sqrt(2 * gap) * random_unit(rng, dim)
+            near.append(index.insert(v / np.linalg.norm(v)))
+        for _ in range(int(rng.integers(1, 4))):  # exact ties, at moved rows
+            index.insert(index.get(near[int(rng.integers(len(near)))]).vector)
+        for cid in rng.permutation(index.ids())[:len(index) // 5]:
+            index.remove(int(cid))
+        own = index.insert(query)  # the excluded row; scores 1.0
+        stored = {c.cluster_id: c.vector for c in index.centroids()}
+        order = sorted(stored)
+        vectors = np.stack([stored[cid] for cid in order])
+        screened = vectors.astype(np.float32) @ query.astype(np.float32)
+        exact = np.einsum("ij,j->i", vectors, query)
+        assert np.max(np.abs(screened - exact)) <= delta
+        screened[order.index(own)] = -np.inf
+        want = oracle_scan_nearest(stored, query, exclude=own)
+        reordered += order[int(screened.argmax())] != want[0]
+        hit = index.nearest(query, exclude=own)
+        assert (hit.cluster_id, hit.similarity) == want
+        noisy = query + 1e-7 * random_unit(rng, dim)
+        noisy /= np.linalg.norm(noisy)
+        hits = index.nearest_batch(np.stack([query, noisy]))
+        assert [(h.cluster_id, h.similarity) for h in hits] == \
+            [oracle_scan_nearest(stored, q) for q in (query, noisy)]
+    assert reordered >= 10  # the screen alone would have picked wrongly
+
+
+def test_an_index_holds_each_vector_once_and_a_float32_screen():
+    # 1024 centroids of 512 dims: their float64 vectors take 4 MB, the
+    # float32 screen 2 MB, and a float64 row matrix would take 4 MB more
+    n, dim = 1024, 512
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        index = CentroidIndex()
+        for _ in range(n):
+            index.insert(random_unit(rng, dim))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    floats = n * dim * (8 + 4)
+    assert floats <= held < floats + n * dim * 2, held
+    assert len(index) == n
 
 
 class TestUpdateMovingAverage:
@@ -418,8 +503,12 @@ class TestSnapshot:
     @pytest.mark.parametrize("field,value", [
         ("id", 1.5), ("id", True), ("id", "1"), ("id", None),
         ("weight", 0), ("weight", -1), ("weight", 2.7), ("weight", True), ("weight", "2"),
+        ("template_id", [1, 2]), ("template_id", "3"), ("template_id", 1.5),
+        ("template_id", True), ("template_id", {}),
     ], ids=["float-id", "bool-id", "string-id", "null-id", "zero-weight",
-            "negative-weight", "float-weight", "bool-weight", "string-weight"])
+            "negative-weight", "float-weight", "bool-weight", "string-weight",
+            "list-template", "string-template", "float-template", "bool-template",
+            "object-template"])
     def test_id_and_weight_must_be_integers(self, tmp_path, field, value):
         index = CentroidIndex()
         index.insert(unit(1, 0))
@@ -430,6 +519,18 @@ class TestSnapshot:
         doc["centroids"][1][field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(SnapshotFormatError, match=re.escape(f"{field} {value!r}")):
+            CentroidIndex.load(str(path))
+
+    def test_a_parsed_cluster_needs_a_template(self, tmp_path):
+        index = CentroidIndex()
+        index.insert(unit(1, 0), template_id=0, parse_state=ParseState.PARSED)
+        index.insert(unit(0, 1), template_id=1, parse_state=ParseState.PARSED)
+        path = tmp_path / "snap.json"
+        index.snapshot(str(path))
+        doc = json.loads(path.read_text())
+        doc["centroids"][1]["template_id"] = None
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SnapshotFormatError, match="parsed with no template"):
             CentroidIndex.load(str(path))
 
     @pytest.mark.parametrize("version", [1, 2])

@@ -17,7 +17,12 @@ from logsift import (
 )
 from logsift import ingest as ingest_module
 from logsift.embedding import EmbeddingProvider
-from logsift.errors import ConfigError, DimensionMismatchError, ProviderError
+from logsift.errors import (
+    ConfigError,
+    DegenerateEmbeddingError,
+    DimensionMismatchError,
+    ProviderError,
+)
 
 
 def make_pipeline(provider, weights, batch_mode=False, rebalance_every=1000):
@@ -265,6 +270,28 @@ class TestDeadLetters:
         assert len(assignments) == 2
         assert len(errors) == 1
         assert pipe.index.total_weight() == 2
+
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_embedding_too_large_to_scale_is_a_dead_letter(self, provider,
+                                                              identity_weights):
+        class Scaled(EmbeddingProvider):  # one line's finite vector times 1e308
+            dim = provider.dim
+
+            def embed(self, text):
+                return provider.embed(text) * (1e308 if "huge" in text else 1.0)
+
+        records = [LogRecord("s", "alpha beta"), LogRecord("s", "huge log"),
+                   LogRecord("s", "alpha beta")]
+        pipe = make_pipeline(Scaled(), identity_weights, batch_mode=True)
+        assignments, errors = pipe.ingest_batch(records)
+        assert len(assignments) == 2 and pipe.index.total_weight() == 2
+        assert [(r.content, type(e)) for r, e in errors] == \
+            [("huge log", DegenerateEmbeddingError)]
+        pipe = make_pipeline(Scaled(), identity_weights)
+        with pytest.raises(DegenerateEmbeddingError):
+            pipe.ingest(records[1])
+        assert len(pipe.dead_letters) == 1 and len(pipe.index) == 0
 
 
 class FailsFirstCompletion(MockCompletionClient):
