@@ -10,18 +10,20 @@ The encoder has no activation, so its two layers are one affine map.
 `EncoderWeights` is that map, read-only, and what a weights file stores;
 training keeps the two factors (`training.EncoderLayers`) and multiplies
 them out once. Every caller embeds with the map through `embed_log`: a
-provider call per record, then one matrix product for all. A record alone
-gets the same vector bit for bit whoever embeds it; a row of a larger
-product can differ in the last bits, as BLAS orders its sums by the row's
-position (not at identity weights, where every sum is exact). The vector
-depends on the content alone, so `Pipeline` embeds each distinct line once
-and keeps its vector (see `logsift.ingest`).
+provider call per record, written with its word count into one matrix,
+then one matrix product for all. A record alone gets the same vector bit
+for bit whoever embeds it; a row of a larger product can differ in the
+last bits, as BLAS orders its sums by the row's position (not at identity
+weights, where every sum is exact). The vector depends on the content
+alone, so `Pipeline` embeds each distinct line once and keeps its vector
+(see `logsift.ingest`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,7 +97,7 @@ class HashingProvider(EmbeddingProvider):
     def embed(self, text: str) -> np.ndarray:
         counts = np.bincount([*map(self._buckets.__getitem__, text.split())],
                              minlength=self.dim)
-        norm = np.linalg.norm(counts)
+        norm = math.sqrt(counts.dot(counts))  # np.linalg.norm's value
         if norm < NORM_EPS:
             raise DegenerateEmbeddingError("no tokens to hash")
         return counts / norm
@@ -243,23 +245,43 @@ def embed_log(records: Sequence[LogRecord], provider: EmbeddingProvider,
     fusion, then the encoder applied to every record the provider embedded
     with one matrix product, and each row scaled to unit length.
 
-    Returns, per record, its unit vector (an array of its own) or the
-    RECORD_ERRORS instance that stopped it: a row shorter than NORM_EPS has
-    no direction, and one whose norm overflows (finite provider values
-    above about 1e154) cannot be scaled. A dimension mismatch, which every
-    record would hit, raises."""
+    Each provider vector and its word-count feature are written into one
+    (n, D+1) matrix, whose finiteness is checked at once; its finite rows,
+    in record order, are what the encoder multiplies, as they would be
+    fused one by one. Returns, per record, its unit vector (an array of its
+    own) or the RECORD_ERRORS instance that stopped it: a row shorter than
+    NORM_EPS has no direction, and one whose norm overflows (finite
+    provider values above about 1e154) cannot be scaled; numpy's overflow
+    warning is silenced, as that record's error says it. A dimension
+    mismatch, which every record would hit, raises."""
     outcomes: list = [None] * len(records)
-    fused: dict[int, np.ndarray] = {}  # record position -> fused vector
+    fused = np.empty((len(records), provider.dim + 1))
     for i, record in enumerate(records):
         try:
-            fused[i] = fuse_word_count(embed_raw(record, provider), record.word_count)
+            values = provider.embed(record.content)
         except RECORD_ERRORS as exc:
             outcomes[i] = exc
-    if fused:
-        out = np.array(list(fused.values())) @ encoder.matrix.T + encoder.bias
-        for i, row in zip(fused, out):
-            norm = np.linalg.norm(row)
-            outcomes[i] = (row / norm if NORM_EPS <= norm < np.inf else
+            fused[i] = np.nan  # dropped with the non-finite rows
+            continue
+        if values.shape != (provider.dim,):
+            raise DimensionMismatchError(
+                f"provider dim {values.shape} != configured {provider.dim}")
+        fused[i, :-1] = values
+        fused[i, -1] = record.word_count / WORD_COUNT_SCALE
+    if not np.isfinite(fused).all():
+        finite = np.isfinite(fused).all(axis=1)
+        for i in np.flatnonzero(~finite).tolist():
+            if outcomes[i] is None:
+                outcomes[i] = ProviderError("provider returned non-finite values")
+        fused = fused[finite]
+    embedded = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if embedded:
+        with np.errstate(over="ignore"):
+            out = fused @ encoder.matrix.T
+            out += encoder.bias  # in place: the same sums, no second matrix
+            norms = [math.sqrt(row.dot(row)) for row in out]  # np.linalg.norm's value
+        for i, row, norm in zip(embedded, out, norms):
+            outcomes[i] = (row / norm if NORM_EPS <= norm < math.inf else
                            DegenerateEmbeddingError(f"encoder output norm {norm:.3g} "
                                                     "cannot be scaled to unit length"))
     return outcomes

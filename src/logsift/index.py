@@ -1,8 +1,9 @@
 """Weighted centroid store with exact nearest-neighbor search.
 
 One unit vector per cluster, held once as its `ClusterCentroid.vector`
-(float64). Ties on similarity break toward the lowest cluster id, whatever
-row a centroid occupies.
+(float64), a read-only view that only the index replaces. Ties on
+similarity break toward the lowest cluster id, whatever row a centroid
+occupies.
 
 Search screens, then re-scores. The live vectors, rounded to float32, are
 the rows of one contiguous matrix, the screen: `nearest` scores every row
@@ -15,6 +16,11 @@ centroids' own vectors with `einsum`, which sums each row's products in
 one order wherever the row sits, so hits and similarities are those of a
 full `einsum` scan, bit for bit. Nearly always one row is kept and
 re-scored alone; with several, `_settle` breaks the tie.
+
+For rebalancing the index keeps the ids inserted or moved since the last
+pass that completed, and that pass's threshold; `_to_examine` screens
+those rows against all the others, a block at a time, for the unchanged
+clusters the next pass must look up (see `logsift.rebalance`).
 
 A snapshot (version 2) is JSON metadata with each vector stored as base64
 of its little-endian float64 bytes (`files.encode_floats`, the codec of
@@ -41,6 +47,8 @@ NORM_EPS = 1e-12  # a vector shorter than this has no direction
 # relative bound leaves out: float32 rounds an entry below 2⁻¹²⁶ with an
 # absolute error of up to 2⁻¹⁵⁰
 TIE_MARGIN = 1e-12
+# screen scores a rebalance pass holds at once (float32: 256 KB)
+_SCREEN_BLOCK = 1 << 16
 
 SNAPSHOT_VERSION = 2
 
@@ -53,11 +61,20 @@ class ParseState(enum.Enum):
 
 @dataclass
 class ClusterCentroid:
+    """One cluster. Its `vector` is a read-only view that only the index
+    replaces (`CentroidIndex.update_moving_average`), so the screen and the
+    index's record of what moved since the last rebalance pass follow
+    every move."""
+
     cluster_id: int
-    vector: np.ndarray
+    _vector: np.ndarray
     weight: int = 1
     template_id: Optional[int] = None
     parse_state: ParseState = ParseState.UNPARSED
+
+    @property
+    def vector(self) -> np.ndarray:
+        return self._vector
 
 
 @dataclass(frozen=True)
@@ -105,6 +122,10 @@ class CentroidIndex:
         self._live: list[ClusterCentroid] = []
         self._rows: dict[int, int] = {}
         self._next_id = 0
+        # ids inserted or moved since the last rebalance pass that completed,
+        # and that pass's threshold (None until one completes)
+        self._dirty: set[int] = set()
+        self._passed_at: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self._live)
@@ -144,10 +165,12 @@ class CentroidIndex:
             self._margin = _screen_margin(len(vector))
         self._screen[row] = vector
         self._rows[cid] = row
-        self._live.append(ClusterCentroid(
-            cluster_id=cid, vector=vector, weight=weight,
-            template_id=template_id, parse_state=parse_state,
-        ))
+        vector = vector.view()  # read-only, and the caller's array stays as it was
+        vector.flags.writeable = False
+        self._live.append(ClusterCentroid(cid, vector, weight=weight,
+                                          template_id=template_id,
+                                          parse_state=parse_state))
+        self._dirty.add(cid)
         self._next_id += 1
         return cid
 
@@ -212,24 +235,63 @@ class CentroidIndex:
         moved /= centroid.weight + 1
         moved += centroid.vector
         centroid.weight += 1
-        norm = np.linalg.norm(moved)
+        norm = math.sqrt(moved.dot(moved))  # np.linalg.norm's value
         if norm < NORM_EPS:
             # antipodal cancellation; keep the old direction
             return centroid
-        centroid.vector = moved / norm
-        self._screen[self._rows[cluster_id]] = centroid.vector
+        moved /= norm
+        moved.flags.writeable = False
+        centroid._vector = moved
+        self._screen[self._rows[cluster_id]] = moved
+        self._dirty.add(cluster_id)
         return centroid
 
     def remove(self, cluster_id: int) -> None:
         if cluster_id not in self._rows:
             raise ClusterNotFoundError(f"cluster {cluster_id} not in index")
         row = self._rows.pop(cluster_id)
+        self._dirty.discard(cluster_id)
         last = self._live.pop()
         if row < len(self._live):
             # the last row fills the hole, keeping the live rows contiguous
             self._live[row] = last
             self._screen[row] = self._screen[len(self._live)]
             self._rows[last.cluster_id] = row
+
+    # ---- rebalance bookkeeping ---------------------------------------------
+
+    def _to_examine(self, threshold: float) -> Optional[set[int]]:
+        """The ids whose lookup in a rebalance pass at `threshold` can find
+        a partner at or above it, the pass's survivors aside; None if any
+        lookup can: before a pass has completed, or below its threshold.
+
+        A completed pass leaves every pair scoring below its threshold, and
+        a pair's einsum score depends on its two vectors alone. So a clean
+        cluster, one neither inserted nor moved since, can reach a partner
+        at a threshold as high only among the dirty ones. A survivor of
+        this pass cannot pull it in: its last lookup found every cluster
+        below the threshold, and scores are symmetric. The dirty rows are
+        screened against all rows, a block at a time, so at most
+        _SCREEN_BLOCK scores are held; a clean row is examined if its best
+        screened score lies within `_margin` of the threshold, as an exact
+        score at the threshold would."""
+        if self._passed_at is None or threshold < self._passed_at:
+            return None
+        n = len(self._live)
+        screen = self._screen[:n]
+        dirty = np.array([self._rows[cid] for cid in self._dirty], dtype=np.intp)
+        best = np.full(n, -np.inf, dtype=np.float32)
+        step = max(1, _SCREEN_BLOCK // max(n, 1))
+        for start in range(0, len(dirty), step):
+            scores = screen[dirty[start:start + step]] @ screen.T
+            np.maximum(best, scores.max(axis=0), out=best)
+        near = np.flatnonzero(best >= threshold - self._margin).tolist()
+        return self._dirty | {self._live[row].cluster_id for row in near}
+
+    def _pass_completed(self, threshold: float) -> None:
+        """Record a rebalance pass at `threshold` that ran to its end."""
+        self._dirty.clear()
+        self._passed_at = threshold
 
     # ---- snapshots ---------------------------------------------------------
 

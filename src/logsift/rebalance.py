@@ -6,14 +6,21 @@ similar as the clustering threshold they are merged into a fresh cluster
 whose vector is the weight-proportional average, and the merged cluster is
 re-examined at the same position so chains of merges collapse in one pass.
 Each merge strictly decreases the cluster count, so the pass terminates.
+
+A completed pass leaves no pair at or above its threshold. The next pass,
+at a threshold as high, looks up only the clusters that can have changed
+that: those inserted or moved since, and the unchanged ones that one of
+them screens near (`CentroidIndex._to_examine`). Every other lookup would
+find no partner and leave the walk as it is, so the merges are those of
+the full walk. A pass at a lower threshold, or on an index that has not
+completed one (fresh or loaded from a snapshot), looks up every cluster.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from .errors import ConfigError
 from .index import NORM_EPS, CentroidIndex, ClusterCentroid, ParseState
@@ -63,7 +70,7 @@ def merge_pair(index: CentroidIndex, id_a: int, id_b: int) -> int:
     a = index.get(id_a)
     b = index.get(id_b)
     merged = (a.weight * a.vector + b.weight * b.vector) / (a.weight + b.weight)
-    norm = np.linalg.norm(merged)
+    norm = math.sqrt(merged.dot(merged))  # np.linalg.norm's value
     if norm < NORM_EPS:
         raise ValueError("merged centroid is degenerate (antipodal constituents)")
     winner = _winner(a, b)
@@ -83,15 +90,14 @@ def rebalance(index: CentroidIndex, threshold: float) -> MergeReport:
     check_threshold(threshold)
     before = len(index)
     report = MergeReport(clusters_before=before, clusters_after=before)
-    work = index.ids()
-    i = 0
-    while i < len(work):
-        cid = work[i]
-        if cid not in index:
-            i += 1
+    examine = index._to_examine(threshold)
+    for cid in index.ids():
+        if cid not in index or examine is not None and cid not in examine:
             continue
-        hit = index.nearest(index.get(cid).vector, exclude=cid)
-        if hit is not None and hit.similarity >= threshold:
+        while True:
+            hit = index.nearest(index.get(cid).vector, exclude=cid)
+            if hit is None or hit.similarity < threshold:
+                break
             winner = _winner(index.get(cid), index.get(hit.cluster_id))
             survivor = merge_pair(index, cid, hit.cluster_id)
             report.merges.append(MergeEvent(
@@ -100,9 +106,7 @@ def rebalance(index: CentroidIndex, threshold: float) -> MergeReport:
                 similarity=hit.similarity,
                 kept_from=None if winner is None else winner.cluster_id,
             ))
-            # re-process the merged vector at the current position
-            work[i] = survivor
-        else:
-            i += 1
+            cid = survivor  # re-examined at the same position
+    index._pass_completed(threshold)
     report.clusters_after = len(index)
     return report

@@ -4,13 +4,14 @@ These deliberately avoid the library's own code paths: groupings are
 compared by exhaustive membership enumeration, the nearest neighbor by a
 full scan (of dot products, or of the einsum scores the index must equal
 bit for bit), the merge/update algebra by the closed-form expressions,
-and each line's vector by the two-layer encoder formula, recomputed per
-line.
+each line's vector by the two-layer encoder formula, recomputed per
+line, and a rebalance pass by the walk that looks every cluster up.
 """
 
 import numpy as np
 
 from logsift import Pipeline
+from logsift.rebalance import MergeEvent, MergeReport, _winner, merge_pair
 
 
 def oracle_grouping_accuracy(predicted, truth):
@@ -90,6 +91,36 @@ def oracle_scan_nearest(vectors_by_id, query, exclude=None):
     sims = np.einsum("ij,j->i", np.stack([vectors_by_id[cid] for cid in ids]), query)
     top = int(sims.argmax())
     return ids[top], float(sims[top])
+
+
+def oracle_rebalance(index, threshold):
+    """A rebalance pass that looks every cluster up: the walk in ascending
+    id order, each merge's survivor re-examined at the same position."""
+    before = len(index)
+    report = MergeReport(clusters_before=before, clusters_after=before)
+    work = index.ids()
+    i = 0
+    while i < len(work):
+        cid = work[i]
+        if cid not in index:
+            i += 1
+            continue
+        hit = index.nearest(index.get(cid).vector, exclude=cid)
+        if hit is not None and hit.similarity >= threshold:
+            winner = _winner(index.get(cid), index.get(hit.cluster_id))
+            survivor = merge_pair(index, cid, hit.cluster_id)
+            report.merges.append(MergeEvent(
+                absorbed_ids=(cid, hit.cluster_id),
+                surviving_id=survivor,
+                similarity=hit.similarity,
+                kept_from=None if winner is None else winner.cluster_id,
+            ))
+            # re-process the merged vector at the current position
+            work[i] = survivor
+        else:
+            i += 1
+    report.clusters_after = len(index)
+    return report
 
 
 def oracle_moving_average(old, incoming, weight):

@@ -263,7 +263,31 @@ class TestEmbedLog:
         assert isinstance(bad, ProviderError)
         assert isinstance(b, DegenerateEmbeddingError)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_mixed_batch_fails_only_its_bad_records(self, corpus, provider,
+                                                      identity_weights):
+        # identity weights drop the word count: a zero provider vector has
+        # no direction
+        class Mixed:
+            dim = provider.dim
+
+            def embed(self, text):
+                if text.startswith("nan"):
+                    return np.full(self.dim, np.nan)
+                return provider.embed(text) * (text != "zero")
+
+        records = list(corpus.records[:20:3])
+        records[2:2] = [LogRecord("s", "nan here")]
+        records[5:5] = [LogRecord("s", "zero")]
+        outcomes = embed_log(records, Mixed(), identity_weights)
+        assert [type(o) for o in outcomes if isinstance(o, Exception)] == \
+            [ProviderError, DegenerateEmbeddingError]
+        assert isinstance(outcomes[2], ProviderError)
+        assert isinstance(outcomes[5], DegenerateEmbeddingError)
+        for record, vector in zip(records, outcomes):
+            if not isinstance(vector, Exception):
+                [alone] = embed_log([record], provider, identity_weights)
+                assert vector.tobytes() == alone.tobytes()
+
     @pytest.mark.parametrize("row", [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]],
                              ids=["norm-overflows", "row-overflows"])
     def test_a_row_too_large_to_scale_fails_its_record(self, row):

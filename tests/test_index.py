@@ -253,6 +253,31 @@ def test_an_index_holds_each_vector_once_and_a_float32_screen():
     assert len(index) == n
 
 
+class TestCentroidVector:
+    """A centroid's vector moves only through the index, so the screen and
+    the record of what changed since the last rebalance follow it."""
+
+    def test_cannot_be_reassigned(self):
+        index = CentroidIndex()
+        cid = index.insert(unit(1, 0))
+        with pytest.raises(AttributeError):
+            index.get(cid).vector = unit(0, 1)
+        assert np.array_equal(index.get(cid).vector, unit(1, 0))
+
+    def test_is_a_read_only_view_of_the_inserted_array(self):
+        index = CentroidIndex()
+        v = unit(0.6, 0.8)
+        cid = index.insert(v)
+        held = index.get(cid).vector
+        assert np.shares_memory(held, v)  # no copy
+        with pytest.raises(ValueError):
+            held[0] = 1.0
+        assert v.flags.writeable  # the caller's own array is left as it was
+        moved = index.update_moving_average(cid, unit(1, 0)).vector
+        with pytest.raises(ValueError):
+            moved[0] = 1.0
+
+
 class TestUpdateMovingAverage:
     def test_orthogonal_analytic(self):
         index = CentroidIndex()

@@ -272,7 +272,6 @@ class TestDeadLetters:
         assert pipe.index.total_weight() == 2
 
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_an_embedding_too_large_to_scale_is_a_dead_letter(self, provider,
                                                               identity_weights):
         class Scaled(EmbeddingProvider):  # one line's finite vector times 1e308

@@ -7,7 +7,7 @@ from logsift import CentroidIndex, ParseState, merge_pair, rebalance
 from logsift.errors import ClusterNotFoundError
 
 from conftest import random_unit
-from oracles import oracle_merge
+from oracles import oracle_merge, oracle_rebalance
 
 
 def unit(*values):
@@ -266,16 +266,153 @@ def test_a_pass_leaves_no_pair_at_the_threshold():
 
 def test_a_pass_needs_no_memory_quadratic_in_the_clusters():
     # 4000 clusters of 64 dims: the index holds 2 MB of vectors, and an
-    # N x N similarity matrix would take 128 MB
+    # N x N similarity matrix would take 128 MB. The first pass looks every
+    # cluster up; the second screens the 2000 that moved against them all
     rng = np.random.default_rng(0)
     index = CentroidIndex()
     for _ in range(4000):
         index.insert(random_unit(rng, 64))
-    tracemalloc.start()
-    try:
-        report = rebalance(index, 0.99)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.merges == []
-    assert peak < 1_000_000, peak
+    for moved in (False, True):
+        if moved:
+            for cid in index.ids()[::2]:
+                index.update_moving_average(cid, index.get(cid).vector)
+        tracemalloc.start()
+        try:
+            report = rebalance(index, 0.99)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.merges == []
+        assert peak < 1_000_000, (moved, peak)
+
+
+def count_lookups(index):
+    """Count the index's `nearest` calls from now on; returns the list each
+    call appends to."""
+    calls, nearest = [], index.nearest
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return nearest(*args, **kwargs)
+
+    index.nearest = counted
+    return calls
+
+
+def views(index):
+    return [(c.cluster_id, c.weight, c.template_id, c.parse_state, c.vector.tobytes())
+            for c in index.centroids()]
+
+
+def test_incremental_passes_equal_the_full_walk():
+    # two indexes take the same inserts, moves and removes; between them
+    # one is rebalanced as the library does, the other by the full walk,
+    # at thresholds that rise and fall
+    merges = passes = skipping = 0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.choice([3, 8, 24, 64, 512]))
+        centres = [random_unit(rng, dim) for _ in range(int(rng.integers(1, 6)))]
+        fast, full = CentroidIndex(), CentroidIndex()
+        fast_calls, full_calls = count_lookups(fast), count_lookups(full)
+
+        def near():
+            ids = full.ids()
+            if ids and rng.random() < 0.15:  # an exact copy of a centroid
+                return full.get(ids[int(rng.integers(len(ids)))]).vector
+            spread = float(rng.choice([1e-15, 0.05, 0.2, 0.5]))
+            v = centres[int(rng.integers(len(centres)))] + spread * rng.normal(size=dim)
+            return v / np.linalg.norm(v)
+
+        for _ in range(int(rng.integers(2, 8))):
+            for _ in range(int(rng.integers(0, 40))):
+                ids, kind = full.ids(), rng.random()
+                if kind < 0.5 or len(ids) < 3:
+                    v, weight, parsed = near(), int(rng.integers(1, 6)), rng.random() < 0.5
+                    for index in (fast, full):
+                        index.insert(v, weight=weight, template_id=weight if parsed else None,
+                                     parse_state=PARSED if parsed else UNPARSED)
+                elif kind < 0.8:
+                    cid, v = ids[int(rng.integers(len(ids)))], near()
+                    for index in (fast, full):
+                        index.update_moving_average(cid, v)
+                else:
+                    cid = ids[int(rng.integers(len(ids)))]
+                    for index in (fast, full):
+                        index.remove(cid)
+            threshold = float(rng.choice([0.5, 0.8, 0.9, 0.95, 0.99]))
+            report = rebalance(fast, threshold)
+            assert report == oracle_rebalance(full, threshold), seed
+            assert views(fast) == views(full), seed
+            merges += len(report.merges)
+            passes += 1
+            skipping += len(fast_calls) < len(full_calls)
+            fast_calls.clear()
+            full_calls.clear()
+    assert passes > 1200 and merges > 4000 and skipping > passes // 4, \
+        (passes, merges, skipping)
+
+
+def test_a_pass_on_an_unchanged_index_looks_nothing_up():
+    index = clustered_index(3)
+    rebalance(index, 0.9)
+    calls = count_lookups(index)
+    assert rebalance(index, 0.9).merges == [] and rebalance(index, 0.95).merges == []
+    assert calls == []
+
+
+def test_a_moved_cluster_is_looked_up_with_its_near_partners():
+    index = CentroidIndex()
+    a = index.insert(unit(1, 0, 0))
+    index.insert(unit(0, 1, 0))
+    c = index.insert(unit(0, 0, 1))
+    rebalance(index, 0.9)
+    calls = count_lookups(index)
+    for _ in range(20):
+        index.update_moving_average(c, unit(1, 0, 0))
+    report = rebalance(index, 0.9)
+    # c moved to within the threshold of a, which is examined first
+    assert [event.absorbed_ids for event in report.merges] == [(a, c)]
+    assert len(calls) == 2  # a, then the survivor; cluster 1 is skipped
+
+
+@pytest.mark.parametrize("how", ["loaded", "lower-threshold"])
+def test_a_loaded_index_or_a_lower_threshold_gets_a_full_pass(tmp_path, how):
+    def rebalanced():
+        index = clustered_index(5)
+        rebalance(index, 0.9)
+        if how == "loaded":
+            index.snapshot(str(tmp_path / "index.json"))
+            index = CentroidIndex.load(str(tmp_path / "index.json"))
+        return index
+
+    index, full = rebalanced(), rebalanced()
+    calls, full_calls = count_lookups(index), count_lookups(full)
+    threshold = 0.9 if how == "loaded" else 0.85
+    assert rebalance(index, threshold) == oracle_rebalance(full, threshold)
+    assert len(calls) == len(full_calls) >= len(full)
+
+
+def test_a_partner_exactly_at_the_threshold_is_found_whatever_the_screen_says():
+    # the threshold is the pair's exact score: the clean cluster, walked
+    # first, must be looked up though its float32 screen score may fall
+    # just below the threshold
+    rng = np.random.default_rng(11)
+    below = 0
+    for _ in range(20):
+        c = random_unit(rng, 512)
+        perp = rng.normal(size=512)
+        perp -= (perp @ c) * c
+        d = 0.9 * c + np.sqrt(1 - 0.81) * perp / np.linalg.norm(perp)
+        d /= np.linalg.norm(d)
+        threshold = float(np.einsum("j,j->", c, d))
+        below += float(c.astype(np.float32) @ d.astype(np.float32)) < threshold
+        fast, full = CentroidIndex(), CentroidIndex()
+        for index in (fast, full):
+            index.insert(c)
+            rebalance(index, 0.5)
+            index.insert(d)
+        report = rebalance(fast, threshold)
+        assert report == oracle_rebalance(full, threshold)
+        assert [event.absorbed_ids for event in report.merges] == [(0, 1)]
+    assert below > 0
