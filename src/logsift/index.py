@@ -17,10 +17,9 @@ one order wherever the row sits, so hits and similarities are those of a
 full `einsum` scan, bit for bit. Nearly always one row is kept and
 re-scored alone; with several, `_settle` breaks the tie.
 
-For rebalancing the index keeps the ids inserted or moved since the last
-pass that completed, and that pass's threshold; `_to_examine` screens
-those rows against all the others, a block at a time, for the unchanged
-clusters the next pass must look up (see `logsift.rebalance`).
+For rebalancing, `_to_examine` screens every pair of rows once, a block
+at a time, for the clusters whose lookup in a pass can find a partner
+(see `logsift.rebalance`). The index keeps nothing about past passes.
 
 A snapshot (version 2) is JSON metadata with each vector stored as base64
 of its little-endian float64 bytes (`files.encode_floats`, the codec of
@@ -62,8 +61,7 @@ class ParseState(enum.Enum):
 @dataclass
 class ClusterCentroid:
     """One cluster. Its `vector` is a read-only view that only the index
-    replaces (`CentroidIndex.update_moving_average`), so the screen and the
-    index's record of what moved since the last rebalance pass follow
+    replaces (`CentroidIndex.update_moving_average`), so the screen follows
     every move."""
 
     cluster_id: int
@@ -122,10 +120,6 @@ class CentroidIndex:
         self._live: list[ClusterCentroid] = []
         self._rows: dict[int, int] = {}
         self._next_id = 0
-        # ids inserted or moved since the last rebalance pass that completed,
-        # and that pass's threshold (None until one completes)
-        self._dirty: set[int] = set()
-        self._passed_at: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self._live)
@@ -170,7 +164,6 @@ class CentroidIndex:
         self._live.append(ClusterCentroid(cid, vector, weight=weight,
                                           template_id=template_id,
                                           parse_state=parse_state))
-        self._dirty.add(cid)
         self._next_id += 1
         return cid
 
@@ -243,14 +236,12 @@ class CentroidIndex:
         moved.flags.writeable = False
         centroid._vector = moved
         self._screen[self._rows[cluster_id]] = moved
-        self._dirty.add(cluster_id)
         return centroid
 
     def remove(self, cluster_id: int) -> None:
         if cluster_id not in self._rows:
             raise ClusterNotFoundError(f"cluster {cluster_id} not in index")
         row = self._rows.pop(cluster_id)
-        self._dirty.discard(cluster_id)
         last = self._live.pop()
         if row < len(self._live):
             # the last row fills the hole, keeping the live rows contiguous
@@ -258,40 +249,28 @@ class CentroidIndex:
             self._screen[row] = self._screen[len(self._live)]
             self._rows[last.cluster_id] = row
 
-    # ---- rebalance bookkeeping ---------------------------------------------
+    # ---- rebalance screen --------------------------------------------------
 
-    def _to_examine(self, threshold: float) -> Optional[set[int]]:
+    def _to_examine(self, threshold: float) -> set[int]:
         """The ids whose lookup in a rebalance pass at `threshold` can find
-        a partner at or above it, the pass's survivors aside; None if any
-        lookup can: before a pass has completed, or below its threshold.
-
-        A completed pass leaves every pair scoring below its threshold, and
-        a pair's einsum score depends on its two vectors alone. So a clean
-        cluster, one neither inserted nor moved since, can reach a partner
-        at a threshold as high only among the dirty ones. A survivor of
-        this pass cannot pull it in: its last lookup found every cluster
-        below the threshold, and scores are symmetric. The dirty rows are
-        screened against all rows, a block at a time, so at most
-        _SCREEN_BLOCK scores are held; a clean row is examined if its best
-        screened score lies within `_margin` of the threshold, as an exact
-        score at the threshold would."""
-        if self._passed_at is None or threshold < self._passed_at:
-            return None
+        a partner at or above it: those whose best screened partner lies
+        within `_margin` of the threshold, as an exact score at the
+        threshold would. Each block of rows is screened against the rows
+        from its own first row on, itself masked, so every pair is scored
+        once and at most _SCREEN_BLOCK scores are held."""
         n = len(self._live)
         screen = self._screen[:n]
-        dirty = np.array([self._rows[cid] for cid in self._dirty], dtype=np.intp)
         best = np.full(n, -np.inf, dtype=np.float32)
-        step = max(1, _SCREEN_BLOCK // max(n, 1))
-        for start in range(0, len(dirty), step):
-            scores = screen[dirty[start:start + step]] @ screen.T
-            np.maximum(best, scores.max(axis=0), out=best)
+        start = 0
+        while start < n:
+            stop = start + max(1, _SCREEN_BLOCK // (n - start))
+            scores = screen[start:stop] @ screen[start:].T
+            np.fill_diagonal(scores, -np.inf)  # row start + i is column i
+            np.maximum(best[start:stop], scores.max(axis=1), out=best[start:stop])
+            np.maximum(best[start:], scores.max(axis=0), out=best[start:])
+            start = stop
         near = np.flatnonzero(best >= threshold - self._margin).tolist()
-        return self._dirty | {self._live[row].cluster_id for row in near}
-
-    def _pass_completed(self, threshold: float) -> None:
-        """Record a rebalance pass at `threshold` that ran to its end."""
-        self._dirty.clear()
-        self._passed_at = threshold
+        return {self._live[row].cluster_id for row in near}
 
     # ---- snapshots ---------------------------------------------------------
 

@@ -7,13 +7,14 @@ whose vector is the weight-proportional average, and the merged cluster is
 re-examined at the same position so chains of merges collapse in one pass.
 Each merge strictly decreases the cluster count, so the pass terminates.
 
-A completed pass leaves no pair at or above its threshold. The next pass,
-at a threshold as high, looks up only the clusters that can have changed
-that: those inserted or moved since, and the unchanged ones that one of
-them screens near (`CentroidIndex._to_examine`). Every other lookup would
-find no partner and leave the walk as it is, so the merges are those of
-the full walk. A pass at a lower threshold, or on an index that has not
-completed one (fresh or loaded from a snapshot), looks up every cluster.
+A pass looks up only the clusters whose best partner on the float32
+screen, as the pass starts, scores within the screen's margin of the
+threshold (`CentroidIndex._to_examine`). Every other lookup would find no
+partner, so the merges are those of the walk that looks every cluster up:
+a skipped cluster has no partner at the threshold when the pass starts;
+the centroids that exist then never move during it; and a survivor's last
+lookup found every live cluster, the skipped one among them, below the
+threshold, while einsum scores are symmetric.
 """
 
 from __future__ import annotations
@@ -90,9 +91,8 @@ def rebalance(index: CentroidIndex, threshold: float) -> MergeReport:
     check_threshold(threshold)
     before = len(index)
     report = MergeReport(clusters_before=before, clusters_after=before)
-    examine = index._to_examine(threshold)
-    for cid in index.ids():
-        if cid not in index or examine is not None and cid not in examine:
+    for cid in sorted(index._to_examine(threshold)):
+        if cid not in index:  # absorbed earlier in the pass
             continue
         while True:
             hit = index.nearest(index.get(cid).vector, exclude=cid)
@@ -107,6 +107,5 @@ def rebalance(index: CentroidIndex, threshold: float) -> MergeReport:
                 kept_from=None if winner is None else winner.cluster_id,
             ))
             cid = survivor  # re-examined at the same position
-    index._pass_completed(threshold)
     report.clusters_after = len(index)
     return report

@@ -354,6 +354,27 @@ class TestRebalanceCommand:
         err = capsys.readouterr().err
         assert err.count("config error: similarity_threshold must be in (0, 1)") == 2
 
+    def test_a_snapshot_ingest_rebalanced_is_rewritten_without_a_lookup(
+            self, tmp_path, monkeypatch):
+        corpus = generate_corpus(n_templates=30, logs_per_template=10, seed=3)
+        logs = tmp_path / "app.log"
+        logs.write_text("".join(r.content + "\n" for r in corpus.records))
+        snap, out = tmp_path / "snap.json", tmp_path / "out.json"
+        assert main(["ingest", "--input", str(logs), "--snapshot-out", str(snap),
+                     "--batch-mode"]) == EXIT_OK
+        assert len(CentroidIndex.load(str(snap))) == 30
+        calls, nearest = [], CentroidIndex.nearest
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return nearest(self, *args, **kwargs)
+
+        monkeypatch.setattr(CentroidIndex, "nearest", counted)
+        assert main(["rebalance", "--snapshot", str(snap),
+                     "--snapshot-out", str(out)]) == EXIT_OK
+        assert calls == []
+        assert out.read_bytes() == snap.read_bytes()
+
     def test_rewrites_version_1_as_version_2(self, tmp_path):
         v1 = str(tmp_path / "v1.json")
         write_v1_snapshot(random_index(2), v1)

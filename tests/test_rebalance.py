@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import logsift.index
 from logsift import CentroidIndex, ParseState, merge_pair, rebalance
 from logsift.errors import ClusterNotFoundError
 
@@ -266,8 +267,8 @@ def test_a_pass_leaves_no_pair_at_the_threshold():
 
 def test_a_pass_needs_no_memory_quadratic_in_the_clusters():
     # 4000 clusters of 64 dims: the index holds 2 MB of vectors, and an
-    # N x N similarity matrix would take 128 MB. The first pass looks every
-    # cluster up; the second screens the 2000 that moved against them all
+    # N x N similarity matrix would take 128 MB. Both passes screen all 4000
+    # rows, the second after 2000 of them moved
     rng = np.random.default_rng(0)
     index = CentroidIndex()
     for _ in range(4000):
@@ -304,12 +305,15 @@ def views(index):
             for c in index.centroids()]
 
 
-def test_incremental_passes_equal_the_full_walk():
+def test_screened_passes_equal_the_full_walk(tmp_path, monkeypatch):
     # two indexes take the same inserts, moves and removes; between them
     # one is rebalanced as the library does, the other by the full walk,
-    # at thresholds that rise and fall
-    merges = passes = skipping = 0
+    # at thresholds that rise and fall. Before some passes the first goes
+    # through a snapshot, which gives it new rows in id order. Screen
+    # blocks of 1 or 50 scores split an index into many blocks
+    merges = passes = skipping = loaded = 0
     for seed in range(300):
+        monkeypatch.setattr(logsift.index, "_SCREEN_BLOCK", [1, 50, 1 << 16][seed % 3])
         rng = np.random.default_rng(seed)
         dim = int(rng.choice([3, 8, 24, 64, 512]))
         centres = [random_unit(rng, dim) for _ in range(int(rng.integers(1, 6)))]
@@ -341,6 +345,11 @@ def test_incremental_passes_equal_the_full_walk():
                     for index in (fast, full):
                         index.remove(cid)
             threshold = float(rng.choice([0.5, 0.8, 0.9, 0.95, 0.99]))
+            if rng.random() < 0.25:
+                fast.snapshot(str(tmp_path / "fast.json"))
+                fast = CentroidIndex.load(str(tmp_path / "fast.json"))
+                fast_calls = count_lookups(fast)
+                loaded += 1
             report = rebalance(fast, threshold)
             assert report == oracle_rebalance(full, threshold), seed
             assert views(fast) == views(full), seed
@@ -349,8 +358,8 @@ def test_incremental_passes_equal_the_full_walk():
             skipping += len(fast_calls) < len(full_calls)
             fast_calls.clear()
             full_calls.clear()
-    assert passes > 1200 and merges > 4000 and skipping > passes // 4, \
-        (passes, merges, skipping)
+    assert passes > 1200 and merges > 4000 and skipping > passes // 4 \
+        and loaded > passes // 5, (passes, merges, skipping, loaded)
 
 
 def test_a_pass_on_an_unchanged_index_looks_nothing_up():
@@ -376,8 +385,17 @@ def test_a_moved_cluster_is_looked_up_with_its_near_partners():
     assert len(calls) == 2  # a, then the survivor; cluster 1 is skipped
 
 
+def test_a_fresh_index_of_separated_clusters_looks_nothing_up():
+    index = CentroidIndex()
+    for row in np.eye(6):
+        index.insert(row)
+    calls = count_lookups(index)
+    assert rebalance(index, 0.5).merges == []
+    assert calls == []
+
+
 @pytest.mark.parametrize("how", ["loaded", "lower-threshold"])
-def test_a_loaded_index_or_a_lower_threshold_gets_a_full_pass(tmp_path, how):
+def test_a_loaded_index_or_a_lower_threshold_is_screened_like_any_pass(tmp_path, how):
     def rebalanced():
         index = clustered_index(5)
         rebalance(index, 0.9)
@@ -387,10 +405,10 @@ def test_a_loaded_index_or_a_lower_threshold_gets_a_full_pass(tmp_path, how):
         return index
 
     index, full = rebalanced(), rebalanced()
-    calls, full_calls = count_lookups(index), count_lookups(full)
+    calls, clusters = count_lookups(index), len(index)
     threshold = 0.9 if how == "loaded" else 0.85
     assert rebalance(index, threshold) == oracle_rebalance(full, threshold)
-    assert len(calls) == len(full_calls) >= len(full)
+    assert len(calls) < clusters
 
 
 def test_a_partner_exactly_at_the_threshold_is_found_whatever_the_screen_says():
