@@ -11,9 +11,11 @@ The encoder has no activation, so its two layers are one affine map.
 training keeps the two factors (`training.EncoderLayers`) and multiplies
 them out once. Every caller embeds with the map through `embed_log`: a
 provider call per record, written with its word count into one matrix,
-then one matrix product for all. A record alone gets the same vector bit
-for bit whoever embeds it; a row of a larger product can differ in the
-last bits, as BLAS orders its sums by the row's position (not at identity
+then one matrix product for all; the identity map (the default when no
+weights are given) is applied as a copy of the provider columns, which
+has that product's bytes. A record alone gets the same vector bit for
+bit whoever embeds it; a row of a larger product can differ in the last
+bits, as BLAS orders its sums by the row's position (not at identity
 weights, where every sum is exact). The vector depends on the content
 alone, so `Pipeline` embeds each distinct line once and keeps its vector
 (see `logsift.ingest`).
@@ -162,6 +164,14 @@ class EncoderWeights:
         matrix.flags.writeable = bias.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "bias", bias)
+        # eye(E, E+1) with every other bit of the map zero (+0.0), which
+        # embed_log applies as a copy; read through an integer view, so no
+        # E x (E+1) temporary is built, cheapest test first
+        rows, cols = matrix.shape
+        object.__setattr__(self, "_identity", bool(
+            cols == rows + 1 and not bias.view(np.uint64).any()
+            and (matrix.diagonal() == 1.0).all()
+            and np.count_nonzero(matrix.view(np.uint64)) == rows))
 
     @property
     def input_dim(self) -> int:
@@ -243,17 +253,21 @@ def embed_log(records: Sequence[LogRecord], provider: EmbeddingProvider,
               encoder: EncoderWeights) -> list[np.ndarray | Exception]:
     """Full pipeline for each record: provider embedding -> word-count
     fusion, then the encoder applied to every record the provider embedded
-    with one matrix product, and each row scaled to unit length.
+    with one matrix product (at the identity map, a copy of the provider
+    columns), and each row scaled to unit length.
 
     Each provider vector and its word-count feature are written into one
     (n, D+1) matrix, whose finiteness is checked at once; its finite rows,
     in record order, are what the encoder multiplies, as they would be
-    fused one by one. Returns, per record, its unit vector (an array of its
-    own) or the RECORD_ERRORS instance that stopped it: a row shorter than
-    NORM_EPS has no direction, and one whose norm overflows (finite
-    provider values above about 1e154) cannot be scaled; numpy's overflow
-    warning is silenced, as that record's error says it. A dimension
-    mismatch, which every record would hit, raises."""
+    fused one by one. The identity map takes no product: each entry of
+    that product is x_i plus products with 0, exactly x_i for x_i != 0,
+    and adding its +0.0 bias makes every zero +0.0 on either path, so the
+    copy gives the product's bytes. Returns, per record, its unit vector
+    (an array of its own) or the RECORD_ERRORS instance that stopped it: a
+    row shorter than NORM_EPS has no direction, and one whose norm
+    overflows (finite provider values above about 1e154) cannot be scaled;
+    numpy's overflow warning is silenced, as that record's error says it.
+    A dimension mismatch, which every record would hit, raises."""
     outcomes: list = [None] * len(records)
     fused = np.empty((len(records), provider.dim + 1))
     for i, record in enumerate(records):
@@ -277,7 +291,7 @@ def embed_log(records: Sequence[LogRecord], provider: EmbeddingProvider,
     embedded = [i for i, outcome in enumerate(outcomes) if outcome is None]
     if embedded:
         with np.errstate(over="ignore"):
-            out = fused @ encoder.matrix.T
+            out = fused[:, :-1].copy() if encoder._identity else fused @ encoder.matrix.T
             out += encoder.bias  # in place: the same sums, no second matrix
             norms = [math.sqrt(row.dot(row)) for row in out]  # np.linalg.norm's value
         for i, row, norm in zip(embedded, out, norms):

@@ -5,12 +5,16 @@ compared by exhaustive membership enumeration, the nearest neighbor by a
 full scan (of dot products, or of the einsum scores the index must equal
 bit for bit), the merge/update algebra by the closed-form expressions,
 each line's vector by the two-layer encoder formula, recomputed per
-line, and a rebalance pass by the walk that looks every cluster up.
+line, a call's encode by the affine map's full product, and a rebalance
+pass by the walk that looks every cluster up.
 """
+
+import math
 
 import numpy as np
 
 from logsift import Pipeline
+from logsift.index import NORM_EPS
 from logsift.rebalance import MergeEvent, MergeReport, _winner, merge_pair
 
 
@@ -140,6 +144,17 @@ def oracle_embed(content, provider, layers):
     fused = np.append(provider.embed(content), len(content.split()) / 100.0)
     out = layers.w2 @ (layers.w1 @ fused + layers.b1) + layers.b2
     return out / np.linalg.norm(out)
+
+
+def oracle_encode(fused, matrix, bias):
+    """embed_log's outcome for each row of the fused (n, D+1) matrix, by
+    the formula with every product taken: fused @ M.T + b, each row over its
+    norm as embed_log takes it; None for a row that cannot be scaled."""
+    with np.errstate(over="ignore"):
+        out = fused @ matrix.T + bias
+        norms = [math.sqrt(row.dot(row)) for row in out]
+    return [row / norm if NORM_EPS <= norm < math.inf else None
+            for row, norm in zip(out, norms)]
 
 
 class OraclePipeline(Pipeline):

@@ -110,6 +110,23 @@ class TestIngestCommand:
 
 
     @pytest.mark.parametrize("mode", [[], ["--batch-mode"]], ids=["sequential", "batch"])
+    def test_identity_weights_from_either_file_version_write_the_same_bytes(
+            self, corpus_csv, tmp_path, mode):
+        # the default identity and the identity read back from a version 2
+        # or a version 1 file are all applied as a copy of the provider columns
+        v1, v2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")
+        write_v1_weights(EncoderLayers.identity_init(512), v1)
+        EncoderWeights.identity_init(512).save(v2)
+        outputs = []
+        for weights in ([], ["--weights", v2], ["--weights", v1]):
+            snap, assigns = tmp_path / "snap.json", tmp_path / "assign.jsonl"
+            assert main(["ingest", "--input", corpus_csv, *mode, *weights,
+                         "--snapshot-out", str(snap),
+                         "--assignments-out", str(assigns)]) == EXIT_OK
+            outputs.append((snap.read_bytes(), assigns.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("mode", [[], ["--batch-mode"]], ids=["sequential", "batch"])
     def test_degenerate_embeddings_are_dead_letters(self, tmp_path, capsys, mode,
                                                     zero_weights):
         logs = tmp_path / "app.log"

@@ -23,7 +23,7 @@ from conftest import (
     PROVIDER_DIM,
     write_v1_weights,
 )
-from oracles import oracle_embed
+from oracles import oracle_embed, oracle_encode
 
 
 class TestLogRecord:
@@ -189,6 +189,94 @@ class TestEncode:
         for k, (row, r) in enumerate(zip(out, raw)):
             assert np.array_equal(row, r / np.linalg.norm(r))
             assert np.array_equal(row, embed_rows(raw[k:k + 1], counts[k:k + 1], w)[0])
+
+
+def provider_rows(rng, n, dim):
+    """n provider rows of mixed signs with -0.0, +0.0 and subnormal entries;
+    every third row holds a value near 1e300, too large to scale, and every
+    fifth one near 1e150, which still scales."""
+    raw = rng.normal(size=(n, dim))
+    pick = rng.random((n, dim))
+    raw[pick < 0.3] = -0.0
+    raw[(0.3 <= pick) & (pick < 0.4)] = 0.0
+    tiny = (0.4 <= pick) & (pick < 0.55)
+    raw[tiny] = rng.choice([5e-324, -5e-324, 2.5e-310, -1e-315], size=tiny.sum())
+    raw[4::5] *= 1e150
+    raw[2::3, -1] = rng.choice([1e300, -1.7e300], size=len(raw[2::3]))
+    return raw
+
+
+def assert_is_the_product(out, raw, word_counts, weights):
+    fused = np.column_stack([raw, np.asarray(word_counts) / 100.0])
+    for got, want in zip(out, oracle_encode(fused, weights.matrix, weights.bias),
+                         strict=True):
+        if want is None:
+            assert isinstance(got, DegenerateEmbeddingError)
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
+def identity_map(kind, dim, tmp_path):
+    """The identity for a dim-d provider, built or read back as `kind` says."""
+    path = str(tmp_path / f"{kind}.json")
+    if kind == "v2-file":
+        EncoderWeights.identity_init(dim).save(path)
+    elif kind == "v1-file":
+        write_v1_weights(EncoderLayers.identity_init(dim), path)
+    else:
+        return EncoderWeights.identity_init(dim)
+    return EncoderWeights.load(path)
+
+
+# maps one entry away from the identity, as (array, index, value) set on
+# eye(E, E+1) and a +0.0 bias; a provider row starting [-0.0, 1.0] makes a
+# copy of the provider columns differ from the product
+NEAR_IDENTITY = {
+    "off-diagonal-5e-324": ("matrix", (0, 1), 5e-324),
+    "diagonal-below-1": ("matrix", (1, 1), np.nextafter(1.0, 0.0)),
+    "bias-minus-zero": ("bias", 0, -0.0),
+    "plus-word-count": ("matrix", (-1, -1), 1.0),
+}
+
+
+class TestIdentityCopy:
+    """embed_log copies the provider columns for the identity map and takes
+    the product for any other map: either way, the product's bytes."""
+
+    @pytest.mark.parametrize("dim", [2, 8, 512])
+    @pytest.mark.parametrize("kind", ["identity_init", "v2-file", "v1-file"])
+    def test_identity_maps_give_the_product_byte_for_byte(self, kind, dim, tmp_path):
+        weights = identity_map(kind, dim, tmp_path)
+        assert weights._identity
+        rng = np.random.default_rng(dim)
+        for n in (1, 7, 256):
+            raw, counts = provider_rows(rng, n, dim), rng.integers(1, 40, size=n)
+            assert_is_the_product(embed_rows(raw, counts, weights), raw, counts, weights)
+
+    @pytest.mark.parametrize("dim", [8, 512])
+    @pytest.mark.parametrize("case", [*NEAR_IDENTITY, "square-eye", "shifted-eye"])
+    def test_near_identity_maps_take_the_product(self, case, dim):
+        if case == "square-eye":
+            weights = EncoderWeights(np.eye(dim + 1), np.zeros(dim + 1))
+        elif case == "shifted-eye":  # keeps the word-count column, drops x_0
+            weights = EncoderWeights(np.eye(dim, dim + 1, k=1), np.zeros(dim))
+        else:
+            arrays = {"matrix": np.eye(dim, dim + 1), "bias": np.zeros(dim)}
+            name, at, value = NEAR_IDENTITY[case]
+            arrays[name][at] = value
+            weights = EncoderWeights(**arrays)
+        assert not weights._identity
+        rng = np.random.default_rng(dim)
+        for n in (1, 7):
+            raw, counts = rng.normal(size=(n, dim)), rng.integers(1, 40, size=n)
+            raw[0, :3] = [-0.0, 1.0, 0.5]
+            raw[0, 3:] = 0.0  # a norm below 2 keeps 5e-324 from rounding away
+            out = embed_rows(raw, counts, weights)
+            assert_is_the_product(out, raw, counts, weights)
+            # where a copy of the provider columns gives other bytes
+            copied = raw + weights.bias[:dim]
+            assert any(v.tobytes() != (c / np.linalg.norm(c)).tobytes()
+                       for v, c in zip(out, copied))
 
 
 class TestCollapsedEncoder:
@@ -399,3 +487,20 @@ def test_loading_a_512_d_map_takes_a_small_multiple_of_its_floats(tmp_path):
     # measured 3.7x: the file's text, its base64 strings, their bytes and
     # the map's own copy; a version 1 file of this map parses at 12.2x
     assert peak < 5 * floats, peak / floats
+
+
+def test_building_a_512_d_map_holds_little_beyond_its_copy():
+    # measured 1.13x: the map's own copy and the finiteness check's bools;
+    # telling the identity apart builds no other E x (E+1) array (a
+    # comparison with np.eye peaks past 2x)
+    rng = np.random.default_rng(6)
+    for matrix in (np.eye(PROVIDER_DIM, PROVIDER_DIM + 1),
+                   rng.normal(size=(PROVIDER_DIM, PROVIDER_DIM + 1))):
+        bias = np.zeros(PROVIDER_DIM)
+        tracemalloc.start()
+        try:
+            EncoderWeights(matrix, bias)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * matrix.nbytes, peak / matrix.nbytes
