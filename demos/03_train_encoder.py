@@ -8,13 +8,14 @@ reflects "same template" rather than surface word overlap.  Here we build
 a toy setting where raw cosine is almost useless -- every vector shares a
 large common component -- and train the encoder to subtract it.
 
-Pairs are labeled 1.0 (same family) or 0.0 (different family); the loss
-is mean squared error between the encoded cosine and the label.
+Each pair is two rows of one matrix of vectors, labeled 1.0 (same family)
+or 0.0 (different family); the loss is mean squared error between the
+encoded cosine and the label.
 """
 
 import numpy as np
 
-from logsift import TrainConfig, TrainingPair, train
+from logsift import PairDataset, TrainConfig, train
 
 rng = np.random.default_rng(0)
 dim = 8
@@ -28,21 +29,24 @@ def draw(family):
     return v + rng.normal(scale=0.05, size=dim)
 
 
-pairs = []
+# a pair is two rows of one matrix of vectors, and a label
+vectors, pairs, labels = [], [], []
 for _ in range(120):
     fam_a, fam_b = rng.integers(2), rng.integers(2)
-    pairs.append(TrainingPair(draw(fam_a), draw(fam_b),
-                              1.0 if fam_a == fam_b else 0.0))
+    vectors += [draw(fam_a), draw(fam_b)]
+    pairs.append((len(vectors) - 2, len(vectors) - 1))
+    labels.append(1.0 if fam_a == fam_b else 0.0)
+dataset = PairDataset(np.stack(vectors), np.array(pairs), np.array(labels))
 
-raw_cos = [float(np.dot(p.left, p.right) /
-                 (np.linalg.norm(p.left) * np.linalg.norm(p.right)))
-           for p in pairs]
-print(f"raw cosine range: {min(raw_cos):.3f} .. {max(raw_cos):.3f} "
+left, right, _ = dataset.gather(slice(None))
+raw_cos = np.sum(left * right, axis=1) / (np.linalg.norm(left, axis=1)
+                                          * np.linalg.norm(right, axis=1))
+print(f"raw cosine range: {raw_cos.min():.3f} .. {raw_cos.max():.3f} "
       "(families are indistinguishable)")
 
 config = TrainConfig(learning_rate=0.0005, batch_size=16, epochs=50,
                      rng_seed=0)
-result = train(pairs, config)
+result = train(dataset, config)
 
 print("\nloss trace (every 10 epochs):")
 for epoch in range(0, len(result.loss_trace), 10):

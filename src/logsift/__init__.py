@@ -11,8 +11,6 @@ from .embedding import (
     HashingProvider,
     RemoteProvider,
     embed_log,
-    embed_raw,
-    fuse_word_count,
 )
 from .index import CentroidIndex, ParseState
 from .ingest import IngestConfig, Pipeline
@@ -36,8 +34,8 @@ from .rebalance import merge_pair, rebalance
 from .records import LogRecord
 from .training import (
     EncoderLayers,
+    PairDataset,
     TrainConfig,
-    TrainingPair,
     build_pair_dataset,
     gradient_check,
     mse_loss,
@@ -56,21 +54,19 @@ __all__ = [
     "IngestConfig",
     "LogRecord",
     "MockCompletionClient",
+    "PairDataset",
     "ParseState",
     "Pipeline",
     "RemoteProvider",
     "TemplateStore",
     "TrainConfig",
-    "TrainingPair",
     "build_pair_dataset",
     "build_prompt",
     "embed_log",
-    "embed_raw",
     "evaluate",
     "extract_template",
     "fga",
     "fta",
-    "fuse_word_count",
     "gradient_check",
     "grouping_accuracy",
     "load_dataset",

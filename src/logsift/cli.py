@@ -193,13 +193,12 @@ def cmd_train_encoder(args) -> int:
         similar_to_dissimilar_ratio=args.ratio,
         rng_seed=args.seed,
     )
-    pairs = []
+    labeled = []
     for path in args.datasets:
         dataset = load_dataset(path)
-        labeled = [(LogRecord(source_id=path, content=c), t)
-                   for c, t in zip(dataset.contents, dataset.templates)]
-        pairs.extend(build_pair_dataset(labeled, train_cfg, provider))
-    result = train(pairs, train_cfg)
+        labeled.append([(LogRecord(source_id=path, content=c), t)
+                        for c, t in zip(dataset.contents, dataset.templates)])
+    result = train(build_pair_dataset(labeled, train_cfg, provider), train_cfg)
     result.layers.collapse().save(args.weights_out)
     if args.loss_trace_out:
         with atomic_write(args.loss_trace_out) as fh:

@@ -13,12 +13,13 @@ them out once. Every caller embeds with the map through `embed_log`: a
 provider call per record, written with its word count into one matrix,
 then one matrix product for all; the identity map (the default when no
 weights are given) is applied as a copy of the provider columns, which
-has that product's bytes. A record alone gets the same vector bit for
-bit whoever embeds it; a row of a larger product can differ in the last
-bits, as BLAS orders its sums by the row's position (not at identity
-weights, where every sum is exact). The vector depends on the content
-alone, so `Pipeline` embeds each distinct line once and keeps its vector
-(see `logsift.ingest`).
+has that product's bytes; training fuses its logs with the same front
+half, `_fuse`. A record alone gets the same vector bit for bit whoever
+embeds it; a row of a larger product can differ in the last bits, as
+BLAS orders its sums by the row's position (not at identity weights,
+where every sum is exact). The vector depends on the content alone, so
+`Pipeline` embeds each distinct line once and keeps its vector (see
+`logsift.ingest`).
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ class RemoteProvider(EmbeddingProvider):
 WEIGHTS_VERSION = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity
 class EncoderWeights:
     """The encoder, read-only: one affine map from the fused (D+1)-vector
     to the clustering space, `matrix` (E, D+1) and `bias` (E,).
@@ -230,23 +231,38 @@ class EncoderWeights:
             raise ConfigError(f"malformed weights file {path}: {exc}") from exc
 
 
-def embed_raw(record: LogRecord, provider: EmbeddingProvider) -> np.ndarray:
-    """Provider embedding of the record content (Algorithm step 1)."""
-    values = provider.embed(record.content)
-    if values.shape != (provider.dim,):
-        raise DimensionMismatchError(
-            f"provider dim {values.shape} != configured {provider.dim}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ProviderError("provider returned non-finite values")
-    return values
-
-
-def fuse_word_count(raw: np.ndarray, word_count: int) -> np.ndarray:
-    """Append the scaled word count as one extra feature dimension."""
-    if word_count < 1:
-        raise ValueError("word_count must be >= 1")
-    return np.concatenate([raw, [word_count / WORD_COUNT_SCALE]])
+def _fuse(records: Sequence[LogRecord], provider: EmbeddingProvider,
+          raise_first: bool = False) -> tuple[np.ndarray, list[Exception | None]]:
+    """Provider embedding -> word-count fusion, the front half of `embed_log`
+    and all of training's: one (n, D+1) matrix, whose finiteness is checked
+    at once, and per record None or the RECORD_ERRORS instance that stopped
+    it (its row is then not finite). A dimension mismatch, which every
+    record would hit, raises. With `raise_first`, so does the first record
+    that fails, and no later one is embedded: training can use no partial
+    matrix, and a provider that is down would spend every record's retries."""
+    errors: list = [None] * len(records)
+    fused = np.empty((len(records), provider.dim + 1))
+    for i, record in enumerate(records):
+        try:
+            values = provider.embed(record.content)
+        except RECORD_ERRORS as exc:
+            if raise_first:
+                raise
+            errors[i] = exc
+            fused[i] = np.nan  # found with the non-finite rows below
+            continue
+        if values.shape != (provider.dim,):
+            raise DimensionMismatchError(
+                f"provider dim {values.shape} != configured {provider.dim}")
+        fused[i, :-1] = values
+        fused[i, -1] = record.word_count / WORD_COUNT_SCALE
+        if raise_first and not np.isfinite(values).all():
+            raise ProviderError("provider returned non-finite values")
+    if not np.isfinite(fused).all():
+        for i in np.flatnonzero(~np.isfinite(fused).all(axis=1)).tolist():
+            if errors[i] is None:
+                errors[i] = ProviderError("provider returned non-finite values")
+    return fused, errors
 
 
 def embed_log(records: Sequence[LogRecord], provider: EmbeddingProvider,
@@ -256,39 +272,21 @@ def embed_log(records: Sequence[LogRecord], provider: EmbeddingProvider,
     with one matrix product (at the identity map, a copy of the provider
     columns), and each row scaled to unit length.
 
-    Each provider vector and its word-count feature are written into one
-    (n, D+1) matrix, whose finiteness is checked at once; its finite rows,
-    in record order, are what the encoder multiplies, as they would be
-    fused one by one. The identity map takes no product: each entry of
-    that product is x_i plus products with 0, exactly x_i for x_i != 0,
-    and adding its +0.0 bias makes every zero +0.0 on either path, so the
-    copy gives the product's bytes. Returns, per record, its unit vector
-    (an array of its own) or the RECORD_ERRORS instance that stopped it: a
-    row shorter than NORM_EPS has no direction, and one whose norm
-    overflows (finite provider values above about 1e154) cannot be scaled;
-    numpy's overflow warning is silenced, as that record's error says it.
-    A dimension mismatch, which every record would hit, raises."""
-    outcomes: list = [None] * len(records)
-    fused = np.empty((len(records), provider.dim + 1))
-    for i, record in enumerate(records):
-        try:
-            values = provider.embed(record.content)
-        except RECORD_ERRORS as exc:
-            outcomes[i] = exc
-            fused[i] = np.nan  # dropped with the non-finite rows
-            continue
-        if values.shape != (provider.dim,):
-            raise DimensionMismatchError(
-                f"provider dim {values.shape} != configured {provider.dim}")
-        fused[i, :-1] = values
-        fused[i, -1] = record.word_count / WORD_COUNT_SCALE
-    if not np.isfinite(fused).all():
-        finite = np.isfinite(fused).all(axis=1)
-        for i in np.flatnonzero(~finite).tolist():
-            if outcomes[i] is None:
-                outcomes[i] = ProviderError("provider returned non-finite values")
-        fused = fused[finite]
+    The rows `_fuse` writes for the records it did not stop, in record
+    order, are what the encoder multiplies, as they would be fused one by
+    one. The identity map takes no product: each entry of that product is
+    x_i plus products with 0, exactly x_i for x_i != 0, and adding its +0.0
+    bias makes every zero +0.0 on either path, so the copy gives the
+    product's bytes. Returns, per record, its unit vector (an array of its
+    own) or the RECORD_ERRORS instance that stopped it: a row shorter than
+    NORM_EPS has no direction, and one whose norm overflows (finite provider
+    values above about 1e154) cannot be scaled; numpy's overflow warning is
+    silenced, as that record's error says it. A dimension mismatch, which
+    every record would hit, raises."""
+    fused, outcomes = _fuse(records, provider)
     embedded = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if len(embedded) < len(records):
+        fused = fused[embedded]
     if embedded:
         with np.errstate(over="ignore"):
             out = fused[:, :-1].copy() if encoder._identity else fused @ encoder.matrix.T

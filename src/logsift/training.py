@@ -1,7 +1,8 @@
 """Encoder fine-tuning on labeled embedding pairs.
 
-Pairs of fused vectors are labeled 1 (same ground-truth template) or 0
-(different templates), sampled dissimilar-heavy at a configurable ratio.
+Each log is fused once, as ingest fuses it, into one matrix. A pair is two
+of its rows, labeled 1 (same ground-truth template) or 0 (different
+templates), sampled dissimilar-heavy at a configurable ratio.
 The encoder is trained as two affine layers (`EncoderLayers`) with
 mini-batch Adam to minimize the MSE between the predicted cosine
 similarity of the encoded pair and the label; `EncoderLayers.collapse`
@@ -17,12 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .embedding import (
-    EmbeddingProvider,
-    EncoderWeights,
-    embed_raw,
-    fuse_word_count,
-)
+from .embedding import EmbeddingProvider, EncoderWeights, _fuse
 from .errors import ConfigError, DegenerateEmbeddingError
 from .index import NORM_EPS
 from .records import LogRecord
@@ -82,11 +78,30 @@ class EncoderLayers:
                              self.w2.copy(), self.b2.copy())
 
 
-@dataclass(frozen=True)
-class TrainingPair:
-    left: np.ndarray
-    right: np.ndarray
-    label: float
+@dataclass(frozen=True, eq=False)
+class PairDataset:
+    """Labeled pairs as rows of one matrix: pair k compares rows pairs[k, 0]
+    and pairs[k, 1] of `features` (n, D+1), and labels[k] is its target
+    similarity. `pairs` is an (m, 2) integer array, `labels` an (m,) one."""
+
+    features: np.ndarray
+    pairs: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        n, m = len(self.features), len(self.labels)
+        if self.pairs.shape != (m, 2) or (
+                m and not 0 <= self.pairs.min() <= self.pairs.max() < n):
+            raise ValueError(f"pairs {self.pairs.shape} are not {m} pairs of rows < {n}")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def gather(self, rows):
+        """The left rows, right rows and labels of the pairs `rows` selects
+        (a slice or an index array), each gathered into an array of its own."""
+        return (self.features[self.pairs[rows, 0]], self.features[self.pairs[rows, 1]],
+                self.labels[rows])
 
 
 @dataclass
@@ -109,61 +124,55 @@ class TrainConfig:
         self.similar_to_dissimilar_ratio = ratio
 
 
-def build_pair_dataset(labeled_logs: list[tuple[LogRecord, object]],
-                       cfg: TrainConfig,
-                       provider: EmbeddingProvider) -> list[TrainingPair]:
-    """Sample similar/dissimilar fused-vector pairs at the configured ratio.
+def build_pair_dataset(datasets: list[list[tuple[LogRecord, object]]],
+                       cfg: TrainConfig, provider: EmbeddingProvider) -> PairDataset:
+    """Fuse the logs of all `datasets` into one matrix, as ingest does, and
+    sample similar/dissimilar pairs of rows within each at the configured ratio.
 
     Similar pairs are uniform over within-template log pairs, dissimilar
     pairs uniform over cross-template log pairs; both with replacement, so
-    the requested count is always met. Seeded and reproducible.
+    the requested count is always met. Each dataset is seeded alike, with
+    `cfg.rng_seed`. The first log the provider cannot embed raises its
+    error, and no later one is embedded.
     """
-    groups: dict[object, list[int]] = {}
-    for i, (_, template_id) in enumerate(labeled_logs):
-        groups.setdefault(template_id, []).append(i)
-    if len(groups) < 2:
-        raise ConfigError("need at least 2 distinct templates to form dissimilar pairs")
-    pairable = {t: members for t, members in groups.items() if len(members) >= 2}
-    if not pairable:
-        raise ConfigError("need at least one template with >= 2 logs for similar pairs")
-
-    fused = [
-        fuse_word_count(embed_raw(record, provider), record.word_count)
-        for record, _ in labeled_logs
-    ]
-    templates = [template_id for _, template_id in labeled_logs]
-
     ratio = cfg.similar_to_dissimilar_ratio
     n_similar = round(cfg.pairs_per_dataset * ratio.numerator
                       / (ratio.numerator + ratio.denominator))
     n_dissimilar = cfg.pairs_per_dataset - n_similar
+    pairs: list[tuple[int, int]] = []
+    offset = 0  # of the dataset's first row in the matrix
+    for labeled in datasets:
+        templates = [template_id for _, template_id in labeled]
+        groups: dict[object, list[int]] = {}
+        for i, template_id in enumerate(templates):
+            groups.setdefault(template_id, []).append(i)
+        if len(groups) < 2:
+            raise ConfigError("need at least 2 distinct templates to form dissimilar pairs")
+        pairable = [members for members in groups.values() if len(members) >= 2]
+        if not pairable:
+            raise ConfigError("need at least one template with >= 2 logs for similar pairs")
 
-    rng = np.random.default_rng(cfg.rng_seed)
-    pair_counts = np.array([len(m) * (len(m) - 1) // 2 for m in pairable.values()],
-                           dtype=np.float64)
-    group_list = list(pairable.values())
-    weights = pair_counts / pair_counts.sum()
+        rng = np.random.default_rng(cfg.rng_seed)
+        pair_counts = np.array([len(m) * (len(m) - 1) // 2 for m in pairable],
+                               dtype=np.float64)
+        weights = pair_counts / pair_counts.sum()
+        for _ in range(n_similar):
+            members = pairable[rng.choice(len(pairable), p=weights)]
+            i, j = rng.choice(len(members), size=2, replace=False)
+            pairs.append((offset + members[i], offset + members[j]))
+        n = len(templates)
+        for _ in range(n_dissimilar):
+            while True:
+                i, j = rng.integers(n), rng.integers(n)
+                if templates[i] != templates[j]:
+                    break
+            pairs.append((offset + i, offset + j))
+        offset += n
 
-    pairs: list[TrainingPair] = []
-    for _ in range(n_similar):
-        members = group_list[rng.choice(len(group_list), p=weights)]
-        i, j = rng.choice(len(members), size=2, replace=False)
-        pairs.append(TrainingPair(fused[members[i]], fused[members[j]], 1.0))
-    n = len(labeled_logs)
-    for _ in range(n_dissimilar):
-        while True:
-            i, j = rng.integers(n), rng.integers(n)
-            if templates[i] != templates[j]:
-                break
-        pairs.append(TrainingPair(fused[i], fused[j], 0.0))
-    return pairs
-
-
-def _stack(pairs: list[TrainingPair]):
-    left = np.stack([p.left for p in pairs])
-    right = np.stack([p.right for p in pairs])
-    labels = np.array([p.label for p in pairs])
-    return left, right, labels
+    features, _ = _fuse([record for labeled in datasets for record, _ in labeled],
+                        provider, raise_first=True)
+    labels = np.tile(np.repeat([1.0, 0.0], [n_similar, n_dissimilar]), len(datasets))
+    return PairDataset(features, np.array(pairs, dtype=np.intp).reshape(-1, 2), labels)
 
 
 def _forward(left, right, w: EncoderLayers):
@@ -177,30 +186,30 @@ def _forward(left, right, w: EncoderLayers):
     return hl, hr, u, v, nu, nv, sim
 
 
-def predict_similarity(pair: TrainingPair, layers: EncoderLayers) -> float:
-    """Cosine similarity of the two encoded vectors, in [-1, 1]."""
-    _, _, _, _, nu, nv, sim = _forward(pair.left[None, :], pair.right[None, :], layers)
+def predict_similarity(left, right, layers: EncoderLayers) -> float:
+    """Cosine similarity of the two fused vectors once encoded, in [-1, 1]."""
+    _, _, _, _, nu, nv, sim = _forward(left[None, :], right[None, :], layers)
     if min(nu[0], nv[0]) < NORM_EPS:
         raise DegenerateEmbeddingError("encoded pair member has near-zero norm")
     return float(np.clip(sim[0], -1.0, 1.0))
 
 
-def mse_loss(pairs: list[TrainingPair], layers: EncoderLayers) -> float:
+def mse_loss(dataset: PairDataset, layers: EncoderLayers) -> float:
     """Mean squared error between predicted cosine similarity and labels."""
-    if not pairs:
+    if not len(dataset):
         raise ValueError("empty batch")
-    return _loss(*_stack(pairs), layers)
+    return _loss(dataset, layers)
 
 
-def _loss(left, right, labels, w: EncoderLayers) -> float:
-    """The MSE summed over chunks of rows, so a loss over the whole dataset
-    holds a chunk's activations at a time, not the dataset's."""
+def _loss(dataset: PairDataset, w: EncoderLayers) -> float:
+    """The MSE summed over chunks of pairs, so a loss over the whole dataset
+    holds a chunk's rows and activations at a time, not the dataset's."""
     total = 0.0
-    for start in range(0, len(labels), LOSS_CHUNK_ROWS):
-        rows = slice(start, start + LOSS_CHUNK_ROWS)
-        *_, sim = _forward(left[rows], right[rows], w)
-        total += float(np.sum((labels[rows] - sim) ** 2))
-    return total / len(labels)
+    for start in range(0, len(dataset), LOSS_CHUNK_ROWS):
+        left, right, labels = dataset.gather(slice(start, start + LOSS_CHUNK_ROWS))
+        *_, sim = _forward(left, right, w)
+        total += float(np.sum((labels - sim) ** 2))
+    return total / len(dataset)
 
 
 def _gradients(left, right, labels, w: EncoderLayers):
@@ -226,7 +235,7 @@ class TrainResult:
     loss_trace: list[float] = field(default_factory=list)
 
 
-def train(pairs: list[TrainingPair], cfg: TrainConfig,
+def train(dataset: PairDataset, cfg: TrainConfig,
           initial: EncoderLayers | None = None) -> TrainResult:
     """Shuffled mini-batch Adam (beta1=0.9, beta2=0.999, eps=1e-8).
 
@@ -234,12 +243,10 @@ def train(pairs: list[TrainingPair], cfg: TrainConfig,
     the full-dataset loss before training and after each epoch. Aborts on a
     non-finite loss.
     """
-    if not pairs:
+    if not len(dataset):
         raise ValueError("no training pairs")
-    fused_dim = pairs[0].left.shape[0]
     layers = (initial.copy() if initial is not None
-              else EncoderLayers.identity_init(fused_dim - 1))
-    left, right, labels = _stack(pairs)
+              else EncoderLayers.identity_init(dataset.features.shape[1] - 1))
 
     params = [layers.w1, layers.b1, layers.w2, layers.b2]
     m = [np.zeros_like(p) for p in params]
@@ -247,12 +254,12 @@ def train(pairs: list[TrainingPair], cfg: TrainConfig,
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     rng = np.random.default_rng(cfg.rng_seed)
-    trace = [_loss(left, right, labels, layers)]
+    trace = [_loss(dataset, layers)]
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(pairs))
-        for start in range(0, len(pairs), cfg.batch_size):
+        order = rng.permutation(len(dataset))
+        for start in range(0, len(dataset), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            grads = _gradients(left[batch], right[batch], labels[batch], layers)
+            grads = _gradients(*dataset.gather(batch), layers)
             step += 1
             for p, g, m_i, v_i in zip(params, grads, m, v):
                 m_i += (1 - beta1) * (g - m_i)
@@ -260,7 +267,7 @@ def train(pairs: list[TrainingPair], cfg: TrainConfig,
                 m_hat = m_i / (1 - beta1**step)
                 v_hat = v_i / (1 - beta2**step)
                 p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        epoch_loss = _loss(left, right, labels, layers)
+        epoch_loss = _loss(dataset, layers)
         if not np.isfinite(epoch_loss):
             raise ArithmeticError(
                 f"non-finite loss after epoch {len(trace)}; lower the learning rate"
@@ -269,7 +276,7 @@ def train(pairs: list[TrainingPair], cfg: TrainConfig,
     return TrainResult(layers=layers, loss_trace=trace)
 
 
-def gradient_check(layers: EncoderLayers, small_batch: list[TrainingPair],
+def gradient_check(layers: EncoderLayers, small_batch: PairDataset,
                    h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients
     over a sampled parameter subset."""
@@ -277,9 +284,8 @@ def gradient_check(layers: EncoderLayers, small_batch: list[TrainingPair],
         raise ValueError("small_batch must hold 1..8 pairs")
     if not 1e-6 <= h <= 1e-4:
         raise ValueError("h out of supported range")
-    left, right, labels = _stack(small_batch)
     w = layers.copy()
-    analytic = _gradients(left, right, labels, w)
+    analytic = _gradients(*small_batch.gather(slice(None)), w)
     params = [w.w1, w.b1, w.w2, w.b2]
     rng = np.random.default_rng(GRADIENT_CHECK_SEED)
     worst = 0.0
@@ -291,9 +297,9 @@ def gradient_check(layers: EncoderLayers, small_batch: list[TrainingPair],
         for k in picks:
             orig = flat[k]
             flat[k] = orig + h
-            plus = _loss(left, right, labels, w)
+            plus = _loss(small_batch, w)
             flat[k] = orig - h
-            minus = _loss(left, right, labels, w)
+            minus = _loss(small_batch, w)
             flat[k] = orig
             numeric = (plus - minus) / (2 * h)
             denom = max(abs(numeric) + abs(g_flat[k]), 1e-8)

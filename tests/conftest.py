@@ -6,7 +6,7 @@ import pytest
 
 from logsift import EncoderWeights, HashingProvider
 from logsift.synthetic import generate_corpus
-from logsift.training import TrainingPair
+from logsift.training import PairDataset
 
 PROVIDER_DIM = 512
 
@@ -41,6 +41,16 @@ def random_unit(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def stack_pairs(triples):
+    """A PairDataset of (left, right, label) triples: the lefts, then the
+    rights, stacked into one matrix, so pair k compares rows k and m + k."""
+    lefts, rights, labels = zip(*triples)
+    m = len(labels)
+    return PairDataset(np.concatenate([lefts, rights]),
+                       np.column_stack([np.arange(m), np.arange(m, 2 * m)]),
+                       np.array(labels))
+
+
 def make_two_family_pairs(n=120, seed=0):
     """Separable pair dataset: both families share a dominant common
     component (so raw cosine similarity is uninformative) plus a small
@@ -56,11 +66,11 @@ def make_two_family_pairs(n=120, seed=0):
     b = common + offset_b + 0.05 * rng.normal(size=(n, 9))
     pairs = []
     for i in range(0, n, 2):
-        pairs.append(TrainingPair(a[i], a[i + 1], 1.0))
-        pairs.append(TrainingPair(b[i], b[i + 1], 1.0))
+        pairs.append((a[i], a[i + 1], 1.0))
+        pairs.append((b[i], b[i + 1], 1.0))
     for i in range(n):
-        pairs.append(TrainingPair(a[i], b[i], 0.0))
-    return pairs
+        pairs.append((a[i], b[i], 0.0))
+    return stack_pairs(pairs)
 
 
 def write_v1_weights(layers, path):

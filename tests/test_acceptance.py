@@ -16,7 +16,6 @@ from logsift import (
     MockCompletionClient,
     Pipeline,
     TrainConfig,
-    TrainingPair,
     build_pair_dataset,
     evaluate,
     extract_template,
@@ -32,7 +31,7 @@ from logsift import (
 from logsift.synthetic import generate_corpus, similarity_margins
 
 import conftest
-from conftest import make_two_family_pairs, random_unit
+from conftest import make_two_family_pairs, random_unit, stack_pairs
 from oracles import (
     oracle_fga,
     oracle_fta,
@@ -260,8 +259,8 @@ def test_criterion_6_trainer_soundness():
                       b1=rng.normal(size=9) * 0.1,
                       w2=rng.normal(size=(8, 9)) * 0.5,
                       b2=rng.normal(size=8) * 0.1)
-    batch = [TrainingPair(rng.normal(size=9), rng.normal(size=9),
-                          float(rng.integers(2))) for _ in range(4)]
+    batch = stack_pairs([(rng.normal(size=9), rng.normal(size=9),
+                          float(rng.integers(2))) for _ in range(4)])
     grad_err = gradient_check(w, batch, h=1e-5)
 
     pairs = make_two_family_pairs()
@@ -379,7 +378,7 @@ def test_criterion_10_embedding_cache_equivalence(provider, identity_weights):
         assert got[2] == want[2], mode
 
     labeled = list(zip(corpus.records, corpus.template_ids))
-    trained = train(build_pair_dataset(labeled, TrainConfig(pairs_per_dataset=600),
+    trained = train(build_pair_dataset([labeled], TrainConfig(pairs_per_dataset=600),
                                        provider),
                     TrainConfig(batch_size=128, epochs=2)).layers
     same, worst = {}, {}

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from logsift import cli
 from logsift.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -15,6 +16,7 @@ from logsift.cli import (
     parse_args,
 )
 from logsift.embedding import EncoderWeights
+from logsift.errors import ProviderError
 from logsift.index import CentroidIndex
 from logsift.rebalance import rebalance
 from logsift.synthetic import generate_corpus
@@ -236,6 +238,29 @@ class TestTrainEncoderCommand:
         w = EncoderWeights.load(weights)
         assert np.array_equal(w.matrix, EncoderWeights.identity_init(32).matrix)
         assert np.array_equal(w.bias, EncoderWeights.identity_init(32).bias)
+
+    @pytest.mark.parametrize("failure", ["raises", "nan"])
+    def test_a_line_the_provider_fails_on_exits_4_and_writes_no_weights(
+            self, corpus_csv, tmp_path, capsys, monkeypatch, failure):
+        with open(corpus_csv, newline="") as fh:
+            bad = list(csv.DictReader(fh))[17]["Content"]
+
+        class Failing(cli.HashingProvider):
+            def embed(self, text):
+                if text != bad:
+                    return super().embed(text)
+                if failure == "raises":
+                    raise ProviderError("HTTP 503")
+                return np.full(self.dim, np.nan)
+
+        monkeypatch.setattr(cli, "HashingProvider", Failing)
+        weights = tmp_path / "weights.json"
+        rc = main(["train-encoder", "--datasets", corpus_csv, "--weights-out",
+                   str(weights), "--pairs-per-dataset", "60", "--provider-dim", "32"])
+        assert rc == EXIT_PROVIDER
+        assert not weights.exists()
+        assert ("HTTP 503" if failure == "raises" else "non-finite") in \
+            capsys.readouterr().err
 
     def test_invalid_ratio(self, corpus_csv, tmp_path):
         rc = main(["train-encoder", "--datasets", corpus_csv,

@@ -11,8 +11,6 @@ from logsift import (
     HashingProvider,
     LogRecord,
     embed_log,
-    embed_raw,
-    fuse_word_count,
 )
 from logsift import embedding
 from logsift.errors import ConfigError, DegenerateEmbeddingError, ProviderError
@@ -37,17 +35,16 @@ class TestLogRecord:
 
 class TestEmbedRaw:
     def test_deterministic(self, provider):
-        r = LogRecord("s", "a b a")
-        assert np.array_equal(embed_raw(r, provider), embed_raw(r, provider))
+        assert np.array_equal(provider.embed("a b a"), provider.embed("a b a"))
 
-    def test_realistic_log_line(self, provider):
+    def test_realistic_log_line(self, provider, identity_weights):
         r = LogRecord("s", "start processing 2 alerts for org org_bff943b3ca")
-        v = embed_raw(r, provider)
+        [v] = embed_log([r], provider, identity_weights)
         assert v.shape == (provider.dim,)
         assert np.all(np.isfinite(v))
 
     def test_unit_norm(self, provider):
-        v = embed_raw(LogRecord("s", "x y z"), provider)
+        v = provider.embed("x y z")
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
     @staticmethod
@@ -86,35 +83,10 @@ class TestEmbedRaw:
             assert hashlib.sha256(raw).hexdigest() == sha
 
     def test_token_overlap_drives_similarity(self, provider):
-        a = embed_raw(LogRecord("s", "alpha beta gamma delta"), provider)
-        b = embed_raw(LogRecord("s", "alpha beta gamma epsilon"), provider)
-        c = embed_raw(LogRecord("s", "one two three four"), provider)
+        a = provider.embed("alpha beta gamma delta")
+        b = provider.embed("alpha beta gamma epsilon")
+        c = provider.embed("one two three four")
         assert a @ b > a @ c
-
-
-class TestFuseWordCount:
-    def test_definition(self):
-        fused = fuse_word_count(np.zeros(3), 5)
-        assert np.array_equal(fused, [0, 0, 0, 0.05])
-
-    def test_wc_100_scales_to_one(self):
-        assert fuse_word_count(np.zeros(3), 100)[-1] == 1.0
-
-    def test_wc_difference_only_in_last_component(self):
-        raw = np.array([0.3, 0.4, 0.5])
-        a = fuse_word_count(raw, 3)
-        b = fuse_word_count(raw, 30)
-        assert np.array_equal(a[:3], b[:3])
-        assert b[-1] - a[-1] == pytest.approx(0.27)
-
-    def test_preserves_first_components(self):
-        rng = np.random.default_rng(0)
-        raw = rng.normal(size=17)
-        assert np.array_equal(fuse_word_count(raw, 9)[:17], raw)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            fuse_word_count(np.zeros(3), 0)
 
 
 class Table:
@@ -140,6 +112,36 @@ def embed_rows(raw, word_counts, weights):
     lines = [words(n, f"r{i}x") for i, n in enumerate(word_counts)]
     provider = Table(dict(zip(lines, raw)))
     return embed_log([LogRecord("s", t) for t in lines], provider, weights)
+
+
+def fuse_one(raw, word_count):
+    """The fused row of one line of `word_count` words whose provider vector
+    is `raw`."""
+    line = words(word_count)
+    fused, errors = embedding._fuse([LogRecord("s", line)], Table({line: raw}))
+    assert errors == [None]
+    return fused[0]
+
+
+class TestFuseWordCount:
+    def test_definition(self):
+        fused = fuse_one(np.zeros(3), 5)
+        assert np.array_equal(fused, [0, 0, 0, 0.05])
+
+    def test_wc_100_scales_to_one(self):
+        assert fuse_one(np.zeros(3), 100)[-1] == 1.0
+
+    def test_wc_difference_only_in_last_component(self):
+        raw = np.array([0.3, 0.4, 0.5])
+        a = fuse_one(raw, 3)
+        b = fuse_one(raw, 30)
+        assert np.array_equal(a[:3], b[:3])
+        assert b[-1] - a[-1] == pytest.approx(0.27)
+
+    def test_preserves_first_components(self):
+        rng = np.random.default_rng(0)
+        raw = rng.normal(size=17)
+        assert np.array_equal(fuse_one(raw, 9)[:17], raw)
 
 
 class TestEncode:
@@ -411,6 +413,11 @@ class TestEncoderWeights:
             EncoderWeights(matrix, np.zeros(2))
         with pytest.raises(ConfigError):
             EncoderWeights(np.zeros((2, 2)), [0.0, np.inf])
+
+    def test_compared_and_hashed_by_identity(self):
+        a, b = EncoderWeights.identity_init(2), EncoderWeights.identity_init(2)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
     def test_holds_a_read_only_copy(self):
         matrix, bias = np.eye(2, 3), np.zeros(2)

@@ -7,7 +7,7 @@ import requests
 
 from logsift import remote
 from logsift.cli import EXIT_PROVIDER, main
-from logsift.embedding import RemoteProvider, embed_raw
+from logsift.embedding import EncoderWeights, RemoteProvider, embed_log
 from logsift.errors import DimensionMismatchError, ProviderError
 from logsift.index import CentroidIndex, ParseState
 from logsift.parsing import ClusterParser, RemoteCompletionClient
@@ -117,7 +117,8 @@ def test_wrong_dimension_is_not_retried(monkeypatch, sleeps):
     post = script(monkeypatch, FakeResponse(200, {"embedding": [0.1, 0.2, 0.3]}))
     provider = RemoteProvider(url="http://emb", model="m", dim=4)
     with pytest.raises(DimensionMismatchError):
-        embed_raw(LogRecord("t", "disk full on /dev/sda1"), provider)
+        embed_log([LogRecord("t", "disk full on /dev/sda1")], provider,
+                  EncoderWeights.identity_init(4))
     assert len(post.calls) == 1 and sleeps == []
     assert post.calls[0]["timeout"] == RemoteProvider.TIMEOUT_S == 30.0
     assert post.calls[0]["json"] == {"model": "m", "input": "disk full on /dev/sda1"}
@@ -211,3 +212,19 @@ def test_export_embeddings_stops_at_the_first_failing_line(monkeypatch, sleeps, 
     assert rc == EXIT_PROVIDER
     assert len(post.calls) == 1
     assert not (tmp_path / "v.csv").exists()
+
+
+def test_train_encoder_stops_at_the_first_failing_line(monkeypatch, sleeps, tmp_path):
+    # a provider that is down spends one line's retries, not every line's
+    monkeypatch.setenv("EMBEDDING_API_KEY", "k")
+    post = script(monkeypatch, 503)
+    dataset = tmp_path / "labeled.csv"
+    dataset.write_text("LineId,Content,EventTemplate\n1,disk full on sda1,disk full on <*>\n"
+                       "2,disk full on sdb2,disk full on <*>\n3,fan failed,fan failed\n")
+    rc = main(["train-encoder", "--datasets", str(dataset),
+               "--weights-out", str(tmp_path / "w.json"),
+               "--provider", "remote", "--provider-url", "http://emb",
+               "--provider-model", "m", "--provider-dim", "8"])
+    assert rc == EXIT_PROVIDER
+    assert len(post.calls) == remote.ATTEMPTS
+    assert not (tmp_path / "w.json").exists()

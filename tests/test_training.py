@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,9 +7,10 @@ import pytest
 
 from logsift import (
     EncoderLayers,
+    HashingProvider,
     LogRecord,
+    PairDataset,
     TrainConfig,
-    TrainingPair,
     build_pair_dataset,
     gradient_check,
     mse_loss,
@@ -15,9 +18,11 @@ from logsift import (
     train,
 )
 from logsift import training
-from logsift.errors import ConfigError
+from logsift.embedding import _fuse
+from logsift.errors import ConfigError, ProviderError
+from logsift.synthetic import generate_corpus
 
-from conftest import make_two_family_pairs
+from conftest import make_two_family_pairs, stack_pairs
 
 
 def labeled_corpus(corpus):
@@ -41,98 +46,168 @@ class TestEncoderLayers:
 class TestBuildPairDataset:
     def test_ratio_split(self, corpus, provider):
         cfg = TrainConfig(pairs_per_dataset=2400, rng_seed=1)
-        pairs = build_pair_dataset(labeled_corpus(corpus), cfg, provider)
-        assert len(pairs) == 2400
-        n_similar = sum(1 for p in pairs if p.label == 1.0)
+        dataset = build_pair_dataset([labeled_corpus(corpus)], cfg, provider)
+        assert len(dataset) == 2400
+        n_similar = int(np.sum(dataset.labels == 1.0))
         assert n_similar == 400  # 1:5 of 2400
-        assert len(pairs) - n_similar == 2000
+        assert len(dataset) - n_similar == 2000
 
     def test_single_template_errors(self, provider):
         logs = [(LogRecord("s", f"aa bb cc {i}"), "t0") for i in range(5)]
         with pytest.raises(ConfigError):
-            build_pair_dataset(logs, TrainConfig(), provider)
+            build_pair_dataset([logs], TrainConfig(), provider)
 
     def test_seeded_reproducibility(self, corpus, provider):
         cfg = TrainConfig(pairs_per_dataset=200, rng_seed=7)
         labeled = labeled_corpus(corpus)
-        first = build_pair_dataset(labeled, cfg, provider)
-        second = build_pair_dataset(labeled, cfg, provider)
-        for a, b in zip(first, second):
-            assert np.array_equal(a.left, b.left)
-            assert np.array_equal(a.right, b.right)
-            assert a.label == b.label
+        first = build_pair_dataset([labeled], cfg, provider)
+        second = build_pair_dataset([labeled], cfg, provider)
+        assert np.array_equal(first.features, second.features)
+        assert np.array_equal(first.pairs, second.pairs)
+        assert np.array_equal(first.labels, second.labels)
 
     def test_labels_match_templates(self, corpus, provider):
         cfg = TrainConfig(pairs_per_dataset=100, rng_seed=3)
-        for pair in build_pair_dataset(labeled_corpus(corpus), cfg, provider):
-            assert pair.label in (0.0, 1.0)
+        dataset = build_pair_dataset([labeled_corpus(corpus)], cfg, provider)
+        for (i, j), label in zip(dataset.pairs, dataset.labels):
+            assert label == float(corpus.template_ids[i] == corpus.template_ids[j])
+
+    def test_features_are_the_rows_ingest_fuses(self, corpus, provider):
+        dataset = build_pair_dataset([labeled_corpus(corpus)],
+                                     TrainConfig(pairs_per_dataset=50), provider)
+        fused, errors = _fuse(corpus.records, provider)
+        assert errors == [None] * len(corpus)
+        assert np.array_equal(dataset.features, fused)
+
+    def test_each_dataset_pairs_its_own_rows(self, provider):
+        corpora = [generate_corpus(n_templates=4, logs_per_template=10, seed=1),
+                   generate_corpus(n_templates=6, logs_per_template=5, seed=2)]
+        cfg = TrainConfig(pairs_per_dataset=300, rng_seed=5)
+        joined = build_pair_dataset([labeled_corpus(c) for c in corpora], cfg, provider)
+        assert len(joined) == 600
+        offset = 0
+        for k, corpus in enumerate(corpora):
+            alone = build_pair_dataset([labeled_corpus(corpus)], cfg, provider)
+            block = slice(k * 300, (k + 1) * 300)
+            assert np.array_equal(joined.pairs[block], alone.pairs + offset)
+            assert np.array_equal(joined.labels[block], alone.labels)
+            rows = joined.pairs[block]
+            assert offset <= rows.min() and rows.max() < offset + len(corpus)
+            assert np.array_equal(joined.features[rows], alone.features[alone.pairs])
+            same = [corpus.template_ids[i - offset] == corpus.template_ids[j - offset]
+                    for i, j in rows]
+            assert np.array_equal(joined.labels[block], np.array(same, dtype=float))
+            offset += len(corpus)
+
+    @pytest.mark.parametrize("failure", ["raises", "nan"])
+    def test_the_first_record_that_cannot_be_embedded_raises(self, corpus, failure):
+        class Failing(HashingProvider):
+            calls = 0
+
+            def embed(self, text):
+                self.calls += 1
+                if text in bad:
+                    if failure == "raises":
+                        raise ProviderError(f"no vector for {text!r}")
+                    return np.full(self.dim, np.nan)
+                return super().embed(text)
+
+        labeled = labeled_corpus(corpus)
+        bad = {labeled[3][0].content, labeled[7][0].content}
+        first = min(i for i, (record, _) in enumerate(labeled) if record.content in bad)
+        expected = (f"no vector for {labeled[first][0].content!r}" if failure == "raises"
+                    else "provider returned non-finite values")
+        provider = Failing(32)
+        with pytest.raises(ProviderError, match=re.escape(expected)):
+            build_pair_dataset([labeled], TrainConfig(pairs_per_dataset=20), provider)
+        assert provider.calls == first + 1  # no line after the first failure
 
     def test_dissimilar_heavy_ratio_enforced(self):
         with pytest.raises(ConfigError):
             TrainConfig(similar_to_dissimilar_ratio=Fraction(5, 1))
 
 
+class TestPairDataset:
+    def test_gathers_each_pairs_rows(self):
+        features = np.arange(12.0).reshape(4, 3)
+        dataset = PairDataset(features, np.array([[3, 0], [1, 1]]), np.array([0.0, 1.0]))
+        left, right, labels = dataset.gather(slice(None))
+        assert np.array_equal(left, features[[3, 1]])
+        assert np.array_equal(right, features[[0, 1]])
+        assert np.array_equal(labels, [0.0, 1.0])
+        left, right, labels = dataset.gather(np.array([1]))
+        assert np.array_equal(left, features[[1]]) and labels.tolist() == [1.0]
+
+    @pytest.mark.parametrize("pairs, labels", [
+        ([[0, 4]], [1.0]),          # a row past the end
+        ([[-1, 0]], [1.0]),         # would wrap to the last row
+        ([[0, 1]], [1.0, 0.0]),     # a label without a pair
+        ([0, 1], [1.0]),            # not (m, 2)
+    ], ids=["past-end", "negative", "count", "shape"])
+    def test_rejects_pairs_that_do_not_index_the_features(self, pairs, labels):
+        with pytest.raises(ValueError):
+            PairDataset(np.zeros((4, 3)), np.array(pairs), np.array(labels))
+
+
 class TestPredictSimilarity:
     def test_self_similarity(self):
         w = EncoderLayers.identity_init(3)
         v = np.array([1.0, 2.0, 3.0, 0.04])
-        assert predict_similarity(TrainingPair(v, v, 1.0), w) == \
-            pytest.approx(1.0, abs=1e-6)
+        assert predict_similarity(v, v, w) == pytest.approx(1.0, abs=1e-6)
 
     def test_orthogonal(self):
         w = EncoderLayers.identity_init(3)
         left = np.array([1.0, 0.0, 0.0, 0.0])
         right = np.array([0.0, 1.0, 0.0, 0.0])
-        assert predict_similarity(TrainingPair(left, right, 0.0), w) == \
-            pytest.approx(0.0, abs=1e-6)
+        assert predict_similarity(left, right, w) == pytest.approx(0.0, abs=1e-6)
 
     def test_antipodal(self):
         w = EncoderLayers.identity_init(3)
         left = np.array([1.0, 0.0, 0.0, 0.0])
-        assert predict_similarity(TrainingPair(left, -left, 0.0), w) == \
-            pytest.approx(-1.0)
+        assert predict_similarity(left, -left, w) == pytest.approx(-1.0)
 
     def test_bounded(self):
         rng = np.random.default_rng(0)
         w = EncoderLayers(w1=rng.normal(size=(4, 5)), b1=rng.normal(size=4),
                            w2=rng.normal(size=(3, 4)), b2=rng.normal(size=3))
         for _ in range(100):
-            pair = TrainingPair(rng.normal(size=5), rng.normal(size=5), 0.0)
-            assert -1.0 <= predict_similarity(pair, w) <= 1.0
+            assert -1.0 <= predict_similarity(rng.normal(size=5), rng.normal(size=5),
+                                              w) <= 1.0
 
 
 class TestMseLoss:
     def test_perfect_fit_is_zero(self):
         w = EncoderLayers.identity_init(3)
         v = np.array([1.0, 2.0, 3.0, 0.04])
-        assert mse_loss([TrainingPair(v, v, 1.0)], w) == pytest.approx(0.0, abs=1e-12)
+        assert mse_loss(stack_pairs([(v, v, 1.0)]), w) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_error(self):
         w = EncoderLayers.identity_init(3)
         left = np.array([1.0, 0.0, 0.0, 0.0])
         right = np.array([0.0, 1.0, 0.0, 0.0])
-        assert mse_loss([TrainingPair(left, right, 1.0)], w) == pytest.approx(1.0)
+        assert mse_loss(stack_pairs([(left, right, 1.0)]), w) == pytest.approx(1.0)
 
     def test_mean_of_squared_errors(self):
         w = EncoderLayers.identity_init(3)
         e1 = np.array([1.0, 0.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0, 0.0])
-        pairs = [
-            TrainingPair(e1, e2, 0.5),   # prediction 0, error 0.5
-            TrainingPair(e1, e1, 0.5),   # prediction 1, error -0.5
-        ]
+        pairs = stack_pairs([
+            (e1, e2, 0.5),   # prediction 0, error 0.5
+            (e1, e1, 0.5),   # prediction 1, error -0.5
+        ])
         assert mse_loss(pairs, w) == pytest.approx(0.25)
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
-            mse_loss([], EncoderLayers.identity_init(2))
+            mse_loss(PairDataset(np.zeros((0, 3)), np.zeros((0, 2), int), np.zeros(0)),
+                     EncoderLayers.identity_init(2))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
         w = EncoderLayers(w1=rng.normal(size=(4, 4)), b1=rng.normal(size=4),
                            w2=rng.normal(size=(4, 4)), b2=rng.normal(size=4))
-        pairs = [TrainingPair(rng.normal(size=4), rng.normal(size=4),
-                              float(rng.integers(2))) for _ in range(16)]
+        pairs = stack_pairs([(rng.normal(size=4), rng.normal(size=4),
+                              float(rng.integers(2))) for _ in range(16)])
         assert mse_loss(pairs, w) >= 0.0
 
 
@@ -140,9 +215,10 @@ class TestMseLoss:
         rng = np.random.default_rng(6)
         w = EncoderLayers(w1=rng.normal(size=(5, 6)), b1=rng.normal(size=5),
                            w2=rng.normal(size=(4, 5)), b2=rng.normal(size=4))
-        pairs = [TrainingPair(rng.normal(size=6), rng.normal(size=6),
-                              float(rng.integers(2))) for _ in range(37)]
-        reference = np.mean([(p.label - predict_similarity(p, w)) ** 2 for p in pairs])
+        pairs = stack_pairs([(rng.normal(size=6), rng.normal(size=6),
+                              float(rng.integers(2))) for _ in range(37)])
+        reference = np.mean([(label - predict_similarity(left, right, w)) ** 2
+                             for left, right, label in zip(*pairs.gather(slice(None)))])
         for rows in (1, 5, 37, 100):
             monkeypatch.setattr(training, "LOSS_CHUNK_ROWS", rows)
             assert mse_loss(pairs, w) == pytest.approx(reference, rel=1e-12)
@@ -178,7 +254,7 @@ class TestTrain:
     def test_identical_pairs_converge(self):
         rng = np.random.default_rng(2)
         v = rng.normal(size=6)
-        pairs = [TrainingPair(v, v, 1.0) for _ in range(8)]
+        pairs = stack_pairs([(v, v, 1.0)] * 8)
         cfg = TrainConfig(batch_size=8, epochs=50, rng_seed=0)
         result = train(pairs, cfg)
         assert result.loss_trace[-1] < 1e-3
@@ -191,19 +267,18 @@ class TestGradientCheck:
                            b1=rng.normal(size=7) * 0.1,
                            w2=rng.normal(size=(6, 7)) * 0.5,
                            b2=rng.normal(size=6) * 0.1)
-        batch = [TrainingPair(rng.normal(size=7), rng.normal(size=7),
-                              float(rng.integers(2))) for _ in range(4)]
+        batch = stack_pairs([(rng.normal(size=7), rng.normal(size=7),
+                              float(rng.integers(2))) for _ in range(4)])
         assert gradient_check(w, batch, h=1e-5) < 1e-4
 
     def test_stationary_point(self):
         # identical pairs labeled 1 with prediction exactly 1: zero gradient
         w = EncoderLayers.identity_init(3)
         v = np.array([1.0, 0.0, 0.0, 0.0])
-        batch = [TrainingPair(v, v, 1.0)]
-        from logsift.training import _gradients, _stack
+        batch = stack_pairs([(v, v, 1.0)])
+        from logsift.training import _gradients
 
-        left, right, labels = _stack(batch)
-        grads = _gradients(left, right, labels, w)
+        grads = _gradients(*batch.gather(slice(None)), w)
         for g in grads:
             assert np.allclose(g, 0.0, atol=1e-12)
 
@@ -213,8 +288,8 @@ class TestGradientCheck:
                            b1=rng.normal(size=5) * 0.1,
                            w2=rng.normal(size=(4, 5)) * 0.5,
                            b2=rng.normal(size=4) * 0.1)
-        batch = [TrainingPair(rng.normal(size=5), rng.normal(size=5), 1.0)
-                 for _ in range(4)]
+        batch = stack_pairs([(rng.normal(size=5), rng.normal(size=5), 1.0)
+                             for _ in range(4)])
         err_small = gradient_check(w, batch, h=1e-5)
         err_large = gradient_check(w, batch, h=2e-5)
         # O(h^2) truncation: doubling h must not explode the error
@@ -224,4 +299,24 @@ class TestGradientCheck:
         w = EncoderLayers.identity_init(2)
         v = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            gradient_check(w, [TrainingPair(v, v, 1.0)] * 9)
+            gradient_check(w, stack_pairs([(v, v, 1.0)] * 9))
+
+
+def test_pairs_hold_indices_not_copies_of_fused_rows():
+    # 2000 lines, 24000 pairs at D = 64: the fused matrix is 1.04 MB.
+    # Measured 13.3x: the matrix, the pairs, and one loss chunk's gathered
+    # rows and activations at a time. Pairs that each held copies of their
+    # two rows, stacked into two (pairs, D+1) arrays, peaked at 37.5x
+    corpus = generate_corpus(n_templates=20, logs_per_template=100, seed=7)
+    labeled = labeled_corpus(corpus)
+    provider = HashingProvider(64)
+    tracemalloc.start()
+    try:
+        dataset = build_pair_dataset([labeled], TrainConfig(), provider)
+        train(dataset, TrainConfig(epochs=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fused = dataset.features.nbytes
+    assert len(dataset) == 24000 and fused == 2000 * 65 * 8
+    assert peak < 16 * fused, peak / fused
