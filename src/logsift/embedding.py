@@ -12,9 +12,12 @@ training keeps the two factors (`training.EncoderLayers`) and multiplies
 them out once. Every caller embeds with the map through `embed_log`: a
 provider call per record, written with its word count into one matrix,
 then one matrix product for all; the identity map (the default when no
-weights are given) is applied as a copy of the provider columns, which
-has that product's bytes; training fuses its logs with the same front
-half, `_fuse`. A record alone gets the same vector bit for bit whoever
+weights are given) is applied as one add of its +0.0 bias to the provider
+columns, which has that product's bytes. A provider row holding NaN or
+inf fails its record with a ProviderError, found from the row's norm at
+the identity map and before the product at any other. Training fuses its
+logs with the same front half, `_fuse`, and stops at the first record
+that fails. A record alone gets the same vector bit for bit whoever
 embeds it; a row of a larger product can differ in the last bits, as
 BLAS orders its sums by the row's position (not at identity weights,
 where every sum is exact). The vector depends on the content alone, so
@@ -46,6 +49,7 @@ from .remote import api_key, post_json
 WORD_COUNT_SCALE = 100.0
 # what fails one record's embedding; a dimension mismatch fails them all
 RECORD_ERRORS = (ProviderError, DegenerateEmbeddingError)
+NON_FINITE = "provider returned non-finite values"
 
 
 class EmbeddingProvider:
@@ -166,7 +170,7 @@ class EncoderWeights:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "bias", bias)
         # eye(E, E+1) with every other bit of the map zero (+0.0), which
-        # embed_log applies as a copy; read through an integer view, so no
+        # embed_log applies as an add; read through an integer view, so no
         # E x (E+1) temporary is built, cheapest test first
         rows, cols = matrix.shape
         object.__setattr__(self, "_identity", bool(
@@ -234,11 +238,13 @@ class EncoderWeights:
 def _fuse(records: Sequence[LogRecord], provider: EmbeddingProvider,
           raise_first: bool = False) -> tuple[np.ndarray, list[Exception | None]]:
     """Provider embedding -> word-count fusion, the front half of `embed_log`
-    and all of training's: one (n, D+1) matrix, whose finiteness is checked
-    at once, and per record None or the RECORD_ERRORS instance that stopped
-    it (its row is then not finite). A dimension mismatch, which every
-    record would hit, raises. With `raise_first`, so does the first record
-    that fails, and no later one is embedded: training can use no partial
+    and all of training's: one (n, D+1) matrix, and per record None or the
+    RECORD_ERRORS instance its provider call raised (its row is then NaN).
+    A row holding NaN or inf as the provider returned it is left for the
+    caller to find: `embed_log` does, from the row's norm or before its
+    product. A dimension mismatch, which every record would hit, raises.
+    With `raise_first`, so does the first record that fails or whose vector
+    is not finite, and no later one is embedded: training can use no partial
     matrix, and a provider that is down would spend every record's retries."""
     errors: list = [None] * len(records)
     fused = np.empty((len(records), provider.dim + 1))
@@ -249,7 +255,7 @@ def _fuse(records: Sequence[LogRecord], provider: EmbeddingProvider,
             if raise_first:
                 raise
             errors[i] = exc
-            fused[i] = np.nan  # found with the non-finite rows below
+            fused[i] = np.nan
             continue
         if values.shape != (provider.dim,):
             raise DimensionMismatchError(
@@ -257,11 +263,7 @@ def _fuse(records: Sequence[LogRecord], provider: EmbeddingProvider,
         fused[i, :-1] = values
         fused[i, -1] = record.word_count / WORD_COUNT_SCALE
         if raise_first and not np.isfinite(values).all():
-            raise ProviderError("provider returned non-finite values")
-    if not np.isfinite(fused).all():
-        for i in np.flatnonzero(~np.isfinite(fused).all(axis=1)).tolist():
-            if errors[i] is None:
-                errors[i] = ProviderError("provider returned non-finite values")
+            raise ProviderError(NON_FINITE)
     return fused, errors
 
 
@@ -269,31 +271,46 @@ def embed_log(records: Sequence[LogRecord], provider: EmbeddingProvider,
               encoder: EncoderWeights) -> list[np.ndarray | Exception]:
     """Full pipeline for each record: provider embedding -> word-count
     fusion, then the encoder applied to every record the provider embedded
-    with one matrix product (at the identity map, a copy of the provider
-    columns), and each row scaled to unit length.
+    with one matrix product (at the identity map, one add of the +0.0 bias
+    to the provider columns), and each row scaled to unit length in one
+    loop over the rows.
 
-    The rows `_fuse` writes for the records it did not stop, in record
-    order, are what the encoder multiplies, as they would be fused one by
-    one. The identity map takes no product: each entry of that product is
-    x_i plus products with 0, exactly x_i for x_i != 0, and adding its +0.0
-    bias makes every zero +0.0 on either path, so the copy gives the
+    The identity map takes no product: each entry of that product is x_i
+    plus products with 0, exactly x_i for x_i != 0, and adding its +0.0
+    bias makes every zero +0.0 on either path, so the add gives the
     product's bytes. Returns, per record, its unit vector (an array of its
-    own) or the RECORD_ERRORS instance that stopped it: a row shorter than
-    NORM_EPS has no direction, and one whose norm overflows (finite provider
-    values above about 1e154) cannot be scaled; numpy's overflow warning is
-    silenced, as that record's error says it. A dimension mismatch, which
-    every record would hit, raises."""
+    own) or the RECORD_ERRORS instance that stopped it:
+    - a provider row holding NaN or inf is a ProviderError. At the identity
+      map its norm is NaN or inf, which sends the loop to the row's values;
+      at any other map the rows are checked before the product, which takes
+      only the finite ones, in record order, as they would be fused one by
+      one;
+    - a row shorter than NORM_EPS has no direction, and one whose norm
+      overflows (finite provider values above about 1e154) cannot be
+      scaled: a DegenerateEmbeddingError.
+    A norm is `math.sqrt(np.vdot(row, row))`, the value np.linalg.norm
+    takes: the same BLAS dot, but one that sets off no overflow warning, as
+    the record's error says it. A dimension mismatch, which every record
+    would hit, raises."""
     fused, outcomes = _fuse(records, provider)
-    embedded = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    if len(embedded) < len(records):
-        fused = fused[embedded]
-    if embedded:
+    if encoder._identity:
+        rows, out = range(len(records)), fused[:, :-1] + encoder.bias
+    else:
+        for i in np.flatnonzero(~np.isfinite(fused).all(axis=1)).tolist():
+            if outcomes[i] is None:
+                outcomes[i] = ProviderError(NON_FINITE)
+        rows = [i for i, outcome in enumerate(outcomes) if outcome is None]
         with np.errstate(over="ignore"):
-            out = fused[:, :-1].copy() if encoder._identity else fused @ encoder.matrix.T
+            out = (fused[rows] if len(rows) < len(records) else fused) @ encoder.matrix.T
             out += encoder.bias  # in place: the same sums, no second matrix
-            norms = [math.sqrt(row.dot(row)) for row in out]  # np.linalg.norm's value
-        for i, row, norm in zip(embedded, out, norms):
-            outcomes[i] = (row / norm if NORM_EPS <= norm < math.inf else
-                           DegenerateEmbeddingError(f"encoder output norm {norm:.3g} "
-                                                    "cannot be scaled to unit length"))
+    for i, row in zip(rows, out):
+        if outcomes[i] is None:  # at the identity map, a failed record's row is NaN
+            norm = math.sqrt(np.vdot(row, row))
+            if NORM_EPS <= norm < math.inf:
+                outcomes[i] = row / norm
+            elif np.isfinite(fused[i]).all():
+                outcomes[i] = DegenerateEmbeddingError(
+                    f"encoder output norm {norm:.3g} cannot be scaled to unit length")
+            else:
+                outcomes[i] = ProviderError(NON_FINITE)
     return outcomes

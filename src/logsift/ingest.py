@@ -101,19 +101,22 @@ class Pipeline:
                           list[tuple[LogRecord, Exception]]]:
         """Each record with its vector, and each record that failed to embed
         with its error; the failures are also dead-lettered. Only lines
-        neither cached nor repeated earlier in `records` are embedded."""
-        found: dict[str, object] = {}  # content -> vector or error
-        misses: list[LogRecord] = []
+        neither cached nor repeated earlier in `records` are embedded, all in
+        one `embed_log` call, and each vector is made read-only in place, as
+        the index keeps it as a centroid. The cache is then used and filled
+        in record order, so a miss adds to its `embed_log` call only a few
+        dict and list operations."""
+        cache, found, misses = self._vectors, {}, []  # found: content -> vector, error or None
         for record in records:
             if record.content not in found:
-                found[record.content] = self._vectors.get(record.content)
-                if found[record.content] is None:
+                found[record.content] = vector = cache.get(record.content)
+                if vector is None:
                     misses.append(record)
         if misses:
             for record, outcome in zip(misses, embed_log(misses, self.provider,
                                                          self.weights)):
                 if not isinstance(outcome, Exception):
-                    outcome.flags.writeable = False  # the index keeps it as a centroid
+                    outcome.setflags(write=False)
                 found[record.content] = outcome
         embedded, errors = [], []
         for record in records:
@@ -121,14 +124,15 @@ class Pipeline:
             if isinstance(vector, Exception):
                 errors.append((record, vector))
                 continue
-            if record.content in self._vectors:
-                self._vectors.move_to_end(record.content)
+            if record.content in cache:
+                cache.move_to_end(record.content)
             else:
-                self._vectors[record.content] = vector
-                if len(self._vectors) > EMBED_CACHE_ENTRIES:
-                    self._vectors.popitem(last=False)
+                cache[record.content] = vector
+                if len(cache) > EMBED_CACHE_ENTRIES:
+                    cache.popitem(last=False)
             embedded.append((record, vector))
-        self.dead_letters.extend(errors)
+        if errors:
+            self.dead_letters.extend(errors)
         return embedded, errors
 
     def _parse(self, cluster_id: int) -> Optional[str]:

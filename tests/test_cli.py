@@ -115,7 +115,7 @@ class TestIngestCommand:
     def test_identity_weights_from_either_file_version_write_the_same_bytes(
             self, corpus_csv, tmp_path, mode):
         # the default identity and the identity read back from a version 2
-        # or a version 1 file are all applied as a copy of the provider columns
+        # or a version 1 file are all applied as an add to the provider columns
         v1, v2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")
         write_v1_weights(EncoderLayers.identity_init(512), v1)
         EncoderWeights.identity_init(512).save(v2)

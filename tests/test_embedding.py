@@ -242,8 +242,9 @@ NEAR_IDENTITY = {
 
 
 class TestIdentityCopy:
-    """embed_log copies the provider columns for the identity map and takes
-    the product for any other map: either way, the product's bytes."""
+    """embed_log adds the +0.0 bias to the provider columns for the identity
+    map and takes the product for any other map: either way, the product's
+    bytes."""
 
     @pytest.mark.parametrize("dim", [2, 8, 512])
     @pytest.mark.parametrize("kind", ["identity_init", "v2-file", "v1-file"])
@@ -353,29 +354,66 @@ class TestEmbedLog:
         assert isinstance(bad, ProviderError)
         assert isinstance(b, DegenerateEmbeddingError)
 
-    def test_a_mixed_batch_fails_only_its_bad_records(self, corpus, provider,
-                                                      identity_weights):
-        # identity weights drop the word count: a zero provider vector has
-        # no direction
+    @pytest.mark.parametrize("kind", ["identity", "dense"])
+    def test_a_mixed_batch_fails_only_its_bad_records(self, corpus, provider, kind):
+        # the identity map finds a non-finite provider row from its norm, a
+        # dense map checks the rows before its product
+        if kind == "identity":
+            weights = EncoderWeights.identity_init(provider.dim)
+        else:
+            rng = np.random.default_rng(11)
+            weights = EncoderWeights(rng.normal(size=(provider.dim, provider.dim + 1)) * 0.1,
+                                     rng.normal(size=provider.dim) * 0.01)
+        non_finite = (ProviderError, "provider returned non-finite values")
+        overflows = (DegenerateEmbeddingError,
+                     "encoder output norm inf cannot be scaled to unit length")
+        # line -> the values its provider row holds from its fourth entry
+        # on, and the error it fails with (None: it embeds). In a product,
+        # +inf and -inf in one row would make inf - inf; the identity map
+        # drops the word count, so a zero provider row has no direction there
+        bad = {"nan": ([np.nan], non_finite), "+inf": ([np.inf], non_finite),
+               "-inf": ([-np.inf], non_finite), "+-inf": ([np.inf, -np.inf], non_finite),
+               "1e300": ([1e300], overflows),
+               "zero": (0.0, (DegenerateEmbeddingError, "encoder output norm 0 "
+                              "cannot be scaled to unit length")
+                        if kind == "identity" else None),
+               "down": (None, (ProviderError, "HTTP 503"))}
+
         class Mixed:
             dim = provider.dim
 
             def embed(self, text):
-                if text.startswith("nan"):
-                    return np.full(self.dim, np.nan)
-                return provider.embed(text) * (text != "zero")
+                if text == "down":
+                    raise ProviderError("HTTP 503")
+                values = provider.embed(text)
+                if text == "zero":
+                    return values * 0.0
+                if text in bad:
+                    values = values.copy()
+                    values[3:3 + len(bad[text][0])] = bad[text][0]
+                return values
 
         records = list(corpus.records[:20:3])
-        records[2:2] = [LogRecord("s", "nan here")]
-        records[5:5] = [LogRecord("s", "zero")]
-        outcomes = embed_log(records, Mixed(), identity_weights)
-        assert [type(o) for o in outcomes if isinstance(o, Exception)] == \
-            [ProviderError, DegenerateEmbeddingError]
-        assert isinstance(outcomes[2], ProviderError)
-        assert isinstance(outcomes[5], DegenerateEmbeddingError)
-        for record, vector in zip(records, outcomes):
-            if not isinstance(vector, Exception):
-                [alone] = embed_log([record], provider, identity_weights)
+        for at, text in [(0, "nan"), (2, "+inf"), (4, "down"), (5, "zero"),
+                         (6, "-inf"), (8, "+-inf"), (len(records) + 6, "1e300")]:
+            records.insert(at, LogRecord("s", text))
+        assert records[-1].content == "1e300"
+        outcomes = embed_log(records, Mixed(), weights)
+        good = []
+        for record, outcome in zip(records, outcomes):
+            want = bad.get(record.content, (None, None))[1]
+            if want is None:
+                assert isinstance(outcome, np.ndarray)
+                good.append((record, outcome))
+            else:
+                assert (type(outcome), str(outcome)) == want
+        assert len(good) == len(records) - (7 if kind == "identity" else 6)
+        # the good rows alone, in one call: the same bytes
+        together = embed_log([r for r, _ in good], Mixed(), weights)
+        assert [v.tobytes() for v in together] == [v.tobytes() for _, v in good]
+        if kind == "identity":  # where no product is taken, each alone too
+            for record, vector in good:
+                [alone] = embed_log([record], Mixed(), weights)
                 assert vector.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("row", [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]],
