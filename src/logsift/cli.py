@@ -237,7 +237,7 @@ def cmd_export_embeddings(args) -> int:
         dim = weights.output_dim
     rows = [f"{cid},{weight}," + ",".join(repr(float(x)) for x in vector)
             for cid, weight, vector in entries]
-    header = "id,weight," + ",".join(f"v{k}" for k in range(dim))
+    header = ",".join(["id", "weight", *(f"v{k}" for k in range(dim))])
     with atomic_write(args.output) as fh:
         fh.write("\n".join([header] + rows) + "\n")
     print(f"wrote {len(rows)} vectors to {args.output}", file=sys.stderr)

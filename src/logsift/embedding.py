@@ -7,9 +7,10 @@ vector before L2 normalization. Cosine similarity between two logs is
 then a plain dot product.
 
 The encoder has no activation, so its two layers are one affine map.
-`EncoderWeights` is that map, read-only, and what a weights file stores;
-training keeps the two factors (`training.EncoderLayers`) and multiplies
-them out once. Every caller embeds with the map through `embed_log`: a
+`EncoderWeights` is that map, read-only, and what a weights file stores
+(one `.npy` array, read back with no text decode); training keeps the
+two factors (`training.EncoderLayers`) and multiplies them out once.
+Every caller embeds with the map through `embed_log`: a
 provider call per record, written with its word count into one matrix,
 then one matrix product for all; the identity map (the default when no
 weights are given) is applied as one add of its +0.0 bias to the provider
@@ -41,7 +42,7 @@ from .errors import (
     DimensionMismatchError,
     ProviderError,
 )
-from .files import atomic_write, decode_floats, encode_floats
+from .files import FLOAT_BYTES, atomic_write, decode_floats
 from .index import NORM_EPS
 from .records import LogRecord
 from .remote import api_key, post_json
@@ -136,7 +137,9 @@ class RemoteProvider(EmbeddingProvider):
             raise ProviderError(f"embedding is not a float array: {exc!r}") from exc
 
 
+# the newest JSON layout `load` reads; `save` writes .npy
 WEIGHTS_VERSION = 2
+NPY_MAGIC = b"\x93NUMPY"  # the first six bytes of every .npy file (NEP 1)
 
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity
@@ -144,12 +147,15 @@ class EncoderWeights:
     """The encoder, read-only: one affine map from the fused (D+1)-vector
     to the clustering space, `matrix` (E, D+1) and `bias` (E,).
 
-    A weights file (version 2) is JSON metadata, `input_dim` (D+1) and
-    `output_dim` (E), with `matrix` (row by row) and `bias` stored as base64
-    of their little-endian float64 bytes. Version 1 files hold the two
-    factors training keeps (`training.EncoderLayers`) as JSON float lists;
-    they still load, multiplied out once as `EncoderLayers.collapse` does,
-    to the same map bit for bit.
+    A weights file is one NumPy `.npy` array (NEP 1) of little-endian
+    float64, shape (E, D+2): the map's D+1 columns, then the bias as the
+    last column. Older weights files are JSON and still load. Version 2
+    holds `input_dim` (D+1) and `output_dim` (E), with `matrix` (row by
+    row) and `bias` as base64 of their little-endian float64 bytes. Version
+    1 holds the two factors training keeps (`training.EncoderLayers`) as
+    JSON float lists, multiplied out once as `EncoderLayers.collapse` does,
+    to the same map bit for bit. `load(path).save(path)` rewrites either as
+    `.npy`.
     """
 
     matrix: np.ndarray
@@ -193,25 +199,35 @@ class EncoderWeights:
         return cls(np.eye(provider_dim, provider_dim + 1), np.zeros(provider_dim))
 
     def save(self, path: str) -> None:
-        doc = {
-            "version": WEIGHTS_VERSION,
-            "input_dim": self.input_dim,
-            "output_dim": self.output_dim,
-            "matrix": encode_floats(self.matrix),
-            "bias": encode_floats(self.bias),
-        }
-        with atomic_write(path) as fh:
-            json.dump(doc, fh)
+        """Write the map as a `.npy` file: one (E, D+2) little-endian float64
+        array, the matrix's columns then the bias, every float's own bytes."""
+        packed = np.column_stack((self.matrix, self.bias)).astype(FLOAT_BYTES, copy=False)
+        with atomic_write(path, "wb") as fh:
+            np.save(fh, packed, allow_pickle=False)
 
     @classmethod
     def load(cls, path: str) -> "EncoderWeights":
-        """Read a version 2 weights file, or a version 1 one. A file that
-        does not hold one whole, finite map is a ConfigError."""
-        with open(path) as fh:
+        """Read a weights file: a `.npy` array, told apart by its first six
+        bytes whatever the file is named, or a version 2 or version 1 JSON
+        file. A file that does not hold one whole, finite map is a
+        ConfigError; a `.npy` file of objects is refused, never unpickled."""
+        with open(path, "rb") as fh:
+            npy = fh.read(len(NPY_MAGIC)) == NPY_MAGIC
+            fh.seek(0)
             try:
-                doc = json.load(fh)
-            except ValueError as exc:
+                if npy:
+                    packed = np.load(fh, allow_pickle=False)
+                else:
+                    doc = json.load(fh)
+            # a MemoryError: a .npy header that claims more floats than can be allocated
+            except (ValueError, MemoryError) as exc:
                 raise ConfigError(f"cannot parse weights file {path}: {exc}") from exc
+        if npy:
+            if packed.dtype != FLOAT_BYTES or packed.ndim != 2 or packed.shape[0] < 1 \
+                    or packed.shape[1] < 2:
+                raise ConfigError(f"weights file {path} holds a {packed.dtype.str} array of "
+                                  f"shape {packed.shape}, not an (E, D+2) '<f8' one")
+            return cls(packed[:, :-1], packed[:, -1])
         if not isinstance(doc, dict):
             raise ConfigError(f"weights file {path} is not a JSON object")
         if doc.get("version") not in (1, WEIGHTS_VERSION):

@@ -1,5 +1,5 @@
 """File formats shared by every module that writes an output file: atomic
-writing, and the raw-float codec of snapshots and weights files."""
+writing, and the raw-float codec of index snapshots."""
 
 import base64
 import os
@@ -12,15 +12,16 @@ FLOAT_BYTES = np.dtype("<f8")
 
 
 @contextmanager
-def atomic_write(path: str) -> Iterator[IO[str]]:
-    """Yield a temporary file to write `path`'s content to; it replaces
-    `path` once the block ends without error, so a reader never sees a
-    partly written file. Writers stream into it (`json.dump`), so a large
-    document is never held in memory as one string. If the block raises,
-    the temporary file is removed and `path` is left as it was."""
+def atomic_write(path: str, mode: str = "w") -> Iterator[IO]:
+    """Yield a temporary file, opened with `mode` ("w" for text, "wb" for
+    bytes), to write `path`'s content to; it replaces `path` once the block
+    ends without error, so a reader never sees a partly written file.
+    Writers stream into it (`json.dump`, `np.save`), so a large document is
+    never held in memory as one string. If the block raises, the temporary
+    file is removed and `path` is left as it was."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -22,9 +22,9 @@ at a time, for the clusters whose lookup in a pass can find a partner
 (see `logsift.rebalance`). The index keeps nothing about past passes.
 
 A snapshot (version 2) is JSON metadata with each vector stored as base64
-of its little-endian float64 bytes (`files.encode_floats`, the codec of
-weights files too); version 1 files, whose vectors are JSON float lists,
-still load, to bit-identical vectors.
+of its little-endian float64 bytes (`files.encode_floats`); version 1
+files, whose vectors are JSON float lists, still load, to bit-identical
+vectors.
 """
 
 from __future__ import annotations

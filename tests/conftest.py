@@ -1,4 +1,5 @@
 import base64
+import io
 import json
 
 import numpy as np
@@ -83,8 +84,22 @@ def write_v1_weights(layers, path):
                    "w2": layers.w2.tolist(), "b2": layers.b2.tolist()}, fh)
 
 
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
 def _floats(*values):
-    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode()
+    return _b64(values)
+
+
+def write_v2_weights(weights, path):
+    """Save the map `weights` in the version 2 weights layout: JSON dims,
+    with the matrix (row by row) and the bias as base64 of their
+    little-endian float64 bytes."""
+    with open(path, "w") as fh:
+        json.dump({"version": 2, "input_dim": weights.input_dim,
+                   "output_dim": weights.output_dim,
+                   "matrix": _b64(weights.matrix), "bias": _b64(weights.bias)}, fh)
 
 
 _V2 = {"version": 2, "input_dim": 2, "output_dim": 1}
@@ -126,3 +141,37 @@ def write_v1_snapshot(index, path):
             {"id": c.cluster_id, "weight": c.weight, "template_id": c.template_id,
              "parse_state": c.parse_state.value, "vector": c.vector.tolist()}
             for c in index.centroids()]}, fh)
+
+
+def npy_bytes(array, allow_pickle=False):
+    """The bytes `np.save` writes for `array`."""
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _npy_header(shape):
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return buf.getvalue()
+
+
+# a 1 x 2 map and its bias, packed as a .npy weights file holds them
+_PACKED = np.array([[1.0, 0.0, 0.5]])
+_NPY = npy_bytes(_PACKED)
+# .npy weights files that hold no whole, finite map, by what is wrong
+MALFORMED_NPY_WEIGHTS = {
+    "magic-only": _NPY[:6],
+    "truncated": _NPY[:-4],
+    "garbled-header": _NPY.replace(b"'fortran_order'", b"'fortran_order?", 1),
+    "object-array": npy_bytes(np.array([[1.0, None, 0.5]], dtype=object), allow_pickle=True),
+    "float32": npy_bytes(_PACKED.astype("<f4")),
+    "big-endian": npy_bytes(_PACKED.astype(">f8")),
+    "1-d": npy_bytes(_PACKED[0]),
+    "one-column": npy_bytes(_PACKED[:, :1]),
+    "no-rows": npy_bytes(np.zeros((0, 3))),
+    "nan-entry": npy_bytes(np.array([[1.0, np.nan, 0.5]])),
+    # 8e18 bytes: no allocator can give them, so nothing is allocated
+    "header-claims-exabytes": _npy_header((10 ** 9, 10 ** 9)) + _NPY[-24:],
+}

@@ -23,10 +23,12 @@ from logsift.synthetic import generate_corpus
 from logsift.training import EncoderLayers
 
 from conftest import (
+    MALFORMED_NPY_WEIGHTS,
     MALFORMED_V1_WEIGHTS,
     MALFORMED_V2_WEIGHTS,
     write_v1_snapshot,
     write_v1_weights,
+    write_v2_weights,
 )
 
 
@@ -45,7 +47,7 @@ def corpus_csv(tmp_path_factory):
 @pytest.fixture
 def zero_weights(tmp_path):
     """A weights file for an 8-d provider that maps every log to zero."""
-    path = str(tmp_path / "zero.json")
+    path = str(tmp_path / "zero.npy")
     EncoderWeights(np.zeros((8, 9)), np.zeros(8)).save(path)
     return path
 
@@ -114,19 +116,21 @@ class TestIngestCommand:
     @pytest.mark.parametrize("mode", [[], ["--batch-mode"]], ids=["sequential", "batch"])
     def test_identity_weights_from_either_file_version_write_the_same_bytes(
             self, corpus_csv, tmp_path, mode):
-        # the default identity and the identity read back from a version 2
-        # or a version 1 file are all applied as an add to the provider columns
-        v1, v2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")
+        # the default identity and the identity read back from a .npy, a
+        # version 2 or a version 1 file are all applied as an add to the
+        # provider columns
+        npy, v2, v1 = (str(tmp_path / name) for name in ("w.npy", "v2.json", "v1.json"))
+        EncoderWeights.identity_init(512).save(npy)
+        write_v2_weights(EncoderWeights.identity_init(512), v2)
         write_v1_weights(EncoderLayers.identity_init(512), v1)
-        EncoderWeights.identity_init(512).save(v2)
         outputs = []
-        for weights in ([], ["--weights", v2], ["--weights", v1]):
-            snap, assigns = tmp_path / "snap.json", tmp_path / "assign.jsonl"
+        for weights in ([], ["--weights", npy], ["--weights", v2], ["--weights", v1]):
+            outs = [tmp_path / name for name in ("snap.json", "assign.jsonl", "tpl.json")]
             assert main(["ingest", "--input", corpus_csv, *mode, *weights,
-                         "--snapshot-out", str(snap),
-                         "--assignments-out", str(assigns)]) == EXIT_OK
-            outputs.append((snap.read_bytes(), assigns.read_bytes()))
-        assert outputs[0] == outputs[1] == outputs[2]
+                         "--snapshot-out", str(outs[0]), "--assignments-out", str(outs[1]),
+                         "--templates-out", str(outs[2])]) == EXIT_OK
+            outputs.append([out.read_bytes() for out in outs])
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
     @pytest.mark.parametrize("mode", [[], ["--batch-mode"]], ids=["sequential", "batch"])
     def test_degenerate_embeddings_are_dead_letters(self, tmp_path, capsys, mode,
@@ -221,7 +225,10 @@ class TestTrainEncoderCommand:
 
         w = EncoderWeights.load(weights)
         assert w.input_dim == 65
-        assert json.loads(open(weights).read())["version"] == 2
+        packed = np.load(weights, allow_pickle=False)  # a .npy file, whatever its name
+        assert (packed.dtype.str, packed.shape) == ("<f8", (64, 66))
+        assert packed[:, :-1].tobytes() == w.matrix.tobytes()
+        assert packed[:, -1].tobytes() == w.bias.tobytes()
         doc = json.loads(open(trace).read())
         assert len(doc["loss_trace"]) == 4  # initial + 3 epochs
 
@@ -275,12 +282,14 @@ class TestTrainEncoderCommand:
     '{"version": 1, "w1": [1.0], "b1": [0.0], "w2": [[1.0]], "b2": [0.0]}',
     *(json.dumps(doc) for doc in MALFORMED_V2_WEIGHTS.values()),
     *(json.dumps(doc) for doc in MALFORMED_V1_WEIGHTS.values()),
+    *MALFORMED_NPY_WEIGHTS.values(),
 ], ids=["not-an-object", "missing-keys", "1d-w1",
         *(f"v2-{name}" for name in MALFORMED_V2_WEIGHTS),
-        *(f"v1-{name}" for name in MALFORMED_V1_WEIGHTS)])
+        *(f"v1-{name}" for name in MALFORMED_V1_WEIGHTS),
+        *(f"npy-{name}" for name in MALFORMED_NPY_WEIGHTS)])
 def test_malformed_weights_file_exits_2(corpus_csv, tmp_path, capsys, doc):
     weights = tmp_path / "weights.json"
-    weights.write_text(doc)
+    weights.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
     rc = main(["ingest", "--input", corpus_csv, "--weights", str(weights),
                "--snapshot-out", str(tmp_path / "snap.json")])
     assert rc == EXIT_CONFIG
@@ -468,19 +477,20 @@ class TestExportEmbeddingsCommand:
         rng = np.random.default_rng(12)
         layers = EncoderLayers(w1=rng.normal(size=(48, 33)), b1=rng.normal(size=48),
                                w2=rng.normal(size=(64, 48)), b2=rng.normal(size=64))
-        v1, v2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")
+        v1, v2, npy = (str(tmp_path / name) for name in ("v1.json", "v2.json", "w.npy"))
         write_v1_weights(layers, v1)
-        EncoderWeights.load(v1).save(v2)
+        write_v2_weights(EncoderWeights.load(v1), v2)
+        EncoderWeights.load(v2).save(npy)
         corpus = tmp_path / "corpus.log"
         corpus.write_text("\n".join(r.content for r in generate_corpus(
             n_templates=4, logs_per_template=5, seed=3).records) + "\n")
         outputs = []
-        for weights in (v1, v2):
+        for weights in (v1, v2, npy):
             out = tmp_path / "vectors.csv"
             assert main(["export-embeddings", "--corpus", str(corpus), "--weights", weights,
                          "--provider-dim", "32", "--output", str(out)]) == EXIT_OK
             outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_empty_index_header_only(self, tmp_path):
         index = CentroidIndex()
@@ -489,7 +499,8 @@ class TestExportEmbeddingsCommand:
         out = str(tmp_path / "vectors.csv")
         rc = main(["export-embeddings", "--snapshot", snap, "--output", out])
         assert rc == EXIT_OK
-        assert len(open(out).read().splitlines()) == 1
+        # no vectors, so no vector columns: no empty third column either
+        assert open(out).read() == "id,weight\n"
 
     def test_roundtrip_readable(self, tmp_path):
         import numpy as np
@@ -662,11 +673,11 @@ def test_null_config_value_leaves_the_default(tmp_path):
 def test_train_encoder_reads_batch_size_from_config(tmp_path, corpus_csv):
     def train(name, *extra):
         rc = main(["train-encoder", "--datasets", corpus_csv,
-                   "--weights-out", str(tmp_path / f"{name}.json"),
+                   "--weights-out", str(tmp_path / f"{name}.npy"),
                    "--pairs-per-dataset", "60", "--epochs", "2",
                    "--provider-dim", "16", *extra])
         assert rc == EXIT_OK
-        return (tmp_path / f"{name}.json").read_text()
+        return (tmp_path / f"{name}.npy").read_bytes()
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"batch_size": 4}))
