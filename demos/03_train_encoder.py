@@ -2,15 +2,17 @@
 Training the similarity encoder
 ===============================
 
-The encoder is a pair of affine layers that reshape raw provider
-embeddings (plus a scaled word-count feature) so that cosine similarity
-reflects "same template" rather than surface word overlap.  Here we build
-a toy setting where raw cosine is almost useless -- every vector shares a
-large common component -- and train the encoder to subtract it.
+The encoder is one affine map (a matrix and a bias) that reshapes raw
+provider embeddings (plus a scaled word-count feature) so that cosine
+similarity reflects "same template" rather than surface word overlap.
+Here we build a toy setting where raw cosine is almost useless -- every
+vector shares a large common component -- and train the encoder to
+subtract it.
 
 Each pair is two rows of one matrix of vectors, labeled 1.0 (same family)
 or 0.0 (different family); the loss is mean squared error between the
-encoded cosine and the label.
+encoded cosine and the label. The pairs are built by hand, so none is held
+out, and training returns the map after its last epoch.
 """
 
 import numpy as np

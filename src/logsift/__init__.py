@@ -33,7 +33,6 @@ from .parsing import (
 from .rebalance import merge_pair, rebalance
 from .records import LogRecord
 from .training import (
-    EncoderLayers,
     PairDataset,
     TrainConfig,
     build_pair_dataset,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CentroidIndex",
     "ClusterParser",
-    "EncoderLayers",
     "EncoderWeights",
     "HashingProvider",
     "IngestConfig",

@@ -199,12 +199,14 @@ def cmd_train_encoder(args) -> int:
         labeled.append([(LogRecord(source_id=path, content=c), t)
                         for c, t in zip(dataset.contents, dataset.templates)])
     result = train(build_pair_dataset(labeled, train_cfg, provider), train_cfg)
-    result.layers.collapse().save(args.weights_out)
+    result.weights.save(args.weights_out)
     if args.loss_trace_out:
         with atomic_write(args.loss_trace_out) as fh:
-            fh.write(json.dumps({"loss_trace": result.loss_trace}, indent=2) + "\n")
-    print(f"initial loss {result.loss_trace[0]:.6f}, "
-          f"final loss {result.loss_trace[-1]:.6f}", file=sys.stderr)
+            fh.write(json.dumps({"loss_trace": result.loss_trace,
+                                 "held_out_loss_trace": result.held_out_loss_trace,
+                                 "epoch": result.epoch}, indent=2) + "\n")
+    print(f"initial loss {result.loss_trace[0]:.6f}, final loss {result.loss_trace[-1]:.6f}; "
+          f"saved the map of epoch {result.epoch} of {train_cfg.epochs}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -6,10 +6,9 @@ appended as one scaled feature, and an affine encoder projects the fused
 vector before L2 normalization. Cosine similarity between two logs is
 then a plain dot product.
 
-The encoder has no activation, so its two layers are one affine map.
-`EncoderWeights` is that map, read-only, and what a weights file stores
-(one `.npy` array, read back with no text decode); training keeps the
-two factors (`training.EncoderLayers`) and multiplies them out once.
+The encoder has no activation, so it is one affine map: `EncoderWeights`,
+read-only, what training fits and returns, and what a weights file stores
+(one `.npy` array, read back with no text decode).
 Every caller embeds with the map through `embed_log`: a
 provider call per record, written with its word count into one matrix,
 then one matrix product for all; the identity map (the default when no
@@ -152,10 +151,10 @@ class EncoderWeights:
     last column. Older weights files are JSON and still load. Version 2
     holds `input_dim` (D+1) and `output_dim` (E), with `matrix` (row by
     row) and `bias` as base64 of their little-endian float64 bytes. Version
-    1 holds the two factors training keeps (`training.EncoderLayers`) as
-    JSON float lists, multiplied out once as `EncoderLayers.collapse` does,
-    to the same map bit for bit. `load(path).save(path)` rewrites either as
-    `.npy`.
+    1 holds two affine layers, `w1` (H, D+1), `b1` (H,), `w2` (E, H) and
+    `b2` (E,), as JSON float lists, multiplied out to the map `w2 @ w1`,
+    `w2 @ b1 + b2`, bit for bit the map earlier versions loaded.
+    `load(path).save(path)` rewrites either as `.npy`.
     """
 
     matrix: np.ndarray
@@ -234,9 +233,15 @@ class EncoderWeights:
             raise ConfigError(f"unsupported weights file version: {doc.get('version')!r}")
         try:
             if doc["version"] == 1:
-                from .training import EncoderLayers  # here: training imports this module
-                layers = EncoderLayers(*(doc[key] for key in ("w1", "b1", "w2", "b2")))
-                return layers.collapse()
+                w1, b1, w2, b2 = (np.asarray(doc[key], dtype=np.float64)
+                                  for key in ("w1", "b1", "w2", "b2"))
+                if (w1.ndim != 2 or w2.ndim != 2 or b1.shape != w1.shape[:1]
+                        or w2.shape[1:] != w1.shape[:1] or b2.shape != w2.shape[:1]):
+                    raise ValueError(f"w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} and "
+                                     f"b2 {b2.shape} do not make two affine layers")
+                if not all(np.isfinite(a).all() for a in (w1, b1, w2, b2)):
+                    raise ValueError("encoder weights contain non-finite entries")
+                return cls(w2 @ w1, w2 @ b1 + b2)
             rows, cols = doc["output_dim"], doc["input_dim"]
             if type(rows) is not int or type(cols) is not int or min(rows, cols) < 1:
                 raise ValueError(f"dims {rows!r} x {cols!r} are not positive integers")

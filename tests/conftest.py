@@ -74,14 +74,33 @@ def make_two_family_pairs(n=120, seed=0):
     return stack_pairs(pairs)
 
 
-def write_v1_weights(layers, path):
-    """Save the two factors of `layers` in the version 1 weights layout:
-    every array a JSON list of floats."""
+def random_layers(rng, h, d_in, e):
+    """Two random affine layers, w1 (h, d_in), b1 (h,), w2 (e, h) and b2 (e,),
+    drawn from `rng` in that order."""
+    return (rng.normal(size=(h, d_in)), rng.normal(size=h),
+            rng.normal(size=(e, h)), rng.normal(size=e))
+
+
+def identity_layers(provider_dim):
+    """Two affine layers that make the identity map: w1 passes the fused
+    (D+1)-vector through, and w2 drops its word-count column."""
+    d_in = provider_dim + 1
+    return np.eye(d_in), np.zeros(d_in), np.eye(provider_dim, d_in), np.zeros(provider_dim)
+
+
+def layers_map(w1, b1, w2, b2):
+    """The one map two affine layers make: matrix w2 @ w1, bias w2 @ b1 + b2."""
+    return EncoderWeights(w2 @ w1, w2 @ b1 + b2)
+
+
+def write_v1_weights(w1, b1, w2, b2, path):
+    """Save two affine layers, w1 (H, D+1), b1 (H,), w2 (E, H) and b2 (E,),
+    in the version 1 weights layout: every array a JSON list of floats."""
     with open(path, "w") as fh:
-        json.dump({"version": 1, "input_dim": layers.w1.shape[1],
-                   "hidden_dim": layers.w1.shape[0], "output_dim": layers.w2.shape[0],
-                   "w1": layers.w1.tolist(), "b1": layers.b1.tolist(),
-                   "w2": layers.w2.tolist(), "b2": layers.b2.tolist()}, fh)
+        json.dump({"version": 1, "input_dim": w1.shape[1],
+                   "hidden_dim": w1.shape[0], "output_dim": w2.shape[0],
+                   "w1": w1.tolist(), "b1": b1.tolist(),
+                   "w2": w2.tolist(), "b2": b2.tolist()}, fh)
 
 
 def _b64(values):

@@ -4,8 +4,8 @@ These deliberately avoid the library's own code paths: groupings are
 compared by exhaustive membership enumeration, the nearest neighbor by a
 full scan (of dot products, or of the einsum scores the index must equal
 bit for bit), the merge/update algebra by the closed-form expressions,
-each line's vector by the two-layer encoder formula, recomputed per
-line, a call's encode by the affine map's full product, and a rebalance
+each line's vector by the affine map's product, recomputed per line, a
+call's encode by the map's full product, and a rebalance
 pass by the walk that looks every cluster up.
 """
 
@@ -137,13 +137,12 @@ def oracle_merge(v_i, w_i, v_j, w_j):
     return v / np.linalg.norm(v)
 
 
-def oracle_embed(content, provider, layers):
-    """A line's vector by the two-layer formula, computed afresh: the
-    provider's vector with the word count over 100 appended, through w1
-    and b1, then w2 and b2, scaled to unit length."""
+def oracle_embed(content, provider, weights):
+    """A line's vector computed afresh, alone: the provider's vector with
+    the word count over 100 appended, as one row through oracle_encode."""
     fused = np.append(provider.embed(content), len(content.split()) / 100.0)
-    out = layers.w2 @ (layers.w1 @ fused + layers.b1) + layers.b2
-    return out / np.linalg.norm(out)
+    [vector] = oracle_encode(fused[None, :], weights.matrix, weights.bias)
+    return vector
 
 
 def oracle_encode(fused, matrix, bias):
@@ -158,14 +157,10 @@ def oracle_encode(fused, matrix, bias):
 
 
 class OraclePipeline(Pipeline):
-    """Pipeline given the encoder's two layers, whose every line, repeated
-    or not and in either mode, is embedded on its own by oracle_embed: no
-    content cache, no collapsed map and no batch encode."""
-
-    def __init__(self, provider, layers, *args, **kwargs):
-        super().__init__(provider, layers.collapse(), *args, **kwargs)
-        self.layers = layers
+    """Pipeline whose every line, repeated or not and in either mode, is
+    embedded on its own by oracle_embed: no content cache and no batch
+    encode."""
 
     def _embed(self, records):
-        return [(r, oracle_embed(r.content, self.provider, self.layers))
+        return [(r, oracle_embed(r.content, self.provider, self.weights))
                 for r in records], []

@@ -10,7 +10,6 @@ import pytest
 from logsift import (
     CentroidIndex,
     ClusterParser,
-    EncoderLayers,
     EncoderWeights,
     IngestConfig,
     MockCompletionClient,
@@ -255,10 +254,7 @@ def test_criterion_5_batch_rebalance_equivalence(provider, identity_weights):
 def test_criterion_6_trainer_soundness():
     start = time.monotonic()
     rng = np.random.default_rng(9)
-    w = EncoderLayers(w1=rng.normal(size=(9, 9)) * 0.5,
-                      b1=rng.normal(size=9) * 0.1,
-                      w2=rng.normal(size=(8, 9)) * 0.5,
-                      b2=rng.normal(size=8) * 0.1)
+    w = EncoderWeights(rng.normal(size=(8, 9)) * 0.5, rng.normal(size=8) * 0.1)
     batch = stack_pairs([(rng.normal(size=9), rng.normal(size=9),
                           float(rng.integers(2))) for _ in range(4)])
     grad_err = gradient_check(w, batch, h=1e-5)
@@ -268,14 +264,11 @@ def test_criterion_6_trainer_soundness():
     result = train(pairs, cfg)
     first, final = result.loss_trace[0], result.loss_trace[-1]
 
-    initial = EncoderLayers.identity_init(8)
+    initial = EncoderWeights.identity_init(8)
     frozen = train(pairs, TrainConfig(learning_rate=0.0, batch_size=16,
                                       epochs=5, rng_seed=0), initial=initial)
-    unchanged = all(
-        np.array_equal(a, b)
-        for a, b in [(frozen.layers.w1, initial.w1), (frozen.layers.b1, initial.b1),
-                     (frozen.layers.w2, initial.w2), (frozen.layers.b2, initial.b2)]
-    )
+    unchanged = (np.array_equal(frozen.weights.matrix, initial.matrix)
+                 and np.array_equal(frozen.weights.bias, initial.bias))
     elapsed = time.monotonic() - start
     ok = grad_err < 1e-4 and final < 0.1 * first and unchanged and elapsed < 60
     _report("criterion 6: trainer soundness", ok,
@@ -358,18 +351,17 @@ def _ingest_all(pipeline_cls, provider, weights, records, mode):
 
 def test_criterion_10_embedding_cache_equivalence(provider, identity_weights):
     """The content cache and the batch encoder change no output: the
-    pipeline and an oracle that embeds every line afresh with two layers
-    agree exactly at identity weights and on partitions at trained ones,
-    sequentially and in batches."""
+    pipeline and an oracle that embeds every line afresh, one line at a
+    time, agree exactly at identity weights and on partitions at trained
+    ones, sequentially and in batches."""
     corpus = generate_corpus(n_templates=8, logs_per_template=5, seed=7)
     rng = np.random.default_rng(11)
     records = [corpus.records[i] for i in rng.integers(len(corpus), size=600)]
     duplicate_share = 1 - len({r.content for r in records}) / len(records)
 
-    identity_layers = EncoderLayers.identity_init(provider.dim)
     for mode in ("sequential", "batch", "batch-rng"):
         got = _ingest_all(Pipeline, provider, identity_weights, records, mode)
-        want = _ingest_all(OraclePipeline, provider, identity_layers, records, mode)
+        want = _ingest_all(OraclePipeline, provider, identity_weights, records, mode)
         assert got[0] == want[0], mode  # ids, creations, similarities, templates
         assert [(c.cluster_id, c.weight, c.parse_state, c.template_id, c.vector.tobytes())
                 for c in got[1]] == \
@@ -380,10 +372,10 @@ def test_criterion_10_embedding_cache_equivalence(provider, identity_weights):
     labeled = list(zip(corpus.records, corpus.template_ids))
     trained = train(build_pair_dataset([labeled], TrainConfig(pairs_per_dataset=600),
                                        provider),
-                    TrainConfig(batch_size=128, epochs=2)).layers
+                    TrainConfig(batch_size=128, epochs=2)).weights
     same, worst = {}, {}
     for mode in ("sequential", "batch"):
-        got, *_ = _ingest_all(Pipeline, provider, trained.collapse(), records, mode)
+        got, *_ = _ingest_all(Pipeline, provider, trained, records, mode)
         want, *_ = _ingest_all(OraclePipeline, provider, trained, records, mode)
         same[mode] = ([(a.cluster_id, a.created_new) for a in got]
                       == [(a.cluster_id, a.created_new) for a in want])

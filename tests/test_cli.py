@@ -20,12 +20,14 @@ from logsift.errors import ProviderError
 from logsift.index import CentroidIndex
 from logsift.rebalance import rebalance
 from logsift.synthetic import generate_corpus
-from logsift.training import EncoderLayers
 
 from conftest import (
     MALFORMED_NPY_WEIGHTS,
     MALFORMED_V1_WEIGHTS,
     MALFORMED_V2_WEIGHTS,
+    identity_layers,
+    layers_map,
+    random_layers,
     write_v1_snapshot,
     write_v1_weights,
     write_v2_weights,
@@ -122,7 +124,7 @@ class TestIngestCommand:
         npy, v2, v1 = (str(tmp_path / name) for name in ("w.npy", "v2.json", "v1.json"))
         EncoderWeights.identity_init(512).save(npy)
         write_v2_weights(EncoderWeights.identity_init(512), v2)
-        write_v1_weights(EncoderLayers.identity_init(512), v1)
+        write_v1_weights(*identity_layers(512), v1)
         outputs = []
         for weights in ([], ["--weights", npy], ["--weights", v2], ["--weights", v1]):
             outs = [tmp_path / name for name in ("snap.json", "assign.jsonl", "tpl.json")]
@@ -231,6 +233,40 @@ class TestTrainEncoderCommand:
         assert packed[:, -1].tobytes() == w.bias.tobytes()
         doc = json.loads(open(trace).read())
         assert len(doc["loss_trace"]) == 4  # initial + 3 epochs
+        # five templates: none is held out, so the last epoch is returned
+        assert doc["held_out_loss_trace"] == [] and doc["epoch"] == 3
+
+    def test_returns_and_reports_the_epoch_of_least_held_out_loss(self, tmp_path, capsys):
+        corpus = generate_corpus(n_templates=10, logs_per_template=20, seed=3)
+        data = tmp_path / "corpus.csv"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["Content", "EventTemplate"])
+            for record, tid in zip(corpus.records, corpus.template_ids):
+                writer.writerow([record.content, corpus.template_texts[tid]])
+        trace = tmp_path / "trace.json"
+        rc = main(["train-encoder", "--datasets", str(data), "--weights-out",
+                   str(tmp_path / "w.npy"), "--loss-trace-out", str(trace),
+                   "--pairs-per-dataset", "600", "--epochs", "12", "--batch-size", "64",
+                   "--learning-rate", "0.02", "--provider-dim", "16", "--seed", "2"])
+        assert rc == EXIT_OK
+        doc = json.loads(trace.read_text())
+        assert len(doc["loss_trace"]) == len(doc["held_out_loss_trace"]) == 13
+        epoch = doc["epoch"]
+        assert epoch == int(np.argmin(doc["held_out_loss_trace"]))
+        assert f"epoch {epoch} of 12" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "1e300"])
+    def test_a_learning_rate_that_cannot_train_exits_2(self, corpus_csv, tmp_path, capsys,
+                                                       rate):
+        weights = tmp_path / "weights.npy"
+        rc = main(["train-encoder", "--datasets", corpus_csv, "--weights-out",
+                   str(weights), "--pairs-per-dataset", "60", "--epochs", "3",
+                   "--provider-dim", "16", "--learning-rate", rate])
+        assert rc == EXIT_CONFIG
+        assert not weights.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_zero_epochs_keeps_initialization(self, corpus_csv, tmp_path):
         import numpy as np
@@ -475,10 +511,8 @@ class TestExportEmbeddingsCommand:
 
     def test_same_corpus_bytes_from_either_weights_version(self, tmp_path):
         rng = np.random.default_rng(12)
-        layers = EncoderLayers(w1=rng.normal(size=(48, 33)), b1=rng.normal(size=48),
-                               w2=rng.normal(size=(64, 48)), b2=rng.normal(size=64))
         v1, v2, npy = (str(tmp_path / name) for name in ("v1.json", "v2.json", "w.npy"))
-        write_v1_weights(layers, v1)
+        write_v1_weights(*random_layers(rng, 48, 33, 64), v1)
         write_v2_weights(EncoderWeights.load(v1), v2)
         EncoderWeights.load(v2).save(npy)
         corpus = tmp_path / "corpus.log"
@@ -519,14 +553,12 @@ class TestExportEmbeddingsCommand:
 
     @pytest.mark.parametrize("mode", [[], ["--batch-mode"]], ids=["sequential", "batch"])
     def test_corpus_vectors_are_the_ones_ingest_commits(self, tmp_path, mode):
-        # random weights, where two layers in turn and the collapsed map
-        # round differently: each line, ingested alone, creates a cluster
+        # random weights, whose product rounds where the identity's copy
+        # cannot: each line, ingested alone, creates a cluster
         # whose centroid is its vector, and the export writes that vector
         rng = np.random.default_rng(11)
         weights = str(tmp_path / "weights.json")
-        layers = EncoderLayers(w1=rng.normal(size=(48, 33)), b1=rng.normal(size=48),
-                               w2=rng.normal(size=(64, 48)), b2=rng.normal(size=64))
-        layers.collapse().save(weights)
+        layers_map(*random_layers(rng, 48, 33, 64)).save(weights)
         corpus = generate_corpus(n_templates=4, logs_per_template=5, seed=3)
         lines = [r.content for r in corpus.records]
         settings = ["--weights", weights, "--provider-dim", "32"]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from logsift import (
-    EncoderLayers,
     EncoderWeights,
     HashingProvider,
     LogRecord,
@@ -20,7 +19,10 @@ from conftest import (
     MALFORMED_V1_WEIGHTS,
     MALFORMED_V2_WEIGHTS,
     PROVIDER_DIM,
+    identity_layers,
+    layers_map,
     npy_bytes,
+    random_layers,
     write_v1_weights,
     write_v2_weights,
 )
@@ -162,10 +164,7 @@ class TestEncode:
         rng = np.random.default_rng(1)
         for _ in range(1000):
             d_in, h, e = rng.integers(2, 8, size=3)
-            w = EncoderLayers(
-                w1=rng.normal(size=(h, d_in)), b1=rng.normal(size=h),
-                w2=rng.normal(size=(e, h)), b2=rng.normal(size=e),
-            ).collapse()
+            w = layers_map(*random_layers(rng, h, d_in, e))
             out = embed_rows(rng.normal(size=(3, d_in - 1)), rng.integers(1, 9, size=3), w)
             assert np.all(np.abs(np.linalg.norm(out, axis=1) - 1.0) <= 1e-6)
 
@@ -229,7 +228,7 @@ def identity_map(kind, dim, tmp_path):
     elif kind == "v2-file":
         write_v2_weights(EncoderWeights.identity_init(dim), path)
     elif kind == "v1-file":
-        write_v1_weights(EncoderLayers.identity_init(dim), path)
+        write_v1_weights(*identity_layers(dim), path)
     else:
         return EncoderWeights.identity_init(dim)
     return EncoderWeights.load(path)
@@ -289,42 +288,34 @@ class TestIdentityCopy:
 
 class TestCollapsedEncoder:
     def test_matches_the_two_layers_on_random_weights(self):
+        # a version 1 file's two layers, applied in turn to each line alone
         rng = np.random.default_rng(4)
         worst = 0.0
         for _ in range(200):
             d_in, h, e = rng.integers(2, 40, size=3)
-            w = EncoderLayers(
-                w1=rng.normal(size=(h, d_in)), b1=rng.normal(size=h),
-                w2=rng.normal(size=(e, h)), b2=rng.normal(size=e),
-            )
+            w1, b1, w2, b2 = random_layers(rng, h, d_in, e)
             lines = [words(int(n), f"r{i}x")
                      for i, n in enumerate(rng.integers(1, 20, size=rng.integers(1, 6)))]
             provider = Table({t: rng.normal(size=d_in - 1) for t in lines})
-            out = embed_log([LogRecord("s", t) for t in lines], provider, w.collapse())
-            worst = max(worst, max(np.abs(v - oracle_embed(t, provider, w)).max()
-                                   for t, v in zip(lines, out)))
+            out = embed_log([LogRecord("s", t) for t in lines], provider,
+                            layers_map(w1, b1, w2, b2))
+            for t, v in zip(lines, out):
+                fused = np.append(provider.embed(t), len(t.split()) / 100.0)
+                want = w2 @ (w1 @ fused + b1) + b2
+                worst = max(worst, np.abs(v - want / np.linalg.norm(want)).max())
         assert worst <= 1e-12
 
     def test_bit_exact_on_identity_weights(self, corpus, provider, identity_weights):
         records = corpus.records[::50]
-        layers = EncoderLayers.identity_init(PROVIDER_DIM)
         for record, v in zip(records, embed_log(records, provider, identity_weights)):
-            assert np.array_equal(v, oracle_embed(record.content, provider, layers))
+            assert np.array_equal(v, oracle_embed(record.content, provider, identity_weights))
 
     def test_identity_map_is_the_identity_layers_collapsed(self):
         for d in (1, 3, 40):
-            layers = EncoderLayers.identity_init(d).collapse()
+            layers = layers_map(*identity_layers(d))
             direct = EncoderWeights.identity_init(d)
             assert layers.matrix.tobytes() == direct.matrix.tobytes()
             assert layers.bias.tobytes() == direct.bias.tobytes()
-
-    def test_is_a_frozen_copy(self):
-        w = EncoderLayers.identity_init(3)
-        collapsed = w.collapse()
-        w.w2 += 1.0  # training updates the layers in place
-        assert np.array_equal(collapsed.matrix, np.eye(3, 4))
-        assert not collapsed.matrix.flags.writeable
-        assert not collapsed.bias.flags.writeable
 
 
 class TestEmbedLog:
@@ -472,8 +463,7 @@ class TestEncoderWeights:
 
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
-        w = EncoderLayers(w1=rng.normal(size=(5, 4)), b1=rng.normal(size=5),
-                          w2=rng.normal(size=(3, 5)), b2=rng.normal(size=3)).collapse()
+        w = layers_map(*random_layers(rng, 5, 4, 3))
         path = tmp_path / "weights.npy"
         w.save(str(path))
         assert path.read_bytes().startswith(b"\x93NUMPY")
@@ -490,14 +480,13 @@ class TestEncoderWeights:
     def test_version_1_loads_to_the_two_layers_multiplied_out(self, tmp_path):
         rng = np.random.default_rng(5)
         for h, d_in, e in [(5, 4, 3), (48, 33, 64), (1, 2, 1)]:
-            layers = EncoderLayers(w1=rng.normal(size=(h, d_in)), b1=rng.normal(size=h),
-                                   w2=rng.normal(size=(e, h)), b2=rng.normal(size=e))
+            w1, b1, w2, b2 = random_layers(rng, h, d_in, e)
             path = str(tmp_path / "v1.json")
-            write_v1_weights(layers, path)
+            write_v1_weights(w1, b1, w2, b2, path)
             loaded = EncoderWeights.load(path)
             # the order the factors were multiplied out in before version 2
-            assert loaded.matrix.tobytes() == (layers.w2 @ layers.w1).tobytes()
-            assert loaded.bias.tobytes() == (layers.w2 @ layers.b1 + layers.b2).tobytes()
+            assert loaded.matrix.tobytes() == (w2 @ w1).tobytes()
+            assert loaded.bias.tobytes() == (w2 @ b1 + b2).tobytes()
             assert not loaded.matrix.flags.writeable and not loaded.bias.flags.writeable
             resaved = str(tmp_path / "resaved.npy")
             loaded.save(resaved)
@@ -555,10 +544,8 @@ def test_npy_round_trip_is_bit_exact(tmp_path, name):
 
 def test_every_file_version_loads_to_one_map_and_resaves_to_one_file(tmp_path):
     rng = np.random.default_rng(9)
-    layers = EncoderLayers(w1=rng.normal(size=(12, 9)), b1=rng.normal(size=12),
-                           w2=rng.normal(size=(8, 12)), b2=rng.normal(size=8))
     v1, v2, npy = (str(tmp_path / name) for name in ("v1.json", "v2.json", "w.npy"))
-    write_v1_weights(layers, v1)
+    write_v1_weights(*random_layers(rng, 12, 9, 8), v1)
     write_v2_weights(EncoderWeights.load(v1), v2)
     EncoderWeights.load(v2).save(npy)
     maps = [EncoderWeights.load(path) for path in (v1, v2, npy)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from logsift import (
-    EncoderLayers,
+    EncoderWeights,
     HashingProvider,
     LogRecord,
     PairDataset,
@@ -22,25 +22,11 @@ from logsift.embedding import _fuse
 from logsift.errors import ConfigError, ProviderError
 from logsift.synthetic import generate_corpus
 
-from conftest import make_two_family_pairs, stack_pairs
+from conftest import layers_map, make_two_family_pairs, random_layers, stack_pairs
 
 
 def labeled_corpus(corpus):
     return list(zip(corpus.records, corpus.template_ids))
-
-
-class TestEncoderLayers:
-    def test_dim_consistency_checked(self):
-        with pytest.raises(ConfigError):
-            EncoderLayers(w1=np.zeros((3, 2)), b1=np.zeros(2),
-                          w2=np.zeros((2, 3)), b2=np.zeros(2))
-
-    def test_rejects_nonfinite(self):
-        w1 = np.zeros((2, 2))
-        w1[0, 0] = np.nan
-        with pytest.raises(ConfigError):
-            EncoderLayers(w1=w1, b1=np.zeros(2),
-                          w2=np.zeros((2, 2)), b2=np.zeros(2))
 
 
 class TestBuildPairDataset:
@@ -151,25 +137,24 @@ class TestPairDataset:
 
 class TestPredictSimilarity:
     def test_self_similarity(self):
-        w = EncoderLayers.identity_init(3)
+        w = EncoderWeights.identity_init(3)
         v = np.array([1.0, 2.0, 3.0, 0.04])
         assert predict_similarity(v, v, w) == pytest.approx(1.0, abs=1e-6)
 
     def test_orthogonal(self):
-        w = EncoderLayers.identity_init(3)
+        w = EncoderWeights.identity_init(3)
         left = np.array([1.0, 0.0, 0.0, 0.0])
         right = np.array([0.0, 1.0, 0.0, 0.0])
         assert predict_similarity(left, right, w) == pytest.approx(0.0, abs=1e-6)
 
     def test_antipodal(self):
-        w = EncoderLayers.identity_init(3)
+        w = EncoderWeights.identity_init(3)
         left = np.array([1.0, 0.0, 0.0, 0.0])
         assert predict_similarity(left, -left, w) == pytest.approx(-1.0)
 
     def test_bounded(self):
         rng = np.random.default_rng(0)
-        w = EncoderLayers(w1=rng.normal(size=(4, 5)), b1=rng.normal(size=4),
-                           w2=rng.normal(size=(3, 4)), b2=rng.normal(size=3))
+        w = layers_map(*random_layers(rng, 4, 5, 3))
         for _ in range(100):
             assert -1.0 <= predict_similarity(rng.normal(size=5), rng.normal(size=5),
                                               w) <= 1.0
@@ -177,18 +162,18 @@ class TestPredictSimilarity:
 
 class TestMseLoss:
     def test_perfect_fit_is_zero(self):
-        w = EncoderLayers.identity_init(3)
+        w = EncoderWeights.identity_init(3)
         v = np.array([1.0, 2.0, 3.0, 0.04])
         assert mse_loss(stack_pairs([(v, v, 1.0)]), w) == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_error(self):
-        w = EncoderLayers.identity_init(3)
+        w = EncoderWeights.identity_init(3)
         left = np.array([1.0, 0.0, 0.0, 0.0])
         right = np.array([0.0, 1.0, 0.0, 0.0])
         assert mse_loss(stack_pairs([(left, right, 1.0)]), w) == pytest.approx(1.0)
 
     def test_mean_of_squared_errors(self):
-        w = EncoderLayers.identity_init(3)
+        w = EncoderWeights.identity_init(3)
         e1 = np.array([1.0, 0.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0, 0.0])
         pairs = stack_pairs([
@@ -200,12 +185,11 @@ class TestMseLoss:
     def test_empty_batch(self):
         with pytest.raises(ValueError):
             mse_loss(PairDataset(np.zeros((0, 3)), np.zeros((0, 2), int), np.zeros(0)),
-                     EncoderLayers.identity_init(2))
+                     EncoderWeights.identity_init(2))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
-        w = EncoderLayers(w1=rng.normal(size=(4, 4)), b1=rng.normal(size=4),
-                           w2=rng.normal(size=(4, 4)), b2=rng.normal(size=4))
+        w = layers_map(*random_layers(rng, 4, 4, 4))
         pairs = stack_pairs([(rng.normal(size=4), rng.normal(size=4),
                               float(rng.integers(2))) for _ in range(16)])
         assert mse_loss(pairs, w) >= 0.0
@@ -213,8 +197,7 @@ class TestMseLoss:
 
     def test_chunks_sum_to_the_per_pair_mean(self, monkeypatch):
         rng = np.random.default_rng(6)
-        w = EncoderLayers(w1=rng.normal(size=(5, 6)), b1=rng.normal(size=5),
-                           w2=rng.normal(size=(4, 5)), b2=rng.normal(size=4))
+        w = layers_map(*random_layers(rng, 5, 6, 4))
         pairs = stack_pairs([(rng.normal(size=6), rng.normal(size=6),
                               float(rng.integers(2))) for _ in range(37)])
         reference = np.mean([(label - predict_similarity(left, right, w)) ** 2
@@ -222,6 +205,120 @@ class TestMseLoss:
         for rows in (1, 5, 37, 100):
             monkeypatch.setattr(training, "LOSS_CHUNK_ROWS", rows)
             assert mse_loss(pairs, w) == pytest.approx(reference, rel=1e-12)
+
+def split_dataset(n_templates=10, logs_per_template=20, seed=3, dim=16, **cfg):
+    corpus = generate_corpus(n_templates=n_templates, logs_per_template=logs_per_template,
+                             seed=seed)
+    cfg = TrainConfig(**{"pairs_per_dataset": 600, "rng_seed": 2, **cfg})
+    return corpus, build_pair_dataset([labeled_corpus(corpus)], cfg, HashingProvider(dim))
+
+
+def held_out_part(dataset):
+    held = dataset.held_out
+    return PairDataset(dataset.features, dataset.pairs[held], dataset.labels[held])
+
+
+class TestHeldOutTemplates:
+    def test_a_fifth_of_the_templates_and_of_each_kind_of_pair(self):
+        corpus, dataset = split_dataset()
+        ids = np.array(corpus.template_ids)[dataset.pairs]
+        held = dataset.held_out
+        assert held.dtype == bool and held.shape == (600,)
+        held_templates = set(ids[held].ravel().tolist())
+        assert len(held_templates) == 2  # 10 templates // 5
+        # every pair lies within one part: both rows held out, or neither
+        in_part = np.isin(ids, list(held_templates))
+        assert np.array_equal(in_part[:, 0], held) and np.array_equal(in_part[:, 1], held)
+        # of 100 similar and 500 dissimilar pairs, a fifth of each
+        assert held.sum() == 120 and dataset.labels[held].sum() == 20
+        assert len(dataset) == 600 and dataset.labels.sum() == 100
+
+    @pytest.mark.parametrize("lone, split", [(1, False), (2, True)])
+    def test_ten_templates_with_two_logs_or_more_are_needed(self, lone, split):
+        # 9 templates of 3 logs, and one of `lone` logs: 9 or 10 templates
+        # can form similar pairs, and only 10 // 5 = 2 can be held out
+        labeled = [(LogRecord("s", f"t{t} w{t}x{i} common"), t)
+                   for t in range(10) for i in range(3 if t < 9 else lone)]
+        dataset = build_pair_dataset([labeled], TrainConfig(pairs_per_dataset=300),
+                                     HashingProvider(16))
+        assert dataset.held_out.any() == split
+
+    def test_hand_built_pairs_hold_out_none(self):
+        dataset = make_two_family_pairs()
+        assert dataset.held_out.dtype == bool and not dataset.held_out.any()
+
+    @pytest.mark.parametrize("mask", [[True], [1, 0], [True, False, True]],
+                             ids=["short", "not-bool", "long"])
+    def test_rejects_a_mask_that_is_not_one_bool_per_pair(self, mask):
+        with pytest.raises(ValueError):
+            PairDataset(np.zeros((4, 3)), np.array([[0, 1], [2, 3]]), np.array([1.0, 0.0]),
+                        held_out=np.array(mask))
+
+
+class TestStopRule:
+    def test_returns_the_map_of_least_held_out_loss(self):
+        _, dataset = split_dataset()
+        cfg = TrainConfig(learning_rate=0.05, batch_size=64, epochs=12, rng_seed=0)
+        result = train(dataset, cfg)
+        trace = result.held_out_loss_trace
+        assert len(result.loss_trace) == len(trace) == 13
+        assert result.epoch == int(np.argmin(trace))
+        assert 0 < result.epoch < cfg.epochs  # the case this test is about
+        assert trace[result.epoch] == mse_loss(held_out_part(dataset), result.weights)
+        # the same map as a run that stops at that epoch
+        stopped = train(dataset, TrainConfig(learning_rate=0.05, batch_size=64,
+                                             epochs=result.epoch, rng_seed=0))
+        assert stopped.loss_trace == result.loss_trace[:result.epoch + 1]
+        assert stopped.weights.matrix.tobytes() == result.weights.matrix.tobytes()
+        assert stopped.weights.bias.tobytes() == result.weights.bias.tobytes()
+
+    def test_fits_only_the_pairs_not_held_out(self):
+        _, dataset = split_dataset()
+        held = dataset.held_out
+        fit = PairDataset(dataset.features, dataset.pairs[~held], dataset.labels[~held])
+        cfg = TrainConfig(batch_size=64, epochs=3, rng_seed=0)
+        assert train(dataset, cfg).loss_trace == train(fit, cfg).loss_trace
+
+    def test_the_starting_map_is_a_candidate(self):
+        # the held-out pairs are the fitted cross-family ones, labeled
+        # similar: every epoch of training raises their loss
+        fitted = make_two_family_pairs()
+        cross = fitted.pairs[fitted.labels == 0]
+        dataset = PairDataset(fitted.features, np.concatenate([fitted.pairs, cross]),
+                              np.concatenate([fitted.labels, np.ones(len(cross))]),
+                              held_out=np.arange(len(fitted) + len(cross)) >= len(fitted))
+        initial = EncoderWeights.identity_init(8)
+        result = train(dataset, TrainConfig(batch_size=16, epochs=5, rng_seed=0),
+                       initial=initial)
+        assert result.epoch == 0
+        assert result.loss_trace[-1] < result.loss_trace[0]
+        assert result.weights.matrix.tobytes() == initial.matrix.tobytes()
+        assert result.weights.bias.tobytes() == initial.bias.tobytes()
+
+    def test_without_held_out_pairs_returns_the_last_epoch(self):
+        result = train(make_two_family_pairs(), TrainConfig(batch_size=16, epochs=4))
+        assert result.epoch == 4 and result.held_out_loss_trace == []
+
+    def test_all_pairs_held_out_is_no_training_pairs(self):
+        fitted = make_two_family_pairs()
+        dataset = PairDataset(fitted.features, fitted.pairs, fitted.labels,
+                              held_out=np.ones(len(fitted), dtype=bool))
+        with pytest.raises(ValueError, match="no training pairs"):
+            train(dataset, TrainConfig())
+
+
+class TestLearningRate:
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1e-3])
+    def test_must_be_finite_and_not_negative(self, rate):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+
+    def test_a_loss_that_stops_being_finite_is_a_config_error(self):
+        # no RuntimeWarning either: pytest turns them into errors
+        with pytest.raises(ConfigError, match="non-finite loss after epoch 1"):
+            train(make_two_family_pairs(), TrainConfig(learning_rate=1e300, batch_size=16,
+                                                       epochs=3))
+
 
 class TestTrain:
     def test_loss_decreases_on_separable_families(self):
@@ -232,19 +329,17 @@ class TestTrain:
 
     def test_zero_learning_rate_is_noop(self):
         pairs = make_two_family_pairs()
-        initial = EncoderLayers.identity_init(8)
+        initial = EncoderWeights.identity_init(8)
         cfg = TrainConfig(learning_rate=0.0, batch_size=16, epochs=5, rng_seed=0)
         result = train(pairs, cfg, initial=initial)
-        assert np.array_equal(result.layers.w1, initial.w1)
-        assert np.array_equal(result.layers.b1, initial.b1)
-        assert np.array_equal(result.layers.w2, initial.w2)
-        assert np.array_equal(result.layers.b2, initial.b2)
+        assert np.array_equal(result.weights.matrix, initial.matrix)
+        assert np.array_equal(result.weights.bias, initial.bias)
         assert len(set(result.loss_trace)) == 1
 
     def test_trace_ends_at_the_loss_of_the_returned_weights(self):
         pairs = make_two_family_pairs()
         result = train(pairs, TrainConfig(batch_size=16, epochs=5, rng_seed=0))
-        assert result.loss_trace[-1] == mse_loss(pairs, result.layers)
+        assert result.loss_trace[-1] == mse_loss(pairs, result.weights)
 
     def test_seeded_trace_reproducible(self):
         pairs = make_two_family_pairs()
@@ -263,31 +358,25 @@ class TestTrain:
 class TestGradientCheck:
     def test_random_init_matches_finite_differences(self):
         rng = np.random.default_rng(17)
-        w = EncoderLayers(w1=rng.normal(size=(7, 7)) * 0.5,
-                           b1=rng.normal(size=7) * 0.1,
-                           w2=rng.normal(size=(6, 7)) * 0.5,
-                           b2=rng.normal(size=6) * 0.1)
+        w = EncoderWeights(rng.normal(size=(6, 7)) * 0.5, rng.normal(size=6) * 0.1)
         batch = stack_pairs([(rng.normal(size=7), rng.normal(size=7),
                               float(rng.integers(2))) for _ in range(4)])
         assert gradient_check(w, batch, h=1e-5) < 1e-4
 
     def test_stationary_point(self):
         # identical pairs labeled 1 with prediction exactly 1: zero gradient
-        w = EncoderLayers.identity_init(3)
+        w = EncoderWeights.identity_init(3)
         v = np.array([1.0, 0.0, 0.0, 0.0])
         batch = stack_pairs([(v, v, 1.0)])
         from logsift.training import _gradients
 
-        grads = _gradients(*batch.gather(slice(None)), w)
+        grads = _gradients(*batch.gather(slice(None)), w.matrix, w.bias)
         for g in grads:
             assert np.allclose(g, 0.0, atol=1e-12)
 
     def test_error_stays_bounded_when_h_doubles(self):
         rng = np.random.default_rng(23)
-        w = EncoderLayers(w1=rng.normal(size=(5, 5)) * 0.5,
-                           b1=rng.normal(size=5) * 0.1,
-                           w2=rng.normal(size=(4, 5)) * 0.5,
-                           b2=rng.normal(size=4) * 0.1)
+        w = EncoderWeights(rng.normal(size=(4, 5)) * 0.5, rng.normal(size=4) * 0.1)
         batch = stack_pairs([(rng.normal(size=5), rng.normal(size=5), 1.0)
                              for _ in range(4)])
         err_small = gradient_check(w, batch, h=1e-5)
@@ -296,7 +385,7 @@ class TestGradientCheck:
         assert err_large < max(8 * err_small, 1e-6)
 
     def test_rejects_oversized_batch(self):
-        w = EncoderLayers.identity_init(2)
+        w = EncoderWeights.identity_init(2)
         v = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             gradient_check(w, stack_pairs([(v, v, 1.0)] * 9))
