@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .embedding import (
@@ -142,8 +141,8 @@ def cmd_ingest(args) -> int:
         cid = assignment.cluster_id
         while cid in survivor:
             cid = survivor[cid]
-        final = replace(assignment, cluster_id=cid,
-                        template=pipeline.parser.store.template_for(cid))
+        final = assignment._replace(cluster_id=cid,
+                                    template=pipeline.parser.store.template_for(cid))
         out_lines.append(final.to_json())
     if args.assignments_out:
         with atomic_write(args.assignments_out) as fh:

@@ -66,6 +66,10 @@ class EmbeddingProvider:
 BUCKET_MEMO_ENTRIES = 1 << 14
 
 
+# copied for each token: a copy skips the constructor's keyword parsing
+_BUCKET_HASHER = hashlib.blake2b(digest_size=8)
+
+
 class _BucketMemo(dict):
     """token -> bucket, each token hashed on its first lookup."""
 
@@ -76,8 +80,9 @@ class _BucketMemo(dict):
     def __missing__(self, token: str) -> int:
         if len(self) >= BUCKET_MEMO_ENTRIES:
             self.clear()
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-        self[token] = bucket = int.from_bytes(digest, "big") % self.dim
+        hasher = _BUCKET_HASHER.copy()
+        hasher.update(token.encode("utf-8"))
+        self[token] = bucket = int.from_bytes(hasher.digest(), "big") % self.dim
         return bucket
 
 

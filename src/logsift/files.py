@@ -16,8 +16,9 @@ def atomic_write(path: str, mode: str = "w") -> Iterator[IO]:
     """Yield a temporary file, opened with `mode` ("w" for text, "wb" for
     bytes), to write `path`'s content to; it replaces `path` once the block
     ends without error, so a reader never sees a partly written file.
-    Writers stream into it (`json.dump`, `np.save`), so a large document is
-    never held in memory as one string. If the block raises, the temporary
+    Writers stream into it (`json.dump`, `np.save`, or a centroid at a time
+    in `CentroidIndex.snapshot`), so a large document is never held in
+    memory as one string. If the block raises, the temporary
     file is removed and `path` is left as it was."""
     tmp = path + ".tmp"
     try:

@@ -15,7 +15,10 @@ row `einsum` scores best. The kept rows are re-scored from their
 centroids' own vectors with `einsum`, which sums each row's products in
 one order wherever the row sits, so hits and similarities are those of a
 full `einsum` scan, bit for bit. Nearly always one row is kept and
-re-scored alone; with several, `_settle` breaks the tie.
+re-scored alone: `nearest` masks its screened best and reads the next
+`argmax`, and only when that score too reaches the cut does it mark every
+kept row and hand them to `_settle`, which breaks the tie. Hits are named
+tuples, cheaper to build than frozen dataclasses.
 
 For rebalancing, `_to_examine` screens every pair of rows once, a block
 at a time, for the clusters whose lookup in a pass can find a partner
@@ -33,7 +36,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -75,8 +78,7 @@ class ClusterCentroid:
         return self._vector
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
     cluster_id: int
     similarity: float
 
@@ -128,8 +130,11 @@ class CentroidIndex:
         return cluster_id in self._rows
 
     def get(self, cluster_id: int) -> ClusterCentroid:
+        return self._live[self._row(cluster_id)]
+
+    def _row(self, cluster_id: int) -> int:
         try:
-            return self._live[self._rows[cluster_id]]
+            return self._rows[cluster_id]
         except KeyError:
             raise ClusterNotFoundError(f"cluster {cluster_id} not in index") from None
 
@@ -176,11 +181,19 @@ class CentroidIndex:
         excluded = self._rows.get(exclude)
         if n - (excluded is not None) == 0:
             return None
-        scores = np.dot(self._screen[:n], query.astype(np.float32))
+        scores = self._screen[:n].dot(query.astype(np.float32))
         if excluded is not None:
             scores[excluded] = -np.inf
         top = int(scores.argmax())
-        return self._settle(query, top, scores >= scores[top] - self._margin)
+        best = scores[top]
+        cut = best - self._margin  # float64, as is each comparison with it
+        scores[top] = -np.inf
+        if scores[scores.argmax()] < cut:  # the screened best is the one kept row
+            centroid = self._live[top]
+            return SearchHit(centroid.cluster_id,
+                             float(np.einsum("j,j->", centroid.vector, query)))
+        scores[top] = best
+        return self._settle(query, scores >= cut)
 
     def nearest_batch(self, queries: np.ndarray) -> list[Optional[SearchHit]]:
         """`nearest` of each row of `queries` (B, E), all against the index
@@ -198,17 +211,15 @@ class CentroidIndex:
         sims = np.einsum("ij,ij->i", best, queries).tolist()
         hits = [SearchHit(self._live[row].cluster_id, sim) for row, sim in zip(rows, sims)]
         for q in np.flatnonzero(np.count_nonzero(kept, axis=1) > 1).tolist():
-            hits[q] = self._settle(queries[q], top[q], kept[q])
+            hits[q] = self._settle(queries[q], kept[q])
         return hits
 
-    def _settle(self, query: np.ndarray, top: int, kept: np.ndarray) -> SearchHit:
-        """The exact hit of `query` among the `kept` rows of its screen,
-        `top` the screened best: their einsum scores from the centroids' own
-        vectors. One kept row is re-scored alone; among several, a tie goes
-        to the lowest cluster id, whatever rows the tied centroids occupy."""
-        if np.count_nonzero(kept) == 1:
-            best = self._live[top]
-            return SearchHit(best.cluster_id, float(np.einsum("j,j->", best.vector, query)))
+    def _settle(self, query: np.ndarray, kept: np.ndarray) -> SearchHit:
+        """The exact hit of `query` among the two or more `kept` rows of its
+        screen: their einsum scores from the centroids' own vectors, a tie
+        going to the lowest cluster id, whatever rows the tied centroids
+        occupy. A lone kept row never gets here: `nearest` and
+        `nearest_batch` re-score it themselves."""
         rows = np.flatnonzero(kept)
         sims = np.einsum("ij,j->i", np.array([self._live[row].vector
                                               for row in rows.tolist()]), query)
@@ -221,7 +232,8 @@ class CentroidIndex:
         """Move the centroid toward the incoming vector by 1/(w+1), then
         renormalize. The weight always increments."""
         incoming = _check_unit(incoming)
-        centroid = self.get(cluster_id)
+        row = self._row(cluster_id)
+        centroid = self._live[row]
         # v + (incoming - v) / (w + 1) in place, one new array for three;
         # floating-point addition commutes, so the sum is the same bit for bit
         moved = incoming - centroid.vector
@@ -235,7 +247,7 @@ class CentroidIndex:
         moved /= norm
         moved.flags.writeable = False
         centroid._vector = moved
-        self._screen[self._rows[cluster_id]] = moved
+        self._screen[row] = moved
         return centroid
 
     def remove(self, cluster_id: int) -> None:
@@ -275,22 +287,21 @@ class CentroidIndex:
     # ---- snapshots ---------------------------------------------------------
 
     def snapshot(self, path: str) -> None:
-        doc = {
-            "version": SNAPSHOT_VERSION,
-            "next_id": self._next_id,
-            "centroids": [
-                {
-                    "id": c.cluster_id,
-                    "weight": c.weight,
-                    "template_id": c.template_id,
-                    "parse_state": c.parse_state.value,
-                    "vector": encode_floats(c.vector),
-                }
-                for c in self.centroids()
-            ],
-        }
+        """Write the text `json.dumps` gives the snapshot document, one
+        centroid at a time. `json.dump` would run the pure-Python encoder
+        over every vector; here `json.dumps` encodes each centroid's
+        metadata and its base64 vector goes between quotes as it is, since
+        base64 needs no JSON escaping."""
         with atomic_write(path) as fh:
-            json.dump(doc, fh)
+            head = json.dumps({"version": SNAPSHOT_VERSION, "next_id": self._next_id})
+            fh.write(head[:-1] + ', "centroids": [')
+            for i, c in enumerate(self.centroids()):
+                meta = json.dumps({"id": c.cluster_id, "weight": c.weight,
+                                   "template_id": c.template_id,
+                                   "parse_state": c.parse_state.value})
+                fh.write(f'{", " if i else ""}{meta[:-1]}, '
+                         f'"vector": "{encode_floats(c.vector)}"}}')
+            fh.write("]}")
 
     @classmethod
     def load(cls, path: str) -> "CentroidIndex":

@@ -12,7 +12,9 @@ against its start-of-batch state, so the batch is routed by one
 record, and each is re-scored exactly, so its hit is the one `nearest`
 gives it bit for bit. The rng schedule keeps a `nearest` per search event.
 
-Both modes commit a record through one create-or-join step. A merge's
+Both modes commit a record through one create-or-join step, whose
+`ClusterAssignment` is a named tuple: immutable, and cheaper to build than
+a frozen dataclass on a path taken once per record. A merge's
 outcome comes from its `MergeEvent`: the survivor takes the template entry
 of `kept_from` and its first constituent's representative log.
 
@@ -32,8 +34,8 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -60,8 +62,7 @@ class IngestConfig:
             raise ConfigError("rebalance_every_n must be positive")
 
 
-@dataclass(frozen=True)
-class ClusterAssignment:
+class ClusterAssignment(NamedTuple):
     log_index: int
     cluster_id: int
     created_new: bool
@@ -69,7 +70,7 @@ class ClusterAssignment:
     template: Optional[str] = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(self._asdict())
 
 
 class Pipeline:

@@ -1,6 +1,7 @@
 import base64
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ class TestIngestCommand:
         index = CentroidIndex.load(snap)
         assert len(index) == 5
         assert index.total_weight() == 100
-        lines = open(assigns).read().splitlines()
+        lines = Path(assigns).read_text().splitlines()
         assert len(lines) == 100
         assert json.loads(lines[0])["created_new"] is True
 
@@ -105,13 +106,13 @@ class TestIngestCommand:
                    "--batch-mode", "--batch-size", "25"])
         assert rc == EXIT_OK
         live = set(CentroidIndex.load(snap).ids())
-        rows = [json.loads(line) for line in open(assigns).read().splitlines()]
+        rows = [json.loads(line) for line in Path(assigns).read_text().splitlines()]
         assert len(rows) == 100
         assert {row["cluster_id"] for row in rows} <= live
         rc = main(["evaluate", "--dataset", corpus_csv,
                    "--assignments", assigns, "--report-out", report])
         assert rc == EXIT_OK
-        doc = json.loads(open(report).read())
+        doc = json.loads(Path(report).read_text())
         assert [doc[k] for k in ("GA", "FGA", "PA", "FTA")] == [1.0] * 4
 
 
@@ -166,7 +167,7 @@ class TestEvaluateCommand:
         rc = main(["evaluate", "--dataset", corpus_csv,
                    "--assignments", assigns, "--report-out", report])
         assert rc == EXIT_OK
-        doc = json.loads(open(report).read())
+        doc = json.loads(Path(report).read_text())
         assert doc["GA"] == 1.0
         assert doc["FGA"] == 1.0
         assert doc["PA"] == 1.0
@@ -175,7 +176,7 @@ class TestEvaluateCommand:
     def test_row_count_mismatch(self, corpus_csv, tmp_path):
         assigns = self._run_ingest(corpus_csv, tmp_path)
         truncated = tmp_path / "short.jsonl"
-        truncated.write_text("\n".join(open(assigns).read().splitlines()[:10]))
+        truncated.write_text("\n".join(Path(assigns).read_text().splitlines()[:10]))
         rc = main(["evaluate", "--dataset", corpus_csv,
                    "--assignments", str(truncated)])
         assert rc == EXIT_DATA
@@ -186,7 +187,7 @@ class TestEvaluateCommand:
                                   "null-template-no-id"])
     def test_bad_row_is_a_data_error(self, corpus_csv, tmp_path, capsys, row):
         assigns = self._run_ingest(corpus_csv, tmp_path)
-        lines = open(assigns).read().splitlines()
+        lines = Path(assigns).read_text().splitlines()
         lines[4] = row
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines) + "\n")
@@ -231,7 +232,7 @@ class TestTrainEncoderCommand:
         assert (packed.dtype.str, packed.shape) == ("<f8", (64, 66))
         assert packed[:, :-1].tobytes() == w.matrix.tobytes()
         assert packed[:, -1].tobytes() == w.bias.tobytes()
-        doc = json.loads(open(trace).read())
+        doc = json.loads(Path(trace).read_text())
         assert len(doc["loss_trace"]) == 4  # initial + 3 epochs
         # five templates: none is held out, so the last epoch is returned
         assert doc["held_out_loss_trace"] == [] and doc["epoch"] == 3
@@ -492,7 +493,7 @@ class TestExportEmbeddingsCommand:
         out = str(tmp_path / "vectors.csv")
         rc = main(["export-embeddings", "--snapshot", snap, "--output", out])
         assert rc == EXIT_OK
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "id,weight," + ",".join(f"v{k}" for k in range(6))
         assert len(lines) == 101
 
@@ -534,7 +535,7 @@ class TestExportEmbeddingsCommand:
         rc = main(["export-embeddings", "--snapshot", snap, "--output", out])
         assert rc == EXIT_OK
         # no vectors, so no vector columns: no empty third column either
-        assert open(out).read() == "id,weight\n"
+        assert Path(out).read_text() == "id,weight\n"
 
     def test_roundtrip_readable(self, tmp_path):
         import numpy as np

@@ -73,6 +73,17 @@ class TestEmbedRaw:
             assert np.array_equal(provider.embed(text), self.hashed_counts(text, 64))
             assert len(provider._buckets) <= 2
 
+    @pytest.mark.parametrize("dim", [2, 512, 1000])
+    def test_a_bucket_is_the_tokens_blake2b_modulo_dim(self, monkeypatch, dim):
+        monkeypatch.setattr(embedding, "BUCKET_MEMO_ENTRIES", 3)
+        tokens = ["ERROR", "blk_-1608999687919862906", "héllo", "日志", "x" * 300,
+                  "/10.250.19.102:54106", "ERROR"]
+        memo = embedding._BucketMemo(dim)
+        for token in tokens + tokens:  # the memo starts afresh every 3 tokens
+            digest = hashlib.blake2b(token.encode(), digest_size=8).digest()
+            assert memo[token] == int.from_bytes(digest, "big") % dim
+            assert len(memo) <= 3
+
     def test_vectors_are_pinned(self):
         # any change to the bucketing changes every partition, so fail here
         provider = HashingProvider(512)

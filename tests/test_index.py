@@ -8,6 +8,7 @@ import pytest
 
 from logsift import CentroidIndex, ParseState
 from logsift.errors import ClusterNotFoundError, SnapshotFormatError
+from logsift.files import encode_floats
 from logsift.index import _screen_margin
 
 from conftest import random_unit, write_v1_snapshot
@@ -123,6 +124,96 @@ class TestNearest:
         index.remove(first)  # the last row, `high`, now sits before `low`
         assert index.nearest(unit(1, 0, 0)).cluster_id == low
         assert index.nearest(unit(1, 0, 0), exclude=low).cluster_id == high
+
+
+def screened(index, query):
+    """The float32 screen scores `nearest` reads for `query`."""
+    return index._screen[:len(index)].dot(query.astype(np.float32))
+
+
+@pytest.fixture
+def settles(monkeypatch):
+    """The queries `nearest` hands to `_settle`, recorded as it is called."""
+    calls = []
+    settle = CentroidIndex._settle
+
+    def recorded(self, query, kept):
+        calls.append(query)
+        return settle(self, query, kept)
+
+    monkeypatch.setattr(CentroidIndex, "_settle", recorded)
+    return calls
+
+
+class TestKeptRowBoundary:
+    """`nearest` settles a query among several rows exactly when a second
+    screened score reaches the screened best minus the margin, and
+    re-scores the screened best alone otherwise. The margin is set by hand
+    here, so a screened score can sit exactly at the cut or one float32 ulp
+    below it."""
+
+    @staticmethod
+    def pair(flipped):
+        """Two centroids and a query that screen a above b; with `flipped`,
+        b scores above a exactly."""
+        rng = np.random.default_rng(3)
+        for _ in range(1000):
+            a = random_unit(rng, 64)
+            b = unit(*(a + 1e-7 * rng.normal(size=64)))
+            query = unit(*(a + 0.1 * rng.normal(size=64)))
+            index = CentroidIndex()
+            stored = {index.insert(a): a, index.insert(b): b}
+            f_a, f_b = screened(index, query)
+            exact = np.einsum("ij,j->i", np.stack([a, b]), query)
+            if f_a > f_b and (exact[1] > exact[0]) == flipped:
+                return index, stored, query, f_a, f_b
+        raise AssertionError("no such pair among the draws")
+
+    def test_a_second_score_exactly_at_the_cut_is_settled(self, settles):
+        index, stored, query, f_a, f_b = self.pair(flipped=True)
+        index._margin = np.float64(f_a) - np.float64(f_b)
+        assert np.float64(f_a) - index._margin == f_b
+        hit = index.nearest(query)
+        assert hit == oracle_scan_nearest(stored, query) == (1, hit.similarity)
+        assert len(settles) == 1
+
+    def test_a_second_score_one_ulp_below_the_cut_is_not(self, settles):
+        index, stored, query, f_a, f_b = self.pair(flipped=False)
+        cut = np.nextafter(f_b, np.float32(np.inf))
+        index._margin = np.float64(f_a) - np.float64(cut)
+        assert np.float64(f_a) - index._margin == cut
+        hit = index.nearest(query)
+        assert settles == []
+        assert hit == oracle_scan_nearest(stored, query)
+
+    def test_one_live_row(self, settles):
+        rng = np.random.default_rng(4)
+        v, query = random_unit(rng, 8), random_unit(rng, 8)
+        index = CentroidIndex()
+        stored = {index.insert(v): v}
+        assert index.nearest(query) == oracle_scan_nearest(stored, query)
+        assert settles == []
+
+    def test_exclude_leaving_one_row(self, settles):
+        rng = np.random.default_rng(5)
+        index = CentroidIndex()
+        stored = {}
+        for _ in range(2):
+            v = random_unit(rng, 8)
+            stored[index.insert(v)] = v
+        for cid, v in stored.items():  # the excluded row screens best
+            hit = index.nearest(v, exclude=cid)
+            assert hit == oracle_scan_nearest(stored, v, exclude=cid)
+            assert hit.cluster_id != cid
+        assert settles == []
+
+    def test_all_rows_tied(self, settles):
+        v = unit(1, 2, 3)
+        index = CentroidIndex()
+        stored = {index.insert(v): v for _ in range(4)}
+        hit = index.nearest(v)
+        assert hit == oracle_scan_nearest(stored, v) == (0, hit.similarity)
+        assert len(settles) == 1
 
 
 class TestQueryChecks:
@@ -420,6 +511,33 @@ class TestSnapshot:
         path.write_text('{"version": 9, "centroids": []}')
         with pytest.raises(SnapshotFormatError):
             CentroidIndex.load(str(path))
+
+    @staticmethod
+    def document(index):
+        """The snapshot document, as `json.dump` once wrote it whole."""
+        return {
+            "version": 2,
+            "next_id": index._next_id,
+            "centroids": [
+                {"id": c.cluster_id, "weight": c.weight, "template_id": c.template_id,
+                 "parse_state": c.parse_state.value, "vector": encode_floats(c.vector)}
+                for c in index.centroids()
+            ],
+        }
+
+    @pytest.mark.parametrize("size", [0, 1, 4])
+    def test_bytes_are_json_dumps_of_the_document(self, tmp_path, size):
+        rng = np.random.default_rng(size)
+        index = CentroidIndex()
+        states = [(None, ParseState.UNPARSED), (7, ParseState.PARSED),
+                  (None, ParseState.FAILED), (0, ParseState.PARSED)]
+        for template_id, state in states[:size]:
+            index.insert(random_unit(rng, 5), weight=int(rng.integers(1, 50)),
+                         template_id=template_id, parse_state=state)
+        index.remove(index.insert(random_unit(rng, 5)))  # the highest id
+        path = tmp_path / "snap.json"
+        index.snapshot(str(path))
+        assert path.read_bytes() == json.dumps(self.document(index)).encode()
 
     def test_empty_roundtrip(self, tmp_path):
         path = str(tmp_path / "empty.json")

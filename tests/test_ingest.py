@@ -23,6 +23,8 @@ from logsift.errors import (
     DimensionMismatchError,
     ProviderError,
 )
+from logsift.index import SearchHit
+from logsift.ingest import ClusterAssignment
 
 
 def make_pipeline(provider, weights, batch_mode=False, rebalance_every=1000):
@@ -45,6 +47,28 @@ def final_partition(pipeline, assignments, report):
         return cid
 
     return [resolve(a.cluster_id) for a in assignments]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("assignment, text", [
+        (ClusterAssignment(0, 3, True, 1.0),
+         '{"log_index": 0, "cluster_id": 3, "created_new": true, '
+         '"similarity": 1.0, "template": null}'),
+        (ClusterAssignment(log_index=7, cluster_id=2, created_new=False,
+                           similarity=0.9371234567890123, template="user <*> logged in"),
+         '{"log_index": 7, "cluster_id": 2, "created_new": false, '
+         '"similarity": 0.9371234567890123, "template": "user <*> logged in"}'),
+    ])
+    def test_an_assignment_writes_the_json_of_its_fields_in_order(self, assignment, text):
+        assert assignment.to_json() == text
+
+    @pytest.mark.parametrize("record, field", [
+        (ClusterAssignment(0, 3, True, 1.0), "cluster_id"),
+        (SearchHit(3, 0.95), "similarity"),
+    ])
+    def test_records_are_immutable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
 
 
 def test_encoder_width_is_checked_at_construction(identity_weights):
