@@ -28,7 +28,6 @@ where every sum is exact). The vector depends on the content alone, so
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,7 +40,7 @@ from .errors import (
     DimensionMismatchError,
     ProviderError,
 )
-from .files import FLOAT_BYTES, atomic_write, decode_floats
+from .files import FLOAT_BYTES, atomic_write
 from .index import NORM_EPS
 from .records import LogRecord
 from .remote import api_key, post_json
@@ -141,8 +140,6 @@ class RemoteProvider(EmbeddingProvider):
             raise ProviderError(f"embedding is not a float array: {exc!r}") from exc
 
 
-# the newest JSON layout `load` reads; `save` writes .npy
-WEIGHTS_VERSION = 2
 NPY_MAGIC = b"\x93NUMPY"  # the first six bytes of every .npy file (NEP 1)
 
 
@@ -153,13 +150,7 @@ class EncoderWeights:
 
     A weights file is one NumPy `.npy` array (NEP 1) of little-endian
     float64, shape (E, D+2): the map's D+1 columns, then the bias as the
-    last column. Older weights files are JSON and still load. Version 2
-    holds `input_dim` (D+1) and `output_dim` (E), with `matrix` (row by
-    row) and `bias` as base64 of their little-endian float64 bytes. Version
-    1 holds two affine layers, `w1` (H, D+1), `b1` (H,), `w2` (E, H) and
-    `b2` (E,), as JSON float lists, multiplied out to the map `w2 @ w1`,
-    `w2 @ b1 + b2`, bit for bit the map earlier versions loaded.
-    `load(path).save(path)` rewrites either as `.npy`.
+    last column.
     """
 
     matrix: np.ndarray
@@ -211,54 +202,28 @@ class EncoderWeights:
 
     @classmethod
     def load(cls, path: str) -> "EncoderWeights":
-        """Read a weights file: a `.npy` array, told apart by its first six
-        bytes whatever the file is named, or a version 2 or version 1 JSON
-        file. A file that does not hold one whole, finite map is a
-        ConfigError; a `.npy` file of objects is refused, never unpickled."""
+        """Read a `.npy` weights file, told apart by its first six bytes
+        whatever the file is named. Any other file, such as the JSON
+        weights of earlier versions, or one that does not hold one whole,
+        finite map is a ConfigError; a `.npy` file of objects is refused,
+        never unpickled."""
         with open(path, "rb") as fh:
-            npy = fh.read(len(NPY_MAGIC)) == NPY_MAGIC
+            if fh.read(len(NPY_MAGIC)) != NPY_MAGIC:
+                raise ConfigError(
+                    f"weights file {path} is not a .npy file; a JSON weights file of an "
+                    "earlier logsift converts with EncoderWeights.load(path).save(path) "
+                    "run with that version")
             fh.seek(0)
             try:
-                if npy:
-                    packed = np.load(fh, allow_pickle=False)
-                else:
-                    doc = json.load(fh)
+                packed = np.load(fh, allow_pickle=False)
             # a MemoryError: a .npy header that claims more floats than can be allocated
             except (ValueError, MemoryError) as exc:
                 raise ConfigError(f"cannot parse weights file {path}: {exc}") from exc
-        if npy:
-            if packed.dtype != FLOAT_BYTES or packed.ndim != 2 or packed.shape[0] < 1 \
-                    or packed.shape[1] < 2:
-                raise ConfigError(f"weights file {path} holds a {packed.dtype.str} array of "
-                                  f"shape {packed.shape}, not an (E, D+2) '<f8' one")
-            return cls(packed[:, :-1], packed[:, -1])
-        if not isinstance(doc, dict):
-            raise ConfigError(f"weights file {path} is not a JSON object")
-        if doc.get("version") not in (1, WEIGHTS_VERSION):
-            raise ConfigError(f"unsupported weights file version: {doc.get('version')!r}")
-        try:
-            if doc["version"] == 1:
-                w1, b1, w2, b2 = (np.asarray(doc[key], dtype=np.float64)
-                                  for key in ("w1", "b1", "w2", "b2"))
-                if (w1.ndim != 2 or w2.ndim != 2 or b1.shape != w1.shape[:1]
-                        or w2.shape[1:] != w1.shape[:1] or b2.shape != w2.shape[:1]):
-                    raise ValueError(f"w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape} and "
-                                     f"b2 {b2.shape} do not make two affine layers")
-                if not all(np.isfinite(a).all() for a in (w1, b1, w2, b2)):
-                    raise ValueError("encoder weights contain non-finite entries")
-                return cls(w2 @ w1, w2 @ b1 + b2)
-            rows, cols = doc["output_dim"], doc["input_dim"]
-            if type(rows) is not int or type(cols) is not int or min(rows, cols) < 1:
-                raise ValueError(f"dims {rows!r} x {cols!r} are not positive integers")
-            matrix, bias = decode_floats(doc["matrix"]), decode_floats(doc["bias"])
-            if (matrix.size, bias.size) != (rows * cols, rows):
-                raise ValueError(f"{matrix.size} matrix and {bias.size} bias floats "
-                                 f"do not make a {rows} x {cols} map")
-            return cls(matrix.reshape(rows, cols), bias)
-        except KeyError as exc:
-            raise ConfigError(f"weights file {path} lacks {exc}") from exc
-        except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-            raise ConfigError(f"malformed weights file {path}: {exc}") from exc
+        if packed.dtype != FLOAT_BYTES or packed.ndim != 2 or packed.shape[0] < 1 \
+                or packed.shape[1] < 2:
+            raise ConfigError(f"weights file {path} holds a {packed.dtype.str} array of "
+                              f"shape {packed.shape}, not an (E, D+2) '<f8' one")
+        return cls(packed[:, :-1], packed[:, -1])
 
 
 def _fuse(records: Sequence[LogRecord], provider: EmbeddingProvider,

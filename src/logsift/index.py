@@ -24,24 +24,24 @@ For rebalancing, `_to_examine` screens every pair of rows once, a block
 at a time, for the clusters whose lookup in a pass can find a partner
 (see `logsift.rebalance`). The index keeps nothing about past passes.
 
-A snapshot (version 2) is JSON metadata with each vector stored as base64
-of its little-endian float64 bytes (`files.encode_floats`); version 1
-files, whose vectors are JSON float lists, still load, to bit-identical
-vectors.
+A snapshot is one uncompressed `.npz` of named arrays (`_SNAPSHOT`), one
+entry per centroid in id order, with each vector's float64 bytes as they
+are; `load` checks the whole file with array tests and builds the screen
+with one cast.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
+import zipfile
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ClusterNotFoundError, SnapshotFormatError
-from .files import atomic_write, decode_floats, encode_floats
+from .files import atomic_write
 
 UNIT_TOL = 1e-6
 NORM_EPS = 1e-12  # a vector shorter than this has no direction
@@ -52,13 +52,19 @@ TIE_MARGIN = 1e-12
 # screen scores a rebalance pass holds at once (float32: 256 KB)
 _SCREEN_BLOCK = 1 << 16
 
-SNAPSHOT_VERSION = 2
-
 
 class ParseState(enum.Enum):
     UNPARSED = "unparsed"
     PARSED = "parsed"
     FAILED = "failed"
+
+
+# a ParseState's code in a snapshot is its place here
+_STATES = (ParseState.UNPARSED, ParseState.PARSED, ParseState.FAILED)
+ZIP_MAGIC = b"PK\x03\x04"  # the first four bytes of every .npz file
+# name -> (dtype, number of dimensions) of each array of a snapshot
+_SNAPSHOT = {"ids": ("<i8", 1), "weights": ("<i8", 1), "template_ids": ("<i8", 1),
+             "states": ("|i1", 1), "vectors": ("<f8", 2), "next_id": ("<i8", 0)}
 
 
 @dataclass
@@ -287,69 +293,84 @@ class CentroidIndex:
     # ---- snapshots ---------------------------------------------------------
 
     def snapshot(self, path: str) -> None:
-        """Write the text `json.dumps` gives the snapshot document, one
-        centroid at a time. `json.dump` would run the pure-Python encoder
-        over every vector; here `json.dumps` encodes each centroid's
-        metadata and its base64 vector goes between quotes as it is, since
-        base64 needs no JSON escaping."""
-        with atomic_write(path) as fh:
-            head = json.dumps({"version": SNAPSHOT_VERSION, "next_id": self._next_id})
-            fh.write(head[:-1] + ', "centroids": [')
-            for i, c in enumerate(self.centroids()):
-                meta = json.dumps({"id": c.cluster_id, "weight": c.weight,
-                                   "template_id": c.template_id,
-                                   "parse_state": c.parse_state.value})
-                fh.write(f'{", " if i else ""}{meta[:-1]}, '
-                         f'"vector": "{encode_floats(c.vector)}"}}')
-            fh.write("]}")
+        """Write the index to `path`, under exactly that name, as one
+        uncompressed `.npz` file: the arrays of `_SNAPSHOT`, one entry per
+        centroid in id order."""
+        centroids = list(self.centroids())
+        fields = {
+            "ids": [c.cluster_id for c in centroids],
+            "weights": [c.weight for c in centroids],
+            "template_ids": [-1 if c.template_id is None else c.template_id
+                             for c in centroids],
+            "states": [_STATES.index(c.parse_state) for c in centroids],
+            # (0, E) when empty, so a loaded index keeps the screen's width
+            "vectors": np.array([c.vector for c in centroids]).reshape(
+                len(centroids), self._screen.shape[1]),
+            "next_id": self._next_id,
+        }
+        with atomic_write(path, "wb") as fh:
+            np.savez(fh, **{name: np.asarray(fields[name], dtype=dtype)
+                            for name, (dtype, _) in _SNAPSHOT.items()})
 
     @classmethod
     def load(cls, path: str) -> "CentroidIndex":
-        """Read a version 2 snapshot, or a version 1 one (float lists, and
-        an HNSW `params` block that is ignored). An id that is not an int,
-        a weight that is not a positive int, a template id that is neither
-        an int nor null, a parsed cluster with no template id, or a vector
-        that is not finite and unit-length is a SnapshotFormatError."""
+        """Read a snapshot `snapshot` wrote, told apart by its first four
+        bytes whatever the file is named. A file that is not a `.npz`
+        holding the arrays of `_SNAPSHOT`, each of its exact dtype and
+        number of dimensions and all but `next_id` of one length, is a
+        SnapshotFormatError; so is a duplicate id, a weight below 1, a
+        template id below -1, an unknown state code, a parsed cluster with
+        no template id, a vector that is not finite and unit-length, or a
+        `next_id` not above every id. Nothing is unpickled."""
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise SnapshotFormatError(f"cannot parse snapshot {path}: {exc}") from exc
-        version = doc.get("version") if isinstance(doc, dict) else doc
-        if version not in (1, 2):
-            raise SnapshotFormatError(f"unsupported snapshot version in {path}: {version!r}")
-        index = cls()
-        try:
-            for entry in doc["centroids"]:
-                cid, weight = entry["id"], entry["weight"]
-                if type(cid) is not int:  # a bool or a float is no id
-                    raise ValueError(f"cluster id {cid!r} is not an integer")
-                if type(weight) is not int or weight < 1:
-                    raise ValueError(f"cluster {cid} has weight {weight!r}, "
-                                     "not a positive integer")
-                if cid in index:
-                    raise ValueError(f"duplicate cluster id {cid}")
-                template_id = entry["template_id"]
-                state = ParseState(entry["parse_state"])
-                if template_id is not None and type(template_id) is not int:
-                    raise ValueError(f"cluster {cid} has template_id {template_id!r}, "
-                                     "not an integer or null")
-                if state == ParseState.PARSED and template_id is None:
-                    raise ValueError(f"cluster {cid} is parsed with no template id")
-                if version == 1:
-                    vector = np.array(entry["vector"], dtype=np.float64)
-                else:
-                    vector = decode_floats(entry["vector"])
-                if vector.ndim != 1 or len(index) and vector.shape != index._live[0].vector.shape:
-                    raise ValueError(f"cluster {cid} has a vector of "
-                                     f"shape {vector.shape}, unlike the others")
-                index._next_id = cid  # insert gives out the saved id
-                index.insert(vector, weight=weight, template_id=template_id,
-                             parse_state=state)
-            next_id = doc["next_id"]
-            if type(next_id) is not int or next_id <= max(index.ids(), default=-1):
-                raise ValueError(f"next_id {next_id!r} is not an integer above every id")
-            index._next_id = next_id
-        except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            with open(path, "rb") as fh:
+                if fh.read(len(ZIP_MAGIC)) != ZIP_MAGIC:
+                    raise ValueError("not a .npz file (a JSON snapshot of an earlier "
+                                     "logsift converts as the README says)")
+                fh.seek(0)
+                with np.load(fh, allow_pickle=False) as npz:
+                    arrays = {name: npz[name] for name in _SNAPSHOT}
+            for name, (dtype, ndim) in _SNAPSHOT.items():
+                array = arrays[name]
+                if not isinstance(array, np.ndarray):  # a member that is no .npy
+                    raise ValueError(f"{name} is not a .npy array")
+                if (array.dtype.str, array.ndim) != (dtype, ndim):
+                    raise ValueError(f"{name} is a {array.dtype.str} array of shape "
+                                     f"{array.shape}, not a {ndim}-d {dtype} one")
+            lengths = {name: len(array) for name, array in arrays.items() if array.ndim}
+            if len(set(lengths.values())) > 1:
+                raise ValueError(f"arrays disagree in length: {lengths}")
+            ids, weights, template_ids, states, vectors, next_id = arrays.values()
+            unique, counts = np.unique(ids, return_counts=True)
+            if len(unique) < len(ids):
+                raise ValueError(f"duplicate cluster id {unique[counts > 1][0]}")
+            for bad, what in ((weights < 1, "a weight below 1"),
+                              (template_ids < -1, "a template id below -1"),
+                              ((states < 0) | (states >= len(_STATES)), "an unknown state"),
+                              ((states == _STATES.index(ParseState.PARSED))
+                               & (template_ids == -1), "a parsed state and no template id")):
+                if bad.any():
+                    raise ValueError(f"cluster {ids[bad.argmax()]} has {what}")
+            _check_unit(vectors)
+            if next_id <= ids.max(initial=-1):
+                raise ValueError(f"next_id {next_id} is not above every id")
+        # a MemoryError: a header that claims more entries than can be allocated
+        except (zipfile.BadZipFile, EOFError, ValueError, KeyError, TypeError,
+                MemoryError) as exc:
             raise SnapshotFormatError(f"malformed snapshot {path}: {exc}") from exc
+        index = cls()
+        # each vector is a read-only row of one C-ordered block, whose sums
+        # einsum takes in the order it takes any row's
+        vectors = np.ascontiguousarray(vectors)
+        vectors.flags.writeable = False
+        index._screen = vectors.astype(np.float32)
+        index._margin = _screen_margin(vectors.shape[1])
+        ids = ids.tolist()  # Python ints, which json.dumps takes
+        index._live = [ClusterCentroid(cid, vector, weight, None if tid == -1 else tid,
+                                       _STATES[state])
+                       for cid, vector, weight, tid, state in zip(
+                           ids, vectors, weights.tolist(), template_ids.tolist(),
+                           states.tolist())]
+        index._rows = {cid: row for row, cid in enumerate(ids)}
+        index._next_id = next_id.tolist()
         return index

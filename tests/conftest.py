@@ -1,6 +1,4 @@
-import base64
 import io
-import json
 
 import numpy as np
 import pytest
@@ -93,73 +91,15 @@ def layers_map(w1, b1, w2, b2):
     return EncoderWeights(w2 @ w1, w2 @ b1 + b2)
 
 
-def write_v1_weights(w1, b1, w2, b2, path):
-    """Save two affine layers, w1 (H, D+1), b1 (H,), w2 (E, H) and b2 (E,),
-    in the version 1 weights layout: every array a JSON list of floats."""
-    with open(path, "w") as fh:
-        json.dump({"version": 1, "input_dim": w1.shape[1],
-                   "hidden_dim": w1.shape[0], "output_dim": w2.shape[0],
-                   "w1": w1.tolist(), "b1": b1.tolist(),
-                   "w2": w2.tolist(), "b2": b2.tolist()}, fh)
-
-
-def _b64(values):
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
-
-
-def _floats(*values):
-    return _b64(values)
-
-
-def write_v2_weights(weights, path):
-    """Save the map `weights` in the version 2 weights layout: JSON dims,
-    with the matrix (row by row) and the bias as base64 of their
-    little-endian float64 bytes."""
-    with open(path, "w") as fh:
-        json.dump({"version": 2, "input_dim": weights.input_dim,
-                   "output_dim": weights.output_dim,
-                   "matrix": _b64(weights.matrix), "bias": _b64(weights.bias)}, fh)
-
-
-_V2 = {"version": 2, "input_dim": 2, "output_dim": 1}
-# version 2 weights files that hold no whole, finite 1 x 2 map, by what is wrong
-MALFORMED_V2_WEIGHTS = {
-    "bad-base64": {**_V2, "matrix": "AAAA!AAA", "bias": _floats(0.0)},
-    "bytes-not-dims": {**_V2, "matrix": _floats(1.0, 0.0, 0.0), "bias": _floats(0.0)},
-    "not-whole-floats": {**_V2, "matrix": base64.b64encode(b"\0" * 12).decode(),
-                         "bias": _floats(0.0)},
-    "non-finite": {**_V2, "matrix": _floats(1.0, float("nan")), "bias": _floats(0.0)},
-    "missing-bias": {**_V2, "matrix": _floats(1.0, 0.0)},
-    "float-dims": {**_V2, "input_dim": 2.0, "matrix": _floats(1.0, 0.0),
-                   "bias": _floats(0.0)},
-    "string-dims": {**_V2, "output_dim": "1", "matrix": _floats(1.0, 0.0),
-                    "bias": _floats(0.0)},
-    "matrix-not-text": {**_V2, "matrix": [1.0, 0.0], "bias": _floats(0.0)},
-}
-
-
-# version 1 weights files whose two factors make no whole, finite map, by
-# what is wrong; each loads to a ConfigError, never to a map
-MALFORMED_V1_WEIGHTS = {
-    "inner-dims-disagree": {"version": 1, "w1": [[1.0, 0.0], [0.0, 1.0]], "b1": [0.0, 0.0],
-                            "w2": [[1.0, 0.0, 0.0]], "b2": [0.0]},
-    "b1-wrong-length": {"version": 1, "w1": [[1.0, 0.0], [0.0, 1.0]],
-                        "b1": [0.0, 0.0, 0.0], "w2": [[1.0, 0.0]], "b2": [0.0]},
-    "nan-entry": {"version": 1, "w1": [[1.0, float("nan")]], "b1": [0.0],
-                  "w2": [[1.0]], "b2": [0.0]},
-    # w2 @ b1 + b2 would broadcast a length-1 b2 over both rows
-    "b2-broadcasts": {"version": 1, "w1": [[1.0, 0.0]], "b1": [0.0],
-                      "w2": [[1.0], [1.0]], "b2": [0.0]},
-}
-
-
-def write_v1_snapshot(index, path):
-    """Save `index` in the version 1 layout: every vector a JSON list of floats."""
-    with open(path, "w") as fh:
-        json.dump({"version": 1, "next_id": index._next_id, "centroids": [
-            {"id": c.cluster_id, "weight": c.weight, "template_id": c.template_id,
-             "parse_state": c.parse_state.value, "vector": c.vector.tolist()}
-            for c in index.centroids()]}, fh)
+def rewrite(path, **changes):
+    """Rewrite the snapshot at `path` with `changes` to its arrays, as
+    `np.savez` writes them (pickling object arrays); a change to None drops
+    that array."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = dict(npz)
+    arrays.update(changes)
+    with open(path, "wb") as fh:
+        np.savez(fh, **{name: array for name, array in arrays.items() if array is not None})
 
 
 def npy_bytes(array, allow_pickle=False):

@@ -19,20 +19,9 @@ from logsift.cli import (
 from logsift.embedding import EncoderWeights
 from logsift.errors import ProviderError
 from logsift.index import CentroidIndex
-from logsift.rebalance import rebalance
 from logsift.synthetic import generate_corpus
 
-from conftest import (
-    MALFORMED_NPY_WEIGHTS,
-    MALFORMED_V1_WEIGHTS,
-    MALFORMED_V2_WEIGHTS,
-    identity_layers,
-    layers_map,
-    random_layers,
-    write_v1_snapshot,
-    write_v1_weights,
-    write_v2_weights,
-)
+from conftest import MALFORMED_NPY_WEIGHTS, layers_map, random_layers, rewrite
 
 
 @pytest.fixture(scope="module")
@@ -119,21 +108,18 @@ class TestIngestCommand:
     @pytest.mark.parametrize("mode", [[], ["--batch-mode"]], ids=["sequential", "batch"])
     def test_identity_weights_from_either_file_version_write_the_same_bytes(
             self, corpus_csv, tmp_path, mode):
-        # the default identity and the identity read back from a .npy, a
-        # version 2 or a version 1 file are all applied as an add to the
-        # provider columns
-        npy, v2, v1 = (str(tmp_path / name) for name in ("w.npy", "v2.json", "v1.json"))
+        # the default identity and the identity read back from a .npy file
+        # are both applied as an add to the provider columns
+        npy = str(tmp_path / "w.npy")
         EncoderWeights.identity_init(512).save(npy)
-        write_v2_weights(EncoderWeights.identity_init(512), v2)
-        write_v1_weights(*identity_layers(512), v1)
         outputs = []
-        for weights in ([], ["--weights", npy], ["--weights", v2], ["--weights", v1]):
+        for weights in ([], ["--weights", npy]):
             outs = [tmp_path / name for name in ("snap.json", "assign.jsonl", "tpl.json")]
             assert main(["ingest", "--input", corpus_csv, *mode, *weights,
                          "--snapshot-out", str(outs[0]), "--assignments-out", str(outs[1]),
                          "--templates-out", str(outs[2])]) == EXIT_OK
             outputs.append([out.read_bytes() for out in outs])
-        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("mode", [[], ["--batch-mode"]], ids=["sequential", "batch"])
     def test_degenerate_embeddings_are_dead_letters(self, tmp_path, capsys, mode,
@@ -317,12 +303,8 @@ class TestTrainEncoderCommand:
     "[1, 2]",
     '{"version": 1, "w1": [[1.0]], "b1": [0.0]}',
     '{"version": 1, "w1": [1.0], "b1": [0.0], "w2": [[1.0]], "b2": [0.0]}',
-    *(json.dumps(doc) for doc in MALFORMED_V2_WEIGHTS.values()),
-    *(json.dumps(doc) for doc in MALFORMED_V1_WEIGHTS.values()),
     *MALFORMED_NPY_WEIGHTS.values(),
 ], ids=["not-an-object", "missing-keys", "1d-w1",
-        *(f"v2-{name}" for name in MALFORMED_V2_WEIGHTS),
-        *(f"v1-{name}" for name in MALFORMED_V1_WEIGHTS),
         *(f"npy-{name}" for name in MALFORMED_NPY_WEIGHTS)])
 def test_malformed_weights_file_exits_2(corpus_csv, tmp_path, capsys, doc):
     weights = tmp_path / "weights.json"
@@ -330,7 +312,10 @@ def test_malformed_weights_file_exits_2(corpus_csv, tmp_path, capsys, doc):
     rc = main(["ingest", "--input", corpus_csv, "--weights", str(weights),
                "--snapshot-out", str(tmp_path / "snap.json")])
     assert rc == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    # the JSON weights of earlier versions are told how to convert
+    assert isinstance(doc, bytes) or "EncoderWeights.load(path).save(path)" in err
 
 
 def random_index(seed, n=40, dim=6):
@@ -377,54 +362,49 @@ class TestRebalanceCommand:
         rc = main(["rebalance", "--snapshot", str(bad)])
         assert rc == EXIT_DATA
 
-    @pytest.mark.parametrize("raw", [None, np.array([0.6, 0.8]).tobytes(),
-                                     np.array([1.0]).tobytes() + b"\0" * 4],
-                             ids=["bad-base64", "two-floats-not-one", "not-whole-floats"])
-    def test_malformed_version_2_vector(self, tmp_path, capsys, raw):
-        snap = tmp_path / "snap.json"
+    @pytest.mark.parametrize("vectors,message", [
+        (np.array([b"AAAA!AAA"] * 3), "vectors is a |S8 array"),
+        (np.array([0.6, 0.8, 1.0]), "vectors is a <f8 array of shape (3,)"),
+        (np.ones((3, 1), dtype="<f4"), "vectors is a <f4 array"),
+    ], ids=["bytes", "1-d", "float32"])
+    def test_malformed_vectors_exit_5(self, tmp_path, capsys, vectors, message):
+        snap = tmp_path / "snap.npz"
         random_index(1, n=3, dim=1).snapshot(str(snap))
-        doc = json.loads(snap.read_text())
-        doc["centroids"][1]["vector"] = "AAAA!AAA" if raw is None else \
-            base64.b64encode(raw).decode()
-        snap.write_text(json.dumps(doc))
+        rewrite(snap, vectors=vectors)
         assert main(["rebalance", "--snapshot", str(snap)]) == EXIT_DATA
-        assert "malformed snapshot" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed snapshot" in err and message in err
 
     def test_negative_weight_exits_5_and_writes_nothing(self, tmp_path, capsys):
         # a weight of -1 would merge into a weight-0 centroid, a 0/0 NaN vector
         index = CentroidIndex()
         index.insert(np.array([0.6, 0.8]))
         index.insert(np.array([0.6, 0.8]))
-        snap = tmp_path / "snap.json"
+        snap = tmp_path / "snap.npz"
         index.snapshot(str(snap))
-        doc = json.loads(snap.read_text())
-        doc["centroids"][1]["weight"] = -1
-        snap.write_text(json.dumps(doc))
-        out = tmp_path / "out.json"
+        rewrite(snap, weights=np.array([1, -1]))
+        out = tmp_path / "out.npz"
         assert main(["rebalance", "--snapshot", str(snap),
                      "--snapshot-out", str(out)]) == EXIT_DATA
-        assert "weight -1" in capsys.readouterr().err
+        assert "cluster 1 has a weight below 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_next_id_that_reuses_an_id_exits_5(self, tmp_path, capsys):
-        snap = tmp_path / "snap.json"
+        snap = tmp_path / "snap.npz"
         random_index(1, n=3, dim=4).snapshot(str(snap))
-        doc = json.loads(snap.read_text())
-        doc["next_id"] = 1
-        snap.write_text(json.dumps(doc))
+        rewrite(snap, next_id=np.int64(1))
         assert main(["rebalance", "--snapshot", str(snap)]) == EXIT_DATA
         assert "next_id 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("template_id,message", [
-        ([1, 2], "template_id [1, 2]"), (None, "parsed with no template"),
+    @pytest.mark.parametrize("template_ids,message", [
+        (np.array([[-1, -1], [1, 2], [-1, -1]]), "template_ids is a <i8 array of shape (3, 2)"),
+        (np.array([-1, -1, -1]), "cluster 1 has a parsed state and no template id"),
     ], ids=["list", "null"])
     def test_a_parsed_cluster_without_an_integer_template_exits_5(
-            self, tmp_path, capsys, template_id, message):
-        snap = tmp_path / "snap.json"
+            self, tmp_path, capsys, template_ids, message):
+        snap = tmp_path / "snap.npz"
         random_index(1, n=3, dim=4).snapshot(str(snap))
-        doc = json.loads(snap.read_text())
-        doc["centroids"][1].update(parse_state="parsed", template_id=template_id)
-        snap.write_text(json.dumps(doc))
+        rewrite(snap, states=np.array([0, 1, 0], dtype=np.int8), template_ids=template_ids)
         assert main(["rebalance", "--snapshot", str(snap)]) == EXIT_DATA
         assert message in capsys.readouterr().err
 
@@ -463,20 +443,16 @@ class TestRebalanceCommand:
         assert calls == []
         assert out.read_bytes() == snap.read_bytes()
 
-    def test_rewrites_version_1_as_version_2(self, tmp_path):
-        v1 = str(tmp_path / "v1.json")
-        write_v1_snapshot(random_index(2), v1)
-        out = tmp_path / "out.json"
-        assert main(["rebalance", "--snapshot", v1, "--snapshot-out", str(out),
-                     "--threshold", "0.5"]) == EXIT_OK
-        doc = json.loads(out.read_text())
-        assert doc["version"] == 2
-        assert all(isinstance(c["vector"], str) for c in doc["centroids"])
-        expected = random_index(2)
-        rebalance(expected, 0.5)
-        loaded = CentroidIndex.load(str(out))
-        assert [(c.cluster_id, c.weight, c.vector.tobytes()) for c in loaded.centroids()] \
-            == [(c.cluster_id, c.weight, c.vector.tobytes()) for c in expected.centroids()]
+    def test_a_json_snapshot_exits_5_and_is_left_as_it_was(self, tmp_path, capsys):
+        # as earlier versions wrote one: each vector base64 of its float64 bytes
+        snap = tmp_path / "index.json"
+        snap.write_text(json.dumps({"version": 2, "next_id": 1, "centroids": [
+            {"id": 0, "weight": 1, "template_id": None, "parse_state": "unparsed",
+             "vector": base64.b64encode(np.array([0.6, 0.8]).tobytes()).decode()}]}))
+        before = snap.read_bytes()
+        assert main(["rebalance", "--snapshot", str(snap)]) == EXIT_DATA
+        assert "not a .npz file" in capsys.readouterr().err
+        assert snap.read_bytes() == before
 
 
 class TestExportEmbeddingsCommand:
@@ -496,36 +472,6 @@ class TestExportEmbeddingsCommand:
         lines = Path(out).read_text().splitlines()
         assert lines[0] == "id,weight," + ",".join(f"v{k}" for k in range(6))
         assert len(lines) == 101
-
-    def test_same_bytes_from_either_snapshot_version(self, tmp_path):
-        index = random_index(3, n=60, dim=16)
-        v1, v2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")
-        write_v1_snapshot(index, v1)
-        index.snapshot(v2)
-        outputs = []
-        for snap in (v1, v2):
-            out = tmp_path / "vectors.csv"
-            assert main(["export-embeddings", "--snapshot", snap, "--output", str(out)]) \
-                == EXIT_OK
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
-    def test_same_corpus_bytes_from_either_weights_version(self, tmp_path):
-        rng = np.random.default_rng(12)
-        v1, v2, npy = (str(tmp_path / name) for name in ("v1.json", "v2.json", "w.npy"))
-        write_v1_weights(*random_layers(rng, 48, 33, 64), v1)
-        write_v2_weights(EncoderWeights.load(v1), v2)
-        EncoderWeights.load(v2).save(npy)
-        corpus = tmp_path / "corpus.log"
-        corpus.write_text("\n".join(r.content for r in generate_corpus(
-            n_templates=4, logs_per_template=5, seed=3).records) + "\n")
-        outputs = []
-        for weights in (v1, v2, npy):
-            out = tmp_path / "vectors.csv"
-            assert main(["export-embeddings", "--corpus", str(corpus), "--weights", weights,
-                         "--provider-dim", "32", "--output", str(out)]) == EXIT_OK
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_empty_index_header_only(self, tmp_path):
         index = CentroidIndex()

@@ -1,5 +1,5 @@
 import hashlib
-import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,15 +16,11 @@ from logsift.errors import ConfigError, DegenerateEmbeddingError, ProviderError
 
 from conftest import (
     MALFORMED_NPY_WEIGHTS,
-    MALFORMED_V1_WEIGHTS,
-    MALFORMED_V2_WEIGHTS,
     PROVIDER_DIM,
     identity_layers,
     layers_map,
     npy_bytes,
     random_layers,
-    write_v1_weights,
-    write_v2_weights,
 )
 from oracles import oracle_embed, oracle_encode
 
@@ -236,13 +232,8 @@ def identity_map(kind, dim, tmp_path):
     path = str(tmp_path / f"{kind}.weights")
     if kind == "npy-file":
         EncoderWeights.identity_init(dim).save(path)
-    elif kind == "v2-file":
-        write_v2_weights(EncoderWeights.identity_init(dim), path)
-    elif kind == "v1-file":
-        write_v1_weights(*identity_layers(dim), path)
-    else:
-        return EncoderWeights.identity_init(dim)
-    return EncoderWeights.load(path)
+        return EncoderWeights.load(path)
+    return EncoderWeights.identity_init(dim)
 
 
 # maps one entry away from the identity, as (array, index, value) set on
@@ -262,7 +253,7 @@ class TestIdentityCopy:
     bytes."""
 
     @pytest.mark.parametrize("dim", [2, 8, 512])
-    @pytest.mark.parametrize("kind", ["identity_init", "npy-file", "v2-file", "v1-file"])
+    @pytest.mark.parametrize("kind", ["identity_init", "npy-file"])
     def test_identity_maps_give_the_product_byte_for_byte(self, kind, dim, tmp_path):
         weights = identity_map(kind, dim, tmp_path)
         assert weights._identity
@@ -488,23 +479,6 @@ class TestEncoderWeights:
         assert loaded.bias.tobytes() == w.bias.tobytes()
         assert not loaded.matrix.flags.writeable and not loaded.bias.flags.writeable
 
-    def test_version_1_loads_to_the_two_layers_multiplied_out(self, tmp_path):
-        rng = np.random.default_rng(5)
-        for h, d_in, e in [(5, 4, 3), (48, 33, 64), (1, 2, 1)]:
-            w1, b1, w2, b2 = random_layers(rng, h, d_in, e)
-            path = str(tmp_path / "v1.json")
-            write_v1_weights(w1, b1, w2, b2, path)
-            loaded = EncoderWeights.load(path)
-            # the order the factors were multiplied out in before version 2
-            assert loaded.matrix.tobytes() == (w2 @ w1).tobytes()
-            assert loaded.bias.tobytes() == (w2 @ b1 + b2).tobytes()
-            assert not loaded.matrix.flags.writeable and not loaded.bias.flags.writeable
-            resaved = str(tmp_path / "resaved.npy")
-            loaded.save(resaved)
-            again = EncoderWeights.load(resaved)
-            assert again.matrix.tobytes() == loaded.matrix.tobytes()
-            assert again.bias.tobytes() == loaded.bias.tobytes()
-
 
 @pytest.mark.parametrize("doc", [
     "[1, 2]",
@@ -513,17 +487,15 @@ class TestEncoderWeights:
     '{"version": 1, "w1": [[1.0]], "b1": [0.0], "w2": [[1.0]]}',
     '{"version": 1, "w1": [1.0, 2.0], "b1": [0.0], "w2": [[1.0]], "b2": [0.0]}',
     '{"version": 1, "w1": [["x"]], "b1": [0.0], "w2": [[1.0]], "b2": [0.0]}',
-    *(json.dumps(doc) for doc in MALFORMED_V2_WEIGHTS.values()),
-    *(json.dumps(doc) for doc in MALFORMED_V1_WEIGHTS.values()),
     *MALFORMED_NPY_WEIGHTS.values(),
 ], ids=["not-an-object", "not-json", "version-3", "missing-b2", "1d-w1", "not-numbers",
-        *(f"v2-{name}" for name in MALFORMED_V2_WEIGHTS),
-        *(f"v1-{name}" for name in MALFORMED_V1_WEIGHTS),
         *(f"npy-{name}" for name in MALFORMED_NPY_WEIGHTS)])
 def test_malformed_weights_file_is_a_config_error(tmp_path, doc):
     path = tmp_path / "weights.json"
     path.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
-    with pytest.raises(ConfigError):
+    # a text file, such as the JSON weights of earlier versions, is told how to convert
+    convert = None if isinstance(doc, bytes) else re.escape("EncoderWeights.load(path).save(path)")
+    with pytest.raises(ConfigError, match=convert):
         EncoderWeights.load(str(path))
 
 
@@ -551,23 +523,6 @@ def test_npy_round_trip_is_bit_exact(tmp_path, name):
     assert loaded.matrix.tobytes() == w.matrix.tobytes()
     assert loaded.bias.tobytes() == w.bias.tobytes()
     assert loaded._identity == w._identity == (name == "identity")
-
-
-def test_every_file_version_loads_to_one_map_and_resaves_to_one_file(tmp_path):
-    rng = np.random.default_rng(9)
-    v1, v2, npy = (str(tmp_path / name) for name in ("v1.json", "v2.json", "w.npy"))
-    write_v1_weights(*random_layers(rng, 12, 9, 8), v1)
-    write_v2_weights(EncoderWeights.load(v1), v2)
-    EncoderWeights.load(v2).save(npy)
-    maps = [EncoderWeights.load(path) for path in (v1, v2, npy)]
-    for w in maps[1:]:
-        assert w.matrix.tobytes() == maps[0].matrix.tobytes()
-        assert w.bias.tobytes() == maps[0].bias.tobytes()
-    resaved = []
-    for i, w in enumerate(maps):
-        w.save(str(tmp_path / f"resaved{i}.npy"))
-        resaved.append((tmp_path / f"resaved{i}.npy").read_bytes())
-    assert resaved[0] == resaved[1] == resaved[2] == (tmp_path / "w.npy").read_bytes()
 
 
 def test_a_fortran_order_npy_file_loads_to_the_same_bits(tmp_path):
@@ -616,8 +571,7 @@ def test_loading_a_512_d_map_takes_a_small_multiple_of_its_floats(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # measured 2.1x: the array np.load reads and the map's own copy; a
-    # version 2 file of this map parses at 4.0x, a version 1 file at 12.2x
+    # measured 2.1x: the array np.load reads and the map's own copy
     assert peak < 5 * floats, peak / floats
 
 

@@ -2,16 +2,16 @@ import base64
 import json
 import re
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 
-from logsift import CentroidIndex, ParseState
+from logsift import CentroidIndex, ParseState, rebalance
 from logsift.errors import ClusterNotFoundError, SnapshotFormatError
-from logsift.files import encode_floats
 from logsift.index import _screen_margin
 
-from conftest import random_unit, write_v1_snapshot
+from conftest import npy_bytes, random_unit, rewrite
 from oracles import oracle_moving_average, oracle_nearest, oracle_scan_nearest
 
 
@@ -478,27 +478,79 @@ class TestInterleavings:
                 assert abs(np.linalg.norm(c.vector) - 1.0) <= 1e-6
 
 
+def zip_member(path, name, data):
+    """Replace member `name` of the zip file at `path` with `data`."""
+    with zipfile.ZipFile(path) as old:
+        members = {info.filename: old.read(info) for info in old.infolist()}
+    members[name] = data
+    with zipfile.ZipFile(path, "w") as new:
+        for member, content in members.items():
+            new.writestr(member, content)
+
+
+def snapshot_of(index, tmp_path, **changes):
+    """The path of `index`'s snapshot, rewritten with `changes`."""
+    path = tmp_path / "snap.npz"
+    index.snapshot(str(path))
+    rewrite(path, **changes)
+    return path
+
+
+def two_clusters():
+    index = CentroidIndex()
+    index.insert(unit(1, 0))
+    index.insert(unit(0, 1))
+    return index
+
+
 class TestSnapshot:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
         index = CentroidIndex()
         for i in range(100):
-            cid = index.insert(random_unit(rng, 4))
+            # pairs of near-duplicates, so a rebalance merges some
+            vector = random_unit(rng, 4) if i % 2 == 0 else \
+                index.get(i - 1).vector + 0.01 * random_unit(rng, 4)
+            cid = index.insert(vector / np.linalg.norm(vector))
             c = index.get(cid)
             c.weight = int(rng.integers(1, 50))
             if i % 3 == 0:
                 c.template_id = i
                 c.parse_state = ParseState.PARSED
-        path = str(tmp_path / "snap.json")
-        index.snapshot(path)
-        assert "params" not in json.loads((tmp_path / "snap.json").read_text())
-        loaded = CentroidIndex.load(path)
+            elif i % 7 == 0:
+                c.parse_state = ParseState.FAILED
+        for cid in (5, 50, 99):  # rows move, and the highest id is gone
+            index.remove(cid)
+        path = tmp_path / "snap.json"  # written under the name given
+        index.snapshot(str(path))
+        loaded = CentroidIndex.load(str(path))
         assert loaded.ids() == index.ids()
         for cid in index.ids():
             a, b = index.get(cid), loaded.get(cid)
-            assert np.array_equal(a.vector, b.vector)
+            assert a.vector.tobytes() == b.vector.tobytes()
             assert (a.weight, a.template_id, a.parse_state) == \
                 (b.weight, b.template_id, b.parse_state)
+            assert type(b.cluster_id) is type(b.weight) is int
+        again = tmp_path / "again.npz"
+        loaded.snapshot(str(again))
+        assert again.read_bytes() == path.read_bytes()
+        # search and merges of the loaded index are those of the saved one
+        queries = np.array([random_unit(rng, 4) for _ in range(50)])
+        for q in queries:
+            assert loaded.nearest(q) == index.nearest(q)
+            assert loaded.nearest(q, exclude=6) == index.nearest(q, exclude=6)
+        assert loaded.nearest_batch(queries) == index.nearest_batch(queries)
+        # vectors saved in Fortran order: each is re-scored as a C-ordered row
+        with np.load(path, allow_pickle=False) as npz:
+            rewrite(path, vectors=np.asfortranarray(npz["vectors"]))
+        fortran = CentroidIndex.load(str(path))
+        assert [fortran.nearest(q) for q in queries] == [index.nearest(q) for q in queries]
+        assert rebalance(loaded, 0.99) == rebalance(index, 0.99)
+        assert [(c.cluster_id, c.weight, c.template_id, c.parse_state, c.vector.tobytes())
+                for c in loaded.centroids()] == \
+            [(c.cluster_id, c.weight, c.template_id, c.parse_state, c.vector.tobytes())
+             for c in index.centroids()]
+        assert loaded.insert(unit(1, 0, 0, 0)) == index.insert(unit(1, 0, 0, 0))
 
     def test_corrupted_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -507,26 +559,16 @@ class TestSnapshot:
             CentroidIndex.load(str(path))
 
     def test_wrong_version(self, tmp_path):
-        path = tmp_path / "v9.json"
-        path.write_text('{"version": 9, "centroids": []}')
-        with pytest.raises(SnapshotFormatError):
+        # a JSON snapshot of an earlier version, which wrote base64 vectors
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps({"version": 2, "next_id": 1, "centroids": [
+            {"id": 0, "weight": 1, "template_id": None, "parse_state": "unparsed",
+             "vector": base64.b64encode(unit(1, 0).tobytes()).decode()}]}))
+        with pytest.raises(SnapshotFormatError, match="not a .npz file"):
             CentroidIndex.load(str(path))
 
-    @staticmethod
-    def document(index):
-        """The snapshot document, as `json.dump` once wrote it whole."""
-        return {
-            "version": 2,
-            "next_id": index._next_id,
-            "centroids": [
-                {"id": c.cluster_id, "weight": c.weight, "template_id": c.template_id,
-                 "parse_state": c.parse_state.value, "vector": encode_floats(c.vector)}
-                for c in index.centroids()
-            ],
-        }
-
     @pytest.mark.parametrize("size", [0, 1, 4])
-    def test_bytes_are_json_dumps_of_the_document(self, tmp_path, size):
+    def test_arrays_are_the_centroids_in_id_order(self, tmp_path, size):
         rng = np.random.default_rng(size)
         index = CentroidIndex()
         states = [(None, ParseState.UNPARSED), (7, ParseState.PARSED),
@@ -535,160 +577,133 @@ class TestSnapshot:
             index.insert(random_unit(rng, 5), weight=int(rng.integers(1, 50)),
                          template_id=template_id, parse_state=state)
         index.remove(index.insert(random_unit(rng, 5)))  # the highest id
-        path = tmp_path / "snap.json"
-        index.snapshot(str(path))
-        assert path.read_bytes() == json.dumps(self.document(index)).encode()
+        if size == 4:
+            index.remove(0)  # the last row moves into row 0
+        path = snapshot_of(index, tmp_path)
+        centroids = list(index.centroids())
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = dict(npz)
+        assert {name: (a.dtype.str, a.shape) for name, a in arrays.items()} == {
+            "ids": ("<i8", (len(centroids),)), "weights": ("<i8", (len(centroids),)),
+            "template_ids": ("<i8", (len(centroids),)), "states": ("|i1", (len(centroids),)),
+            "vectors": ("<f8", (len(centroids), 5)), "next_id": ("<i8", ())}
+        assert arrays["ids"].tolist() == [c.cluster_id for c in centroids]
+        assert arrays["weights"].tolist() == [c.weight for c in centroids]
+        assert arrays["template_ids"].tolist() == \
+            [-1 if c.template_id is None else c.template_id for c in centroids]
+        assert arrays["states"].tolist() == \
+            [["unparsed", "parsed", "failed"].index(c.parse_state.value) for c in centroids]
+        assert arrays["vectors"].tobytes() == b"".join(c.vector.tobytes() for c in centroids)
+        assert arrays["next_id"] == size + 1
 
     def test_empty_roundtrip(self, tmp_path):
-        path = str(tmp_path / "empty.json")
+        path = tmp_path / "empty.npz"
         index = CentroidIndex()
         index.remove(index.insert(unit(1, 0)))
         index.remove(index.insert(unit(0, 1)))
-        index.snapshot(path)
-        loaded = CentroidIndex.load(path)
+        index.snapshot(str(path))
+        loaded = CentroidIndex.load(str(path))
         assert len(loaded) == 0
+        assert loaded.nearest(unit(1, 0)) is None
+        loaded.snapshot(str(tmp_path / "again.npz"))
+        assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
         # ids keep advancing from where the snapshot left off
         assert loaded.insert(unit(1, 0)) == 2
 
-    def test_version_1_with_graph_params_loads(self, tmp_path):
-        # snapshots written by the HNSW index carried its tuning parameters
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps({
-            "version": 1,
-            "next_id": 5,
-            "params": {"m": 16, "ef_construction": 200, "ef_search": 64},
-            "centroids": [
-                {"id": 1, "weight": 3, "template_id": 0, "parse_state": "parsed",
-                 "vector": [1.0, 0.0]},
-                {"id": 4, "weight": 1, "template_id": None,
-                 "parse_state": "unparsed", "vector": [0.0, 1.0]},
-            ],
-        }))
-        loaded = CentroidIndex.load(str(path))
-        assert loaded.ids() == [1, 4]
-        assert loaded.get(1).weight == 3
-        assert loaded.get(1).parse_state == ParseState.PARSED
-        assert loaded.nearest(unit(0.1, 1)).cluster_id == 4
-        assert loaded.insert(unit(1, 1)) == 5
+    # how a two-cluster snapshot is spoilt, and what the error says
+    MALFORMED = {
+        "truncated-zip": (lambda path: path.write_bytes(path.read_bytes()[:-30]),
+                          "zip file"),
+        "empty-file": (lambda path: path.write_bytes(b""), "not a .npz file"),
+        "lone-npy": (lambda path: path.write_bytes(npy_bytes(np.eye(2))), "not a .npz file"),
+        "missing-array": (lambda path: rewrite(path, states=None), "states is not a file"),
+        # np.load hands back a member that is no .npy file as bytes
+        "member-not-npy": (lambda path: zip_member(path, "states.npy", b"not an array"),
+                           "states is not a .npy array"),
+        "big-endian-ids": (lambda path: rewrite(path, ids=np.array([0, 1], dtype=">i8")),
+                           "ids is a >i8 array"),
+        "object-vectors": (lambda path: rewrite(path, vectors=np.array(
+            [[1.0, 0.0], [0.0, None]], dtype=object)), "Object arrays"),
+        "float32-vectors": (lambda path: rewrite(path, vectors=np.eye(2, dtype="<f4")),
+                            "vectors is a <f4 array of shape (2, 2)"),
+        "1-d-vectors": (lambda path: rewrite(path, vectors=np.array([1.0, 0.0, 0.0, 1.0])),
+                        "vectors is a <f8 array of shape (4,)"),
+        "3-d-vectors": (lambda path: rewrite(path, vectors=np.eye(2)[:, :, None]),
+                        "shape (2, 2, 1), not a 2-d <f8 one"),
+        "lengths-disagree": (lambda path: rewrite(path, vectors=np.eye(2)[:1]),
+                             "'states': 2, 'vectors': 1"),
+        "unknown-state": (lambda path: rewrite(path, states=np.array([0, 3], dtype=np.int8)),
+                          "cluster 1 has an unknown state"),
+        "negative-state": (lambda path: rewrite(path, states=np.array([0, -1], dtype=np.int8)),
+                           "cluster 1 has an unknown state"),
+        "template-below-minus-1": (lambda path: rewrite(path, template_ids=np.array([-1, -2])),
+                                   "cluster 1 has a template id below -1"),
+        "not-unit": (lambda path: rewrite(path, vectors=np.array([[1.0, 0.0], [0.0, 0.5]])),
+                     "unit-norm"),
+    }
 
-    def test_version_2_stores_raw_floats(self, tmp_path):
-        index = CentroidIndex()
-        v = unit(1, 2, 3)
-        index.insert(v)
-        path = tmp_path / "snap.json"
-        index.snapshot(str(path))
-        doc = json.loads(path.read_text())
-        assert doc["version"] == 2
-        assert base64.b64decode(doc["centroids"][0]["vector"]) == v.astype("<f8").tobytes()
-
-    def test_version_1_and_2_load_bit_equal(self, tmp_path):
-        rng = np.random.default_rng(4)
-        index = CentroidIndex()
-        for i in range(50):
-            cid = index.insert(random_unit(rng, 12), weight=int(rng.integers(1, 9)))
-            if i % 4 == 0:
-                index.get(cid).template_id = i
-                index.get(cid).parse_state = ParseState.PARSED
-        index.remove(7)
-        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
-        write_v1_snapshot(index, v1)
-        index.snapshot(str(v2))
-        loaded = [CentroidIndex.load(str(p)) for p in (v1, v2)]
-        views = [[(c.cluster_id, c.weight, c.template_id, c.parse_state, c.vector.tobytes())
-                  for c in i.centroids()] for i in loaded]
-        assert views[0] == views[1]
-        assert [i.insert(unit(1, *[0] * 11)) for i in loaded] == [50, 50]
-
-    @pytest.mark.parametrize("version,vectors,message", [
-        (2, ["AAAA!AAA"], "base64"),
-        (2, [np.array([0.6, 0.8, 0.0]).tobytes()[:20]], "multiple of element size"),
-        (2, [unit(1, 1, 1).tobytes(), unit(1, 1).tobytes()], "unlike the others"),
-        (1, [unit(1, 1, 1).tolist(), unit(1, 1).tolist()], "unlike the others"),
-        (1, [unit(1, 1, 1).tolist(), [1.0]], "unlike the others"),
-    ], ids=["bad-base64", "partial-float", "mixed-dims-v2", "mixed-dims-v1",
-            "one-float-v1"])
-    def test_malformed_vectors_rejected(self, tmp_path, version, vectors, message):
-        entries = [{"id": i, "weight": 1, "template_id": None, "parse_state": "unparsed",
-                    "vector": base64.b64encode(v).decode() if isinstance(v, bytes) else v}
-                   for i, v in enumerate([unit(0, 1, 0).tobytes() if version == 2
-                                          else unit(0, 1, 0).tolist()] + vectors)]
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": version, "next_id": len(entries),
-                                    "centroids": entries}))
-        with pytest.raises(SnapshotFormatError, match=message):
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_arrays_rejected(self, tmp_path, case):
+        spoil, message = self.MALFORMED[case]
+        path = snapshot_of(two_clusters(), tmp_path)
+        spoil(path)
+        with pytest.raises(SnapshotFormatError, match=re.escape(message)):
             CentroidIndex.load(str(path))
 
     def test_duplicate_ids_rejected(self, tmp_path):
-        path = tmp_path / "dup.json"
-        entry = {"id": 0, "weight": 1, "template_id": None,
-                 "parse_state": "unparsed", "vector": [1.0, 0.0]}
-        path.write_text(json.dumps({"version": 1, "next_id": 1,
-                                    "centroids": [entry, entry]}))
-        with pytest.raises(SnapshotFormatError):
+        path = snapshot_of(two_clusters(), tmp_path, ids=np.array([0, 0]))
+        with pytest.raises(SnapshotFormatError, match="duplicate cluster id 0"):
             CentroidIndex.load(str(path))
 
-    @pytest.mark.parametrize("next_id", [1, 2, -1, 3.0, "3", True, None],
-                             ids=["reuses-1", "reuses-2", "negative", "float",
-                                  "string", "bool", "null"])
+    @pytest.mark.parametrize("next_id", [
+        np.int64(1), np.int64(2), np.int64(-1), np.float64(3.0), np.str_("3"),
+        np.bool_(True), None, np.array([3]),
+    ], ids=["reuses-1", "reuses-2", "negative", "float", "string", "bool", "null",
+            "one-entry-array"])
     def test_next_id_that_could_reuse_an_id_rejected(self, tmp_path, next_id):
-        # ids 0-2 loaded: a next_id of 1 would give out id 1 again
+        # ids 0-2 loaded: a next_id of 1 would give out id 1 again; a null
+        # next_id is a missing array
         index = CentroidIndex()
         for k in range(3):
             index.insert(unit(*[float(j == k) for j in range(3)]))
-        path = tmp_path / "snap.json"
-        index.snapshot(str(path))
-        doc = json.loads(path.read_text())
-        doc["next_id"] = next_id
-        path.write_text(json.dumps(doc))
+        path = snapshot_of(index, tmp_path, next_id=next_id)
         with pytest.raises(SnapshotFormatError, match="next_id"):
             CentroidIndex.load(str(path))
 
-    @pytest.mark.parametrize("field,value", [
-        ("id", 1.5), ("id", True), ("id", "1"), ("id", None),
-        ("weight", 0), ("weight", -1), ("weight", 2.7), ("weight", True), ("weight", "2"),
-        ("template_id", [1, 2]), ("template_id", "3"), ("template_id", 1.5),
-        ("template_id", True), ("template_id", {}),
+    @pytest.mark.parametrize("name,values,message", [
+        ("ids", [0, 1.5], "ids is a <f8"), ("ids", [False, True], "ids is a |b1"),
+        ("ids", ["0", "1"], "ids is a <U1"), ("ids", [0, None], "Object arrays"),
+        ("weights", [1, 0], "cluster 1 has a weight below 1"),
+        ("weights", [1, -1], "cluster 1 has a weight below 1"),
+        ("weights", [1, 2.7], "weights is a <f8"), ("weights", [True, True], "weights is a |b1"),
+        ("weights", ["1", "2"], "weights is a <U1"),
+        ("template_ids", [[-1, -1], [1, 2]],
+         "template_ids is a <i8 array of shape (2, 2), not a 1-d"),
+        ("template_ids", ["-1", "3"], "template_ids is a <U2"),
+        ("template_ids", [-1, 1.5], "template_ids is a <f8"),
+        ("template_ids", [False, True], "template_ids is a |b1"),
+        ("template_ids", [None, {}], "Object arrays"),
     ], ids=["float-id", "bool-id", "string-id", "null-id", "zero-weight",
             "negative-weight", "float-weight", "bool-weight", "string-weight",
             "list-template", "string-template", "float-template", "bool-template",
             "object-template"])
-    def test_id_and_weight_must_be_integers(self, tmp_path, field, value):
-        index = CentroidIndex()
-        index.insert(unit(1, 0))
-        index.insert(unit(0, 1))
-        path = tmp_path / "snap.json"
-        index.snapshot(str(path))
-        doc = json.loads(path.read_text())
-        doc["centroids"][1][field] = value
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SnapshotFormatError, match=re.escape(f"{field} {value!r}")):
+    def test_id_and_weight_must_be_integers(self, tmp_path, name, values, message):
+        path = snapshot_of(two_clusters(), tmp_path, **{name: np.array(values)})
+        with pytest.raises(SnapshotFormatError, match=re.escape(message)):
             CentroidIndex.load(str(path))
 
     def test_a_parsed_cluster_needs_a_template(self, tmp_path):
         index = CentroidIndex()
         index.insert(unit(1, 0), template_id=0, parse_state=ParseState.PARSED)
         index.insert(unit(0, 1), template_id=1, parse_state=ParseState.PARSED)
-        path = tmp_path / "snap.json"
-        index.snapshot(str(path))
-        doc = json.loads(path.read_text())
-        doc["centroids"][1]["template_id"] = None
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SnapshotFormatError, match="parsed with no template"):
+        path = snapshot_of(index, tmp_path, template_ids=np.array([0, -1]))
+        with pytest.raises(SnapshotFormatError,
+                           match="cluster 1 has a parsed state and no template id"):
             CentroidIndex.load(str(path))
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_non_finite_vector_rejected(self, tmp_path, version):
-        index = CentroidIndex()
-        index.insert(unit(1, 0))
-        path = tmp_path / "snap.json"
-        if version == 1:
-            write_v1_snapshot(index, path)
-        else:
-            index.snapshot(str(path))
-        doc = json.loads(path.read_text())
-        nan = np.array([np.nan, 0.0])
-        doc["centroids"][0]["vector"] = nan.tolist() if version == 1 else \
-            base64.b64encode(nan.astype("<f8").tobytes()).decode()
-        path.write_text(json.dumps(doc))
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_vector_rejected(self, tmp_path, value):
+        path = snapshot_of(two_clusters(), tmp_path,
+                           vectors=np.array([[1.0, 0.0], [value, 0.0]]))
         with pytest.raises(SnapshotFormatError, match="unit-norm"):
             CentroidIndex.load(str(path))
