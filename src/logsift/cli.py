@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing, nullcontext
 from fractions import Fraction
 
 from .embedding import (
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .files import atomic_write
 from .index import CentroidIndex
-from .ingest import IngestConfig, Pipeline
+from .ingest import IngestConfig, Pipeline, final_rows
 from .metrics import evaluate, load_dataset
 from .parsing import (
     ClusterParser,
@@ -53,21 +54,23 @@ EXIT_DATA = 5
 
 
 def _build_provider(args):
+    """The provider, in a context that closes a remote one's session."""
     if args.provider == "hashing":
-        return HashingProvider(dim=args.provider_dim)
+        return nullcontext(HashingProvider(dim=args.provider_dim))
     if not args.provider_url or not args.provider_model:
         raise ConfigError("remote provider requires provider_url and provider_model")
-    return RemoteProvider(url=args.provider_url, model=args.provider_model,
-                          dim=args.provider_dim, api_key_env=args.provider_key_env)
+    return closing(RemoteProvider(url=args.provider_url, model=args.provider_model,
+                                  dim=args.provider_dim, api_key_env=args.provider_key_env))
 
 
 def _build_parser_client(args):
+    """The completion client, in a context that closes a remote one's session."""
     if args.completion == "mock":
-        return MockCompletionClient()
+        return nullcontext(MockCompletionClient())
     if not args.completion_url or not args.completion_model:
         raise ConfigError("remote completion requires completion_url and completion_model")
-    return RemoteCompletionClient(url=args.completion_url, model=args.completion_model,
-                                  api_key_env=args.completion_key_env)
+    return closing(RemoteCompletionClient(url=args.completion_url, model=args.completion_model,
+                                          api_key_env=args.completion_key_env))
 
 
 def _load_weights(args, provider) -> EncoderWeights:
@@ -103,47 +106,37 @@ def _read_records(path: str) -> list[LogRecord]:
 def cmd_ingest(args) -> int:
     if args.batch_size < 1:
         raise ConfigError("batch_size must be positive")
-    provider = _build_provider(args)
-    weights = _load_weights(args, provider)
-    client = _build_parser_client(args)
-    demos = load_demonstrations(args.demos)
-    index = CentroidIndex()
-    pipeline = Pipeline(
-        provider=provider, weights=weights, index=index,
-        parser=ClusterParser(client=client, demos=demos),
-        config=IngestConfig(similarity_threshold=args.threshold,
-                            rebalance_every_n=args.rebalance_every,
-                            batch_mode=args.batch_mode),
-    )
-    records = _read_records(args.input)
+    with _build_provider(args) as provider, _build_parser_client(args) as client:
+        weights = _load_weights(args, provider)
+        demos = load_demonstrations(args.demos)
+        index = CentroidIndex()
+        pipeline = Pipeline(
+            provider=provider, weights=weights, index=index,
+            parser=ClusterParser(client=client, demos=demos),
+            config=IngestConfig(similarity_threshold=args.threshold,
+                                rebalance_every_n=args.rebalance_every,
+                                batch_mode=args.batch_mode),
+        )
+        records = _read_records(args.input)
 
-    assignments, reports = [], []
-    if args.batch_mode:
-        for start in range(0, len(records), args.batch_size):
-            batch, _ = pipeline.ingest_batch(records[start:start + args.batch_size])
-            assignments.extend(batch)
-            reports.append(pipeline.maybe_rebalance())
-        if records:
-            reports.append(pipeline.force_rebalance())
-    else:
-        for record in records:
-            try:
-                assignments.append(pipeline.ingest(record))
-            except RECORD_ERRORS:
-                continue  # a dead letter, named below
-            reports.append(pipeline.maybe_rebalance())
+        assignments, reports = [], []
+        if args.batch_mode:
+            for start in range(0, len(records), args.batch_size):
+                batch, _ = pipeline.ingest_batch(records[start:start + args.batch_size])
+                assignments.extend(batch)
+                reports.append(pipeline.maybe_rebalance())
+            if records:
+                reports.append(pipeline.force_rebalance())
+        else:
+            for record in records:
+                try:
+                    assignments.append(pipeline.ingest(record))
+                except RECORD_ERRORS:
+                    continue  # a dead letter, named below
+                reports.append(pipeline.maybe_rebalance())
 
-    # each row names the cluster its log ended in after the last rebalance
-    survivor = {absorbed: event.surviving_id for report in reports if report
-                for event in report.merges for absorbed in event.absorbed_ids}
-    out_lines: list[str] = []
-    for assignment in assignments:
-        cid = assignment.cluster_id
-        while cid in survivor:
-            cid = survivor[cid]
-        final = assignment._replace(cluster_id=cid,
-                                    template=pipeline.parser.store.template_for(cid))
-        out_lines.append(final.to_json())
+    out_lines = [row.to_json() for row in
+                 final_rows(assignments, reports, pipeline.parser.store.template_for)]
     if args.assignments_out:
         with atomic_write(args.assignments_out) as fh:
             fh.write("\n".join(out_lines) + ("\n" if out_lines else ""))
@@ -183,21 +176,22 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_train_encoder(args) -> int:
-    provider = _build_provider(args)
-    train_cfg = TrainConfig(
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        pairs_per_dataset=args.pairs_per_dataset,
-        similar_to_dissimilar_ratio=args.ratio,
-        rng_seed=args.seed,
-    )
-    labeled = []
-    for path in args.datasets:
-        dataset = load_dataset(path)
-        labeled.append([(LogRecord(source_id=path, content=c), t)
-                        for c, t in zip(dataset.contents, dataset.templates)])
-    result = train(build_pair_dataset(labeled, train_cfg, provider), train_cfg)
+    with _build_provider(args) as provider:
+        train_cfg = TrainConfig(
+            learning_rate=args.learning_rate,
+            batch_size=args.batch_size,
+            epochs=args.epochs,
+            pairs_per_dataset=args.pairs_per_dataset,
+            similar_to_dissimilar_ratio=args.ratio,
+            rng_seed=args.seed,
+        )
+        labeled = []
+        for path in args.datasets:
+            dataset = load_dataset(path)
+            labeled.append([(LogRecord(source_id=path, content=c), t)
+                            for c, t in zip(dataset.contents, dataset.templates)])
+        pairs = build_pair_dataset(labeled, train_cfg, provider)
+    result = train(pairs, train_cfg)
     result.weights.save(args.weights_out)
     if args.loss_trace_out:
         with atomic_write(args.loss_trace_out) as fh:
@@ -227,14 +221,14 @@ def cmd_export_embeddings(args) -> int:
                    for c in CentroidIndex.load(args.snapshot).centroids()]
         dim = len(entries[0][2]) if entries else 0
     else:
-        provider = _build_provider(args)
-        weights = _load_weights(args, provider)
-        entries = []
-        for i, record in enumerate(_read_records(args.corpus)):
-            [vector] = embed_log([record], provider, weights)
-            if isinstance(vector, Exception):
-                raise vector  # stop at the first record that cannot be embedded
-            entries.append((i, 1, vector))
+        with _build_provider(args) as provider:
+            weights = _load_weights(args, provider)
+            entries = []
+            for i, record in enumerate(_read_records(args.corpus)):
+                [vector] = embed_log([record], provider, weights)
+                if isinstance(vector, Exception):
+                    raise vector  # stop at the first record that cannot be embedded
+                entries.append((i, 1, vector))
         dim = weights.output_dim
     rows = [f"{cid},{weight}," + ",".join(repr(float(x)) for x in vector)
             for cid, weight, vector in entries]

@@ -43,7 +43,7 @@ from .errors import (
 from .files import FLOAT_BYTES, atomic_write
 from .index import NORM_EPS
 from .records import LogRecord
-from .remote import api_key, post_json
+from .remote import RemoteClient
 
 WORD_COUNT_SCALE = 100.0
 # what fails one record's embedding; a dimension mismatch fails them all
@@ -114,7 +114,7 @@ class HashingProvider(EmbeddingProvider):
         return counts / norm
 
 
-class RemoteProvider(EmbeddingProvider):
+class RemoteProvider(RemoteClient, EmbeddingProvider):
     """HTTP JSON embedding client.
 
     Request body: {"model": ..., "input": text}; response body must carry
@@ -126,14 +126,11 @@ class RemoteProvider(EmbeddingProvider):
     KEY_ENV = "EMBEDDING_API_KEY"
 
     def __init__(self, url: str, model: str, dim: int, api_key_env: str = KEY_ENV):
-        self.url = url
-        self.model = model
+        super().__init__(url, model, api_key_env)
         self.dim = dim
-        self._key = api_key(api_key_env)
 
     def embed(self, text: str) -> np.ndarray:
-        values = post_json(self.url, self._key, {"model": self.model, "input": text},
-                           self.TIMEOUT_S, "embedding")
+        values = self._post({"model": self.model, "input": text}, "embedding")
         try:
             return np.asarray(values, dtype=np.float64)
         except (TypeError, ValueError) as exc:

@@ -69,15 +69,17 @@ _SNAPSHOT = {"ids": ("<i8", 1), "weights": ("<i8", 1), "template_ids": ("<i8", 1
 
 @dataclass
 class ClusterCentroid:
-    """One cluster. Its `vector` is a read-only view that only the index
-    replaces (`CentroidIndex.update_moving_average`), so the screen follows
-    every move."""
+    """One cluster, and its one record. Its `vector` is a read-only view
+    that only the index replaces (`CentroidIndex.update_moving_average`), so
+    the screen follows every move. `representative` is the content of the
+    log its template was, or will be, parsed from; a snapshot keeps none."""
 
     cluster_id: int
     _vector: np.ndarray
     weight: int = 1
     template_id: Optional[int] = None
     parse_state: ParseState = ParseState.UNPARSED
+    representative: Optional[str] = None
 
     @property
     def vector(self) -> np.ndarray:
@@ -158,7 +160,8 @@ class CentroidIndex:
 
     def insert(self, vector: np.ndarray, weight: int = 1,
                template_id: Optional[int] = None,
-               parse_state: ParseState = ParseState.UNPARSED) -> int:
+               parse_state: ParseState = ParseState.UNPARSED,
+               representative: Optional[str] = None) -> int:
         vector = _check_unit(vector)
         cid = self._next_id
         row = len(self._live)
@@ -172,9 +175,8 @@ class CentroidIndex:
         self._rows[cid] = row
         vector = vector.view()  # read-only, and the caller's array stays as it was
         vector.flags.writeable = False
-        self._live.append(ClusterCentroid(cid, vector, weight=weight,
-                                          template_id=template_id,
-                                          parse_state=parse_state))
+        self._live.append(ClusterCentroid(cid, vector, weight, template_id,
+                                          parse_state, representative))
         self._next_id += 1
         return cid
 

@@ -14,9 +14,10 @@ gives it bit for bit. The rng schedule keeps a `nearest` per search event.
 
 Both modes commit a record through one create-or-join step, whose
 `ClusterAssignment` is a named tuple: immutable, and cheaper to build than
-a frozen dataclass on a path taken once per record. A merge's
-outcome comes from its `MergeEvent`: the survivor takes the template entry
-of `kept_from` and its first constituent's representative log.
+a frozen dataclass on a path taken once per record. A cluster's one record
+is its centroid, created with the record's content as its representative
+log; a merge's survivor takes the template id and representative of
+`kept_from`, or else its first constituent's representative (`merge_pair`).
 
 Both modes embed through one per-pipeline cache keyed by the exact line
 content, which alone fixes the vector: a line repeated while it is among
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -73,6 +74,22 @@ class ClusterAssignment(NamedTuple):
         return json.dumps(self._asdict())
 
 
+def final_rows(assignments: list[ClusterAssignment],
+               reports: list[Optional[MergeReport]],
+               template_for: Callable[[int], Optional[str]]) -> list[ClusterAssignment]:
+    """The rows a run writes: each assignment with the cluster its log ended
+    in after every merge of `reports` (None for no pass), and its template."""
+    survivor = {absorbed: event.surviving_id for report in reports if report
+                for event in report.merges for absorbed in event.absorbed_ids}
+    rows = []
+    for assignment in assignments:
+        cid = assignment.cluster_id
+        while cid in survivor:
+            cid = survivor[cid]
+        rows.append(assignment._replace(cluster_id=cid, template=template_for(cid)))
+    return rows
+
+
 class Pipeline:
     """Owns the index, parser, embedding cache, dead-letter list, and
     rebalance cadence."""
@@ -90,7 +107,6 @@ class Pipeline:
         self.parser = parser
         self.config = config or IngestConfig()
         self.dead_letters: list[tuple[LogRecord, Exception]] = []
-        self.first_log: dict[int, LogRecord] = {}  # cluster id -> representative
         self._log_counter = 0
         self._since_rebalance = 0
         self._vectors: OrderedDict[str, np.ndarray] = OrderedDict()  # by content
@@ -136,12 +152,6 @@ class Pipeline:
             self.dead_letters.extend(errors)
         return embedded, errors
 
-    def _parse(self, cluster_id: int) -> Optional[str]:
-        representative = self.first_log.get(cluster_id)
-        if representative is None:
-            return None
-        return self.parser.parse_cluster(self.index, cluster_id, representative)
-
     def _commit(self, record: LogRecord, vector: np.ndarray,
                 hit: Optional[SearchHit], defer_parse: bool) -> ClusterAssignment:
         """Join `hit` if it is still live and at or above the threshold, else
@@ -150,12 +160,11 @@ class Pipeline:
                  and hit.similarity >= self.config.similarity_threshold)
         if joins:
             cid, similarity = hit.cluster_id, hit.similarity
-            self.index.update_moving_average(cid, vector)
-            template = self.parser.store.template_for(cid)
+            template = self.parser.store.template_of(
+                self.index.update_moving_average(cid, vector))
         else:
-            cid, similarity = self.index.insert(vector), 1.0
-            self.first_log[cid] = record
-            template = None if defer_parse else self._parse(cid)
+            cid, similarity = self.index.insert(vector, representative=record.content), 1.0
+            template = None if defer_parse else self.parser.parse_cluster(self.index, cid)
         assignment = ClusterAssignment(
             log_index=self._log_counter, cluster_id=cid, created_new=not joins,
             similarity=similarity, template=template,
@@ -229,21 +238,14 @@ class Pipeline:
     def force_rebalance(self) -> MergeReport:
         report = rebalance(self.index, self.config.similarity_threshold)
         self._since_rebalance = 0
-        for event in report.merges:
-            self.parser.store.merge(event)
-            # the survivor is (re-)parsed from its first constituent's record
-            records = [self.first_log.pop(cid) for cid in event.absorbed_ids
-                       if cid in self.first_log]
-            if records:
-                self.first_log[event.surviving_id] = records[0]
         self.parse_pending()
         return report
 
     def parse_pending(self) -> int:
-        """Parse every cluster that is unparsed or previously failed."""
-        parsed = 0
-        for centroid in list(self.index.centroids()):
-            if centroid.parse_state in (ParseState.UNPARSED, ParseState.FAILED):
-                if self._parse(centroid.cluster_id) is not None:
-                    parsed += 1
-        return parsed
+        """Parse every cluster that is unparsed or previously failed, except
+        one loaded from a snapshot, which has no representative log."""
+        pending = [c.cluster_id for c in self.index.centroids()
+                   if c.parse_state != ParseState.PARSED and c.representative is not None]
+        for cid in pending:
+            self.parser.parse_cluster(self.index, cid)
+        return len(pending)

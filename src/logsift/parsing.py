@@ -19,10 +19,8 @@ from typing import Optional
 
 from .errors import ConfigError, MalformedResponseError, ProviderError
 from .files import atomic_write
-from .index import CentroidIndex, ParseState
-from .rebalance import MergeEvent
-from .records import LogRecord
-from .remote import api_key, post_json
+from .index import CentroidIndex, ClusterCentroid, ParseState
+from .remote import RemoteClient
 
 TASK_INSTRUCTIONS = (
     "You are an expert in log analysis. A log message consists of a fixed "
@@ -102,8 +100,8 @@ def load_demonstrations(path: Optional[str] = None) -> tuple[Demonstration, ...]
     return tuple(Demonstration(**e) for e in entries)
 
 
-def build_prompt(record: LogRecord,
-                 demos: tuple[Demonstration, ...]) -> Prompt:
+def build_prompt(log: str, demos: tuple[Demonstration, ...]) -> Prompt:
+    """The prompt that asks for the template of the log content `log`."""
     if not demos:
         raise ValueError("at least one demonstration is required")
     return Prompt(
@@ -111,7 +109,7 @@ def build_prompt(record: LogRecord,
         parameter_examples=PARAMETER_EXAMPLES,
         output_constraints=OUTPUT_CONSTRAINTS,
         demonstrations=demos,
-        queried_log=record.content,
+        queried_log=log,
         query_index=len(demos) + 1,
     )
 
@@ -197,69 +195,80 @@ class MockCompletionClient(CompletionClient):
         )
 
 
-class RemoteCompletionClient(CompletionClient):
+class RemoteCompletionClient(RemoteClient, CompletionClient):
     """HTTP JSON completion client; key from an environment variable."""
 
     TIMEOUT_S = 60.0
     KEY_ENV = "COMPLETION_API_KEY"
 
     def __init__(self, url: str, model: str, api_key_env: str = KEY_ENV):
-        self.url = url
-        self.model = model
-        self._key = api_key(api_key_env)
+        super().__init__(url, model, api_key_env)
         self.query_count = 0
 
     def complete(self, system: str, user: str) -> str:
         self.query_count += 1
-        return post_json(self.url, self._key, {
+        return self._post({
             "model": self.model,
             "temperature": 0,
             "messages": [
                 {"role": "system", "content": system},
                 {"role": "user", "content": user},
             ],
-        }, self.TIMEOUT_S, "content")
+        }, "content")
 
 
 class TemplateStore:
-    """Reporting-level map: template text -> template_id, cluster -> entry.
-
-    Clusters whose extracted templates are textually identical share one
-    template_id without their centroids being merged. A FAILED cluster's
-    raw-log fallback is no template and gets no id.
+    """Template texts by dense template id, and the templates of the
+    clusters of the one index a parser binds it to, read from their
+    centroids. Identical texts share one id without their centroids being
+    merged; a FAILED cluster's raw-log fallback is no template and gets none.
     """
 
     def __init__(self):
         self._by_text: dict[str, int] = {}
-        self._entries: dict[int, dict] = {}
+        self._texts: list[str] = []  # by template id
+        self._index: Optional[CentroidIndex] = None
 
-    def record(self, cluster_id: int, template: str, parse_state: ParseState,
-               source_log: str) -> Optional[int]:
-        tid = None
-        if parse_state == ParseState.PARSED:
-            tid = self._by_text.setdefault(template, len(self._by_text))
-        self._entries[cluster_id] = {
-            "template": template,
-            "template_id": tid,
-            "parse_state": parse_state.value,
-            "source_log": source_log,
-        }
-        return tid
+    def bind(self, index: CentroidIndex) -> None:
+        """Read clusters from `index`; ValueError if the store reads another."""
+        if self._index is not None and self._index is not index:
+            raise ValueError("the template store is bound to another index")
+        self._index = index
+
+    def add(self, template: str) -> int:
+        """The template id of the text `template`, a new one if it is new."""
+        if template not in self._by_text:
+            self._by_text[template] = len(self._texts)
+            self._texts.append(template)
+        return self._by_text[template]
+
+    def template_of(self, centroid: ClusterCentroid) -> Optional[str]:
+        """A PARSED cluster's template text, a FAILED one's representative,
+        and None for an UNPARSED one or one loaded from a snapshot, which
+        keeps no representative and no template texts."""
+        if centroid.representative is None:
+            return None
+        if centroid.parse_state is ParseState.PARSED:
+            return self._texts[centroid.template_id]
+        return centroid.representative if centroid.parse_state is ParseState.FAILED else None
 
     def template_for(self, cluster_id: int) -> Optional[str]:
-        entry = self._entries.get(cluster_id)
-        return entry["template"] if entry else None
-
-    def merge(self, event: MergeEvent) -> None:
-        """Re-key the entries of two merged clusters: the entry whose
-        template the survivor kept moves to it, and both absorbed entries go."""
-        entries = {cid: self._entries.pop(cid, None) for cid in event.absorbed_ids}
-        if event.kept_from is not None:
-            self._entries[event.surviving_id] = entries[event.kept_from]
+        """`template_of` a cluster of the bound index; None before a parse."""
+        return None if self._index is None else self.template_of(self._index.get(cluster_id))
 
     def save(self, path: str) -> None:
+        """Write each cluster of the bound index that has a template, in id
+        order: the template, template id, parse state and representative
+        (`source_log`)."""
+        entries = {}
+        for c in self._index.centroids() if self._index is not None else ():
+            template = self.template_of(c)
+            if template is not None:
+                entries[c.cluster_id] = {"template": template, "template_id": c.template_id,
+                                         "parse_state": c.parse_state.value,
+                                         "source_log": c.representative}
         with atomic_write(path) as fh:
-            json.dump(self._entries, fh, indent=2)
+            json.dump(entries, fh, indent=2)
 
 
 @dataclass
@@ -270,19 +279,22 @@ class ClusterParser:
     demos: tuple[Demonstration, ...] = field(default_factory=load_demonstrations)
     store: TemplateStore = field(default_factory=TemplateStore)
 
-    def parse_cluster(self, index: CentroidIndex, cluster_id: int,
-                      representative: LogRecord) -> str:
-        """Parse the representative (first) log of an unparsed cluster.
+    def parse_cluster(self, index: CentroidIndex, cluster_id: int) -> str:
+        """Parse the representative log of an unparsed or failed cluster,
+        binding the store to `index`.
 
         On a malformed response the query is retried once. After a second
         malformed response, or a call that fails after the retries of
-        `post_json`, the raw log content becomes the template and the
+        `post_json`, the representative becomes the template and the
         cluster is marked Failed so the next rebalance can queue a re-parse.
         """
         centroid = index.get(cluster_id)
         if centroid.parse_state == ParseState.PARSED:
             raise ValueError(f"cluster {cluster_id} is already parsed")
-        prompt = build_prompt(representative, self.demos)
+        if centroid.representative is None:  # a cluster loaded from a snapshot
+            raise ValueError(f"cluster {cluster_id} has no representative log")
+        self.store.bind(index)
+        prompt = build_prompt(centroid.representative, self.demos)
         template = None
         for _ in range(2):
             try:
@@ -296,11 +308,7 @@ class ClusterParser:
             except MalformedResponseError:
                 continue
         if template is None:
-            centroid.parse_state = ParseState.FAILED
-            template = representative.content
-        else:
-            centroid.parse_state = ParseState.PARSED
-        centroid.template_id = self.store.record(
-            cluster_id, template, centroid.parse_state, representative.content
-        )
+            centroid.parse_state, centroid.template_id = ParseState.FAILED, None
+            return centroid.representative
+        centroid.parse_state, centroid.template_id = ParseState.PARSED, self.store.add(template)
         return template

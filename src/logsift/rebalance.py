@@ -63,8 +63,9 @@ def _winner(a: ClusterCentroid, b: ClusterCentroid) -> Optional[ClusterCentroid]
 def merge_pair(index: CentroidIndex, id_a: int, id_b: int) -> int:
     """Replace two clusters by their weight-proportional average.
 
-    The merged cluster keeps `_winner`'s template id and stays parsed; with
-    no winner it is unparsed again so the parser revisits it.
+    The merged cluster keeps `_winner`'s template id and representative and
+    stays parsed; with no winner it is unparsed again, with `id_a`'s
+    representative, so the parser revisits it.
     """
     if id_a == id_b:
         raise ValueError("cannot merge a cluster with itself")
@@ -76,14 +77,13 @@ def merge_pair(index: CentroidIndex, id_a: int, id_b: int) -> int:
         raise ValueError("merged centroid is degenerate (antipodal constituents)")
     winner = _winner(a, b)
     if winner is not None:
-        state, template_id = ParseState.PARSED, winner.template_id
+        state, template_id, source = ParseState.PARSED, winner.template_id, winner
     else:
-        state, template_id = ParseState.UNPARSED, None
+        state, template_id, source = ParseState.UNPARSED, None, a
     weight = a.weight + b.weight
     index.remove(id_a)
     index.remove(id_b)
-    return index.insert(merged / norm, weight=weight,
-                        template_id=template_id, parse_state=state)
+    return index.insert(merged / norm, weight, template_id, state, source.representative)
 
 
 def rebalance(index: CentroidIndex, threshold: float) -> MergeReport:

@@ -13,6 +13,7 @@ from logsift import (
     MockCompletionClient,
     ParseState,
     Pipeline,
+    extract_template,
     grouping_accuracy,
 )
 from logsift import ingest as ingest_module
@@ -24,7 +25,9 @@ from logsift.errors import (
     ProviderError,
 )
 from logsift.index import SearchHit
-from logsift.ingest import ClusterAssignment
+from logsift.ingest import ClusterAssignment, final_rows
+from logsift.rebalance import MergeEvent, MergeReport
+from logsift.synthetic import generate_corpus
 
 
 def make_pipeline(provider, weights, batch_mode=False, rebalance_every=1000):
@@ -69,6 +72,18 @@ class TestRecords:
     def test_records_are_immutable(self, record, field):
         with pytest.raises(AttributeError):
             setattr(record, field, 1)
+
+
+def test_final_rows_follow_every_merge():
+    first = MergeReport(3, 2, [MergeEvent((0, 1), 3, 0.95, kept_from=0)])
+    second = MergeReport(2, 1, [MergeEvent((2, 3), 4, 0.93, kept_from=None)])
+    assignments = [ClusterAssignment(0, 0, True, 1.0), ClusterAssignment(1, 1, True, 1.0),
+                   ClusterAssignment(2, 2, True, 1.0),
+                   ClusterAssignment(3, 0, False, 0.97, template="stale"),
+                   ClusterAssignment(4, 5, True, 1.0)]
+    rows = final_rows(assignments, [None, first, None, second], {4: "a <*>", 5: None}.get)
+    assert rows == [a._replace(cluster_id=cid, template=template) for a, (cid, template)
+                    in zip(assignments, [(4, "a <*>")] * 4 + [(5, None)])]
 
 
 def test_encoder_width_is_checked_at_construction(identity_weights):
@@ -178,9 +193,42 @@ class TestBatchIngest:
     def test_representatives_follow_merges(self, corpus, provider,
                                            identity_weights):
         pipe = make_pipeline(provider, identity_weights, batch_mode=True)
-        pipe.ingest_batch(list(corpus.records[:200]))
-        assert pipe.force_rebalance().merges
-        assert set(pipe.first_log) == set(pipe.index.ids())
+        records = list(corpus.records[:200])
+        assignments, _ = pipe.ingest_batch(records)
+        report = pipe.force_rebalance()
+        assert report.merges
+        logs = {}  # final cluster id -> contents of its rows
+        for record, row in zip(records, final_rows(assignments, [report],
+                                                   pipe.parser.store.template_for)):
+            logs.setdefault(row.cluster_id, set()).add(record.content)
+        assert all(c.representative in logs[c.cluster_id] for c in pipe.index.centroids())
+
+    def test_clusters_loaded_from_a_snapshot_have_no_template(self, provider,
+                                                              identity_weights, tmp_path):
+        # a snapshot keeps no representative log and no template text: a
+        # loaded cluster is never parsed and has no template or entry
+        disk, fan, link = (LogRecord("s", text) for text in (
+            "disk full on volume 7", "fan failed on rack 9", "network link down on port 3"))
+        pipe = make_pipeline(provider, identity_weights, batch_mode=True)
+        pipe.ingest_batch([disk])
+        pipe.force_rebalance()
+        pipe.ingest_batch([fan])
+        path = str(tmp_path / "index.npz")
+        pipe.index.snapshot(path)
+        pipe = Pipeline(provider, identity_weights, CentroidIndex.load(path),
+                        ClusterParser(client=MockCompletionClient()),
+                        IngestConfig(batch_mode=True))
+        assignments, _ = pipe.ingest_batch([disk, link])
+        assert [(a.cluster_id, a.created_new, a.template) for a in assignments] == [
+            (0, False, None), (2, True, None)]
+        pipe.force_rebalance()
+        assert [(c.parse_state, pipe.parser.store.template_for(c.cluster_id))
+                for c in pipe.index.centroids()] == [
+            (ParseState.PARSED, None), (ParseState.UNPARSED, None),
+            (ParseState.PARSED, "network link down on port <*>")]
+        assert pipe.parser.client.query_count == 1
+        pipe.parser.store.save(str(tmp_path / "templates.json"))
+        assert list(json.loads((tmp_path / "templates.json").read_text())) == ["2"]
 
     def test_parsing_deferred_until_rebalance(self, corpus, provider,
                                               identity_weights):
@@ -256,6 +304,36 @@ class TestMergedTemplates:
         kept, first = self.merge_two_parsed(provider, identity_weights,
                                             tmp_path, first_joins=20)
         assert kept is first
+
+    def test_a_kept_template_keeps_its_representative(self, provider,
+                                                      identity_weights, tmp_path):
+        # a survivor that kept the template of its second constituent, merged
+        # again with an unparsed cluster, is parsed again from the log that
+        # template came from, not from its first constituent's log
+        pipe = make_pipeline(provider, identity_weights, batch_mode=True)
+        disk, link, fan = (LogRecord("s", text) for text in (
+            "disk full on volume 7", "network link down on port 3", "fan failed on rack 9"))
+        (first, second), _ = pipe.ingest_batch([disk, link])
+        pipe.force_rebalance()
+        target = pipe.index.get(first.cluster_id).vector
+        for _ in range(20):
+            pipe.index.update_moving_average(second.cluster_id, target)
+        [event] = pipe.force_rebalance().merges
+        assert event.absorbed_ids == (first.cluster_id, second.cluster_id)
+        assert event.kept_from == second.cluster_id
+        survivor = pipe.index.get(event.surviving_id)
+        assert survivor.representative == link.content
+        [third], _ = pipe.ingest_batch([fan])
+        for _ in range(40):
+            pipe.index.update_moving_average(third.cluster_id, survivor.vector)
+        [event] = pipe.force_rebalance().merges
+        assert event.absorbed_ids == (survivor.cluster_id, third.cluster_id)
+        assert event.kept_from is None
+        path = tmp_path / "templates.json"
+        pipe.parser.store.save(str(path))
+        assert json.loads(path.read_text()) == {str(event.surviving_id): {
+            "template": "network link down on port <*>", "template_id": 1,
+            "parse_state": "parsed", "source_log": link.content}}
 
 
 class TestDeadLetters:
@@ -466,3 +544,101 @@ class TestEmbeddingCache:
         assert joined.cluster_id == again.cluster_id == created.cluster_id
         assert again.similarity < 1.0  # the centroid moved: the join wrote elsewhere
         assert np.array_equal(cached, before)
+
+
+class FlakyCompletion(MockCompletionClient):
+    """A completion client whose calls each fail, after their retries, with
+    a seeded probability, leaving some clusters FAILED."""
+
+    def __init__(self, rng, failure_rate):
+        super().__init__()
+        self.rng = rng
+        self.failure_rate = failure_rate
+
+    def complete(self, system, user):
+        if self.rng.random() < self.failure_rate:
+            self.query_count += 1
+            raise ProviderError("POST http://llm failed 3 times, last: HTTP 503")
+        return super().complete(system, user)
+
+
+def mock_template(log):
+    """The template the mock client extracts from `log`."""
+    return extract_template(MockCompletionClient().complete("", f"Log[1]: {log}"))
+
+
+class TestClusterRecordAgreement:
+    """Random runs of ingest, drift and rebalance, in both modes and under
+    both batch schedules, leave `templates.json` and `template_for` in
+    agreement with the index: one entry per live parsed or failed cluster,
+    none for any other, each naming the cluster's template id and state, and
+    each row's template the entry of the cluster its log ended in."""
+
+    @staticmethod
+    def run(provider, weights, mode, seed):
+        rng = np.random.default_rng(seed)
+        corpus = generate_corpus(n_templates=10, logs_per_template=8, seed=seed)
+        records = [corpus.records[i] for i in rng.permutation(len(corpus))]
+        pipe = make_pipeline(provider, weights, batch_mode=mode != "sequential")
+        pipe.parser.client = FlakyCompletion(rng, failure_rate=0.4)
+        assignments, reports = [], []
+        start = 0
+        while start < len(records):
+            stop = start + int(rng.integers(1, 16))
+            chunk = records[start:stop]
+            start = stop
+            if mode == "sequential":
+                out = [pipe.ingest(record) for record in chunk]
+            else:
+                schedule = np.random.default_rng(seed * 1000 + start) \
+                    if mode == "rng" else None
+                out, errors = pipe.ingest_batch(chunk, rng=schedule)
+                assert errors == []
+            assignments += zip(chunk, out)
+            if len(pipe.index) > 1 and rng.random() < 0.4:
+                # move one cluster onto another, so the next pass merges them
+                a, b = rng.choice(pipe.index.ids(), size=2, replace=False).tolist()
+                for _ in range(40):
+                    pipe.index.update_moving_average(b, pipe.index.get(a).vector)
+            if rng.random() < 0.4:
+                reports.append(pipe.force_rebalance())
+        return pipe, assignments, reports  # assignments: (record, assignment)
+
+    @pytest.mark.parametrize("mode", ["sequential", "batch", "rng"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_templates_agree_with_the_index(self, provider, identity_weights,
+                                            tmp_path, mode, seed):
+        pipe, assignments, reports = self.run(provider, identity_weights, mode, seed)
+        store = pipe.parser.store
+        path = tmp_path / "templates.json"
+        store.save(str(path))
+        entries = {int(cid): entry for cid, entry in json.loads(path.read_text()).items()}
+        texts = {tid: text for text, tid in store._by_text.items()}
+        centroids = {c.cluster_id: c for c in pipe.index.centroids()}
+        listed = {cid for cid, c in centroids.items()
+                  if c.parse_state in (ParseState.PARSED, ParseState.FAILED)}
+        assert set(entries) == listed  # so no entry names a removed cluster
+
+        survivor = {absorbed: event.surviving_id for report in reports
+                    for event in report.merges for absorbed in event.absorbed_ids}
+        logs = {}  # final cluster id -> contents of its rows
+        for record, assignment in assignments:
+            cid = assignment.cluster_id
+            while cid in survivor:
+                cid = survivor[cid]
+            assert cid in centroids
+            logs.setdefault(cid, set()).add(record.content)
+            entry = entries.get(cid)
+            assert store.template_for(cid) == (entry and entry["template"])
+
+        for cid, entry in entries.items():
+            centroid = centroids[cid]
+            assert entry["template_id"] == centroid.template_id
+            assert entry["parse_state"] == centroid.parse_state.value
+            assert entry["source_log"] in logs[cid]
+            if centroid.parse_state == ParseState.PARSED:
+                assert entry["template"] == texts[centroid.template_id] \
+                    == mock_template(entry["source_log"])
+            else:
+                assert centroid.template_id is None
+                assert entry["template"] == entry["source_log"]

@@ -1,9 +1,11 @@
+import json
+
+import numpy as np
 import pytest
 
 from logsift import (
     CentroidIndex,
     ClusterParser,
-    LogRecord,
     MockCompletionClient,
     ParseState,
     TemplateStore,
@@ -20,23 +22,22 @@ DEMOS = load_demonstrations()
 
 class TestBuildPrompt:
     def test_deterministic(self):
-        record = LogRecord("s", "session opened for user root")
-        assert build_prompt(record, DEMOS).render() == \
-            build_prompt(record, DEMOS).render()
+        log = "session opened for user root"
+        assert build_prompt(log, DEMOS).render() == build_prompt(log, DEMOS).render()
 
     def test_contains_output_format_instructions(self):
-        text = build_prompt(LogRecord("s", "a b"), DEMOS).render()
+        text = build_prompt("a b", DEMOS).render()
         assert "LogTemplate[idx]" in text
         assert "backticks" in text
 
     def test_queried_log_appears_once_with_prefix(self):
         content = "session opened for user root"
-        prompt = build_prompt(LogRecord("s", content), DEMOS)
+        prompt = build_prompt(content, DEMOS)
         text = prompt.render()
         assert text.count(f"Log[{prompt.query_index}]: {content}") == 1
 
     def test_five_parts_in_order(self):
-        prompt = build_prompt(LogRecord("s", "x y"), DEMOS)
+        prompt = build_prompt("x y", DEMOS)
         text = prompt.render()
         positions = [
             text.index(prompt.system_instructions),
@@ -48,13 +49,13 @@ class TestBuildPrompt:
         assert positions == sorted(positions)
 
     def test_demonstrations_wrapped_in_monologue_tags(self):
-        text = build_prompt(LogRecord("s", "x y"), DEMOS).render()
+        text = build_prompt("x y", DEMOS).render()
         for demo in DEMOS:
             assert f"<Inner Monologue>{demo.reasoning}</Inner Monologue>" in text
 
     def test_requires_demos(self):
         with pytest.raises(ValueError):
-            build_prompt(LogRecord("s", "x"), ())
+            build_prompt("x", ())
 
 
 # canned completion responses: (response, expected template or None=malformed)
@@ -121,11 +122,9 @@ class TestExtractTemplate:
 
 
 class TestParseCluster:
-    def _setup(self, client):
+    def _setup(self, client, log="session opened for user root"):
         index = CentroidIndex()
-        import numpy as np
-
-        cid = index.insert(np.array([1.0, 0.0]))
+        cid = index.insert(np.array([1.0, 0.0]), representative=log)
         parser = ClusterParser(client=client, demos=DEMOS, store=TemplateStore())
         return index, cid, parser
 
@@ -135,8 +134,7 @@ class TestParseCluster:
                 return "LogTemplate[5]: `session opened for user {user}`"
 
         index, cid, parser = self._setup(CannedClient())
-        record = LogRecord("s", "session opened for user root")
-        template = parser.parse_cluster(index, cid, record)
+        template = parser.parse_cluster(index, cid)
         assert template == "session opened for user <*>"
         assert index.get(cid).parse_state == ParseState.PARSED
         assert parser.store.template_for(cid) == template
@@ -151,10 +149,9 @@ class TestParseCluster:
 
         client = GarbageClient()
         index, cid, parser = self._setup(client)
-        record = LogRecord("s", "session opened for user root")
-        template = parser.parse_cluster(index, cid, record)
+        template = parser.parse_cluster(index, cid)
         assert client.calls == 2  # one retry
-        assert template == record.content
+        assert template == "session opened for user root"
         assert index.get(cid).parse_state == ParseState.FAILED
 
     def test_failed_call_falls_back_to_raw_log(self):
@@ -167,48 +164,69 @@ class TestParseCluster:
 
         client = DownClient()
         index, cid, parser = self._setup(client)
-        record = LogRecord("s", "session opened for user root")
-        template = parser.parse_cluster(index, cid, record)
+        template = parser.parse_cluster(index, cid)
         assert client.calls == 1  # the helper has retried already
-        assert template == record.content
+        assert template == "session opened for user root"
         assert index.get(cid).parse_state == ParseState.FAILED
-        assert parser.store.template_for(cid) == record.content
+        assert parser.store.template_for(cid) == template
 
     def test_mock_client_end_to_end(self):
-        index, cid, parser = self._setup(MockCompletionClient())
-        record = LogRecord("s", "start processing 2 alerts for org org_bff943b3ca")
-        template = parser.parse_cluster(index, cid, record)
+        index, cid, parser = self._setup(
+            MockCompletionClient(), "start processing 2 alerts for org org_bff943b3ca")
+        template = parser.parse_cluster(index, cid)
         assert template == "start processing <*> alerts for org <*>"
 
     def test_identical_templates_share_template_id(self):
-        import numpy as np
-
         index = CentroidIndex()
-        a = index.insert(np.array([1.0, 0.0]))
-        b = index.insert(np.array([0.0, 1.0]))
+        a = index.insert(np.array([1.0, 0.0]), representative="took 5 seconds")
+        b = index.insert(np.array([0.0, 1.0]), representative="took 9 seconds")
         parser = ClusterParser(client=MockCompletionClient(), demos=DEMOS,
                                store=TemplateStore())
-        parser.parse_cluster(index, a, LogRecord("s", "took 5 seconds"))
-        parser.parse_cluster(index, b, LogRecord("s", "took 9 seconds"))
+        parser.parse_cluster(index, a)
+        parser.parse_cluster(index, b)
         # same template text -> same reporting-level id, centroids unmerged
         assert index.get(a).template_id == index.get(b).template_id
         assert len(index) == 2
 
     def test_already_parsed_rejected(self):
+        index, cid, parser = self._setup(MockCompletionClient(), "plain fixed text")
+        parser.parse_cluster(index, cid)
+        with pytest.raises(ValueError, match="already parsed"):
+            parser.parse_cluster(index, cid)
+
+    def test_a_cluster_without_a_representative_is_rejected(self):
+        index, _, parser = self._setup(MockCompletionClient())
+        loaded = index.insert(np.array([0.0, 1.0]))  # as a snapshot loads it
+        with pytest.raises(ValueError, match="no representative"):
+            parser.parse_cluster(index, loaded)
+
+    def test_the_store_reads_one_index(self):
         index, cid, parser = self._setup(MockCompletionClient())
-        record = LogRecord("s", "plain fixed text")
-        parser.parse_cluster(index, cid, record)
-        with pytest.raises(ValueError):
-            parser.parse_cluster(index, cid, record)
+        parser.parse_cluster(index, cid)
+        other, other_cid, _ = self._setup(MockCompletionClient())
+        with pytest.raises(ValueError, match="another index"):
+            parser.parse_cluster(other, other_cid)
+        assert other.get(other_cid).parse_state == ParseState.UNPARSED
 
 
 def test_template_store_save(tmp_path):
-    store = TemplateStore()
-    store.record(0, "a <*>", ParseState.PARSED, "a 1")
+    # one entry per parsed or failed cluster, in id order; none for an
+    # unparsed one
+    index = CentroidIndex()
+    ids = [index.insert(np.array([1.0, 0.0]), representative=log)
+           for log in ("a 1", "b 2", "c 3", "a 4")]
+    parser = ClusterParser(client=MockCompletionClient(), demos=DEMOS)
+    for cid in (ids[3], ids[0]):
+        parser.parse_cluster(index, cid)
+    index.get(ids[1]).parse_state = ParseState.FAILED
     path = tmp_path / "templates.json"
-    store.save(str(path))
-    import json
-
-    doc = json.loads(path.read_text())
-    assert doc["0"]["template"] == "a <*>"
-    assert doc["0"]["parse_state"] == "parsed"
+    parser.store.save(str(path))
+    assert list(json.loads(path.read_text())) == ["0", "1", "3"]  # not parse order
+    assert json.loads(path.read_text()) == {
+        "0": {"template": "a <*>", "template_id": 0, "parse_state": "parsed",
+              "source_log": "a 1"},
+        "1": {"template": "b 2", "template_id": None, "parse_state": "failed",
+              "source_log": "b 2"},
+        "3": {"template": "a <*>", "template_id": 0, "parse_state": "parsed",
+              "source_log": "a 4"},
+    }

@@ -1,5 +1,5 @@
 """The shared HTTP helper and the two remote clients built on it, run
-against a scripted stand-in for `requests.post` (there is no network)."""
+against a scripted stand-in for `requests.Session` (there is no network)."""
 
 import numpy as np
 import pytest
@@ -24,13 +24,15 @@ class FakeResponse:
 
 
 class ScriptedPost:
-    """Stands in for `requests.post`: each call takes the next outcome,
+    """Stands in for `Session.post`: each call takes the next outcome,
     raising it if it is an exception and answering it otherwise (an int is
-    an empty reply with that status); the last outcome repeats."""
+    an empty reply with that status); the last outcome repeats. The calls
+    of every session share one script."""
 
     def __init__(self, *outcomes):
         self.outcomes = list(outcomes)
         self.calls = []
+        self.sessions = []
 
     def __call__(self, url, json, headers, timeout):
         self.calls.append({"url": url, "json": json, "headers": headers,
@@ -48,9 +50,27 @@ def sleeps(monkeypatch):
     return slept
 
 
+class FakeSession:
+    """Stands in for `requests.Session`: posts through the script, and
+    records the URL of each of its posts and whether it was closed."""
+
+    def __init__(self, post):
+        self._post = post
+        self.urls = []
+        self.closed = False
+        post.sessions.append(self)
+
+    def post(self, url, **kwargs):
+        self.urls.append(url)
+        return self._post(url, **kwargs)
+
+    def close(self):
+        self.closed = True
+
+
 def script(monkeypatch, *outcomes):
     post = ScriptedPost(*outcomes)
-    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setattr(requests, "Session", lambda: FakeSession(post))
     return post
 
 
@@ -61,7 +81,7 @@ OK = FakeResponse(200, {"ok": True})
                                    requests.Timeout("slow"), 503, 429])
 def test_transient_failure_then_success(monkeypatch, sleeps, first):
     post = script(monkeypatch, first, OK)
-    assert remote.post_json("http://svc", "k", {"q": 1}, 7.0, "ok") is True
+    assert remote.post_json(requests.Session(), "http://svc", "k", {"q": 1}, 7.0, "ok") is True
     assert len(post.calls) == 2 and len(sleeps) == 1
     assert post.calls[1] == {"url": "http://svc", "json": {"q": 1},
                              "headers": {"Authorization": "Bearer k"},
@@ -72,7 +92,7 @@ def test_transient_failure_then_success(monkeypatch, sleeps, first):
 def test_client_error_is_not_retried(monkeypatch, sleeps, status):
     post = script(monkeypatch, status, OK)
     with pytest.raises(ProviderError, match=f"HTTP {status}"):
-        remote.post_json("http://svc", "k", {}, 1.0, "ok")
+        remote.post_json(requests.Session(), "http://svc", "k", {}, 1.0, "ok")
     assert len(post.calls) == 1 and sleeps == []
 
 
@@ -80,7 +100,7 @@ def test_client_error_is_not_retried(monkeypatch, sleeps, status):
 def test_exhausted_budget_raises(monkeypatch, sleeps, failure):
     post = script(monkeypatch, failure)
     with pytest.raises(ProviderError, match="3 times"):
-        remote.post_json("http://svc", "k", {}, 1.0, "ok")
+        remote.post_json(requests.Session(), "http://svc", "k", {}, 1.0, "ok")
     assert len(post.calls) == remote.ATTEMPTS
     assert len(sleeps) == remote.ATTEMPTS - 1
 
@@ -89,7 +109,7 @@ def test_exhausted_budget_raises(monkeypatch, sleeps, failure):
 def test_reply_without_the_field_is_not_retried(monkeypatch, sleeps, body):
     post = script(monkeypatch, FakeResponse(200, body))
     with pytest.raises(ProviderError, match="no 'ok' in reply"):
-        remote.post_json("http://svc", "k", {}, 1.0, "ok")
+        remote.post_json(requests.Session(), "http://svc", "k", {}, 1.0, "ok")
     assert len(post.calls) == 1 and sleeps == []
 
 
@@ -101,7 +121,7 @@ def test_delays_grow_and_stay_under_the_cap(monkeypatch, sleeps):
     assert ceilings[0] > 0 and max(ceilings) == remote.BACKOFF_CAP_S
     script(monkeypatch, 503)
     with pytest.raises(ProviderError):
-        remote.post_json("http://svc", "k", {}, 1.0, "ok")
+        remote.post_json(requests.Session(), "http://svc", "k", {}, 1.0, "ok")
     assert sleeps == ceilings[:remote.ATTEMPTS - 1]
     assert sleeps[0] < sleeps[1]
 
@@ -130,9 +150,9 @@ def test_completion_survives_one_503(monkeypatch, sleeps):
     post = script(monkeypatch, 503, reply)
     client = RemoteCompletionClient(url="http://llm", model="m")
     index = CentroidIndex()
-    cid = index.insert(np.array([1.0, 0.0]))
+    cid = index.insert(np.array([1.0, 0.0]), representative="disk full on /dev/sda1")
     parser = ClusterParser(client=client)
-    template = parser.parse_cluster(index, cid, LogRecord("t", "disk full on /dev/sda1"))
+    template = parser.parse_cluster(index, cid)
     assert template == "disk full on <*>"
     assert index.get(cid).parse_state == ParseState.PARSED
     assert len(post.calls) == 2 and len(sleeps) == 1
@@ -150,6 +170,33 @@ def test_ingest_exits_4_when_the_budget_runs_out(monkeypatch, sleeps, tmp_path):
                "--provider-model", "m", "--provider-dim", "8"])
     assert rc == EXIT_PROVIDER
     assert len(post.calls) == remote.ATTEMPTS
+    assert [session.closed for session in post.sessions] == [True]
+
+
+def test_each_client_posts_through_one_session(monkeypatch, sleeps):
+    monkeypatch.setenv("EMBEDDING_API_KEY", "k")
+    post = script(monkeypatch, 503, FakeResponse(200, {"embedding": [1.0, 0.0]}))
+    provider = RemoteProvider(url="http://emb", model="m", dim=2)
+    assert post.sessions == []  # opened at the first call
+    for text in ("disk full", "fan failed", "disk full"):
+        provider.embed(text)
+    [session] = post.sessions
+    assert session.urls == ["http://emb"] * 4 and not session.closed  # one retry
+    provider.close()
+    provider.close()
+    assert session.closed and len(post.sessions) == 1
+
+
+def test_ingest_closes_the_sessions_of_both_clients(monkeypatch, sleeps, tmp_path):
+    monkeypatch.setenv("EMBEDDING_API_KEY", "k")
+    monkeypatch.setenv("COMPLETION_API_KEY", "k")
+    # one reply for either client: every line embeds alike, so one cluster
+    post = script(monkeypatch, FakeResponse(200, {
+        "embedding": [1.0] + [0.0] * 7, "content": "LogTemplate[6]: `disk full on {dev}`"}))
+    assert ingest_remote(tmp_path, "--completion", "remote", "--completion-url",
+                         "http://llm", "--completion-model", "m") == 0
+    assert [(session.urls, session.closed) for session in post.sessions] == [
+        (["http://emb"] * 3, True), (["http://llm"], True)]
 
 
 def ingest_remote(tmp_path, *flags):
