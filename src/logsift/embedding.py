@@ -7,8 +7,8 @@ vector before L2 normalization. Cosine similarity between two logs is
 then a plain dot product.
 
 The encoder has no activation, so it is one affine map: `EncoderWeights`,
-read-only, what training fits and returns, and what a weights file stores
-(one `.npy` array, read back with no text decode).
+read-only, what training fits and returns, held as the one array a weights
+file stores (one `.npy` array, read back with no text decode and no copy).
 Every caller embeds with the map through `embed_log`: a
 provider call per record, written with its word count into one matrix,
 then one matrix product for all; the identity map (the default when no
@@ -145,36 +145,54 @@ class EncoderWeights:
     """The encoder, read-only: one affine map from the fused (D+1)-vector
     to the clustering space, `matrix` (E, D+1) and `bias` (E,).
 
-    A weights file is one NumPy `.npy` array (NEP 1) of little-endian
-    float64, shape (E, D+2): the map's D+1 columns, then the bias as the
-    last column.
+    The map is held as one read-only, C-ordered (E, D+2) float64 array:
+    the map's D+1 columns, then the bias as the last column. `matrix` is a
+    view of it, and `bias` a contiguous copy of its last column, which
+    `embed_log` adds to every row. A weights file is that array, one NumPy
+    `.npy` array (NEP 1) of little-endian float64, which `load` takes as
+    its own and `save` writes as it is.
     """
 
     matrix: np.ndarray
     bias: np.ndarray
 
     def __post_init__(self):
-        try:  # copies, so no caller's array can change the map
-            matrix = np.array(self.matrix, dtype=np.float64)
-            bias = np.array(self.bias, dtype=np.float64)
+        try:
+            matrix = np.asarray(self.matrix, dtype=np.float64)
+            bias = np.asarray(self.bias, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"encoder weights are not float arrays: {exc}") from exc
         if matrix.ndim != 2 or bias.shape != matrix.shape[:1]:
             raise ConfigError(f"encoder matrix {matrix.shape} and bias {bias.shape} "
                               "do not make an affine map")
-        if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(bias))):
+        packed = np.empty((len(bias), matrix.shape[1] + 1))  # C order, whatever the caller's
+        packed[:, :-1], packed[:, -1] = matrix, bias  # a copy: no caller's array can change it
+        self._hold(packed)
+
+    def _hold(self, packed: np.ndarray) -> "EncoderWeights":
+        """Take the C-ordered (E, D+2) float64 `packed`, without a copy, as
+        the array of this map, which it returns."""
+        # the identity map, which embed_log applies as an add, is eye(E, E+2)
+        # to the bit (a +0.0 bias), told by a count of nonzero bits with no
+        # temporary. Any other map is finite if its sum is, or, when the sum
+        # overflows, if its least and greatest entries are (NaN if any is)
+        rows, cols = packed.shape
+        identity = bool(cols == rows + 2 and (packed.diagonal() == 1.0).all()
+                        and np.count_nonzero(packed.view(np.uint64)) == rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = identity or math.isfinite(packed.sum()) or (
+                math.isfinite(packed.min()) and math.isfinite(packed.max()))
+        if not finite:
             raise ConfigError("encoder weights contain non-finite entries")
-        matrix.flags.writeable = bias.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
+        bias = np.ascontiguousarray(packed[:, -1])
+        packed.flags.writeable = bias.flags.writeable = False
+        if isinstance(packed.base, np.ndarray):  # np.load can give a view of what it read
+            packed.base.flags.writeable = False
+        object.__setattr__(self, "_packed", packed)
+        object.__setattr__(self, "matrix", packed[:, :-1])
         object.__setattr__(self, "bias", bias)
-        # eye(E, E+1) with every other bit of the map zero (+0.0), which
-        # embed_log applies as an add; read through an integer view, so no
-        # E x (E+1) temporary is built, cheapest test first
-        rows, cols = matrix.shape
-        object.__setattr__(self, "_identity", bool(
-            cols == rows + 1 and not bias.view(np.uint64).any()
-            and (matrix.diagonal() == 1.0).all()
-            and np.count_nonzero(matrix.view(np.uint64)) == rows))
+        object.__setattr__(self, "_identity", identity)
+        return self
 
     @property
     def input_dim(self) -> int:
@@ -188,14 +206,13 @@ class EncoderWeights:
     def identity_init(cls, provider_dim: int) -> "EncoderWeights":
         """The map that passes the provider embedding through and drops the
         word-count column, so a line's vector is its raw provider embedding."""
-        return cls(np.eye(provider_dim, provider_dim + 1), np.zeros(provider_dim))
+        return cls.__new__(cls)._hold(np.eye(provider_dim, provider_dim + 2))
 
     def save(self, path: str) -> None:
         """Write the map as a `.npy` file: one (E, D+2) little-endian float64
         array, the matrix's columns then the bias, every float's own bytes."""
-        packed = np.column_stack((self.matrix, self.bias)).astype(FLOAT_BYTES, copy=False)
         with atomic_write(path, "wb") as fh:
-            np.save(fh, packed, allow_pickle=False)
+            np.save(fh, self._packed.astype(FLOAT_BYTES, copy=False), allow_pickle=False)
 
     @classmethod
     def load(cls, path: str) -> "EncoderWeights":
@@ -220,7 +237,7 @@ class EncoderWeights:
                 or packed.shape[1] < 2:
             raise ConfigError(f"weights file {path} holds a {packed.dtype.str} array of "
                               f"shape {packed.shape}, not an (E, D+2) '<f8' one")
-        return cls(packed[:, :-1], packed[:, -1])
+        return cls.__new__(cls)._hold(np.ascontiguousarray(packed))  # copies Fortran order
 
 
 def _fuse(records: Sequence[LogRecord], provider: EmbeddingProvider,

@@ -226,12 +226,19 @@ class TemplateStore:
 
     def __init__(self):
         self._by_text: dict[str, int] = {}
-        self._texts: list[str] = []  # by template id
+        self._texts: list[Optional[str]] = []  # by template id
         self._index: Optional[CentroidIndex] = None
 
     def bind(self, index: CentroidIndex) -> None:
-        """Read clusters from `index`; ValueError if the store reads another."""
-        if self._index is not None and self._index is not index:
+        """Read clusters from `index`; ValueError if the store reads another.
+        The first binding numbers new texts above every template id the
+        index's clusters hold: a snapshot keeps the ids of its clusters'
+        templates, not their texts (None here)."""
+        if self._index is None:
+            top = max((c.template_id for c in index.centroids() if c.template_id is not None),
+                      default=-1)
+            self._texts += [None] * (top + 1 - len(self._texts))
+        elif self._index is not index:
             raise ValueError("the template store is bound to another index")
         self._index = index
 

@@ -130,7 +130,10 @@ MALFORMED_NPY_WEIGHTS = {
     "1-d": npy_bytes(_PACKED[0]),
     "one-column": npy_bytes(_PACKED[:, :1]),
     "no-rows": npy_bytes(np.zeros((0, 3))),
-    "nan-entry": npy_bytes(np.array([[1.0, np.nan, 0.5]])),
+    "nan-entry": npy_bytes(np.array([[1.0, np.nan, 0.5]])),  # the word-count column
+    "inf-word-count": npy_bytes(np.array([[1.0, -np.inf, 0.5]])),
+    "nan-bias": npy_bytes(np.array([[1.0, 0.0, np.nan]])),
+    "inf-bias": npy_bytes(np.array([[1.0, 0.0, np.inf]])),
     # 8e18 bytes: no allocator can give them, so nothing is allocated
     "header-claims-exabytes": _npy_header((10 ** 9, 10 ** 9)) + _NPY[-24:],
 }

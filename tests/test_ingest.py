@@ -222,10 +222,11 @@ class TestBatchIngest:
         assert [(a.cluster_id, a.created_new, a.template) for a in assignments] == [
             (0, False, None), (2, True, None)]
         pipe.force_rebalance()
-        assert [(c.parse_state, pipe.parser.store.template_for(c.cluster_id))
+        # the new template's id is above every loaded cluster's
+        assert [(c.parse_state, c.template_id, pipe.parser.store.template_for(c.cluster_id))
                 for c in pipe.index.centroids()] == [
-            (ParseState.PARSED, None), (ParseState.UNPARSED, None),
-            (ParseState.PARSED, "network link down on port <*>")]
+            (ParseState.PARSED, 0, None), (ParseState.UNPARSED, None, None),
+            (ParseState.PARSED, 1, "network link down on port <*>")]
         assert pipe.parser.client.query_count == 1
         pipe.parser.store.save(str(tmp_path / "templates.json"))
         assert list(json.loads((tmp_path / "templates.json").read_text())) == ["2"]
