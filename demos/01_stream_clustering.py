@@ -37,7 +37,6 @@ for i, record in enumerate(corpus.records):
 print()
 print(f"{len(corpus)} logs -> {len(pipeline.index)} clusters")
 print(f"template-extraction calls: {parser.client.query_count}")
-for centroid in pipeline.index.centroids():
-    template = parser.store.template_for(centroid.cluster_id)
+for centroid in pipeline.index.centroids():  # each holds its own template
     print(f"  cluster {centroid.cluster_id}: weight={centroid.weight:4d}  "
-          f"{template}")
+          f"{centroid.row_template()}")

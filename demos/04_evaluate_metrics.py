@@ -32,7 +32,8 @@ pipeline = Pipeline(provider, weights, CentroidIndex(), parser,
 corpus = generate_corpus(n_templates=10, logs_per_template=100, seed=7)
 assignments = [pipeline.ingest(r) for r in corpus.records]
 
-predicted = [parser.store.template_for(a.cluster_id) for a in assignments]
+# each log's template is its final cluster's, read from that centroid
+predicted = [pipeline.index.get(a.cluster_id).row_template() for a in assignments]
 truth = [corpus.template_texts[t] for t in corpus.template_ids]
 
 report = evaluate(predicted, truth)

@@ -86,18 +86,19 @@ def _load_weights(args, provider) -> EncoderWeights:
 
 
 def _read_records(path: str) -> list[LogRecord]:
-    if path == "-":
-        lines = sys.stdin.read().splitlines()
-        source = "stdin"
-    elif path.endswith(".csv"):
+    """The contents of a `.csv` dataset, or the non-blank lines of a file or
+    stdin ("-"), a byte that is not UTF-8 read as a lone surrogate."""
+    if path.endswith(".csv"):
         dataset = load_dataset(path)
         return [LogRecord(source_id=path, content=c) for c in dataset.contents]
+    if path == "-":
+        data, source = sys.stdin.buffer.read(), "stdin"
     else:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        source = path
+        with open(path, "rb") as fh:
+            data, source = fh.read(), path
     return [LogRecord(source_id=source, content=line)
-            for line in lines if line.strip()]
+            for line in data.decode("utf-8", "surrogateescape").splitlines()
+            if line.strip()]
 
 
 # ---- subcommands -----------------------------------------------------------
@@ -135,8 +136,7 @@ def cmd_ingest(args) -> int:
                     continue  # a dead letter, named below
                 reports.append(pipeline.maybe_rebalance())
 
-    out_lines = [row.to_json() for row in
-                 final_rows(assignments, reports, pipeline.parser.store.template_for)]
+    out_lines = [row.to_json() for row in final_rows(assignments, reports, index)]
     if args.assignments_out:
         with atomic_write(args.assignments_out) as fh:
             fh.write("\n".join(out_lines) + ("\n" if out_lines else ""))
@@ -145,7 +145,7 @@ def cmd_ingest(args) -> int:
             print(line)
     index.snapshot(args.snapshot_out)
     if args.templates_out:
-        pipeline.parser.store.save(args.templates_out)
+        index.save_templates(args.templates_out)
     # both modes skip a record whose embedding failed; name each one
     for record, exc in pipeline.dead_letters:
         print(f"dead letter: {record.content!r}: {exc}", file=sys.stderr)

@@ -41,7 +41,7 @@ from .errors import (
     ProviderError,
 )
 from .files import FLOAT_BYTES, atomic_write
-from .index import NORM_EPS
+from .index import NORM_EPS, TEXT_ERRORS
 from .records import LogRecord
 from .remote import RemoteClient
 
@@ -70,7 +70,7 @@ _BUCKET_HASHER = hashlib.blake2b(digest_size=8)
 
 
 class _BucketMemo(dict):
-    """token -> bucket, each token hashed on its first lookup."""
+    """token -> bucket, each token's UTF-8 bytes hashed on its first lookup."""
 
     def __init__(self, dim: int):
         super().__init__()
@@ -80,7 +80,7 @@ class _BucketMemo(dict):
         if len(self) >= BUCKET_MEMO_ENTRIES:
             self.clear()
         hasher = _BUCKET_HASHER.copy()
-        hasher.update(token.encode("utf-8"))
+        hasher.update(token.encode("utf-8", TEXT_ERRORS))
         self[token] = bucket = int.from_bytes(hasher.digest(), "big") % self.dim
         return bucket
 

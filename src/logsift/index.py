@@ -26,13 +26,15 @@ at a time, for the clusters whose lookup in a pass can find a partner
 
 A snapshot is one uncompressed `.npz` of named arrays (`_SNAPSHOT`), one
 entry per centroid in id order, with each vector's float64 bytes as they
-are; `load` checks the whole file with array tests and builds the screen
-with one cast.
+are and each text a slice of one UTF-8 blob, so a cluster's whole record
+survives; `load` checks the whole file with array tests and builds the
+screen with one cast.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import math
 import zipfile
 from dataclasses import dataclass
@@ -64,7 +66,15 @@ _STATES = (ParseState.UNPARSED, ParseState.PARSED, ParseState.FAILED)
 ZIP_MAGIC = b"PK\x03\x04"  # the first four bytes of every .npz file
 # name -> (dtype, number of dimensions) of each array of a snapshot
 _SNAPSHOT = {"ids": ("<i8", 1), "weights": ("<i8", 1), "template_ids": ("<i8", 1),
-             "states": ("|i1", 1), "vectors": ("<f8", 2), "next_id": ("<i8", 0)}
+             "states": ("|i1", 1), "vectors": ("<f8", 2), "next_id": ("<i8", 0),
+             "templates": ("|u1", 1), "template_offsets": ("<i8", 1),
+             "representatives": ("|u1", 1), "representative_offsets": ("<i8", 1)}
+# the blob of a text column, named for its centroid field, -> its offsets:
+# text i is blob[offsets[i]:offsets[i + 1]], and an empty one is None
+_TEXTS = {"templates": "template_offsets", "representatives": "representative_offsets"}
+# the error handler of a text's UTF-8 bytes, which takes a lone surrogate
+# (a byte that is not UTF-8, read with "surrogateescape") there and back
+TEXT_ERRORS = "surrogatepass"
 
 
 @dataclass
@@ -72,7 +82,8 @@ class ClusterCentroid:
     """One cluster, and its one record. Its `vector` is a read-only view
     that only the index replaces (`CentroidIndex.update_moving_average`), so
     the screen follows every move. `representative` is the content of the
-    log its template was, or will be, parsed from; a snapshot keeps none."""
+    log its template was, or will be, parsed from, and `template` the text
+    of a PARSED cluster, whose id clusters with the same text share."""
 
     cluster_id: int
     _vector: np.ndarray
@@ -80,10 +91,18 @@ class ClusterCentroid:
     template_id: Optional[int] = None
     parse_state: ParseState = ParseState.UNPARSED
     representative: Optional[str] = None
+    template: Optional[str] = None
 
     @property
     def vector(self) -> np.ndarray:
         return self._vector
+
+    def row_template(self) -> Optional[str]:
+        """The template its rows report: a PARSED cluster's text, a FAILED
+        one's representative (its raw-log fallback), None before a parse."""
+        if self.parse_state is ParseState.PARSED:
+            return self.template
+        return self.representative if self.parse_state is ParseState.FAILED else None
 
 
 class SearchHit(NamedTuple):
@@ -161,7 +180,8 @@ class CentroidIndex:
     def insert(self, vector: np.ndarray, weight: int = 1,
                template_id: Optional[int] = None,
                parse_state: ParseState = ParseState.UNPARSED,
-               representative: Optional[str] = None) -> int:
+               representative: Optional[str] = None,
+               template: Optional[str] = None) -> int:
         vector = _check_unit(vector)
         cid = self._next_id
         row = len(self._live)
@@ -176,7 +196,7 @@ class CentroidIndex:
         vector = vector.view()  # read-only, and the caller's array stays as it was
         vector.flags.writeable = False
         self._live.append(ClusterCentroid(cid, vector, weight, template_id,
-                                          parse_state, representative))
+                                          parse_state, representative, template))
         self._next_id += 1
         return cid
 
@@ -310,6 +330,11 @@ class CentroidIndex:
                 len(centroids), self._screen.shape[1]),
             "next_id": self._next_id,
         }
+        for blob, offsets in _TEXTS.items():
+            encoded = [(getattr(c, blob[:-1]) or "").encode("utf-8", TEXT_ERRORS)
+                       for c in centroids]
+            fields[blob] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+            fields[offsets] = np.cumsum([0, *map(len, encoded)])
         with atomic_write(path, "wb") as fh:
             np.savez(fh, **{name: np.asarray(fields[name], dtype=dtype)
                             for name, (dtype, _) in _SNAPSHOT.items()})
@@ -319,18 +344,24 @@ class CentroidIndex:
         """Read a snapshot `snapshot` wrote, told apart by its first four
         bytes whatever the file is named. A file that is not a `.npz`
         holding the arrays of `_SNAPSHOT`, each of its exact dtype and
-        number of dimensions and all but `next_id` of one length, is a
-        SnapshotFormatError; so is a duplicate id, a weight below 1, a
-        template id below -1, an unknown state code, a parsed cluster with
-        no template id, a vector that is not finite and unit-length, or a
+        number of dimensions, is a SnapshotFormatError (the six arrays of
+        earlier versions, too); so is per-centroid arrays of two lengths, a
+        duplicate id, a weight below 1, a template id below -1, an unknown
+        state, a parsed cluster with no template id or text, a text on one
+        that is not parsed, one template id with two texts, bad text offsets
+        or bytes, a vector that is not finite and unit-length, or a
         `next_id` not above every id. Nothing is unpickled."""
         try:
             with open(path, "rb") as fh:
                 if fh.read(len(ZIP_MAGIC)) != ZIP_MAGIC:
                     raise ValueError("not a .npz file (a JSON snapshot of an earlier "
-                                     "logsift converts as the README says)")
+                                     "logsift is rebuilt as the README says)")
                 fh.seek(0)
                 with np.load(fh, allow_pickle=False) as npz:
+                    if set(npz.files) == set(_SNAPSHOT).difference(_TEXTS, _TEXTS.values()):
+                        raise ValueError("it holds no template texts or representatives, as "
+                                         "earlier versions wrote; rebuild it with `logsift "
+                                         "ingest`")
                     arrays = {name: npz[name] for name in _SNAPSHOT}
             for name, (dtype, ndim) in _SNAPSHOT.items():
                 array = arrays[name]
@@ -339,22 +370,32 @@ class CentroidIndex:
                 if (array.dtype.str, array.ndim) != (dtype, ndim):
                     raise ValueError(f"{name} is a {array.dtype.str} array of shape "
                                      f"{array.shape}, not a {ndim}-d {dtype} one")
-            lengths = {name: len(array) for name, array in arrays.items() if array.ndim}
+            lengths = {name: len(arrays[name])
+                       for name in ("ids", "weights", "template_ids", "states", "vectors")}
             if len(set(lengths.values())) > 1:
                 raise ValueError(f"arrays disagree in length: {lengths}")
-            ids, weights, template_ids, states, vectors, next_id = arrays.values()
+            ids, weights, template_ids, states, vectors, next_id, *_ = arrays.values()
             unique, counts = np.unique(ids, return_counts=True)
             if len(unique) < len(ids):
                 raise ValueError(f"duplicate cluster id {unique[counts > 1][0]}")
+            ids = ids.tolist()  # Python ints, which json.dumps takes
+            templates, representatives = (_unpack(arrays, blob, len(ids)) for blob in _TEXTS)
+            parsed = states == _STATES.index(ParseState.PARSED)
+            texts = np.array([text is not None for text in templates], dtype=bool)
             for bad, what in ((weights < 1, "a weight below 1"),
                               (template_ids < -1, "a template id below -1"),
                               ((states < 0) | (states >= len(_STATES)), "an unknown state"),
-                              ((states == _STATES.index(ParseState.PARSED))
-                               & (template_ids == -1), "a parsed state and no template id")):
+                              (parsed & (template_ids == -1), "a parsed state and no template id"),
+                              (parsed & ~texts, "a parsed state and no template text"),
+                              (~parsed & texts, "a template text and no parsed state")):
                 if bad.any():
                     raise ValueError(f"cluster {ids[bad.argmax()]} has {what}")
+            text_of = {}
+            for tid, text in zip(template_ids.tolist(), templates):
+                if text is not None and text_of.setdefault(tid, text) != text:
+                    raise ValueError(f"template id {tid} has two texts")
             _check_unit(vectors)
-            if next_id <= ids.max(initial=-1):
+            if next_id <= max(ids, default=-1):
                 raise ValueError(f"next_id {next_id} is not above every id")
         # a MemoryError: a header that claims more entries than can be allocated
         except (zipfile.BadZipFile, EOFError, ValueError, KeyError, TypeError,
@@ -367,12 +408,37 @@ class CentroidIndex:
         vectors.flags.writeable = False
         index._screen = vectors.astype(np.float32)
         index._margin = _screen_margin(vectors.shape[1])
-        ids = ids.tolist()  # Python ints, which json.dumps takes
         index._live = [ClusterCentroid(cid, vector, weight, None if tid == -1 else tid,
-                                       _STATES[state])
-                       for cid, vector, weight, tid, state in zip(
+                                       _STATES[state], representative, template)
+                       for cid, vector, weight, tid, state, representative, template in zip(
                            ids, vectors, weights.tolist(), template_ids.tolist(),
-                           states.tolist())]
+                           states.tolist(), representatives, templates)]
         index._rows = {cid: row for row, cid in enumerate(ids)}
         index._next_id = next_id.tolist()
         return index
+
+    def save_templates(self, path: str) -> None:
+        """Write the templates view of the index to `path` as one JSON
+        object: for each cluster whose rows report a template
+        (`ClusterCentroid.row_template`), keyed by id in ascending order,
+        that template, its template id, parse state and representative
+        (`source_log`)."""
+        entries = {c.cluster_id: {"template": c.row_template(), "template_id": c.template_id,
+                                  "parse_state": c.parse_state.value,
+                                  "source_log": c.representative}
+                   for c in self.centroids() if c.row_template() is not None}
+        with atomic_write(path) as fh:
+            json.dump(entries, fh, indent=2)
+
+
+def _unpack(arrays: dict[str, np.ndarray], blob: str, n: int) -> list[Optional[str]]:
+    """The n texts of the column `blob` of a snapshot's `arrays`; ValueError
+    unless its n + 1 offsets run from 0 up to its end and each text decodes."""
+    offsets = arrays[_TEXTS[blob]]
+    if (len(offsets) != n + 1 or offsets[0] != 0 or (np.diff(offsets) < 0).any()
+            or offsets[-1] != len(arrays[blob])):
+        raise ValueError(f"{_TEXTS[blob]} are not {n + 1} offsets from 0 up to the "
+                         f"{len(arrays[blob])} bytes of {blob}")
+    data, bounds = arrays[blob].tobytes(), offsets.tolist()
+    return [data[start:stop].decode("utf-8", TEXT_ERRORS) or None
+            for start, stop in zip(bounds, bounds[1:])]

@@ -16,8 +16,9 @@ Both modes commit a record through one create-or-join step, whose
 `ClusterAssignment` is a named tuple: immutable, and cheaper to build than
 a frozen dataclass on a path taken once per record. A cluster's one record
 is its centroid, created with the record's content as its representative
-log; a merge's survivor takes the template id and representative of
+log; a merge's survivor takes the template id, text and representative of
 `kept_from`, or else its first constituent's representative (`merge_pair`).
+A row's template is read from that record alone (`row_template`).
 
 Both modes embed through one per-pipeline cache keyed by the exact line
 content, which alone fixes the vector: a line repeated while it is among
@@ -36,7 +37,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -76,9 +77,9 @@ class ClusterAssignment(NamedTuple):
 
 def final_rows(assignments: list[ClusterAssignment],
                reports: list[Optional[MergeReport]],
-               template_for: Callable[[int], Optional[str]]) -> list[ClusterAssignment]:
-    """The rows a run writes: each assignment with the cluster its log ended
-    in after every merge of `reports` (None for no pass), and its template."""
+               index: CentroidIndex) -> list[ClusterAssignment]:
+    """The rows a run writes: each assignment with the cluster of `index` its
+    log ended in after every merge of `reports` (None for no pass), and its template."""
     survivor = {absorbed: event.surviving_id for report in reports if report
                 for event in report.merges for absorbed in event.absorbed_ids}
     rows = []
@@ -86,7 +87,8 @@ def final_rows(assignments: list[ClusterAssignment],
         cid = assignment.cluster_id
         while cid in survivor:
             cid = survivor[cid]
-        rows.append(assignment._replace(cluster_id=cid, template=template_for(cid)))
+        rows.append(assignment._replace(cluster_id=cid,
+                                        template=index.get(cid).row_template()))
     return rows
 
 
@@ -105,6 +107,8 @@ class Pipeline:
         self.weights = weights
         self.index = index
         self.parser = parser
+        parser.seed(index)
+        parser.store.index = index
         self.config = config or IngestConfig()
         self.dead_letters: list[tuple[LogRecord, Exception]] = []
         self._log_counter = 0
@@ -160,8 +164,7 @@ class Pipeline:
                  and hit.similarity >= self.config.similarity_threshold)
         if joins:
             cid, similarity = hit.cluster_id, hit.similarity
-            template = self.parser.store.template_of(
-                self.index.update_moving_average(cid, vector))
+            template = self.index.update_moving_average(cid, vector).row_template()
         else:
             cid, similarity = self.index.insert(vector, representative=record.content), 1.0
             template = None if defer_parse else self.parser.parse_cluster(self.index, cid)
@@ -242,10 +245,9 @@ class Pipeline:
         return report
 
     def parse_pending(self) -> int:
-        """Parse every cluster that is unparsed or previously failed, except
-        one loaded from a snapshot, which has no representative log."""
+        """Parse every cluster that is unparsed or previously failed."""
         pending = [c.cluster_id for c in self.index.centroids()
-                   if c.parse_state != ParseState.PARSED and c.representative is not None]
+                   if c.parse_state != ParseState.PARSED]
         for cid in pending:
             self.parser.parse_cluster(self.index, cid)
         return len(pending)

@@ -5,7 +5,9 @@ constraints, chain-of-thought demonstrations, queried log), sends it to a
 completion client at temperature 0, and post-processes the response: the
 backticked string behind a "LogTemplate" marker is taken, every brace-
 delimited parameter is replaced by the placeholder ``<*>`` and adjacent
-placeholders are collapsed.
+placeholders are collapsed. A parse sets the state, template id and text
+of the cluster's centroid together; the parser keeps only the text -> id
+table.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError, MalformedResponseError, ProviderError
-from .files import atomic_write
-from .index import CentroidIndex, ClusterCentroid, ParseState
+from .index import CentroidIndex, ParseState
 from .remote import RemoteClient
 
 TASK_INSTRUCTIONS = (
@@ -218,77 +219,37 @@ class RemoteCompletionClient(RemoteClient, CompletionClient):
 
 
 class TemplateStore:
-    """Template texts by dense template id, and the templates of the
-    clusters of the one index a parser binds it to, read from their
-    centroids. Identical texts share one id without their centroids being
-    merged; a FAILED cluster's raw-log fallback is no template and gets none.
-    """
+    """A benchmark shim: `save` writes the templates view
+    (`CentroidIndex.save_templates`) of the index `Pipeline` hands it."""
 
-    def __init__(self):
-        self._by_text: dict[str, int] = {}
-        self._texts: list[Optional[str]] = []  # by template id
-        self._index: Optional[CentroidIndex] = None
-
-    def bind(self, index: CentroidIndex) -> None:
-        """Read clusters from `index`; ValueError if the store reads another.
-        The first binding numbers new texts above every template id the
-        index's clusters hold: a snapshot keeps the ids of its clusters'
-        templates, not their texts (None here)."""
-        if self._index is None:
-            top = max((c.template_id for c in index.centroids() if c.template_id is not None),
-                      default=-1)
-            self._texts += [None] * (top + 1 - len(self._texts))
-        elif self._index is not index:
-            raise ValueError("the template store is bound to another index")
-        self._index = index
-
-    def add(self, template: str) -> int:
-        """The template id of the text `template`, a new one if it is new."""
-        if template not in self._by_text:
-            self._by_text[template] = len(self._texts)
-            self._texts.append(template)
-        return self._by_text[template]
-
-    def template_of(self, centroid: ClusterCentroid) -> Optional[str]:
-        """A PARSED cluster's template text, a FAILED one's representative,
-        and None for an UNPARSED one or one loaded from a snapshot, which
-        keeps no representative and no template texts."""
-        if centroid.representative is None:
-            return None
-        if centroid.parse_state is ParseState.PARSED:
-            return self._texts[centroid.template_id]
-        return centroid.representative if centroid.parse_state is ParseState.FAILED else None
-
-    def template_for(self, cluster_id: int) -> Optional[str]:
-        """`template_of` a cluster of the bound index; None before a parse."""
-        return None if self._index is None else self.template_of(self._index.get(cluster_id))
+    index: Optional[CentroidIndex] = None
 
     def save(self, path: str) -> None:
-        """Write each cluster of the bound index that has a template, in id
-        order: the template, template id, parse state and representative
-        (`source_log`)."""
-        entries = {}
-        for c in self._index.centroids() if self._index is not None else ():
-            template = self.template_of(c)
-            if template is not None:
-                entries[c.cluster_id] = {"template": template, "template_id": c.template_id,
-                                         "parse_state": c.parse_state.value,
-                                         "source_log": c.representative}
-        with atomic_write(path) as fh:
-            json.dump(entries, fh, indent=2)
+        self.index.save_templates(path)
 
 
 @dataclass
 class ClusterParser:
-    """Queues a completion query per cluster and applies the result."""
+    """Queues a completion query per cluster and applies the result.
+    Identical texts share one template id without their centroids being
+    merged; a FAILED cluster's raw-log fallback is no template, with none."""
 
     client: CompletionClient
     demos: tuple[Demonstration, ...] = field(default_factory=load_demonstrations)
     store: TemplateStore = field(default_factory=TemplateStore)
+    _ids: dict[str, int] = field(default_factory=dict, init=False, repr=False)
+    _next_id: int = field(default=0, init=False, repr=False)
+
+    def seed(self, index: CentroidIndex) -> None:
+        """Take the template ids of `index`'s parsed clusters, so their
+        texts keep them, and number new texts above all of them."""
+        for c in index.centroids():
+            if c.parse_state is ParseState.PARSED:
+                self._ids.setdefault(c.template, c.template_id)
+                self._next_id = max(self._next_id, c.template_id + 1)
 
     def parse_cluster(self, index: CentroidIndex, cluster_id: int) -> str:
-        """Parse the representative log of an unparsed or failed cluster,
-        binding the store to `index`.
+        """Parse the representative log of an unparsed or failed cluster.
 
         On a malformed response the query is retried once. After a second
         malformed response, or a call that fails after the retries of
@@ -298,9 +259,8 @@ class ClusterParser:
         centroid = index.get(cluster_id)
         if centroid.parse_state == ParseState.PARSED:
             raise ValueError(f"cluster {cluster_id} is already parsed")
-        if centroid.representative is None:  # a cluster loaded from a snapshot
+        if centroid.representative is None:  # inserted without one
             raise ValueError(f"cluster {cluster_id} has no representative log")
-        self.store.bind(index)
         prompt = build_prompt(centroid.representative, self.demos)
         template = None
         for _ in range(2):
@@ -315,7 +275,12 @@ class ClusterParser:
             except MalformedResponseError:
                 continue
         if template is None:
-            centroid.parse_state, centroid.template_id = ParseState.FAILED, None
+            centroid.parse_state, centroid.template_id, centroid.template = \
+                ParseState.FAILED, None, None
             return centroid.representative
-        centroid.parse_state, centroid.template_id = ParseState.PARSED, self.store.add(template)
+        if template not in self._ids:
+            self._ids[template] = self._next_id
+            self._next_id += 1
+        centroid.parse_state, centroid.template_id, centroid.template = \
+            ParseState.PARSED, self._ids[template], template
         return template

@@ -63,9 +63,9 @@ def _winner(a: ClusterCentroid, b: ClusterCentroid) -> Optional[ClusterCentroid]
 def merge_pair(index: CentroidIndex, id_a: int, id_b: int) -> int:
     """Replace two clusters by their weight-proportional average.
 
-    The merged cluster keeps `_winner`'s template id and representative and
-    stays parsed; with no winner it is unparsed again, with `id_a`'s
-    representative, so the parser revisits it.
+    The merged cluster keeps `_winner`'s template id, text and
+    representative and stays parsed; with no winner it is unparsed again,
+    with `id_a`'s representative, so the parser revisits it.
     """
     if id_a == id_b:
         raise ValueError("cannot merge a cluster with itself")
@@ -76,14 +76,13 @@ def merge_pair(index: CentroidIndex, id_a: int, id_b: int) -> int:
     if norm < NORM_EPS:
         raise ValueError("merged centroid is degenerate (antipodal constituents)")
     winner = _winner(a, b)
-    if winner is not None:
-        state, template_id, source = ParseState.PARSED, winner.template_id, winner
-    else:
-        state, template_id, source = ParseState.UNPARSED, None, a
     weight = a.weight + b.weight
     index.remove(id_a)
     index.remove(id_b)
-    return index.insert(merged / norm, weight, template_id, state, source.representative)
+    if winner is None:
+        return index.insert(merged / norm, weight, representative=a.representative)
+    return index.insert(merged / norm, weight, winner.template_id, ParseState.PARSED,
+                        winner.representative, winner.template)
 
 
 def rebalance(index: CentroidIndex, threshold: float) -> MergeReport:

@@ -27,6 +27,8 @@ from logsift import (
     rebalance,
     train,
 )
+from logsift.ingest import final_rows
+from logsift.records import LogRecord
 from logsift.synthetic import generate_corpus, similarity_margins
 
 import conftest
@@ -205,7 +207,7 @@ def test_criterion_4_end_to_end_fixture(provider, identity_weights):
     assignments = [pipe.ingest(r) for r in corpus.records]
     clusters = len(pipe.index)
 
-    predicted = [parser.store.template_for(a.cluster_id) for a in assignments]
+    predicted = [pipe.index.get(a.cluster_id).row_template() for a in assignments]
     truth = [corpus.template_texts[t] for t in corpus.template_ids]
     report = evaluate(predicted, truth)
     elapsed = time.monotonic() - start
@@ -345,7 +347,7 @@ def _ingest_all(pipeline_cls, provider, weights, records, mode):
             assignments.append(pipe.ingest(record))
             pipe.maybe_rebalance()
     centroids = list(pipe.index.centroids())
-    templates = [pipe.parser.store.template_for(c.cluster_id) for c in centroids]
+    templates = [c.row_template() for c in centroids]
     return assignments, centroids, templates
 
 
@@ -388,6 +390,64 @@ def test_criterion_10_embedding_cache_equivalence(provider, identity_weights):
                 f"{mode} {same[mode]} / {worst[mode]:.1e}" for mode in same))
 
 
+def _drifted_run(provider, weights, records, batch_size, rebalance_every):
+    """Ingest `records` as `logsift ingest` does: one at a time
+    (`batch_size` 0) or in batches, a pass due every `rebalance_every`
+    logs, and in batch mode one more at the end. Returns each row's final
+    cluster id and the completion calls made."""
+    client = MockCompletionClient()
+    pipe = Pipeline(provider, weights, CentroidIndex(), ClusterParser(client=client),
+                    IngestConfig(batch_mode=batch_size > 0, rebalance_every_n=rebalance_every))
+    assignments, reports = [], []
+    if batch_size:
+        for start in range(0, len(records), batch_size):
+            out, errors = pipe.ingest_batch(records[start:start + batch_size])
+            assert errors == []
+            assignments += out
+            reports.append(pipe.maybe_rebalance())
+        reports.append(pipe.force_rebalance())
+    else:
+        for record in records:
+            assignments.append(pipe.ingest(record))
+            reports.append(pipe.maybe_rebalance())
+    rows = final_rows(assignments, reports, pipe.index)
+    return [row.cluster_id for row in rows], client.query_count
+
+
+def test_criterion_11_rebalancing_repairs_drift(provider, identity_weights):
+    """Log drift: halfway through a shuffled stream every line's first
+    token is renamed (a new release rewording its messages). Rebalancing
+    every 500 lines merges each template's old and new clusters, so the
+    final rows group every template whole; without it each one splits."""
+    start = time.monotonic()
+    results = []
+    for seed in (7, 8, 9):
+        corpus = generate_corpus(n_templates=10, logs_per_template=200, seed=seed)
+        order = np.random.default_rng(seed).permutation(len(corpus))
+        records = [corpus.records[i] for i in order]
+        truth = [corpus.template_ids[i] for i in order]
+        half = len(records) // 2
+        for k in range(half, len(records)):
+            first, rest = records[k].content.split(" ", 1)
+            records[k] = LogRecord(records[k].source_id, f"{first}v2 {rest}")
+        for name, batch_size, every in (("sequential", 0, 500), ("batch", 256, 500),
+                                        ("no rebalance", 0, len(records) + 1)):
+            clusters, calls = _drifted_run(provider, identity_weights, records,
+                                           batch_size, every)
+            results.append((seed, name, grouping_accuracy(clusters, truth),
+                            fga(clusters, truth)[0], len(set(clusters)), calls / 10))
+    repaired = all(ga == f == 1.0 for _, name, ga, f, _, _ in results
+                   if name != "no rebalance")
+    # without rebalancing, every template is split in two
+    split = all(ga == 0.0 and n == 20 for _, name, ga, _, n, _ in results
+                if name == "no rebalance")
+    _report("criterion 11: rebalancing repairs drift", repaired and split,
+            "; ".join(f"seed {seed} {name}: GA {ga:.3f} FGA {f:.3f}, {n} clusters, "
+                      f"{calls:.1f} calls/template"
+                      for seed, name, ga, f, n, calls in results)
+            + f"; {time.monotonic() - start:.2f}s")
+
+
 @pytest.mark.skipif(
     not (os.environ.get("EMBEDDING_API_KEY") and os.environ.get("COMPLETION_API_KEY")
          and os.environ.get("LIVE_SMOKE_DATASET")),
@@ -410,6 +470,6 @@ def test_criterion_9_optional_live_smoke():
     parser = ClusterParser(client=client)
     pipe = Pipeline(provider, weights, CentroidIndex(), parser, IngestConfig())
     assignments = [pipe.ingest(LogRecord("live", c)) for c, _ in rows]
-    predicted = [parser.store.template_for(a.cluster_id) for a in assignments]
+    predicted = [pipe.index.get(a.cluster_id).row_template() for a in assignments]
     value, *_ = fga(predicted, [t for _, t in rows])
     _report("criterion 9: live smoke", value >= 0.7, f"FGA={value:.3f}")

@@ -1,6 +1,8 @@
 import base64
 import csv
+import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +139,47 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert "'disk full on sda1'" in err and "'fan failed on rack7'" in err
         assert "ingested 0 of 2 logs" in err
+
+
+    # the second line holds a byte that is not UTF-8
+    NOT_UTF_8 = b"disk full on volume 7\ndisk full on \xff volume 9\nfan failed on rack 3\n"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_a_byte_that_is_not_utf_8_costs_no_line(self, tmp_path, monkeypatch, source):
+        # the byte reads as the lone surrogate "\udcff", and its line is
+        # clustered, parsed, written and snapshotted like any other
+        if source == "file":
+            (tmp_path / "bad.log").write_bytes(self.NOT_UTF_8)
+            path = str(tmp_path / "bad.log")
+        else:  # as stdin reads in a C locale
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+                io.BytesIO(self.NOT_UTF_8), encoding="utf-8", errors="surrogateescape"))
+            path = "-"
+        snap, assigns = tmp_path / "index.npz", tmp_path / "assign.jsonl"
+        templates = tmp_path / "templates.json"
+        assert main(["ingest", "--input", path, "--snapshot-out", str(snap),
+                     "--assignments-out", str(assigns),
+                     "--templates-out", str(templates)]) == EXIT_OK
+        rows = [json.loads(line) for line in assigns.read_text().splitlines()]
+        assert [(row["log_index"], row["template"]) for row in rows] == [
+            (0, "disk full on volume <*>"), (1, "disk full on \udcff volume <*>"),
+            (2, "fan failed on rack <*>")]
+        index = CentroidIndex.load(str(snap))
+        bad = index.get(rows[1]["cluster_id"])
+        assert (bad.representative, bad.template) == (
+            "disk full on \udcff volume 9", "disk full on \udcff volume <*>")
+        again = tmp_path / "again.npz"
+        index.snapshot(str(again))
+        assert again.read_bytes() == snap.read_bytes()
+
+    def test_the_snapshot_holds_the_texts_the_templates_file_names(self, corpus_csv,
+                                                                  tmp_path):
+        snap, templates = tmp_path / "index.npz", tmp_path / "templates.json"
+        assert main(["ingest", "--input", corpus_csv, "--batch-mode", "--snapshot-out",
+                     str(snap), "--templates-out", str(templates)]) == EXIT_OK
+        entries = json.loads(templates.read_text())
+        assert {int(cid): entry["template"] for cid, entry in entries.items()} == \
+            {c.cluster_id: c.template for c in CentroidIndex.load(str(snap)).centroids()}
 
 
 class TestEvaluateCommand:

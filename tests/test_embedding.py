@@ -73,11 +73,14 @@ class TestEmbedRaw:
     @pytest.mark.parametrize("dim", [2, 512, 1000])
     def test_a_bucket_is_the_tokens_blake2b_modulo_dim(self, monkeypatch, dim):
         monkeypatch.setattr(embedding, "BUCKET_MEMO_ENTRIES", 3)
+        # a lone surrogate (as a byte that is not UTF-8 reads, or any other)
+        # hashes as its three "surrogatepass" bytes
         tokens = ["ERROR", "blk_-1608999687919862906", "héllo", "日志", "x" * 300,
-                  "/10.250.19.102:54106", "ERROR"]
+                  "/10.250.19.102:54106", "ERROR", "on\udcffdisk", "\ud800"]
         memo = embedding._BucketMemo(dim)
         for token in tokens + tokens:  # the memo starts afresh every 3 tokens
-            digest = hashlib.blake2b(token.encode(), digest_size=8).digest()
+            digest = hashlib.blake2b(token.encode("utf-8", "surrogatepass"),
+                                     digest_size=8).digest()
             assert memo[token] == int.from_bytes(digest, "big") % dim
             assert len(memo) <= 3
 

@@ -511,11 +511,15 @@ class TestSnapshot:
             # pairs of near-duplicates, so a rebalance merges some
             vector = random_unit(rng, 4) if i % 2 == 0 else \
                 index.get(i - 1).vector + 0.01 * random_unit(rng, 4)
-            cid = index.insert(vector / np.linalg.norm(vector))
+            # texts with lone surrogates (a byte that is not UTF-8, read as
+            # "surrogateescape" reads it, and a high one) and a non-BMP
+            # character; some clusters have no representative
+            cid = index.insert(vector / np.linalg.norm(vector), representative=None
+                               if i % 5 == 0 else f"line {i} on \udcff disk \U0001f4be")
             c = index.get(cid)
             c.weight = int(rng.integers(1, 50))
             if i % 3 == 0:
-                c.template_id = i
+                c.template_id, c.template = i, f"template {i} \ud800 <*>"
                 c.parse_state = ParseState.PARSED
             elif i % 7 == 0:
                 c.parse_state = ParseState.FAILED
@@ -528,8 +532,8 @@ class TestSnapshot:
         for cid in index.ids():
             a, b = index.get(cid), loaded.get(cid)
             assert a.vector.tobytes() == b.vector.tobytes()
-            assert (a.weight, a.template_id, a.parse_state) == \
-                (b.weight, b.template_id, b.parse_state)
+            assert (a.weight, a.template_id, a.parse_state, a.representative, a.template) == \
+                (b.weight, b.template_id, b.parse_state, b.representative, b.template)
             assert type(b.cluster_id) is type(b.weight) is int
         again = tmp_path / "again.npz"
         loaded.snapshot(str(again))
@@ -546,10 +550,10 @@ class TestSnapshot:
         fortran = CentroidIndex.load(str(path))
         assert [fortran.nearest(q) for q in queries] == [index.nearest(q) for q in queries]
         assert rebalance(loaded, 0.99) == rebalance(index, 0.99)
-        assert [(c.cluster_id, c.weight, c.template_id, c.parse_state, c.vector.tobytes())
-                for c in loaded.centroids()] == \
-            [(c.cluster_id, c.weight, c.template_id, c.parse_state, c.vector.tobytes())
-             for c in index.centroids()]
+        assert [(c.cluster_id, c.weight, c.template_id, c.parse_state, c.representative,
+                 c.template, c.vector.tobytes()) for c in loaded.centroids()] == \
+            [(c.cluster_id, c.weight, c.template_id, c.parse_state, c.representative,
+              c.template, c.vector.tobytes()) for c in index.centroids()]
         assert loaded.insert(unit(1, 0, 0, 0)) == index.insert(unit(1, 0, 0, 0))
 
     def test_corrupted_file(self, tmp_path):
@@ -571,11 +575,12 @@ class TestSnapshot:
     def test_arrays_are_the_centroids_in_id_order(self, tmp_path, size):
         rng = np.random.default_rng(size)
         index = CentroidIndex()
-        states = [(None, ParseState.UNPARSED), (7, ParseState.PARSED),
-                  (None, ParseState.FAILED), (0, ParseState.PARSED)]
-        for template_id, state in states[:size]:
+        states = [(None, ParseState.UNPARSED, None, "b 2"), (7, ParseState.PARSED, "a <*>", "a 1"),
+                  (None, ParseState.FAILED, None, None), (0, ParseState.PARSED, "é <*>", "é 3")]
+        for template_id, state, template, representative in states[:size]:
             index.insert(random_unit(rng, 5), weight=int(rng.integers(1, 50)),
-                         template_id=template_id, parse_state=state)
+                         template_id=template_id, parse_state=state,
+                         representative=representative, template=template)
         index.remove(index.insert(random_unit(rng, 5)))  # the highest id
         if size == 4:
             index.remove(0)  # the last row moves into row 0
@@ -586,7 +591,11 @@ class TestSnapshot:
         assert {name: (a.dtype.str, a.shape) for name, a in arrays.items()} == {
             "ids": ("<i8", (len(centroids),)), "weights": ("<i8", (len(centroids),)),
             "template_ids": ("<i8", (len(centroids),)), "states": ("|i1", (len(centroids),)),
-            "vectors": ("<f8", (len(centroids), 5)), "next_id": ("<i8", ())}
+            "vectors": ("<f8", (len(centroids), 5)), "next_id": ("<i8", ()),
+            "templates": ("|u1", (len(arrays["templates"]),)),
+            "template_offsets": ("<i8", (len(centroids) + 1,)),
+            "representatives": ("|u1", (len(arrays["representatives"]),)),
+            "representative_offsets": ("<i8", (len(centroids) + 1,))}
         assert arrays["ids"].tolist() == [c.cluster_id for c in centroids]
         assert arrays["weights"].tolist() == [c.weight for c in centroids]
         assert arrays["template_ids"].tolist() == \
@@ -595,6 +604,14 @@ class TestSnapshot:
             [["unparsed", "parsed", "failed"].index(c.parse_state.value) for c in centroids]
         assert arrays["vectors"].tobytes() == b"".join(c.vector.tobytes() for c in centroids)
         assert arrays["next_id"] == size + 1
+        # each text is the UTF-8 slice its offsets bound; none is an empty one
+        for blob, offsets, attr in (("templates", "template_offsets", "template"),
+                                    ("representatives", "representative_offsets",
+                                     "representative")):
+            texts = [getattr(c, attr) or "" for c in centroids]
+            assert arrays[blob].tobytes() == "".join(texts).encode()
+            assert arrays[offsets].tolist() == \
+                [len("".join(texts[:k]).encode()) for k in range(len(texts) + 1)]
 
     def test_empty_roundtrip(self, tmp_path):
         path = tmp_path / "empty.npz"
@@ -640,6 +657,43 @@ class TestSnapshot:
                                    "cluster 1 has a template id below -1"),
         "not-unit": (lambda path: rewrite(path, vectors=np.array([[1.0, 0.0], [0.0, 0.5]])),
                      "unit-norm"),
+        # an earlier version's snapshot: the six arrays, no texts
+        "six-arrays": (lambda path: rewrite(path, templates=None, template_offsets=None,
+                                            representatives=None,
+                                            representative_offsets=None),
+                       "holds no template texts or representatives, as earlier versions "
+                       "wrote; rebuild it with `logsift ingest`"),
+        "missing-texts": (lambda path: rewrite(path, templates=None),
+                          "templates is not a file"),
+        "int-texts": (lambda path: rewrite(path, templates=np.array([], dtype="<i8")),
+                      "templates is a <i8 array"),
+        "offsets-per-text": (lambda path: rewrite(path, template_offsets=np.array([0, 0])),
+                             "template_offsets are not 3 offsets from 0 up to the 0 bytes"),
+        "offsets-from-1": (lambda path: rewrite(path, representatives=np.frombuffer(
+            b"ab", np.uint8), representative_offsets=np.array([1, 2, 2])),
+                           "representative_offsets are not 3 offsets from 0 up to the 2 bytes"),
+        "offsets-decrease": (lambda path: rewrite(path, representatives=np.frombuffer(
+            b"ab", np.uint8), representative_offsets=np.array([0, 2, 1])),
+                             "representative_offsets are not 3 offsets from 0"),
+        "offsets-short-of-the-end": (lambda path: rewrite(
+            path, representatives=np.frombuffer(b"ab", np.uint8),
+            representative_offsets=np.array([0, 1, 1])), "from 0 up to the 2 bytes"),
+        "offsets-past-the-end": (lambda path: rewrite(
+            path, representatives=np.frombuffer(b"ab", np.uint8),
+            representative_offsets=np.array([0, 1, 3])), "from 0 up to the 2 bytes"),
+        "not-utf-8": (lambda path: rewrite(path, representatives=np.frombuffer(
+            b"a\xff", np.uint8), representative_offsets=np.array([0, 1, 2])),
+                      "can't decode byte 0xff"),
+        "parsed-without-text": (lambda path: rewrite(
+            path, states=np.array([0, 1], dtype=np.int8), template_ids=np.array([-1, 0])),
+                                "cluster 1 has a parsed state and no template text"),
+        "text-not-parsed": (lambda path: rewrite(path, templates=np.frombuffer(
+            b"a", np.uint8), template_offsets=np.array([0, 1, 1])),
+                            "cluster 0 has a template text and no parsed state"),
+        "one-id-two-texts": (lambda path: rewrite(
+            path, states=np.array([1, 1], dtype=np.int8), template_ids=np.array([3, 3]),
+            templates=np.frombuffer(b"ab", np.uint8), template_offsets=np.array([0, 1, 2])),
+                             "template id 3 has two texts"),
     }
 
     @pytest.mark.parametrize("case", MALFORMED)
@@ -694,8 +748,8 @@ class TestSnapshot:
 
     def test_a_parsed_cluster_needs_a_template(self, tmp_path):
         index = CentroidIndex()
-        index.insert(unit(1, 0), template_id=0, parse_state=ParseState.PARSED)
-        index.insert(unit(0, 1), template_id=1, parse_state=ParseState.PARSED)
+        index.insert(unit(1, 0), template_id=0, parse_state=ParseState.PARSED, template="a")
+        index.insert(unit(0, 1), template_id=1, parse_state=ParseState.PARSED, template="b")
         path = snapshot_of(index, tmp_path, template_ids=np.array([0, -1]))
         with pytest.raises(SnapshotFormatError,
                            match="cluster 1 has a parsed state and no template id"):

@@ -26,7 +26,7 @@ from logsift.errors import (
 )
 from logsift.index import SearchHit
 from logsift.ingest import ClusterAssignment, final_rows
-from logsift.rebalance import MergeEvent, MergeReport
+from logsift.rebalance import MergeEvent, MergeReport, rebalance
 from logsift.synthetic import generate_corpus
 
 
@@ -81,7 +81,14 @@ def test_final_rows_follow_every_merge():
                    ClusterAssignment(2, 2, True, 1.0),
                    ClusterAssignment(3, 0, False, 0.97, template="stale"),
                    ClusterAssignment(4, 5, True, 1.0)]
-    rows = final_rows(assignments, [None, first, None, second], {4: "a <*>", 5: None}.get)
+    index = CentroidIndex()  # clusters 4 (parsed) and 5 (not yet) are live
+    for cid in range(6):
+        index.insert(np.eye(6)[cid], template_id=0 if cid == 4 else None,
+                     parse_state=ParseState.PARSED if cid == 4 else ParseState.UNPARSED,
+                     template="a <*>" if cid == 4 else None)
+    for cid in range(4):
+        index.remove(cid)
+    rows = final_rows(assignments, [None, first, None, second], index)
     assert rows == [a._replace(cluster_id=cid, template=template) for a, (cid, template)
                     in zip(assignments, [(4, "a <*>")] * 4 + [(5, None)])]
 
@@ -198,15 +205,15 @@ class TestBatchIngest:
         report = pipe.force_rebalance()
         assert report.merges
         logs = {}  # final cluster id -> contents of its rows
-        for record, row in zip(records, final_rows(assignments, [report],
-                                                   pipe.parser.store.template_for)):
+        for record, row in zip(records, final_rows(assignments, [report], pipe.index)):
             logs.setdefault(row.cluster_id, set()).add(record.content)
         assert all(c.representative in logs[c.cluster_id] for c in pipe.index.centroids())
 
-    def test_clusters_loaded_from_a_snapshot_have_no_template(self, provider,
-                                                              identity_weights, tmp_path):
-        # a snapshot keeps no representative log and no template text: a
-        # loaded cluster is never parsed and has no template or entry
+    def test_clusters_loaded_from_a_snapshot_keep_their_record(self, provider,
+                                                               identity_weights, tmp_path):
+        # a snapshot keeps each cluster's template text and representative:
+        # a loaded parsed cluster reports its template, and a loaded
+        # unparsed one is parsed from its representative
         disk, fan, link = (LogRecord("s", text) for text in (
             "disk full on volume 7", "fan failed on rack 9", "network link down on port 3"))
         pipe = make_pipeline(provider, identity_weights, batch_mode=True)
@@ -220,16 +227,17 @@ class TestBatchIngest:
                         IngestConfig(batch_mode=True))
         assignments, _ = pipe.ingest_batch([disk, link])
         assert [(a.cluster_id, a.created_new, a.template) for a in assignments] == [
-            (0, False, None), (2, True, None)]
+            (0, False, "disk full on volume <*>"), (2, True, None)]
         pipe.force_rebalance()
-        # the new template's id is above every loaded cluster's
-        assert [(c.parse_state, c.template_id, pipe.parser.store.template_for(c.cluster_id))
+        # new template ids are above every loaded cluster's
+        assert [(c.parse_state, c.template_id, c.row_template())
                 for c in pipe.index.centroids()] == [
-            (ParseState.PARSED, 0, None), (ParseState.UNPARSED, None, None),
-            (ParseState.PARSED, 1, "network link down on port <*>")]
-        assert pipe.parser.client.query_count == 1
-        pipe.parser.store.save(str(tmp_path / "templates.json"))
-        assert list(json.loads((tmp_path / "templates.json").read_text())) == ["2"]
+            (ParseState.PARSED, 0, "disk full on volume <*>"),
+            (ParseState.PARSED, 1, "fan failed on rack <*>"),
+            (ParseState.PARSED, 2, "network link down on port <*>")]
+        assert pipe.parser.client.query_count == 2
+        pipe.index.save_templates(str(tmp_path / "templates.json"))
+        assert list(json.loads((tmp_path / "templates.json").read_text())) == ["0", "1", "2"]
 
     def test_parsing_deferred_until_rebalance(self, corpus, provider,
                                               identity_weights):
@@ -287,7 +295,7 @@ class TestMergedTemplates:
         assert again.cluster_id == event.surviving_id
         assert again.template == kept.template
         path = tmp_path / "templates.json"
-        pipe.parser.store.save(str(path))
+        pipe.index.save_templates(str(path))
         entries = json.loads(path.read_text())
         assert list(entries) == [str(event.surviving_id)]
         assert entries[str(event.surviving_id)]["template"] == kept.template
@@ -331,7 +339,7 @@ class TestMergedTemplates:
         assert event.absorbed_ids == (survivor.cluster_id, third.cluster_id)
         assert event.kept_from is None
         path = tmp_path / "templates.json"
-        pipe.parser.store.save(str(path))
+        pipe.index.save_templates(str(path))
         assert json.loads(path.read_text()) == {str(event.surviving_id): {
             "template": "network link down on port <*>", "template_id": 1,
             "parse_state": "parsed", "source_log": link.content}}
@@ -420,7 +428,7 @@ class TestCompletionFailure:
         assert second.template == "network link down on port <*>"
         pipe.force_rebalance()
         assert pipe.index.get(first.cluster_id).parse_state == ParseState.PARSED
-        assert pipe.parser.store.template_for(first.cluster_id) == "disk full on volume <*>"
+        assert pipe.index.get(first.cluster_id).row_template() == "disk full on volume <*>"
 
     def test_raw_log_fallback_takes_no_template_id(self, provider, identity_weights):
         pipe = make_pipeline(provider, identity_weights)
@@ -431,8 +439,8 @@ class TestCompletionFailure:
         pipe.force_rebalance()
         # the raw text was never a template: ids stay dense, and a later
         # template equal to it could not share its id
-        assert pipe.parser.store._by_text == {"network link down on port <*>": 0,
-                                              "disk full on volume <*>": 1}
+        assert pipe.parser._ids == {"network link down on port <*>": 0,
+                                    "disk full on volume <*>": 1}
         assert [pipe.index.get(a.cluster_id).template_id for a in (first, second)] == [1, 0]
 
     def test_batch(self, provider, identity_weights):
@@ -444,7 +452,7 @@ class TestCompletionFailure:
         states = [pipe.index.get(a.cluster_id).parse_state for a in assignments]
         assert states == [ParseState.FAILED, ParseState.PARSED]
         pipe.force_rebalance()
-        assert [pipe.parser.store.template_for(a.cluster_id) for a in assignments] == [
+        assert [pipe.index.get(a.cluster_id).row_template() for a in assignments] == [
             "disk full on volume <*>", "network link down on port <*>"]
 
 
@@ -570,10 +578,11 @@ def mock_template(log):
 
 class TestClusterRecordAgreement:
     """Random runs of ingest, drift and rebalance, in both modes and under
-    both batch schedules, leave `templates.json` and `template_for` in
-    agreement with the index: one entry per live parsed or failed cluster,
-    none for any other, each naming the cluster's template id and state, and
-    each row's template the entry of the cluster its log ended in."""
+    both batch schedules, leave `templates.json` and each centroid's
+    `row_template` in agreement with the index, live or reloaded from its
+    snapshot: one entry per live parsed or failed cluster, none for any
+    other, each naming the cluster's template id and state, and each row's
+    template the entry of the cluster its log ended in."""
 
     @staticmethod
     def run(provider, weights, mode, seed):
@@ -605,17 +614,13 @@ class TestClusterRecordAgreement:
                 reports.append(pipe.force_rebalance())
         return pipe, assignments, reports  # assignments: (record, assignment)
 
-    @pytest.mark.parametrize("mode", ["sequential", "batch", "rng"])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_templates_agree_with_the_index(self, provider, identity_weights,
-                                            tmp_path, mode, seed):
-        pipe, assignments, reports = self.run(provider, identity_weights, mode, seed)
-        store = pipe.parser.store
-        path = tmp_path / "templates.json"
-        store.save(str(path))
+    @staticmethod
+    def check(index, assignments, reports, path):
+        """`index`'s templates view, written to `path`, against the index
+        and the rows of `assignments` forwarded through `reports`."""
+        index.save_templates(str(path))
         entries = {int(cid): entry for cid, entry in json.loads(path.read_text()).items()}
-        texts = {tid: text for text, tid in store._by_text.items()}
-        centroids = {c.cluster_id: c for c in pipe.index.centroids()}
+        centroids = {c.cluster_id: c for c in index.centroids()}
         listed = {cid for cid, c in centroids.items()
                   if c.parse_state in (ParseState.PARSED, ParseState.FAILED)}
         assert set(entries) == listed  # so no entry names a removed cluster
@@ -630,16 +635,80 @@ class TestClusterRecordAgreement:
             assert cid in centroids
             logs.setdefault(cid, set()).add(record.content)
             entry = entries.get(cid)
-            assert store.template_for(cid) == (entry and entry["template"])
+            assert centroids[cid].row_template() == (entry and entry["template"])
 
+        texts = {}  # template id -> its one text
         for cid, entry in entries.items():
             centroid = centroids[cid]
             assert entry["template_id"] == centroid.template_id
             assert entry["parse_state"] == centroid.parse_state.value
             assert entry["source_log"] in logs[cid]
             if centroid.parse_state == ParseState.PARSED:
-                assert entry["template"] == texts[centroid.template_id] \
+                assert entry["template"] == centroid.template \
+                    == texts.setdefault(centroid.template_id, centroid.template) \
                     == mock_template(entry["source_log"])
             else:
-                assert centroid.template_id is None
+                assert centroid.template_id is None and centroid.template is None
                 assert entry["template"] == entry["source_log"]
+        assert len(set(texts.values())) == len(texts)  # one id per text
+
+    @pytest.mark.parametrize("mode", ["sequential", "batch", "rng"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_templates_agree_with_the_index(self, provider, identity_weights,
+                                            tmp_path, mode, seed):
+        pipe, assignments, reports = self.run(provider, identity_weights, mode, seed)
+        self.check(pipe.index, assignments, reports, tmp_path / "templates.json")
+
+    @pytest.mark.parametrize("mode", ["sequential", "batch", "rng"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_an_index_reloaded_from_its_snapshot_agrees_too(self, provider, identity_weights,
+                                                            tmp_path, mode, seed):
+        pipe, assignments, reports = self.run(provider, identity_weights, mode, seed)
+        pipe.index.snapshot(str(tmp_path / "index.npz"))
+        loaded = CentroidIndex.load(str(tmp_path / "index.npz"))
+        self.check(loaded, assignments, reports, tmp_path / "templates.json")
+        pipe.index.save_templates(str(tmp_path / "live.json"))
+        assert (tmp_path / "live.json").read_bytes() == \
+            (tmp_path / "templates.json").read_bytes()
+
+
+class TestLoadedSnapshot:
+    def test_a_loaded_text_keeps_its_template_id(self, provider, identity_weights,
+                                                 tmp_path):
+        # a new cluster whose template a loaded cluster holds takes that
+        # cluster's id; a new text takes an id above every loaded one
+        pipe = make_pipeline(provider, identity_weights)
+        pipe.ingest(LogRecord("s", "disk full on volume 7"))
+        pipe.ingest(LogRecord("s", "fan failed on rack 9"))
+        path = str(tmp_path / "index.npz")
+        pipe.index.snapshot(path)
+        pipe = Pipeline(provider, identity_weights, CentroidIndex.load(path),
+                        ClusterParser(client=MockCompletionClient()))
+        same = pipe.ingest(LogRecord("s", "disk full on volume sda1"))
+        new = pipe.ingest(LogRecord("s", "network link down on port 3"))
+        assert same.created_new and same.template == "disk full on volume <*>"
+        assert [pipe.index.get(a.cluster_id).template_id for a in (same, new)] == [0, 2]
+
+    def test_an_offline_rebalance_keeps_every_record(self, provider, identity_weights,
+                                                     tmp_path):
+        # ingest, snapshot, load, merge nearly everything, and write the
+        # templates view: each key names a live cluster, and every parsed
+        # cluster has its text, which survives another snapshot and load
+        corpus = generate_corpus(n_templates=10, logs_per_template=30, seed=3)
+        pipe = make_pipeline(provider, identity_weights)
+        for record in corpus.records:
+            pipe.ingest(record)
+        pipe.index.snapshot(str(tmp_path / "index.npz"))
+        index = CentroidIndex.load(str(tmp_path / "index.npz"))
+        assert rebalance(index, 0.05).merges and len(index) < 10
+        index.save_templates(str(tmp_path / "templates.json"))
+        entries = json.loads((tmp_path / "templates.json").read_text())
+        assert [int(cid) for cid in entries] == index.ids()
+        for c in index.centroids():
+            assert c.parse_state == ParseState.PARSED
+            assert entries[str(c.cluster_id)]["template"] == c.template \
+                == mock_template(c.representative)
+        index.snapshot(str(tmp_path / "merged.npz"))
+        merged = CentroidIndex.load(str(tmp_path / "merged.npz"))
+        assert [(c.template_id, c.template, c.representative) for c in merged.centroids()] \
+            == [(c.template_id, c.template, c.representative) for c in index.centroids()]

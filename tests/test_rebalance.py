@@ -40,23 +40,23 @@ class TestMergePair:
     def test_template_from_heavier_cluster(self):
         index = CentroidIndex()
         a = index.insert(unit(1, 0, 0.1), weight=5, template_id=101,
-                         parse_state=ParseState.PARSED)
+                         parse_state=ParseState.PARSED, representative="a 1", template="a <*>")
         b = index.insert(unit(1, 0.1, 0), weight=2, template_id=202,
-                         parse_state=ParseState.PARSED)
+                         parse_state=ParseState.PARSED, representative="b 2", template="b <*>")
         survivor = merge_pair(index, a, b)
         c = index.get(survivor)
-        assert c.template_id == 101
+        assert (c.template_id, c.template, c.representative) == (101, "a <*>", "a 1")
         assert c.parse_state == ParseState.PARSED
 
     def test_unparsed_constituent_resets_state(self):
         index = CentroidIndex()
         a = index.insert(unit(1, 0), weight=5, template_id=101,
-                         parse_state=ParseState.PARSED)
-        b = index.insert(unit(1, 0.1), weight=2)
+                         parse_state=ParseState.PARSED, representative="a 1", template="a <*>")
+        b = index.insert(unit(1, 0.1), weight=2, representative="b 2")
         survivor = merge_pair(index, a, b)
         c = index.get(survivor)
         assert c.parse_state == ParseState.UNPARSED
-        assert c.template_id is None
+        assert (c.template_id, c.template, c.representative) == (None, None, "a 1")
 
     def test_self_merge_rejected(self):
         index = CentroidIndex()
@@ -234,7 +234,8 @@ def clustered_index(seed):
         parsed = rng.random() < 0.5
         index.insert(v / np.linalg.norm(v), weight=int(rng.integers(1, 6)),
                      template_id=i if parsed else None,
-                     parse_state=PARSED if parsed else UNPARSED)
+                     parse_state=PARSED if parsed else UNPARSED,
+                     representative=f"line {i}", template=f"template {i}" if parsed else None)
     for _ in range(int(rng.integers(0, 4))):
         ids = index.ids()
         if len(ids) > 2:
@@ -301,8 +302,8 @@ def count_lookups(index):
 
 
 def views(index):
-    return [(c.cluster_id, c.weight, c.template_id, c.parse_state, c.vector.tobytes())
-            for c in index.centroids()]
+    return [(c.cluster_id, c.weight, c.template_id, c.parse_state, c.template,
+             c.representative, c.vector.tobytes()) for c in index.centroids()]
 
 
 def test_screened_passes_equal_the_full_walk(tmp_path, monkeypatch):
@@ -335,7 +336,9 @@ def test_screened_passes_equal_the_full_walk(tmp_path, monkeypatch):
                     v, weight, parsed = near(), int(rng.integers(1, 6)), rng.random() < 0.5
                     for index in (fast, full):
                         index.insert(v, weight=weight, template_id=weight if parsed else None,
-                                     parse_state=PARSED if parsed else UNPARSED)
+                                     parse_state=PARSED if parsed else UNPARSED,
+                                     representative=f"line {len(ids)}",
+                                     template=f"template {weight}" if parsed else None)
                 elif kind < 0.8:
                     cid, v = ids[int(rng.integers(len(ids)))], near()
                     for index in (fast, full):
