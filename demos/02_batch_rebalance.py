@@ -4,14 +4,14 @@ Batch ingestion and centroid rebalancing
 
 When many logs arrive concurrently, two workers can both miss a cluster
 that the other is about to create, leaving duplicate centroids for the
-same underlying pattern.  This demo simulates that race with randomized
-(search, commit) interleavings, then runs the rebalancing pass that
-merges near-duplicate centroids back together.  Template extraction is
-deferred until after the merge so that only surviving clusters cost a
-completion call.
+same underlying pattern.  This demo ingests a corpus as one batch, as
+`logsift ingest --batch-mode` runs it: every search of the batch sees the
+index as the batch began, so on an empty index every line creates a
+cluster of its own.  It then runs the rebalancing pass that merges
+near-duplicate centroids back together.  Template extraction is deferred
+until after the merge so that only surviving clusters cost a completion
+call.
 """
-
-import numpy as np
 
 from logsift import (
     CentroidIndex,
@@ -32,8 +32,7 @@ parser = ClusterParser(client=MockCompletionClient())
 pipeline = Pipeline(provider, weights, CentroidIndex(), parser,
                     IngestConfig(batch_mode=True))
 
-rng = np.random.default_rng(42)
-assignments, errors = pipeline.ingest_batch(list(corpus.records), rng=rng)
+assignments, errors = pipeline.ingest_batch(list(corpus.records))
 created = sum(a.created_new for a in assignments)
 print(f"after batch ingest: {len(pipeline.index)} clusters "
       f"({created} creations, {len(errors)} errors)")

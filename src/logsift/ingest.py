@@ -3,14 +3,14 @@ parse new clusters, and rebalance every N logs.
 
 Two modes. Sequential: each log sees every cluster created before it, and a
 new cluster is parsed at creation. Batch: records in one batch are embedded
-and searched "in parallel", so a record may not see clusters created by its
+and searched "in parallel", so a record does not see clusters created by its
 batch peers; duplicate clusters for a simultaneously-arriving unseen
 pattern are expected and repaired by the next rebalance, after which the
-surviving clusters are parsed. Without an rng every search of a batch runs
-against its start-of-batch state, so the batch is routed by one
+surviving clusters are parsed. Every search of a batch runs against its
+start-of-batch state, so the batch is routed by one
 `CentroidIndex.nearest_batch` call: one float32 product screens every
 record, and each is re-scored exactly, so its hit is the one `nearest`
-gives it bit for bit. The rng schedule keeps a `nearest` per search event.
+gives it bit for bit. The records then commit in record order.
 
 Both modes commit a record through one create-or-join step, whose
 `ClusterAssignment` is a named tuple: immutable, and cheaper to build than
@@ -158,10 +158,9 @@ class Pipeline:
 
     def _commit(self, record: LogRecord, vector: np.ndarray,
                 hit: Optional[SearchHit], defer_parse: bool) -> ClusterAssignment:
-        """Join `hit` if it is still live and at or above the threshold, else
-        create a cluster (parsed now unless `defer_parse`)."""
-        joins = (hit is not None and hit.cluster_id in self.index
-                 and hit.similarity >= self.config.similarity_threshold)
+        """Join `hit` if it is at or above the threshold, else create a
+        cluster (parsed now unless `defer_parse`)."""
+        joins = hit is not None and hit.similarity >= self.config.similarity_threshold
         if joins:
             cid, similarity = hit.cluster_id, hit.similarity
             template = self.index.update_moving_average(cid, vector).row_template()
@@ -188,49 +187,22 @@ class Pipeline:
         return self._commit(record, vector, self.index.nearest(vector),
                             defer_parse=self.config.batch_mode)
 
-    def ingest_batch(self, records: list[LogRecord],
-                     rng: Optional[np.random.Generator] = None
+    def ingest_batch(self, records: list[LogRecord]
                      ) -> tuple[list[ClusterAssignment], list[tuple[LogRecord, Exception]]]:
-        """Ingest a batch under parallel-arrival semantics.
-
-        Each record's search and its commit are two events; a record only
-        sees clusters committed before its own search. With rng given, the
-        event interleaving is randomized (search_i always precedes commit_i),
-        modelling concurrent workers; without rng all searches run against
-        the start-of-batch state. Per-record embedding failures are isolated
-        and returned alongside the partial results.
+        """Ingest a batch under parallel-arrival semantics: every record is
+        searched against the start-of-batch index, in one `nearest_batch`
+        call, and then committed in record order, so no record sees a
+        cluster its batch peers create. Per-record embedding failures are
+        isolated and returned alongside the partial results.
         """
         if not self.config.batch_mode:
             raise ConfigError("ingest_batch requires batch_mode")
         embedded, errors = self._embed(records)
-        if rng is None:
-            # every search sees the start-of-batch state: one scoring pass
-            hits = self.index.nearest_batch(np.stack([v for _, v in embedded])) \
-                if embedded else []
-            assignments = [self._commit(record, vector, hit, defer_parse=True)
-                           for (record, vector), hit in zip(embedded, hits)]
-            return assignments, errors
-
-        # schedule: interleave (search_i, commit_i) events
-        events: list[tuple[int, int]] = []  # (kind 0=search 1=commit, slot)
-        pending = [[(0, i), (1, i)] for i in range(len(embedded))]
-        live = list(range(len(embedded)))
-        while live:
-            pick = live[int(rng.integers(len(live)))]
-            events.append(pending[pick].pop(0))
-            if not pending[pick]:
-                live.remove(pick)
-
-        decisions: dict[int, Optional[SearchHit]] = {}
-        assignments: dict[int, ClusterAssignment] = {}
-        for kind, slot in events:
-            record, vector = embedded[slot]
-            if kind == 0:
-                decisions[slot] = self.index.nearest(vector)
-            else:
-                assignments[slot] = self._commit(record, vector, decisions[slot],
-                                                 defer_parse=True)
-        return [assignments[s] for s in sorted(assignments)], errors
+        hits = self.index.nearest_batch(np.stack([v for _, v in embedded])) \
+            if embedded else []
+        assignments = [self._commit(record, vector, hit, defer_parse=True)
+                       for (record, vector), hit in zip(embedded, hits)]
+        return assignments, errors
 
     def maybe_rebalance(self) -> Optional[MergeReport]:
         """Run a rebalance pass when the cadence counter is due."""

@@ -38,25 +38,30 @@ class LabeledDataset:
 
 def load_dataset(path: str) -> LabeledDataset:
     """Read a Loghub-2.0 structured log CSV: its Content and EventTemplate
-    columns."""
+    columns, a byte that is not UTF-8 read as a lone surrogate."""
     contents: list[str] = []
     templates: list[str] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.DictReader(fh)
-        if not {CONTENT_COLUMN, TEMPLATE_COLUMN} <= set(reader.fieldnames or ()):
-            raise SchemaError(
-                f"{path}: expected columns {CONTENT_COLUMN!r} and "
-                f"{TEMPLATE_COLUMN!r}, found {reader.fieldnames}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            content = row[CONTENT_COLUMN]
-            template = row[TEMPLATE_COLUMN]
-            if content is None or template is None:
-                raise SchemaError(f"{path}:{line_no}: short row")
-            if not template.strip():
-                raise SchemaError(f"{path}:{line_no}: empty template")
-            contents.append(content)
-            templates.append(template)
+        try:
+            if not {CONTENT_COLUMN, TEMPLATE_COLUMN} <= set(reader.fieldnames or ()):
+                raise SchemaError(
+                    f"{path}: expected columns {CONTENT_COLUMN!r} and "
+                    f"{TEMPLATE_COLUMN!r}, found {reader.fieldnames}"
+                )
+            for row in reader:
+                content = row[CONTENT_COLUMN]
+                template = row[TEMPLATE_COLUMN]
+                if content is None or template is None:
+                    raise SchemaError(f"{path}:{reader.line_num}: short row")
+                if not template.strip():
+                    raise SchemaError(f"{path}:{reader.line_num}: empty template")
+                contents.append(content)
+                templates.append(template)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            # DictReader counts a line once it is read whole; its csv.reader
+            # has counted the line it failed on
+            raise SchemaError(f"{path}:{reader.reader.line_num}: {exc}") from exc
     return LabeledDataset(tuple(contents), tuple(templates))
 
 

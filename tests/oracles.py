@@ -5,8 +5,9 @@ compared by exhaustive membership enumeration, the nearest neighbor by a
 full scan (of dot products, or of the einsum scores the index must equal
 bit for bit), the merge/update algebra by the closed-form expressions,
 each line's vector by the affine map's product, recomputed per line, a
-call's encode by the map's full product, and a rebalance
-pass by the walk that looks every cluster up.
+call's encode by the map's full product, a rebalance
+pass by the walk that looks every cluster up, and a batch that concurrent
+workers ingest by its searches and commits interleaved at random.
 """
 
 import math
@@ -164,3 +165,32 @@ class OraclePipeline(Pipeline):
     def _embed(self, records):
         return [(r, oracle_embed(r.content, self.provider, self.weights))
                 for r in records], []
+
+
+def oracle_interleaved_batch(pipeline, records, rng):
+    """A batch-mode `pipeline`'s batch ingest under concurrent workers: each
+    record's search and its commit are two events, interleaved at random by
+    `rng` (search_i always before commit_i), so a record sees only the
+    clusters committed before its own search. Every line is embedded by
+    `pipeline._embed`, each search is one `nearest`, and each commit defers
+    its parse. Returns the assignments in record order and the records that
+    failed to embed."""
+    embedded, errors = pipeline._embed(records)
+    events = []  # (kind 0=search 1=commit, slot)
+    pending = [[(0, i), (1, i)] for i in range(len(embedded))]
+    live = list(range(len(embedded)))
+    while live:
+        pick = live[int(rng.integers(len(live)))]
+        events.append(pending[pick].pop(0))
+        if not pending[pick]:
+            live.remove(pick)
+
+    hits, assignments = {}, {}
+    for kind, slot in events:
+        record, vector = embedded[slot]
+        if kind == 0:
+            hits[slot] = pipeline.index.nearest(vector)
+        else:
+            assignments[slot] = pipeline._commit(record, vector, hits[slot],
+                                                 defer_parse=True)
+    return [assignments[s] for s in sorted(assignments)], errors

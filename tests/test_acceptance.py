@@ -37,6 +37,7 @@ from oracles import (
     oracle_fga,
     oracle_fta,
     oracle_grouping_accuracy,
+    oracle_interleaved_batch,
     oracle_merge,
     oracle_moving_average,
     oracle_parsing_accuracy,
@@ -230,7 +231,7 @@ def test_criterion_5_batch_rebalance_equivalence(provider, identity_weights):
         pipe = Pipeline(provider, identity_weights, CentroidIndex(),
                         ClusterParser(client=MockCompletionClient()),
                         IngestConfig(batch_mode=True))
-        assignments, errors = pipe.ingest_batch(list(corpus.records), rng=rng)
+        assignments, errors = oracle_interleaved_batch(pipe, list(corpus.records), rng)
         assert errors == []
         assert pipe.index.total_weight() == len(corpus)  # conservation
         report = pipe.force_rebalance()
@@ -315,7 +316,7 @@ def test_criterion_8_cost_property(provider, identity_weights):
     pipe2 = Pipeline(provider, identity_weights, CentroidIndex(),
                      ClusterParser(client=client2),
                      IngestConfig(batch_mode=True))
-    pipe2.ingest_batch(list(corpus.records), rng=np.random.default_rng(2))
+    oracle_interleaved_batch(pipe2, list(corpus.records), np.random.default_rng(2))
     pipe2.force_rebalance()
     batch_ok = client2.query_count <= len(pipe2.index)
 
@@ -327,7 +328,8 @@ def test_criterion_8_cost_property(provider, identity_weights):
 
 def _ingest_all(pipeline_cls, provider, weights, records, mode):
     """Ingest `records` as `logsift ingest` does, sequentially or in batches
-    of 64 (with a seeded rng for "batch-rng"), rebalancing every 128 logs;
+    of 64 (interleaved by a seeded rng through oracle_interleaved_batch for
+    "batch-rng"), rebalancing every 128 logs;
     returns the assignments, the final centroids and their templates."""
     batch = mode != "sequential"
     pipe = pipeline_cls(provider, weights, CentroidIndex(),
@@ -337,7 +339,9 @@ def _ingest_all(pipeline_cls, provider, weights, records, mode):
     assignments = []
     if batch:
         for start in range(0, len(records), 64):
-            out, errors = pipe.ingest_batch(records[start:start + 64], rng=rng)
+            batch_records = records[start:start + 64]
+            out, errors = pipe.ingest_batch(batch_records) if rng is None \
+                else oracle_interleaved_batch(pipe, batch_records, rng)
             assert errors == []
             assignments += out
             pipe.maybe_rebalance()

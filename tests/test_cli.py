@@ -172,6 +172,37 @@ class TestIngestCommand:
         index.snapshot(str(again))
         assert again.read_bytes() == snap.read_bytes()
 
+    def test_a_csv_byte_that_is_not_utf_8_costs_no_row(self, tmp_path):
+        # the .csv run writes the rows of the same lines given as plain
+        # text, and evaluate reads the dataset it ingested
+        lines = self.NOT_UTF_8.splitlines()
+        (tmp_path / "app.log").write_bytes(self.NOT_UTF_8)
+        (tmp_path / "app.csv").write_bytes(b"Content,EventTemplate\n" + b"".join(
+            line + b"," + line.rsplit(b" ", 1)[0] + b" <*>\n" for line in lines))
+        rows = {}
+        for name in ("app.log", "app.csv"):
+            assigns = tmp_path / f"{name}.jsonl"
+            assert main(["ingest", "--input", str(tmp_path / name), "--snapshot-out",
+                         str(tmp_path / f"{name}.npz"),
+                         "--assignments-out", str(assigns)]) == EXIT_OK
+            rows[name] = assigns.read_text(errors="surrogateescape")
+        assert rows["app.csv"] == rows["app.log"]
+        assert len(rows["app.csv"].splitlines()) == len(lines)
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--dataset", str(tmp_path / "app.csv"), "--assignments",
+                     str(tmp_path / "app.csv.jsonl"), "--report-out", str(report)]) == EXIT_OK
+        assert json.loads(report.read_text())["GA"] == 1.0
+
+    def test_an_over_long_csv_field_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        long_line = "disk full " + "x" * csv.field_size_limit()
+        path.write_text(f"Content,EventTemplate\nfan failed,fan failed\n"
+                        f"{long_line},disk full <*>\n")
+        assert main(["ingest", "--input", str(path),
+                     "--snapshot-out", str(tmp_path / "index.npz")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{path}:3" in err and "Traceback" not in err
+
     def test_the_snapshot_holds_the_texts_the_templates_file_names(self, corpus_csv,
                                                                   tmp_path):
         snap, templates = tmp_path / "index.npz", tmp_path / "templates.json"

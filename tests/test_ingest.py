@@ -29,6 +29,8 @@ from logsift.ingest import ClusterAssignment, final_rows
 from logsift.rebalance import MergeEvent, MergeReport, rebalance
 from logsift.synthetic import generate_corpus
 
+from oracles import oracle_interleaved_batch
+
 
 def make_pipeline(provider, weights, batch_mode=False, rebalance_every=1000):
     index = CentroidIndex()
@@ -166,7 +168,7 @@ class TestBatchIngest:
             pipe = make_pipeline(provider, identity_weights, batch_mode=True)
             rng = np.random.default_rng(seed)
             k = 6
-            assignments, _ = pipe.ingest_batch([record] * k, rng=rng)
+            assignments, _ = oracle_interleaved_batch(pipe, [record] * k, rng)
             created = sum(a.created_new for a in assignments)
             assert 1 <= created <= k
             assert len(pipe.index) == created
@@ -182,7 +184,7 @@ class TestBatchIngest:
 
         pipe = make_pipeline(provider, identity_weights, batch_mode=True)
         rng = np.random.default_rng(3)
-        assignments, errors = pipe.ingest_batch(list(corpus.records), rng=rng)
+        assignments, errors = oracle_interleaved_batch(pipe, list(corpus.records), rng)
         assert errors == []
         report = pipe.force_rebalance()
         batch_partition = final_partition(pipe, assignments, report)
@@ -192,7 +194,7 @@ class TestBatchIngest:
     def test_weight_conservation(self, corpus, provider, identity_weights):
         pipe = make_pipeline(provider, identity_weights, batch_mode=True)
         rng = np.random.default_rng(5)
-        pipe.ingest_batch(list(corpus.records[:400]), rng=rng)
+        oracle_interleaved_batch(pipe, list(corpus.records[:400]), rng)
         assert pipe.index.total_weight() == 400
         pipe.force_rebalance()
         assert pipe.index.total_weight() == 400
@@ -246,6 +248,52 @@ class TestBatchIngest:
         assert pipe.parser.client.query_count == 0
         pipe.force_rebalance()
         assert pipe.parser.client.query_count == len(pipe.index)
+
+
+class ScriptedDraws:
+    """Stands in for the Generator of oracle_interleaved_batch: each
+    `integers` call returns the next of `picks`."""
+
+    def __init__(self, picks):
+        self.picks = iter(picks)
+
+    def integers(self, n):
+        return next(self.picks)
+
+
+@pytest.mark.parametrize("corpus_name", ["corpus", "repeats"])
+@pytest.mark.parametrize("schedule", ["searches-first", "commit-after-search"])
+def test_the_oracle_schedule_reproduces_the_library(corpus, provider, identity_weights,
+                                                    tmp_path, corpus_name, schedule):
+    # every search before any commit is ingest_batch; each commit right
+    # after its search is batch-mode ingest, one record at a time
+    if corpus_name == "corpus":
+        records = list(corpus.records)
+    else:  # 300 draws from 40 lines: mostly exact repeats
+        small = generate_corpus(n_templates=8, logs_per_template=5, seed=7)
+        records = [small.records[i]
+                   for i in np.random.default_rng(11).integers(len(small), size=300)]
+    n = len(records)
+    library = make_pipeline(provider, identity_weights, batch_mode=True)
+    if schedule == "searches-first":
+        want, errors = library.ingest_batch(records)
+        assert errors == []
+        picks = list(range(n)) + [0] * n
+    else:
+        want = [library.ingest(record) for record in records]
+        picks = [0] * (2 * n)
+    oracle = make_pipeline(provider, identity_weights, batch_mode=True)
+    got, errors = oracle_interleaved_batch(oracle, records, ScriptedDraws(picks))
+    assert errors == []
+    assert got == want
+
+    outputs = []
+    for pipe, assignments in ((library, want), (oracle, got)):
+        report = pipe.force_rebalance()
+        pipe.index.snapshot(str(tmp_path / "index.npz"))
+        outputs.append((final_rows(assignments, [report], pipe.index),
+                        (tmp_path / "index.npz").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 class TestRebalanceCadence:
@@ -600,9 +648,9 @@ class TestClusterRecordAgreement:
             if mode == "sequential":
                 out = [pipe.ingest(record) for record in chunk]
             else:
-                schedule = np.random.default_rng(seed * 1000 + start) \
-                    if mode == "rng" else None
-                out, errors = pipe.ingest_batch(chunk, rng=schedule)
+                out, errors = pipe.ingest_batch(chunk) if mode == "batch" else \
+                    oracle_interleaved_batch(pipe, chunk,
+                                             np.random.default_rng(seed * 1000 + start))
                 assert errors == []
             assignments += zip(chunk, out)
             if len(pipe.index) > 1 and rng.random() < 0.4:
