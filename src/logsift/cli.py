@@ -223,12 +223,9 @@ def cmd_export_embeddings(args) -> int:
     else:
         with _build_provider(args) as provider:
             weights = _load_weights(args, provider)
-            entries = []
-            for i, record in enumerate(_read_records(args.corpus)):
-                [vector] = embed_log([record], provider, weights)
-                if isinstance(vector, Exception):
-                    raise vector  # stop at the first record that cannot be embedded
-                entries.append((i, 1, vector))
+            # raises at the first record that cannot be embedded
+            entries = [(i, 1, embed_log(record, provider, weights))
+                       for i, record in enumerate(_read_records(args.corpus))]
         dim = weights.output_dim
     rows = [f"{cid},{weight}," + ",".join(repr(float(x)) for x in vector)
             for cid, weight, vector in entries]

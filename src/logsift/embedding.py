@@ -9,20 +9,18 @@ then a plain dot product.
 The encoder has no activation, so it is one affine map: `EncoderWeights`,
 read-only, what training fits and returns, held as the one array a weights
 file stores (one `.npy` array, read back with no text decode and no copy).
-Every caller embeds with the map through `embed_log`: a
-provider call per record, written with its word count into one matrix,
-then one matrix product for all; the identity map (the default when no
-weights are given) is applied as one add of its +0.0 bias to the provider
-columns, which has that product's bytes. A provider row holding NaN or
-inf fails its record with a ProviderError, found from the row's norm at
-the identity map and before the product at any other. Training fuses its
-logs with the same front half, `_fuse`, and stops at the first record
-that fails. A record alone gets the same vector bit for bit whoever
-embeds it; a row of a larger product can differ in the last bits, as
-BLAS orders its sums by the row's position (not at identity weights,
-where every sum is exact). The vector depends on the content alone, so
-`Pipeline` embeds each distinct line once and keeps its vector (see
-`logsift.ingest`).
+Every caller embeds with the map through `embed_log`, one record at a
+time: the record's provider call, its word count appended, then the 1-row
+product with the map; the identity map (the default when no weights are
+given) is applied as one add of its +0.0 bias to the provider columns,
+which has that product's bytes. A provider vector holding NaN or inf fails
+its record with a ProviderError, found from the output's norm at the
+identity map and before the product at any other. Training fuses its logs
+with the same front half, `_fuse`, and stops at the first record that
+fails. So a line gets the same vector bit for bit whoever embeds it:
+sequential ingest, batch ingest and `export-embeddings`. The vector
+depends on the content alone, so `Pipeline` embeds each distinct line once
+and keeps its vector (see `logsift.ingest`).
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -148,7 +145,7 @@ class EncoderWeights:
     The map is held as one read-only, C-ordered (E, D+2) float64 array:
     the map's D+1 columns, then the bias as the last column. `matrix` is a
     view of it, and `bias` a contiguous copy of its last column, which
-    `embed_log` adds to every row. A weights file is that array, one NumPy
+    `embed_log` adds to each output. A weights file is that array, one NumPy
     `.npy` array (NEP 1) of little-endian float64, which `load` takes as
     its own and `save` writes as it is.
     """
@@ -240,82 +237,60 @@ class EncoderWeights:
         return cls.__new__(cls)._hold(np.ascontiguousarray(packed))  # copies Fortran order
 
 
-def _fuse(records: Sequence[LogRecord], provider: EmbeddingProvider,
-          raise_first: bool = False) -> tuple[np.ndarray, list[Exception | None]]:
+def _fuse(record: LogRecord, provider: EmbeddingProvider) -> np.ndarray:
     """Provider embedding -> word-count fusion, the front half of `embed_log`
-    and all of training's: one (n, D+1) matrix, and per record None or the
-    RECORD_ERRORS instance its provider call raised (its row is then NaN).
-    A row holding NaN or inf as the provider returned it is left for the
-    caller to find: `embed_log` does, from the row's norm or before its
-    product. A dimension mismatch, which every record would hit, raises.
-    With `raise_first`, so does the first record that fails or whose vector
-    is not finite, and no later one is embedded: training can use no partial
-    matrix, and a provider that is down would spend every record's retries."""
-    errors: list = [None] * len(records)
-    fused = np.empty((len(records), provider.dim + 1))
-    for i, record in enumerate(records):
-        try:
-            values = provider.embed(record.content)
-        except RECORD_ERRORS as exc:
-            if raise_first:
-                raise
-            errors[i] = exc
-            fused[i] = np.nan
-            continue
-        if values.shape != (provider.dim,):
-            raise DimensionMismatchError(
-                f"provider dim {values.shape} != configured {provider.dim}")
-        fused[i, :-1] = values
-        fused[i, -1] = record.word_count / WORD_COUNT_SCALE
-        if raise_first and not np.isfinite(values).all():
-            raise ProviderError(NON_FINITE)
-    return fused, errors
+    and all of training's: the record's (D+1,) row, its provider vector then
+    its word count over WORD_COUNT_SCALE. A provider call that fails raises
+    its RECORD_ERRORS instance; a vector holding NaN or inf is left for the
+    caller to find. A dimension mismatch, which every record would hit,
+    raises a DimensionMismatchError."""
+    values = provider.embed(record.content)
+    if values.shape != (provider.dim,):
+        raise DimensionMismatchError(
+            f"provider dim {values.shape} != configured {provider.dim}")
+    fused = np.empty(provider.dim + 1)
+    fused[:-1] = values
+    fused[-1] = record.word_count / WORD_COUNT_SCALE
+    return fused
 
 
-def embed_log(records: Sequence[LogRecord], provider: EmbeddingProvider,
-              encoder: EncoderWeights) -> list[np.ndarray | Exception]:
-    """Full pipeline for each record: provider embedding -> word-count
-    fusion, then the encoder applied to every record the provider embedded
-    with one matrix product (at the identity map, one add of the +0.0 bias
-    to the provider columns), and each row scaled to unit length in one
-    loop over the rows.
+def embed_log(record: LogRecord, provider: EmbeddingProvider,
+              encoder: EncoderWeights) -> np.ndarray:
+    """Full pipeline for one record: provider embedding -> word-count
+    fusion -> the encoder map -> scaled to unit length. Returns the unit
+    vector, an array of its own, or raises the RECORD_ERRORS instance that
+    stopped it.
 
-    The identity map takes no product: each entry of that product is x_i
-    plus products with 0, exactly x_i for x_i != 0, and adding its +0.0
-    bias makes every zero +0.0 on either path, so the add gives the
-    product's bytes. Returns, per record, its unit vector (an array of its
-    own) or the RECORD_ERRORS instance that stopped it:
-    - a provider row holding NaN or inf is a ProviderError. At the identity
-      map its norm is NaN or inf, which sends the loop to the row's values;
-      at any other map the rows are checked before the product, which takes
-      only the finite ones, in record order, as they would be fused one by
-      one;
-    - a row shorter than NORM_EPS has no direction, and one whose norm
+    The identity map takes no product: each entry of the 1-row product
+    `fused[None, :] @ M.T` is x_i plus products with 0, exactly x_i for
+    x_i != 0, and adding its +0.0 bias makes every zero +0.0 on either
+    path, so an add of the bias to the provider columns gives the
+    product's bytes. Any other map takes that 1-row product, then adds the
+    bias in place. So a line gets the same vector bit for bit whoever
+    embeds it, one line at a time. The failures:
+    - a provider vector holding NaN or inf is a ProviderError: at the
+      identity map it is found from the norm, which is NaN or inf; at any
+      other map the row is checked before the product;
+    - an output shorter than NORM_EPS has no direction, and one whose norm
       overflows (finite provider values above about 1e154) cannot be
       scaled: a DegenerateEmbeddingError.
-    A norm is `math.sqrt(np.vdot(row, row))`, the value np.linalg.norm
+    A norm is `math.sqrt(np.vdot(out, out))`, the value np.linalg.norm
     takes: the same BLAS dot, but one that sets off no overflow warning, as
     the record's error says it. A dimension mismatch, which every record
-    would hit, raises."""
-    fused, outcomes = _fuse(records, provider)
+    would hit, raises a DimensionMismatchError."""
+    fused = _fuse(record, provider)
     if encoder._identity:
-        rows, out = range(len(records)), fused[:, :-1] + encoder.bias
+        out = fused[:-1] + encoder.bias
     else:
-        for i in np.flatnonzero(~np.isfinite(fused).all(axis=1)).tolist():
-            if outcomes[i] is None:
-                outcomes[i] = ProviderError(NON_FINITE)
-        rows = [i for i, outcome in enumerate(outcomes) if outcome is None]
+        if not np.isfinite(fused).all():
+            raise ProviderError(NON_FINITE)
         with np.errstate(over="ignore"):
-            out = (fused[rows] if len(rows) < len(records) else fused) @ encoder.matrix.T
-            out += encoder.bias  # in place: the same sums, no second matrix
-    for i, row in zip(rows, out):
-        if outcomes[i] is None:  # at the identity map, a failed record's row is NaN
-            norm = math.sqrt(np.vdot(row, row))
-            if NORM_EPS <= norm < math.inf:
-                outcomes[i] = row / norm
-            elif np.isfinite(fused[i]).all():
-                outcomes[i] = DegenerateEmbeddingError(
-                    f"encoder output norm {norm:.3g} cannot be scaled to unit length")
-            else:
-                outcomes[i] = ProviderError(NON_FINITE)
-    return outcomes
+            [out] = fused[None, :] @ encoder.matrix.T
+            out += encoder.bias  # in place: the same sums, no second array
+    norm = math.sqrt(np.vdot(out, out))
+    if NORM_EPS <= norm < math.inf:
+        return out / norm
+    if np.isfinite(fused).all():
+        raise DegenerateEmbeddingError(
+            f"encoder output norm {norm:.3g} cannot be scaled to unit length")
+    raise ProviderError(NON_FINITE)

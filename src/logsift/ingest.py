@@ -23,10 +23,10 @@ A row's template is read from that record alone (`row_template`).
 Both modes embed through one per-pipeline cache keyed by the exact line
 content, which alone fixes the vector: a line repeated while it is among
 the EMBED_CACHE_ENTRIES most recently used reuses its vector, read-only.
-A call's misses, each distinct line once, are encoded together by
-`embed_log` with the pipeline's encoder map (a sequential call is a batch
-of one), and the cache is then used and filled in record order, so its
-order is the one a record-by-record walk would leave. A record that fails
+The records of a call are embedded one at a time, in record order, each
+miss by its own `embed_log` call with the pipeline's encoder map, so a
+batch fills and evicts the cache as a record-by-record walk does and
+commits the vectors sequential mode does, bit for bit. A record that fails
 to embed is a dead letter, except for a dimension mismatch, which every
 record would hit and which stops the run; a pipeline whose encoder does
 not take the provider's width plus the word count is not built at all.
@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .embedding import EmbeddingProvider, EncoderWeights, embed_log
+from .embedding import RECORD_ERRORS, EmbeddingProvider, EncoderWeights, embed_log
 from .errors import ConfigError, DimensionMismatchError
 from .index import CentroidIndex, ParseState, SearchHit
 from .parsing import ClusterParser
@@ -121,33 +121,27 @@ class Pipeline:
                ) -> tuple[list[tuple[LogRecord, np.ndarray]],
                           list[tuple[LogRecord, Exception]]]:
         """Each record with its vector, and each record that failed to embed
-        with its error; the failures are also dead-lettered. Only lines
-        neither cached nor repeated earlier in `records` are embedded, all in
-        one `embed_log` call, and each vector is made read-only in place, as
-        the index keeps it as a centroid. The cache is then used and filled
-        in record order, so a miss adds to its `embed_log` call only a few
-        dict and list operations."""
-        cache, found, misses = self._vectors, {}, []  # found: content -> vector, error or None
-        for record in records:
-            if record.content not in found:
-                found[record.content] = vector = cache.get(record.content)
-                if vector is None:
-                    misses.append(record)
-        if misses:
-            for record, outcome in zip(misses, embed_log(misses, self.provider,
-                                                         self.weights)):
-                if not isinstance(outcome, Exception):
-                    outcome.setflags(write=False)
-                found[record.content] = outcome
+        with its error; the failures are also dead-lettered. A cached line
+        moves to the end of the cache; a miss is embedded, made read-only in
+        place, as the index keeps it as a centroid, and cached, evicting the
+        least recently used line. A line that fails is tried once per call."""
+        cache, failed = self._vectors, {}  # failed: content -> its error
         embedded, errors = [], []
         for record in records:
-            vector = found[record.content]
-            if isinstance(vector, Exception):
-                errors.append((record, vector))
-                continue
-            if record.content in cache:
+            vector = cache.get(record.content)
+            if vector is not None:
                 cache.move_to_end(record.content)
+            elif record.content in failed:
+                errors.append((record, failed[record.content]))
+                continue
             else:
+                try:
+                    vector = embed_log(record, self.provider, self.weights)
+                except RECORD_ERRORS as exc:
+                    failed[record.content] = exc
+                    errors.append((record, exc))
+                    continue
+                vector.setflags(write=False)
                 cache[record.content] = vector
                 if len(cache) > EMBED_CACHE_ENTRIES:
                     cache.popitem(last=False)

@@ -68,11 +68,7 @@ def generate_corpus(n_templates: int = 10, logs_per_template: int = 100,
 def similarity_margins(corpus: SyntheticCorpus, provider: EmbeddingProvider,
                        weights: EncoderWeights) -> tuple[float, float]:
     """(min within-template similarity, max cross-template similarity)."""
-    vectors = embed_log(corpus.records, provider, weights)
-    for vector in vectors:
-        if isinstance(vector, Exception):
-            raise vector
-    vectors = np.stack(vectors)
+    vectors = np.stack([embed_log(record, provider, weights) for record in corpus.records])
     labels = np.asarray(corpus.template_ids)
     sims = vectors @ vectors.T
     same = labels[:, None] == labels[None, :]

@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .embedding import EmbeddingProvider, EncoderWeights, _fuse
-from .errors import ConfigError, DegenerateEmbeddingError
+from .embedding import NON_FINITE, EmbeddingProvider, EncoderWeights, _fuse
+from .errors import ConfigError, DegenerateEmbeddingError, ProviderError
 from .index import NORM_EPS
 from .records import LogRecord
 
@@ -89,8 +89,9 @@ class TrainConfig:
 
 def build_pair_dataset(datasets: list[list[tuple[LogRecord, object]]],
                        cfg: TrainConfig, provider: EmbeddingProvider) -> PairDataset:
-    """Fuse the logs of all `datasets` into one matrix, as ingest does, and
-    sample similar/dissimilar pairs of rows within each at the configured ratio.
+    """Fuse each log of all `datasets` as ingest does, into a row of one
+    matrix, and sample similar/dissimilar pairs of rows within each at the
+    configured ratio.
 
     Similar pairs are uniform over within-template log pairs, dissimilar
     pairs uniform over cross-template log pairs; both with replacement, so
@@ -138,8 +139,12 @@ def build_pair_dataset(datasets: list[list[tuple[LogRecord, object]]],
             held_out += [part] * (similar + dissimilar)
         offset += len(templates)
 
-    features, _ = _fuse([record for labeled in datasets for record, _ in labeled],
-                        provider, raise_first=True)
+    records = [record for labeled in datasets for record, _ in labeled]
+    features = np.empty((len(records), provider.dim + 1))
+    for i, record in enumerate(records):
+        features[i] = row = _fuse(record, provider)
+        if not np.isfinite(row).all():
+            raise ProviderError(NON_FINITE)
     return PairDataset(features, np.array(pairs, dtype=np.intp).reshape(-1, 2),
                        np.array(labels), np.array(held_out, dtype=bool))
 

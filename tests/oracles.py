@@ -4,10 +4,10 @@ These deliberately avoid the library's own code paths: groupings are
 compared by exhaustive membership enumeration, the nearest neighbor by a
 full scan (of dot products, or of the einsum scores the index must equal
 bit for bit), the merge/update algebra by the closed-form expressions,
-each line's vector by the affine map's product, recomputed per line, a
-call's encode by the map's full product, a rebalance
-pass by the walk that looks every cluster up, and a batch that concurrent
-workers ingest by its searches and commits interleaved at random.
+each line's vector by the affine map's 1-row product, recomputed per
+line, a rebalance pass by the walk that looks every cluster up, and a
+batch that concurrent workers ingest by its searches and commits
+interleaved at random.
 """
 
 import math
@@ -140,27 +140,24 @@ def oracle_merge(v_i, w_i, v_j, w_j):
 
 def oracle_embed(content, provider, weights):
     """A line's vector computed afresh, alone: the provider's vector with
-    the word count over 100 appended, as one row through oracle_encode."""
+    the word count over 100 appended, through oracle_encode."""
     fused = np.append(provider.embed(content), len(content.split()) / 100.0)
-    [vector] = oracle_encode(fused[None, :], weights.matrix, weights.bias)
-    return vector
+    return oracle_encode(fused, weights.matrix, weights.bias)
 
 
 def oracle_encode(fused, matrix, bias):
-    """embed_log's outcome for each row of the fused (n, D+1) matrix, by
-    the formula with every product taken: fused @ M.T + b, each row over its
-    norm as embed_log takes it; None for a row that cannot be scaled."""
+    """embed_log's outcome for one fused (D+1,) row, by the formula with the
+    product taken: the 1-row product fused @ M.T + b over its norm as
+    embed_log takes it; None for a row that cannot be scaled."""
     with np.errstate(over="ignore"):
-        out = fused @ matrix.T + bias
-        norms = [math.sqrt(row.dot(row)) for row in out]
-    return [row / norm if NORM_EPS <= norm < math.inf else None
-            for row, norm in zip(out, norms)]
+        [out] = fused[None, :] @ matrix.T + bias
+        norm = math.sqrt(out.dot(out))
+    return out / norm if NORM_EPS <= norm < math.inf else None
 
 
 class OraclePipeline(Pipeline):
     """Pipeline whose every line, repeated or not and in either mode, is
-    embedded on its own by oracle_embed: no content cache and no batch
-    encode."""
+    embedded on its own by oracle_embed, with no content cache."""
 
     def _embed(self, records):
         return [(r, oracle_embed(r.content, self.provider, self.weights))

@@ -355,43 +355,43 @@ def _ingest_all(pipeline_cls, provider, weights, records, mode):
     return assignments, centroids, templates
 
 
+def _outputs(run):
+    """What a run of _ingest_all writes, floats as their bytes: the
+    assignments, each final centroid's record and vector, and the templates."""
+    assignments, centroids, templates = run
+    return (assignments,
+            [(c.cluster_id, c.weight, c.parse_state, c.template_id, c.vector.tobytes())
+             for c in centroids],
+            templates)
+
+
 def test_criterion_10_embedding_cache_equivalence(provider, identity_weights):
-    """The content cache and the batch encoder change no output: the
-    pipeline and an oracle that embeds every line afresh, one line at a
-    time, agree exactly at identity weights and on partitions at trained
-    ones, sequentially and in batches."""
+    """The content cache changes no output: the pipeline and an oracle that
+    embeds every line afresh, one line at a time, agree exactly (ids,
+    similarities, templates and vector bytes) at identity and at trained
+    weights, sequentially and in batches."""
     corpus = generate_corpus(n_templates=8, logs_per_template=5, seed=7)
     rng = np.random.default_rng(11)
     records = [corpus.records[i] for i in rng.integers(len(corpus), size=600)]
     duplicate_share = 1 - len({r.content for r in records}) / len(records)
 
-    for mode in ("sequential", "batch", "batch-rng"):
-        got = _ingest_all(Pipeline, provider, identity_weights, records, mode)
-        want = _ingest_all(OraclePipeline, provider, identity_weights, records, mode)
-        assert got[0] == want[0], mode  # ids, creations, similarities, templates
-        assert [(c.cluster_id, c.weight, c.parse_state, c.template_id, c.vector.tobytes())
-                for c in got[1]] == \
-            [(c.cluster_id, c.weight, c.parse_state, c.template_id, c.vector.tobytes())
-             for c in want[1]], mode
-        assert got[2] == want[2], mode
-
     labeled = list(zip(corpus.records, corpus.template_ids))
     trained = train(build_pair_dataset([labeled], TrainConfig(pairs_per_dataset=600),
                                        provider),
                     TrainConfig(batch_size=128, epochs=2)).weights
-    same, worst = {}, {}
-    for mode in ("sequential", "batch"):
-        got, *_ = _ingest_all(Pipeline, provider, trained, records, mode)
-        want, *_ = _ingest_all(OraclePipeline, provider, trained, records, mode)
-        same[mode] = ([(a.cluster_id, a.created_new) for a in got]
-                      == [(a.cluster_id, a.created_new) for a in want])
-        worst[mode] = max(abs(a.similarity - b.similarity) for a, b in zip(got, want))
-    _report("criterion 10: embedding cache equivalence",
-            all(same.values()) and max(worst.values()) < 1e-9,
-            f"{len(records)} logs, {duplicate_share:.0%} repeats: identity weights "
-            f"exact in 3 modes; trained weights, partition identical / largest "
-            f"similarity change: " + ", ".join(
-                f"{mode} {same[mode]} / {worst[mode]:.1e}" for mode in same))
+    differ, worst = [], 0.0
+    for name, weights in (("identity", identity_weights), ("trained", trained)):
+        for mode in ("sequential", "batch", "batch-rng"):
+            got = _ingest_all(Pipeline, provider, weights, records, mode)
+            want = _ingest_all(OraclePipeline, provider, weights, records, mode)
+            if _outputs(got) != _outputs(want):
+                differ.append(f"{name} {mode}")
+            worst = max(worst, *(abs(a.similarity - b.similarity)
+                                 for a, b in zip(got[0], want[0])))
+    _report("criterion 10: embedding cache equivalence", not differ,
+            f"{len(records)} logs, {duplicate_share:.0%} repeats, identity and trained "
+            f"weights in 3 modes: outputs differ in {', '.join(differ) or 'none'}; largest "
+            f"similarity change {worst:.1e}")
 
 
 def _drifted_run(provider, weights, records, batch_size, rebalance_every):

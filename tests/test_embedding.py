@@ -41,7 +41,7 @@ class TestEmbedRaw:
 
     def test_realistic_log_line(self, provider, identity_weights):
         r = LogRecord("s", "start processing 2 alerts for org org_bff943b3ca")
-        [v] = embed_log([r], provider, identity_weights)
+        v = embed_log(r, provider, identity_weights)
         assert v.shape == (provider.dim,)
         assert np.all(np.isfinite(v))
 
@@ -123,20 +123,27 @@ def words(n, tag="w"):
     return " ".join(f"{tag}{k}" for k in range(n))
 
 
+def outcome(record, provider, weights):
+    """embed_log's vector for `record`, or the RECORD_ERRORS instance it raised."""
+    try:
+        return embed_log(record, provider, weights)
+    except embedding.RECORD_ERRORS as exc:
+        return exc
+
+
 def embed_rows(raw, word_counts, weights):
-    """embed_log of one record per row of `raw`, with the given word counts."""
+    """The outcome of one record per row of `raw`, with the given word
+    counts, each embedded alone."""
     lines = [words(n, f"r{i}x") for i, n in enumerate(word_counts)]
     provider = Table(dict(zip(lines, raw)))
-    return embed_log([LogRecord("s", t) for t in lines], provider, weights)
+    return [outcome(LogRecord("s", t), provider, weights) for t in lines]
 
 
 def fuse_one(raw, word_count):
     """The fused row of one line of `word_count` words whose provider vector
     is `raw`."""
     line = words(word_count)
-    fused, errors = embedding._fuse([LogRecord("s", line)], Table({line: raw}))
-    assert errors == [None]
-    return fused[0]
+    return embedding._fuse(LogRecord("s", line), Table({line: raw}))
 
 
 class TestFuseWordCount:
@@ -194,16 +201,14 @@ class TestEncode:
         assert isinstance(out[3], DegenerateEmbeddingError)
 
     def test_rows_normalized_as_single_vectors(self):
-        # each row's norm as np.linalg.norm takes it, so identity-weight
-        # rows equal the one-vector formula bit for bit at any batch size
+        # each vector's norm as np.linalg.norm takes it, so identity-weight
+        # vectors equal the one-vector formula bit for bit
         rng = np.random.default_rng(8)
         w = EncoderWeights.identity_init(40)
         raw = np.abs(rng.normal(size=(37, 40)))
         counts = rng.integers(1, 30, size=37)
-        out = embed_rows(raw, counts, w)
-        for k, (row, r) in enumerate(zip(out, raw)):
+        for row, r in zip(embed_rows(raw, counts, w), raw, strict=True):
             assert np.array_equal(row, r / np.linalg.norm(r))
-            assert np.array_equal(row, embed_rows(raw[k:k + 1], counts[k:k + 1], w)[0])
 
 
 def provider_rows(rng, n, dim):
@@ -223,8 +228,8 @@ def provider_rows(rng, n, dim):
 
 def assert_is_the_product(out, raw, word_counts, weights):
     fused = np.column_stack([raw, np.asarray(word_counts) / 100.0])
-    for got, want in zip(out, oracle_encode(fused, weights.matrix, weights.bias),
-                         strict=True):
+    for got, row in zip(out, fused, strict=True):
+        want = oracle_encode(row, weights.matrix, weights.bias)
         if want is None:
             assert isinstance(got, DegenerateEmbeddingError)
         else:
@@ -253,8 +258,8 @@ NEAR_IDENTITY = {
 
 class TestIdentityCopy:
     """embed_log adds the +0.0 bias to the provider columns for the identity
-    map and takes the product for any other map: either way, the product's
-    bytes."""
+    map and takes the 1-row product for any other map: either way, the
+    product's bytes."""
 
     @pytest.mark.parametrize("dim", [2, 8, 512])
     @pytest.mark.parametrize("kind", ["identity_init", "npy-file"])
@@ -307,18 +312,18 @@ class TestCollapsedEncoder:
             lines = [words(int(n), f"r{i}x")
                      for i, n in enumerate(rng.integers(1, 20, size=rng.integers(1, 6)))]
             provider = Table({t: rng.normal(size=d_in - 1) for t in lines})
-            out = embed_log([LogRecord("s", t) for t in lines], provider,
-                            layers_map(w1, b1, w2, b2))
-            for t, v in zip(lines, out):
+            weights = layers_map(w1, b1, w2, b2)
+            for t in lines:
+                v = embed_log(LogRecord("s", t), provider, weights)
                 fused = np.append(provider.embed(t), len(t.split()) / 100.0)
                 want = w2 @ (w1 @ fused + b1) + b2
                 worst = max(worst, np.abs(v - want / np.linalg.norm(want)).max())
         assert worst <= 1e-12
 
     def test_bit_exact_on_identity_weights(self, corpus, provider, identity_weights):
-        records = corpus.records[::50]
-        for record, v in zip(records, embed_log(records, provider, identity_weights)):
-            assert np.array_equal(v, oracle_embed(record.content, provider, identity_weights))
+        for record in corpus.records[::50]:
+            assert np.array_equal(embed_log(record, provider, identity_weights),
+                                  oracle_embed(record.content, provider, identity_weights))
 
     def test_identity_map_is_the_identity_layers_collapsed(self):
         for d in (1, 3, 40):
@@ -331,39 +336,31 @@ class TestCollapsedEncoder:
 class TestEmbedLog:
     def test_pure_function(self, provider, identity_weights):
         r = LogRecord("s", "alpha beta gamma")
-        [a] = embed_log([r], provider, identity_weights)
-        [b] = embed_log([r], provider, identity_weights)
+        a = embed_log(r, provider, identity_weights)
+        b = embed_log(r, provider, identity_weights)
         assert np.array_equal(a, b)
+        assert a.base is None and b.base is None  # arrays of their own
 
     def test_unit_norm(self, provider, identity_weights):
-        [v] = embed_log([LogRecord("s", "x y")], provider, identity_weights)
+        v = embed_log(LogRecord("s", "x y"), provider, identity_weights)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-6
 
-    def test_empty_list(self, provider, identity_weights):
-        assert embed_log([], provider, identity_weights) == []
-
-    def test_batch_equals_one_at_a_time(self, corpus, provider, identity_weights):
-        records = corpus.records[::7]
-        batch = embed_log(records, provider, identity_weights)
-        for record, vector in zip(records, batch):
-            [alone] = embed_log([record], provider, identity_weights)
-            assert np.array_equal(vector, alone)
-            assert vector.base is None  # its own array, not a view of the batch
-
-    def test_failures_are_returned_in_place(self):
+    def test_failures_are_raised_per_record(self):
         # the map keeps the first provider component only: "b" has no direction
         w = EncoderWeights(np.array([[1.0, 0.0, 0.0]]), np.zeros(1))
         provider = Table({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [3.0, 4.0]})
-        records = [LogRecord("s", t) for t in ("a", "bad", "b", "c")]
-        a, bad, b, c = embed_log(records, provider, w)
-        assert np.array_equal(a, [1.0]) and np.array_equal(c, [1.0])
-        assert isinstance(bad, ProviderError)
-        assert isinstance(b, DegenerateEmbeddingError)
+        assert np.array_equal(embed_log(LogRecord("s", "a"), provider, w), [1.0])
+        with pytest.raises(ProviderError):
+            embed_log(LogRecord("s", "bad"), provider, w)
+        with pytest.raises(DegenerateEmbeddingError):
+            embed_log(LogRecord("s", "b"), provider, w)
+        assert np.array_equal(embed_log(LogRecord("s", "c"), provider, w), [1.0])
 
     @pytest.mark.parametrize("kind", ["identity", "dense"])
-    def test_a_mixed_batch_fails_only_its_bad_records(self, corpus, provider, kind):
-        # the identity map finds a non-finite provider row from its norm, a
-        # dense map checks the rows before its product
+    def test_only_the_bad_records_fail(self, corpus, provider, kind):
+        # the identity map finds a non-finite provider vector from the
+        # output's norm, a dense map checks the fused row before its product
+        # (an inf - inf in the product would warn, and warnings fail here)
         if kind == "identity":
             weights = EncoderWeights.identity_init(provider.dim)
         else:
@@ -399,28 +396,17 @@ class TestEmbedLog:
                     values[3:3 + len(bad[text][0])] = bad[text][0]
                 return values
 
-        records = list(corpus.records[:20:3])
-        for at, text in [(0, "nan"), (2, "+inf"), (4, "down"), (5, "zero"),
-                         (6, "-inf"), (8, "+-inf"), (len(records) + 6, "1e300")]:
-            records.insert(at, LogRecord("s", text))
-        assert records[-1].content == "1e300"
-        outcomes = embed_log(records, Mixed(), weights)
-        good = []
-        for record, outcome in zip(records, outcomes):
+        records = [*corpus.records[:20:3], *(LogRecord("s", text) for text in bad)]
+        good = 0
+        for record in records:
+            got = outcome(record, Mixed(), weights)
             want = bad.get(record.content, (None, None))[1]
             if want is None:
-                assert isinstance(outcome, np.ndarray)
-                good.append((record, outcome))
+                assert got.tobytes() == oracle_embed(record.content, Mixed(), weights).tobytes()
+                good += 1
             else:
-                assert (type(outcome), str(outcome)) == want
-        assert len(good) == len(records) - (7 if kind == "identity" else 6)
-        # the good rows alone, in one call: the same bytes
-        together = embed_log([r for r, _ in good], Mixed(), weights)
-        assert [v.tobytes() for v in together] == [v.tobytes() for _, v in good]
-        if kind == "identity":  # where no product is taken, each alone too
-            for record, vector in good:
-                [alone] = embed_log([record], Mixed(), weights)
-                assert vector.tobytes() == alone.tobytes()
+                assert (type(got), str(got)) == want
+        assert good == len(records) - (7 if kind == "identity" else 6)
 
     @pytest.mark.parametrize("row", [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]],
                              ids=["norm-overflows", "row-overflows"])
@@ -429,10 +415,10 @@ class TestEmbedLog:
         # range: the row's norm is inf, and scaling by it leaves no direction
         w = EncoderWeights(np.array([row, [0.0, 1.0, 0.0]]), np.zeros(2))
         provider = Table({"a": [1.0, 0.0], "huge": [1e308, 1e308], "c": [0.0, 4.0]})
-        records = [LogRecord("s", t) for t in ("a", "huge", "c")]
-        a, huge, c = embed_log(records, provider, w)
-        assert isinstance(huge, DegenerateEmbeddingError)
-        assert np.array_equal(a, [1.0, 0.0])
+        with pytest.raises(DegenerateEmbeddingError, match="norm inf cannot be scaled"):
+            embed_log(LogRecord("s", "huge"), provider, w)
+        assert np.array_equal(embed_log(LogRecord("s", "a"), provider, w), [1.0, 0.0])
+        c = embed_log(LogRecord("s", "c"), provider, w)
         assert abs(np.linalg.norm(c) - 1.0) <= 1e-12
 
     def test_fixture_corpus_separation(self, corpus, provider, identity_weights):

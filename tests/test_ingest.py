@@ -7,6 +7,7 @@ import pytest
 from logsift import (
     CentroidIndex,
     ClusterParser,
+    EncoderWeights,
     HashingProvider,
     IngestConfig,
     LogRecord,
@@ -550,14 +551,32 @@ class TestEmbeddingCache:
         texts = ["a x", "b x", "a x", "c x", "d x", "b x", "a x", "e x", "e x",
                  "c x", "f x", "a x", "g x", "h x", "a x"]
         records = [LogRecord("s", t) for t in texts]
-        one_by_one = make_pipeline(provider, identity_weights)
+        one_by_one = make_pipeline(CountingProvider(provider), identity_weights)
         for record in records:
             one_by_one.ingest(record)
-        batch = make_pipeline(provider, identity_weights, batch_mode=True)
+        batch = make_pipeline(CountingProvider(provider), identity_weights, batch_mode=True)
         batch.ingest_batch(records[:4])
         batch.ingest_batch(records[4:])
-        # "b x" and "a x" are evicted and seen again inside the second batch
+        # "b x" and "a x" are evicted and seen again inside the second batch,
+        # and "b x" is embedded again after its eviction, as one by one
         assert list(batch._vectors) == list(one_by_one._vectors)
+        assert batch.provider.calls == one_by_one.provider.calls
+
+    def test_batch_caches_the_vectors_of_one_record_at_a_time(self, corpus, provider):
+        # a dense map takes a product per line: each line's vector in batch
+        # mode has the bytes sequential mode gives it
+        rng = np.random.default_rng(3)
+        weights = EncoderWeights(rng.normal(size=(provider.dim, provider.dim + 1)) * 0.1,
+                                 rng.normal(size=provider.dim) * 0.01)
+        records = list(corpus.records[::4])
+        one_by_one = make_pipeline(provider, weights)
+        for record in records:
+            one_by_one.ingest(record)
+        batch = make_pipeline(provider, weights, batch_mode=True)
+        for start in range(0, len(records), 64):
+            batch.ingest_batch(records[start:start + 64])
+        assert [(line, v.tobytes()) for line, v in batch._vectors.items()] == \
+            [(line, v.tobytes()) for line, v in one_by_one._vectors.items()]
 
     def test_batch_embeds_a_failing_line_once(self, provider, identity_weights):
         counting = CountingProvider(provider, failures=1)

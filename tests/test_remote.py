@@ -137,7 +137,7 @@ def test_wrong_dimension_is_not_retried(monkeypatch, sleeps):
     post = script(monkeypatch, FakeResponse(200, {"embedding": [0.1, 0.2, 0.3]}))
     provider = RemoteProvider(url="http://emb", model="m", dim=4)
     with pytest.raises(DimensionMismatchError):
-        embed_log([LogRecord("t", "disk full on /dev/sda1")], provider,
+        embed_log(LogRecord("t", "disk full on /dev/sda1"), provider,
                   EncoderWeights.identity_init(4))
     assert len(post.calls) == 1 and sleeps == []
     assert post.calls[0]["timeout"] == RemoteProvider.TIMEOUT_S == 30.0

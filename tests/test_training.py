@@ -61,8 +61,7 @@ class TestBuildPairDataset:
     def test_features_are_the_rows_ingest_fuses(self, corpus, provider):
         dataset = build_pair_dataset([labeled_corpus(corpus)],
                                      TrainConfig(pairs_per_dataset=50), provider)
-        fused, errors = _fuse(corpus.records, provider)
-        assert errors == [None] * len(corpus)
+        fused = np.stack([_fuse(record, provider) for record in corpus.records])
         assert np.array_equal(dataset.features, fused)
 
     def test_each_dataset_pairs_its_own_rows(self, provider):
