@@ -341,6 +341,20 @@ class TestEmbedLog:
         assert np.array_equal(a, b)
         assert a.base is None and b.base is None  # arrays of their own
 
+    def test_batch_equals_one_at_a_time(self, corpus, provider):
+        # a run of records leaves nothing behind that changes a later
+        # record's vector: each has the bytes it gets alone, from a fresh
+        # provider, in the reverse order, at the identity map and a dense one
+        rng = np.random.default_rng(5)
+        dense = EncoderWeights(rng.normal(size=(provider.dim, provider.dim + 1)) * 0.1,
+                               rng.normal(size=provider.dim) * 0.01)
+        records = corpus.records[::7]
+        for weights in (EncoderWeights.identity_init(provider.dim), dense):
+            in_a_run = [embed_log(r, provider, weights) for r in records]
+            alone = [embed_log(r, HashingProvider(dim=provider.dim), weights)
+                     for r in reversed(records)][::-1]
+            assert [v.tobytes() for v in in_a_run] == [v.tobytes() for v in alone]
+
     def test_unit_norm(self, provider, identity_weights):
         v = embed_log(LogRecord("s", "x y"), provider, identity_weights)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-6
