@@ -207,6 +207,8 @@ def cmd_rebalance(args) -> int:
     index = CentroidIndex.load(args.snapshot)
     report = rebalance(index, args.threshold)
     index.snapshot(args.snapshot_out or args.snapshot)
+    if args.templates_out:
+        index.save_templates(args.templates_out)
     text = json.dumps(report.to_dict(), indent=2)
     if args.report_out:
         with atomic_write(args.report_out) as fh:
@@ -319,6 +321,7 @@ def build_arg_parser() -> _ArgParser:
     p.add_argument("--snapshot-out")
     p.add_argument("--threshold", type=float, default=IngestConfig.similarity_threshold)
     p.add_argument("--report-out")
+    p.add_argument("--templates-out", help="templates view of the rebalanced snapshot")
     p.set_defaults(func=cmd_rebalance)
 
     p = sub.add_parser("export-embeddings", help="dump centroid or corpus vectors as CSV")

@@ -8,12 +8,14 @@ then a plain dot product.
 
 The encoder has no activation, so it is one affine map: `EncoderWeights`,
 read-only, what training fits and returns, held as the one array a weights
-file stores (one `.npy` array, read back with no text decode and no copy).
-Every caller embeds with the map through `embed_log`, one record at a
-time: the record's provider call, its word count appended, then the 1-row
-product with the map; the identity map (the default when no weights are
-given) is applied as one add of its +0.0 bias to the provider columns,
-which has that product's bytes. A provider vector holding NaN or inf fails
+file stores (one `.npy` array, read back with no text decode and no copy),
+except the identity map, which is held as its bias alone: it is built,
+loaded and kept in O(E) memory, never as an E x (E+2) array. Every caller
+embeds with the map through `embed_log`, one record at a time: the
+record's provider call, its word count appended, then the 1-row product
+with the map; the identity map (the default when no weights are given) is
+applied as one add of its +0.0 bias to the provider columns, which has
+that product's bytes. A provider vector holding NaN or inf fails
 its record with a ProviderError, found from the output's norm at the
 identity map and before the product at any other. Training fuses its logs
 with the same front half, `_fuse`, and stops at the first record that
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +138,56 @@ class RemoteProvider(RemoteClient, EmbeddingProvider):
 
 
 NPY_MAGIC = b"\x93NUMPY"  # the first six bytes of every .npy file (NEP 1)
+# bytes of a weights file `load` reads at a time while it tells the identity
+# apart, into one buffer; at least one row
+SCAN_BYTES = 1 << 18
+
+
+def _identity_rows(block: np.ndarray, start: int) -> bool:
+    """Whether the C-ordered float64 `block` is rows start, start + 1, ... of
+    eye(E, E+2) to the bit (a +0.0 bias): ones on its diagonal and as many
+    nonzero bits as rows, counted with no temporary."""
+    return bool((block.diagonal(start) == 1.0).all()
+                and np.count_nonzero(block.view(np.uint64)) == len(block))
+
+
+def _identity_arrays(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The identity's read-only `matrix`, equal to eye(dim, dim+1), and its
+    +0.0 `bias`, both views of one immutable line of 2 dim + 1 floats whose
+    middle one is 1.0: matrix[i, j] is line[dim - i + j], so no view of it
+    can be made writable and it costs O(dim) memory."""
+    line = np.eye(1, 2 * dim + 1, dim).tobytes()
+    return (np.ndarray((dim, dim + 1), buffer=line, offset=8 * dim, strides=(-8, 8)),
+            np.ndarray((dim,), buffer=line))
+
+
+def _identity_dim(fh) -> int:
+    """E, if the `.npy` file `fh` holds eye(E, E+2) to the bit as a C-ordered
+    '<f8' array under a version 1.0 or 2.0 header, read one block of rows
+    at a time into one buffer; else 0, for any other header, a file cut
+    short or a block that is not the identity's, which `np.load` reads."""
+    readers = {(1, 0): np.lib.format.read_array_header_1_0,
+               (2, 0): np.lib.format.read_array_header_2_0}
+    try:
+        shape, fortran_order, dtype = readers[np.lib.format.read_magic(fh)](fh)
+    except (KeyError, ValueError):
+        return 0
+    if fortran_order or dtype != FLOAT_BYTES or len(shape) != 2 or shape[0] < 1 \
+            or shape[1] != shape[0] + 2:
+        return 0
+    rows, row_bytes = shape[0], 8 * shape[1]
+    # a header's claim is checked against the file before any buffer is made
+    if os.fstat(fh.fileno()).st_size - fh.tell() < rows * row_bytes:
+        return 0
+    block = np.empty((min(max(1, SCAN_BYTES // row_bytes), rows), shape[1]))
+    start = 0
+    while start < rows:
+        # the first block is one row, which turns a dense map away cheaply
+        part = block[:min(len(block) if start else 1, rows - start)]
+        if fh.readinto(part) != part.nbytes or not _identity_rows(part, start):
+            return 0
+        start += len(part)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity
@@ -142,12 +195,20 @@ class EncoderWeights:
     """The encoder, read-only: one affine map from the fused (D+1)-vector
     to the clustering space, `matrix` (E, D+1) and `bias` (E,).
 
-    The map is held as one read-only, C-ordered (E, D+2) float64 array:
-    the map's D+1 columns, then the bias as the last column. `matrix` is a
-    view of it, and `bias` a contiguous copy of its last column, which
-    `embed_log` adds to each output. A weights file is that array, one NumPy
-    `.npy` array (NEP 1) of little-endian float64, which `load` takes as
-    its own and `save` writes as it is.
+    A map is held as one read-only, C-ordered (E, D+2) float64 array, its
+    `_packed`: the map's D+1 columns, then the bias as the last column.
+    `matrix` is a view of it, and `bias` a contiguous copy of its last
+    column, which `embed_log` adds to each output. A weights file is that
+    array, one NumPy `.npy` array (NEP 1) of little-endian float64, which
+    `load` takes as its own and `save` writes as it is.
+
+    The identity map, eye(E, E+2) to the bit, which `embed_log` applies as
+    an add of its bias, is held with no `_packed` (None): `matrix` is a
+    read-only O(E) view equal to eye(E, E+1) and `bias` E read-only +0.0s.
+    Each way in ends there: `identity_init` builds only these, `_hold` drops
+    an array that passes the identity test, and `load` tells the identity
+    apart from the file, a block of rows at a time, before it reads the
+    map. `save` writes the bytes `np.save` writes for eye(E, E+2).
     """
 
     matrix: np.ndarray
@@ -168,16 +229,15 @@ class EncoderWeights:
 
     def _hold(self, packed: np.ndarray) -> "EncoderWeights":
         """Take the C-ordered (E, D+2) float64 `packed`, without a copy, as
-        the array of this map, which it returns."""
-        # the identity map, which embed_log applies as an add, is eye(E, E+2)
-        # to the bit (a +0.0 bias), told by a count of nonzero bits with no
-        # temporary. Any other map is finite if its sum is, or, when the sum
-        # overflows, if its least and greatest entries are (NaN if any is)
+        the array of this map, which it returns; the identity is held as
+        `identity_init` holds it, and `packed` dropped."""
+        # any map but the identity is finite if its sum is, or, when the
+        # sum overflows, if its least and greatest entries are (NaN if any is)
         rows, cols = packed.shape
-        identity = bool(cols == rows + 2 and (packed.diagonal() == 1.0).all()
-                        and np.count_nonzero(packed.view(np.uint64)) == rows)
+        if cols == rows + 2 and _identity_rows(packed, 0):
+            return self._set(None, *_identity_arrays(rows))
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = identity or math.isfinite(packed.sum()) or (
+            finite = math.isfinite(packed.sum()) or (
                 math.isfinite(packed.min()) and math.isfinite(packed.max()))
         if not finite:
             raise ConfigError("encoder weights contain non-finite entries")
@@ -185,10 +245,14 @@ class EncoderWeights:
         packed.flags.writeable = bias.flags.writeable = False
         if isinstance(packed.base, np.ndarray):  # np.load can give a view of what it read
             packed.base.flags.writeable = False
+        return self._set(packed, packed[:, :-1], bias)
+
+    def _set(self, packed: np.ndarray | None, matrix: np.ndarray,
+             bias: np.ndarray) -> "EncoderWeights":
         object.__setattr__(self, "_packed", packed)
-        object.__setattr__(self, "matrix", packed[:, :-1])
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "bias", bias)
-        object.__setattr__(self, "_identity", identity)
+        object.__setattr__(self, "_identity", packed is None)
         return self
 
     @property
@@ -203,13 +267,26 @@ class EncoderWeights:
     def identity_init(cls, provider_dim: int) -> "EncoderWeights":
         """The map that passes the provider embedding through and drops the
         word-count column, so a line's vector is its raw provider embedding."""
-        return cls.__new__(cls)._hold(np.eye(provider_dim, provider_dim + 2))
+        return cls.__new__(cls)._set(None, *_identity_arrays(provider_dim))
 
     def save(self, path: str) -> None:
         """Write the map as a `.npy` file: one (E, D+2) little-endian float64
-        array, the matrix's columns then the bias, every float's own bytes."""
+        array, the matrix's columns then the bias, every float's own bytes.
+        The identity's floats are a 1.0 then E + 2 zeros, over and over, cut
+        off after the two zeros that follow its last 1.0; they are written
+        from one block of whole periods of about SCAN_BYTES."""
         with atomic_write(path, "wb") as fh:
-            np.save(fh, self._packed.astype(FLOAT_BYTES, copy=False), allow_pickle=False)
+            if self._packed is not None:
+                np.save(fh, self._packed.astype(FLOAT_BYTES, copy=False), allow_pickle=False)
+                return
+            dim = self.output_dim
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": FLOAT_BYTES.str, "fortran_order": False, "shape": (dim, dim + 2)})
+            period = np.ones(1, FLOAT_BYTES).tobytes() + bytes(8 * (dim + 2))
+            block = memoryview(period * max(1, SCAN_BYTES // len(period)))
+            size = 8 * dim * (dim + 2)
+            for start in range(0, size, len(block)):
+                fh.write(block[:size - start])
 
     @classmethod
     def load(cls, path: str) -> "EncoderWeights":
@@ -217,13 +294,18 @@ class EncoderWeights:
         whatever the file is named. Any other file, such as the JSON
         weights of earlier versions, or one that does not hold one whole,
         finite map is a ConfigError; a `.npy` file of objects is refused,
-        never unpickled."""
+        never unpickled. The identity is told apart as the file is read,
+        with no E x (E+2) array made; any other file is read by `np.load`."""
         with open(path, "rb") as fh:
             if fh.read(len(NPY_MAGIC)) != NPY_MAGIC:
                 raise ConfigError(
                     f"weights file {path} is not a .npy file; a JSON weights file of an "
                     "earlier logsift converts with EncoderWeights.load(path).save(path) "
                     "run with that version")
+            fh.seek(0)
+            dim = _identity_dim(fh)
+            if dim:
+                return cls.identity_init(dim)
             fh.seek(0)
             try:
                 packed = np.load(fh, allow_pickle=False)

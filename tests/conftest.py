@@ -109,7 +109,8 @@ def npy_bytes(array, allow_pickle=False):
     return buf.getvalue()
 
 
-def _npy_header(shape):
+def npy_header(shape):
+    """The version 1.0 header of a C-ordered '<f8' .npy array of `shape`."""
     buf = io.BytesIO()
     np.lib.format.write_array_header_1_0(
         buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
@@ -135,5 +136,8 @@ MALFORMED_NPY_WEIGHTS = {
     "nan-bias": npy_bytes(np.array([[1.0, 0.0, np.nan]])),
     "inf-bias": npy_bytes(np.array([[1.0, 0.0, np.inf]])),
     # 8e18 bytes: no allocator can give them, so nothing is allocated
-    "header-claims-exabytes": _npy_header((10 ** 9, 10 ** 9)) + _NPY[-24:],
+    "header-claims-exabytes": npy_header((10 ** 9, 10 ** 9)) + _NPY[-24:],
+    # the identity's header, with its data cut short or far shorter than claimed
+    "identity-4-bytes-short": npy_bytes(np.eye(2, 4))[:-4],
+    "identity-claims-exabytes": npy_header((10 ** 9, 10 ** 9 + 2)) + _NPY[-24:],
 }

@@ -20,7 +20,7 @@ from logsift.cli import (
 )
 from logsift.embedding import EncoderWeights
 from logsift.errors import ProviderError
-from logsift.index import CentroidIndex
+from logsift.index import CentroidIndex, ParseState
 from logsift.synthetic import generate_corpus
 
 from conftest import MALFORMED_NPY_WEIGHTS, layers_map, random_layers, rewrite
@@ -516,6 +516,33 @@ class TestRebalanceCommand:
                      "--snapshot-out", str(out)]) == EXIT_OK
         assert calls == []
         assert out.read_bytes() == snap.read_bytes()
+
+    def test_templates_out_is_the_view_of_the_snapshot_written(self, tmp_path, capsys):
+        # clusters 0 and 1 are parsed duplicates, which the rebalance merges
+        index = CentroidIndex()
+        for cid, (axis, state, template) in enumerate([
+                (0, ParseState.PARSED, "disk full on <*>"),
+                (0, ParseState.PARSED, "disk full on <*>"),
+                (1, ParseState.FAILED, None),
+                (2, ParseState.UNPARSED, None),
+                (3, ParseState.PARSED, "fan failed on <*>")]):
+            index.insert(np.eye(4)[axis], parse_state=state, template=template,
+                         template_id=None if template is None else cid,
+                         representative=f"line {cid} on 7")
+        snap, out, templates = (str(tmp_path / name)
+                                for name in ("snap.npz", "out.npz", "templates.json"))
+        index.snapshot(snap)
+        assert main(["rebalance", "--snapshot", snap, "--snapshot-out", out,
+                     "--templates-out", templates]) == EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)["merges"]) == 1
+        kept = [c for c in CentroidIndex.load(out).centroids()
+                if c.parse_state in (ParseState.PARSED, ParseState.FAILED)]
+        assert [c.cluster_id for c in kept] == [2, 4, 5]  # the merge made 5
+        with open(templates) as fh:
+            entries = json.load(fh)
+        assert [int(key) for key in entries] == [c.cluster_id for c in kept]
+        for c in kept:
+            assert entries[str(c.cluster_id)]["template"] == c.row_template()
 
     def test_a_json_snapshot_exits_5_and_is_left_as_it_was(self, tmp_path, capsys):
         # as earlier versions wrote one: each vector base64 of its float64 bytes

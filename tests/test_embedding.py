@@ -1,4 +1,5 @@
 import hashlib
+import io
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -21,6 +22,7 @@ from conftest import (
     identity_layers,
     layers_map,
     npy_bytes,
+    npy_header,
     random_layers,
 )
 from oracles import oracle_embed, oracle_encode
@@ -236,13 +238,23 @@ def assert_is_the_product(out, raw, word_counts, weights):
             assert got.tobytes() == want.tobytes()
 
 
+IDENTITY_KINDS = ["identity_init", "constructed", "npy-file", "fortran-npy-file"]
+
+
 def identity_map(kind, dim, tmp_path):
-    """The identity for a dim-d provider, built or read back as `kind` says."""
-    path = str(tmp_path / f"{kind}.weights")
+    """The identity for a dim-d provider, built, constructed from eye(E, E+1)
+    and zeros, or read back from a C-order or a Fortran-order file, as
+    `kind` says."""
+    path = tmp_path / f"{kind}.weights"
+    if kind == "constructed":
+        return EncoderWeights(np.eye(dim, dim + 1), np.zeros(dim))
     if kind == "npy-file":
-        EncoderWeights.identity_init(dim).save(path)
-        return EncoderWeights.load(path)
-    return EncoderWeights.identity_init(dim)
+        EncoderWeights.identity_init(dim).save(str(path))
+    elif kind == "fortran-npy-file":
+        path.write_bytes(npy_bytes(np.asfortranarray(np.eye(dim, dim + 2))))
+    else:
+        return EncoderWeights.identity_init(dim)
+    return EncoderWeights.load(str(path))
 
 
 # maps one entry away from the identity, as (array, index, value) set on
@@ -253,6 +265,9 @@ NEAR_IDENTITY = {
     "diagonal-below-1": ("matrix", (1, 1), np.nextafter(1.0, 0.0)),
     "bias-minus-zero": ("bias", 0, -0.0),
     "plus-word-count": ("matrix", (-1, -1), 1.0),
+    "diagonal-above-1": ("matrix", (1, 1), np.nextafter(1.0, 2.0)),
+    # in the last row, which `load` reads in its last block
+    "last-row-5e-324": ("matrix", (-1, 1), 5e-324),
 }
 
 
@@ -262,7 +277,7 @@ class TestIdentityCopy:
     product's bytes."""
 
     @pytest.mark.parametrize("dim", [2, 8, 512])
-    @pytest.mark.parametrize("kind", ["identity_init", "npy-file"])
+    @pytest.mark.parametrize("kind", IDENTITY_KINDS)
     def test_identity_maps_give_the_product_byte_for_byte(self, kind, dim, tmp_path):
         weights = identity_map(kind, dim, tmp_path)
         assert weights._identity
@@ -270,6 +285,18 @@ class TestIdentityCopy:
         for n in (1, 7, 256):
             raw, counts = provider_rows(rng, n, dim), rng.integers(1, 40, size=n)
             assert_is_the_product(embed_rows(raw, counts, weights), raw, counts, weights)
+
+    @pytest.mark.parametrize("dim", [1, 8, 512])
+    @pytest.mark.parametrize("kind", IDENTITY_KINDS)
+    def test_identity_maps_are_held_as_their_bias(self, kind, dim, tmp_path):
+        weights = identity_map(kind, dim, tmp_path)
+        assert weights._identity and weights._packed is None
+        assert weights.matrix.tobytes() == np.eye(dim, dim + 1).tobytes()
+        assert weights.bias.tobytes() == np.zeros(dim).tobytes()
+        assert not weights.bias.flags.writeable
+        assert_held_read_only(weights)
+        weights.save(str(tmp_path / "saved.npy"))
+        assert (tmp_path / "saved.npy").read_bytes() == npy_bytes(np.eye(dim, dim + 2))
 
     @pytest.mark.parametrize("dim", [8, 512])
     @pytest.mark.parametrize("case", [*NEAR_IDENTITY, "square-eye", "shifted-eye",
@@ -299,6 +326,48 @@ class TestIdentityCopy:
             copied = raw + weights.bias[:dim]
             assert any(v.tobytes() != (c / np.linalg.norm(c)).tobytes()
                        for v, c in zip(out, copied))
+
+
+def near_identity_file(case, dim):
+    """The bytes of a .npy file of eye(dim, dim+2) one entry away (a
+    NEAR_IDENTITY case, or its last float 5e-324), cut short, followed by
+    more bytes, or under a version 2.0 header, as `case` says."""
+    packed = np.eye(dim, dim + 2)
+    if case in NEAR_IDENTITY:
+        name, at, value = NEAR_IDENTITY[case]
+        (packed[:, :-1] if name == "matrix" else packed[:, -1])[at] = value
+    elif case == "last-float-5e-324":
+        packed[-1, -1] = 5e-324
+    elif case == "version-2.0":
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, packed, version=(2, 0))
+        return buf.getvalue()
+    data = npy_bytes(packed)
+    return {"4-bytes-short": data[:-4], "trailing-bytes": data + bytes(8)}.get(case, data)
+
+
+@pytest.mark.parametrize("dim", [2, 512])
+@pytest.mark.parametrize("case", [*NEAR_IDENTITY, "last-float-5e-324", "4-bytes-short",
+                                  "trailing-bytes", "version-2.0"])
+def test_a_file_near_the_identity_loads_as_np_load_reads_it(case, dim, tmp_path):
+    """Each loads to the map np.load reads, dense unless it is eye(E, E+2) to
+    the bit, or to the ConfigError of np.load's error."""
+    path = tmp_path / "w.npy"
+    path.write_bytes(near_identity_file(case, dim))
+    try:
+        packed = np.load(path, allow_pickle=False)
+    except ValueError as exc:
+        with pytest.raises(ConfigError, match=re.escape(str(exc))):
+            EncoderWeights.load(str(path))
+        return
+    loaded = EncoderWeights.load(str(path))
+    identity = packed.tobytes() == np.eye(dim, dim + 2).tobytes()
+    assert identity == (case in ("trailing-bytes", "version-2.0"))
+    assert loaded._identity == identity == (loaded._packed is None)
+    assert loaded.matrix.tobytes() == packed[:, :-1].tobytes()
+    assert loaded.bias.tobytes() == packed[:, -1].tobytes()
+    if not identity:
+        assert loaded._packed.tobytes() == packed.tobytes()
 
 
 class TestCollapsedEncoder:
@@ -603,31 +672,63 @@ def test_an_npy_file_of_objects_is_never_unpickled(tmp_path):
     UNPICKLED.clear()
 
 
-def test_loading_a_512_d_map_takes_a_small_multiple_of_its_floats(tmp_path):
-    path = str(tmp_path / "weights.json")
-    weights = EncoderWeights.identity_init(PROVIDER_DIM)
-    weights.save(path)
-    floats = weights.matrix.nbytes + weights.bias.nbytes  # 2.1 MB
+# the bytes of a 512-d map's floats, E x (E+2) of them: 2.1 MB
+MAP_512_BYTES = PROVIDER_DIM * (PROVIDER_DIM + 2) * 8
+
+
+def traced(build):
+    """What `build()` returns, with the bytes it held when it returned and at
+    its peak (tracemalloc)."""
     tracemalloc.start()
     try:
-        EncoderWeights.load(path)
-        _, peak = tracemalloc.get_traced_memory()
+        out = build()
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # measured 1.0x: the array np.load reads is the map's own
-    assert peak < 1.2 * floats, peak / floats
+    return out, current, peak
+
+
+def test_loading_a_512_d_map_takes_a_small_multiple_of_its_floats(tmp_path):
+    rng = np.random.default_rng(5)
+    for weights in (EncoderWeights.identity_init(PROVIDER_DIM),
+                    EncoderWeights(rng.normal(size=(PROVIDER_DIM, PROVIDER_DIM + 1)),
+                                   rng.normal(size=PROVIDER_DIM))):
+        path = str(tmp_path / "weights.json")
+        weights.save(path)
+        loaded, _, peak = traced(lambda: EncoderWeights.load(path))
+        assert loaded._identity == weights._identity
+        # measured 1.0x for the dense map: the array np.load reads is the map's own
+        assert peak < 1.2 * MAP_512_BYTES, peak / MAP_512_BYTES
 
 
 def test_saving_a_512_d_identity_map_holds_one_copy_of_its_floats(tmp_path):
-    tracemalloc.start()
-    try:
-        weights = EncoderWeights.identity_init(PROVIDER_DIM)
-        weights.save(str(tmp_path / "weights.npy"))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # measured 1.0x: np.eye's array is the map's own, and save writes it as it is
-    assert peak < 1.2 * weights._packed.nbytes, peak / weights._packed.nbytes
+    # measured 0.13x: the identity is written from one block of about 256 KB
+    _, _, peak = traced(lambda: EncoderWeights.identity_init(PROVIDER_DIM).save(
+        str(tmp_path / "weights.npy")))
+    assert peak < 1.2 * MAP_512_BYTES, peak / MAP_512_BYTES
+
+
+def test_an_identity_header_is_checked_against_the_file_before_a_row_is_read(tmp_path):
+    # one row of the map this header claims would take 8 MB
+    path = tmp_path / "weights.npy"
+    path.write_bytes(npy_header((10 ** 6, 10 ** 6 + 2)) + npy_bytes(np.eye(2, 4))[-64:])
+    with open(path, "rb") as fh:
+        dim, _, peak = traced(lambda: embedding._identity_dim(fh))
+    assert dim == 0 and peak < 100_000, peak
+
+
+@pytest.mark.parametrize("dim, bound", [(PROVIDER_DIM, 64 * 1024), (1536, 100_000)])
+def test_the_identity_is_held_in_o_of_e_memory(tmp_path, dim, bound):
+    # measured 8.7 KB built and 9.8 KB loaded at E = 512, 25 and 26 KB at
+    # 1536; an E x (E+2) array would hold 2.1 MB and 18.9 MB
+    weights, held, _ = traced(lambda: EncoderWeights.identity_init(dim))
+    assert held < bound, held
+    path = tmp_path / "weights.npy"
+    weights.save(str(path))
+    loaded, held, peak = traced(lambda: EncoderWeights.load(str(path)))
+    assert loaded._identity and held < bound, held
+    # measured 0.13x at E = 512: one buffer of rows, read over and over
+    assert peak < 0.25 * path.stat().st_size, peak / path.stat().st_size
 
 
 def test_building_a_512_d_map_holds_little_beyond_its_copy():

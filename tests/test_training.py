@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -293,6 +294,16 @@ class TestStopRule:
         assert result.loss_trace[-1] < result.loss_trace[0]
         assert result.weights.matrix.tobytes() == initial.matrix.tobytes()
         assert result.weights.bias.tobytes() == initial.bias.tobytes()
+
+    def test_the_default_start_trains_as_a_dense_identity_does(self):
+        # the identity is held as an O(E) view, not as eye(E, E+1) itself
+        pairs = make_two_family_pairs()
+        cfg = TrainConfig(batch_size=16, epochs=3, rng_seed=0)
+        built = train(pairs, cfg)
+        dense = train(pairs, cfg, initial=SimpleNamespace(matrix=np.eye(8, 9), bias=np.zeros(8)))
+        assert built.loss_trace == dense.loss_trace
+        assert built.weights.matrix.tobytes() == dense.weights.matrix.tobytes()
+        assert built.weights.bias.tobytes() == dense.weights.bias.tobytes()
 
     def test_without_held_out_pairs_returns_the_last_epoch(self):
         result = train(make_two_family_pairs(), TrainConfig(batch_size=16, epochs=4))
