@@ -182,8 +182,7 @@ def _identity_dim(fh) -> int:
     block = np.empty((min(max(1, SCAN_BYTES // row_bytes), rows), shape[1]))
     start = 0
     while start < rows:
-        # the first block is one row, which turns a dense map away cheaply
-        part = block[:min(len(block) if start else 1, rows - start)]
+        part = block[:rows - start]
         if fh.readinto(part) != part.nbytes or not _identity_rows(part, start):
             return 0
         start += len(part)
@@ -208,7 +207,10 @@ class EncoderWeights:
     Each way in ends there: `identity_init` builds only these, `_hold` drops
     an array that passes the identity test, and `load` tells the identity
     apart from the file, a block of rows at a time, before it reads the
-    map. `save` writes the bytes `np.save` writes for eye(E, E+2).
+    map. `save` writes the bytes `np.save` writes for eye(E, E+2). That
+    `matrix` has strides (-8, 8), which BLAS cannot take, so numpy copies
+    it for each product: a caller that multiplies by it often should copy
+    it once with `np.ascontiguousarray`, as `train` does.
     """
 
     matrix: np.ndarray
@@ -271,22 +273,11 @@ class EncoderWeights:
 
     def save(self, path: str) -> None:
         """Write the map as a `.npy` file: one (E, D+2) little-endian float64
-        array, the matrix's columns then the bias, every float's own bytes.
-        The identity's floats are a 1.0 then E + 2 zeros, over and over, cut
-        off after the two zeros that follow its last 1.0; they are written
-        from one block of whole periods of about SCAN_BYTES."""
+        array, the matrix's columns then the bias, every float's own bytes."""
+        packed = np.eye(self.output_dim, self.input_dim + 1) if self._packed is None \
+            else self._packed
         with atomic_write(path, "wb") as fh:
-            if self._packed is not None:
-                np.save(fh, self._packed.astype(FLOAT_BYTES, copy=False), allow_pickle=False)
-                return
-            dim = self.output_dim
-            np.lib.format.write_array_header_1_0(
-                fh, {"descr": FLOAT_BYTES.str, "fortran_order": False, "shape": (dim, dim + 2)})
-            period = np.ones(1, FLOAT_BYTES).tobytes() + bytes(8 * (dim + 2))
-            block = memoryview(period * max(1, SCAN_BYTES // len(period)))
-            size = 8 * dim * (dim + 2)
-            for start in range(0, size, len(block)):
-                fh.write(block[:size - start])
+            np.save(fh, packed.astype(FLOAT_BYTES, copy=False), allow_pickle=False)
 
     @classmethod
     def load(cls, path: str) -> "EncoderWeights":

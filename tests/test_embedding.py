@@ -702,7 +702,7 @@ def test_loading_a_512_d_map_takes_a_small_multiple_of_its_floats(tmp_path):
 
 
 def test_saving_a_512_d_identity_map_holds_one_copy_of_its_floats(tmp_path):
-    # measured 0.13x: the identity is written from one block of about 256 KB
+    # measured 1.003x: np.save of the one eye(E, E+2) that save builds
     _, _, peak = traced(lambda: EncoderWeights.identity_init(PROVIDER_DIM).save(
         str(tmp_path / "weights.npy")))
     assert peak < 1.2 * MAP_512_BYTES, peak / MAP_512_BYTES
