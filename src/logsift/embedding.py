@@ -56,6 +56,12 @@ class EmbeddingProvider:
 
     dim: int
 
+    def _set_dim(self, dim: int) -> None:
+        """Set `dim`, refusing a width below 2 (both built-in providers)."""
+        if dim < 2:
+            raise ConfigError("provider dimension must be >= 2")
+        self.dim = dim
+
     def embed(self, text: str) -> np.ndarray:
         raise NotImplementedError
 
@@ -100,9 +106,7 @@ class HashingProvider(EmbeddingProvider):
     DIM = 512
 
     def __init__(self, dim: int = DIM):
-        if dim < 2:
-            raise ConfigError("provider dimension must be >= 2")
-        self.dim = dim
+        self._set_dim(dim)
         self._buckets = _BucketMemo(dim)
 
     def embed(self, text: str) -> np.ndarray:
@@ -126,8 +130,8 @@ class RemoteProvider(RemoteClient, EmbeddingProvider):
     KEY_ENV = "EMBEDDING_API_KEY"
 
     def __init__(self, url: str, model: str, dim: int, api_key_env: str = KEY_ENV):
+        self._set_dim(dim)
         super().__init__(url, model, api_key_env)
-        self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
         values = self._post({"model": self.model, "input": text}, "embedding")

@@ -2,8 +2,9 @@
 
 All four metrics follow the Loghub-2.0 benchmark conventions:
 
-* GA  — fraction of logs whose predicted group's member set equals its
-        ground-truth group's member set.
+* GA  — share of logs whose predicted group equals a ground-truth group;
+        like FGA and FTA it counts each (predicted, true) label pair once,
+        so scoring is linear in the number of logs.
 * FGA — harmonic mean of precision/recall over exactly-matching groups,
         counted at template (group) level.
 * PA  — fraction of logs whose predicted template tokens (whitespace split)
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -65,19 +66,35 @@ def load_dataset(path: str) -> LabeledDataset:
     return LabeledDataset(tuple(contents), tuple(templates))
 
 
-def _groups(labels: Sequence[Hashable]) -> dict[Hashable, frozenset[int]]:
-    members = defaultdict(set)
-    for i, label in enumerate(labels):
-        members[label].add(i)
-    return {label: frozenset(ids) for label, ids in members.items()}
-
-
 def _check_aligned(predicted: Sequence, truth: Sequence):
     if len(predicted) != len(truth):
         raise ValueError(
             f"partition mismatch: {len(predicted)} predicted labels "
             f"vs {len(truth)} ground-truth labels"
         )
+
+
+def _matched_groups(predicted: Sequence[Hashable],
+                    truth: Sequence[Hashable]) -> tuple[list, int, int]:
+    """(predicted label, true label, size) for each predicted group equal to
+    a ground-truth group, then the numbers of predicted and of ground-truth
+    groups. Two groups are equal iff the logs they share are all of each:
+    their labels' pair count equals both labels' counts."""
+    _check_aligned(predicted, truth)
+    pred_sizes = Counter(predicted)
+    true_sizes = Counter(truth)
+    matched = [(label, true_label, shared)
+               for (label, true_label), shared in Counter(zip(predicted, truth)).items()
+               if shared == pred_sizes[label] == true_sizes[true_label]]
+    return matched, len(pred_sizes), len(true_sizes)
+
+
+def _f1(correct: int, n_predicted: int, n_true: int) -> float:
+    if correct == 0:
+        return 0.0
+    p = correct / n_predicted
+    r = correct / n_true
+    return 2 * p * r / (p + r)
 
 
 def grouping_accuracy(predicted: Sequence[Hashable],
@@ -87,29 +104,15 @@ def grouping_accuracy(predicted: Sequence[Hashable],
     _check_aligned(predicted, truth)
     if not truth:
         return 0.0
-    pred_groups = _groups(predicted)
-    true_groups = _groups(truth)
-    correct = sum(
-        1 for i in range(len(truth))
-        if pred_groups[predicted[i]] == true_groups[truth[i]]
-    )
-    return correct / len(truth)
+    matched, _, _ = _matched_groups(predicted, truth)
+    return sum(size for _, _, size in matched) / len(truth)
 
 
 def fga(predicted: Sequence[Hashable],
         truth: Sequence[Hashable]) -> tuple[float, int, int, int]:
     """FGA plus the (N_g, N_p, N_c) counts it derives from."""
-    _check_aligned(predicted, truth)
-    pred_sets = set(_groups(predicted).values())
-    true_sets = set(_groups(truth).values())
-    n_g = len(true_sets)
-    n_p = len(pred_sets)
-    n_c = len(pred_sets & true_sets)
-    if n_c == 0 or n_p == 0 or n_g == 0:
-        return 0.0, n_g, n_p, n_c
-    pga = n_c / n_p
-    rga = n_c / n_g
-    return 2 * pga * rga / (pga + rga), n_g, n_p, n_c
+    matched, n_p, n_g = _matched_groups(predicted, truth)
+    return _f1(len(matched), n_p, n_g), n_g, n_p, len(matched)
 
 
 def _tokens(template: str) -> tuple[str, ...]:
@@ -133,20 +136,11 @@ def fta(predicted_templates: Sequence[str],
         truth_templates: Sequence[str]) -> float:
     """FTA: template correct iff its log group matches a ground-truth group
     and the token sequences agree; harmonic mean of precision and recall."""
-    _check_aligned(predicted_templates, truth_templates)
-    pred_groups = _groups(predicted_templates)
-    true_groups = _groups(truth_templates)
-    true_by_set = {ids: tmpl for tmpl, ids in true_groups.items()}
-    correct = 0
-    for tmpl, ids in pred_groups.items():
-        match = true_by_set.get(ids)
-        if match is not None and _tokens(tmpl) == _tokens(match):
-            correct += 1
-    if correct == 0:
-        return 0.0
-    precision = correct / len(pred_groups)
-    recall = correct / len(true_groups)
-    return 2 * precision * recall / (precision + recall)
+    matched, n_p, n_g = _matched_groups(predicted_templates, truth_templates)
+    # a None ground-truth template (not a str) is never correct
+    correct = sum(1 for tmpl, match, _ in matched
+                  if match is not None and _tokens(tmpl) == _tokens(match))
+    return _f1(correct, n_p, n_g)
 
 
 @dataclass(frozen=True)

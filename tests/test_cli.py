@@ -71,6 +71,23 @@ class TestIngestCommand:
                    "--provider-model", "m", "--provider-dim", "8"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("dim", ["-1", "0", "1"])
+    @pytest.mark.parametrize("provider", [
+        [],
+        # nothing listens on the port: the width is refused before any request
+        ["--provider", "remote", "--provider-url", "http://127.0.0.1:9",
+         "--provider-model", "m"],
+    ], ids=["hashing", "remote"])
+    def test_provider_width_below_two_is_config_error(self, provider, dim, tmp_path,
+                                                      capsys, monkeypatch):
+        monkeypatch.setenv("EMBEDDING_API_KEY", "k")
+        logs = tmp_path / "app.log"
+        logs.write_text("disk full on sda1\n")
+        rc = main(["ingest", "--input", str(logs), *provider, "--provider-dim", dim,
+                   "--snapshot-out", str(tmp_path / "s.npz")])
+        assert rc == EXIT_CONFIG
+        assert "provider dimension must be >= 2" in capsys.readouterr().err
+
     def test_empty_input(self, tmp_path):
         empty = tmp_path / "empty.log"
         empty.write_text("")

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -97,16 +99,19 @@ class TestFta:
 
 
 class TestOracleEquivalence:
-    def test_randomized_tiny_datasets(self):
+    # the 200 tiny draws, and draws whose matching groups hold hundreds of logs
+    @pytest.mark.parametrize("draws, max_templates, max_logs",
+                             [(200, 5, 12), (20, 6, 400)], ids=["tiny", "hundreds"])
+    def test_randomized_tiny_datasets(self, draws, max_templates, max_logs):
         rng = np.random.default_rng(42)
         token_pool = ["alpha", "beta", "<*>", "gamma", "delta"]
-        for _ in range(200):
-            n_templates = int(rng.integers(1, 6))
+        for _ in range(draws):
+            n_templates = int(rng.integers(1, max_templates + 1))
             templates = [
                 " ".join(rng.choice(token_pool, size=rng.integers(1, 4)))
                 for _ in range(n_templates)
             ]
-            n_logs = int(rng.integers(1, 13))
+            n_logs = int(rng.integers(1, max_logs + 1))
             truth = [templates[rng.integers(n_templates)] for _ in range(n_logs)]
             predicted = [templates[rng.integers(n_templates)] for _ in range(n_logs)]
             assert grouping_accuracy(predicted, truth) == \
@@ -127,6 +132,33 @@ class TestOracleEquivalence:
         pa = parsing_accuracy(predicted, truth)
         assert grouping_accuracy(predicted * 2, truth * 2) == ga
         assert parsing_accuracy(predicted * 2, truth * 2) == pa
+
+
+@pytest.mark.parametrize("case", ["one group", "distinct against one group", "singletons"])
+def test_scoring_200k_logs_takes_linear_time(case):
+    # each (predicted, true) label pair is counted once: comparing each
+    # log's group would take minutes on one group of 200,000 logs
+    n = 200_000
+    one = ["t"] * n
+    distinct = [f"l{i}" for i in range(n)]
+    predicted, truth, want, counts = {
+        "one group": (one, one, 1.0, (1, 1, 1)),
+        "distinct against one group": (distinct, one, 0.0, (1, n, 0)),
+        "singletons": (distinct, distinct, 1.0, (n, n, n)),
+    }[case]
+
+    def timed(score):
+        start = time.perf_counter()
+        value = score(predicted, truth)
+        assert time.perf_counter() - start < 2.0, score.__name__
+        return value
+
+    assert timed(grouping_accuracy) == want
+    assert timed(fga) == (want, *counts)
+    assert timed(fta) == want
+    report = timed(evaluate)
+    assert (report.ga, report.fga, report.pa, report.fta) == (want,) * 4
+    assert (report.n_g, report.n_p, report.n_c) == counts
 
 
 class TestLoadDataset:
