@@ -156,18 +156,19 @@ def cmd_ingest(args) -> int:
 
 def cmd_evaluate(args) -> int:
     dataset = load_dataset(args.dataset)
-    with open(args.assignments) as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
-    if len(rows) != len(dataset):
-        raise SchemaError(
-            f"row count mismatch: {len(rows)} assignments vs {len(dataset)} dataset rows"
-        )
+    # keeps each row's template, not its dict: rows are read one at a time
     predicted_templates = []
-    for n, row in enumerate(rows, start=1):
-        if not isinstance(row, dict) or not (row.get("template") or "cluster_id" in row):
-            raise SchemaError(f"assignment row {n} names no template or cluster_id")
-        predicted_templates.append(str(row.get("template") or f"cluster-{row['cluster_id']}"))
-    report = evaluate(predicted_templates, list(dataset.templates))
+    with open(args.assignments) as fh:
+        for n, line in enumerate(filter(str.strip, fh), start=1):
+            row = json.loads(line)
+            if not isinstance(row, dict) or not (row.get("template") or "cluster_id" in row):
+                raise SchemaError(f"assignment row {n} names no template or cluster_id")
+            template = row.get("template") or f"cluster-{row['cluster_id']}"
+            predicted_templates.append(str(template))
+    if len(predicted_templates) != len(dataset):
+        raise SchemaError(f"row count mismatch: {len(predicted_templates)} assignments "
+                          f"vs {len(dataset)} dataset rows")
+    report = evaluate(predicted_templates, dataset.templates)
     if args.report_out:
         with atomic_write(args.report_out) as fh:
             fh.write(report.to_json() + "\n")

@@ -1,10 +1,10 @@
 """Grouping and parsing accuracy metrics over template-annotated datasets.
 
-All four metrics follow the Loghub-2.0 benchmark conventions:
+All four metrics follow the Loghub-2.0 benchmark conventions, and each is
+read from one count of the (predicted, true) label pairs, so scoring is
+linear in the number of logs:
 
-* GA  — share of logs whose predicted group equals a ground-truth group;
-        like FGA and FTA it counts each (predicted, true) label pair once,
-        so scoring is linear in the number of logs.
+* GA  — share of logs whose predicted group equals a ground-truth group.
 * FGA — harmonic mean of precision/recall over exactly-matching groups,
         counted at template (group) level.
 * PA  — fraction of logs whose predicted template tokens (whitespace split)
@@ -66,29 +66,6 @@ def load_dataset(path: str) -> LabeledDataset:
     return LabeledDataset(tuple(contents), tuple(templates))
 
 
-def _check_aligned(predicted: Sequence, truth: Sequence):
-    if len(predicted) != len(truth):
-        raise ValueError(
-            f"partition mismatch: {len(predicted)} predicted labels "
-            f"vs {len(truth)} ground-truth labels"
-        )
-
-
-def _matched_groups(predicted: Sequence[Hashable],
-                    truth: Sequence[Hashable]) -> tuple[list, int, int]:
-    """(predicted label, true label, size) for each predicted group equal to
-    a ground-truth group, then the numbers of predicted and of ground-truth
-    groups. Two groups are equal iff the logs they share are all of each:
-    their labels' pair count equals both labels' counts."""
-    _check_aligned(predicted, truth)
-    pred_sizes = Counter(predicted)
-    true_sizes = Counter(truth)
-    matched = [(label, true_label, shared)
-               for (label, true_label), shared in Counter(zip(predicted, truth)).items()
-               if shared == pred_sizes[label] == true_sizes[true_label]]
-    return matched, len(pred_sizes), len(true_sizes)
-
-
 def _f1(correct: int, n_predicted: int, n_true: int) -> float:
     if correct == 0:
         return 0.0
@@ -97,50 +74,69 @@ def _f1(correct: int, n_predicted: int, n_true: int) -> float:
     return 2 * p * r / (p + r)
 
 
+class _Tally:
+    """One count each of the predicted labels, the true labels and the
+    (predicted, true) label pairs, which every metric reads. Two groups are
+    equal iff their pair's count equals both labels' counts."""
+
+    def __init__(self, predicted: Sequence[Hashable], truth: Sequence[Hashable]):
+        if len(predicted) != len(truth):
+            raise ValueError(f"partition mismatch: {len(predicted)} predicted labels "
+                             f"vs {len(truth)} ground-truth labels")
+        self.n = len(truth)
+        pred_sizes = Counter(predicted)
+        true_sizes = Counter(truth)
+        self.pairs = Counter(zip(predicted, truth))
+        self.n_p, self.n_g = len(pred_sizes), len(true_sizes)
+        # (predicted label, true label, size) of each predicted group that is also a true group
+        self.matched = [(label, true_label, shared)
+                        for (label, true_label), shared in self.pairs.items()
+                        if shared == pred_sizes[label] == true_sizes[true_label]]
+
+    def ga(self) -> float:
+        return sum(size for _, _, size in self.matched) / self.n if self.n else 0.0
+
+    def fga(self) -> tuple[float, int, int, int]:
+        n_c = len(self.matched)
+        return _f1(n_c, self.n_p, self.n_g), self.n_g, self.n_p, n_c
+
+    def pa(self) -> float:
+        # each distinct pair is split once, however many logs it labels
+        correct = sum(count for (tmpl, true_tmpl), count in self.pairs.items()
+                      if tmpl.split() == true_tmpl.split())
+        return correct / self.n if self.n else 0.0
+
+    def fta(self) -> float:
+        # a None ground-truth template (not a str) is never correct
+        correct = sum(1 for tmpl, match, _ in self.matched
+                      if match is not None and tmpl.split() == match.split())
+        return _f1(correct, self.n_p, self.n_g)
+
+
 def grouping_accuracy(predicted: Sequence[Hashable],
                       truth: Sequence[Hashable]) -> float:
     """GA: a log counts iff its predicted group has exactly the same member
     set as its ground-truth group."""
-    _check_aligned(predicted, truth)
-    if not truth:
-        return 0.0
-    matched, _, _ = _matched_groups(predicted, truth)
-    return sum(size for _, _, size in matched) / len(truth)
+    return _Tally(predicted, truth).ga()
 
 
 def fga(predicted: Sequence[Hashable],
         truth: Sequence[Hashable]) -> tuple[float, int, int, int]:
     """FGA plus the (N_g, N_p, N_c) counts it derives from."""
-    matched, n_p, n_g = _matched_groups(predicted, truth)
-    return _f1(len(matched), n_p, n_g), n_g, n_p, len(matched)
-
-
-def _tokens(template: str) -> tuple[str, ...]:
-    return tuple(template.split())
+    return _Tally(predicted, truth).fga()
 
 
 def parsing_accuracy(predicted_templates: Sequence[str],
                      truth_templates: Sequence[str]) -> float:
     """PA: per-log whitespace-token equality of templates."""
-    _check_aligned(predicted_templates, truth_templates)
-    if not truth_templates:
-        return 0.0
-    correct = sum(
-        1 for p, t in zip(predicted_templates, truth_templates)
-        if _tokens(p) == _tokens(t)
-    )
-    return correct / len(truth_templates)
+    return _Tally(predicted_templates, truth_templates).pa()
 
 
 def fta(predicted_templates: Sequence[str],
         truth_templates: Sequence[str]) -> float:
     """FTA: template correct iff its log group matches a ground-truth group
     and the token sequences agree; harmonic mean of precision and recall."""
-    matched, n_p, n_g = _matched_groups(predicted_templates, truth_templates)
-    # a None ground-truth template (not a str) is never correct
-    correct = sum(1 for tmpl, match, _ in matched
-                  if match is not None and _tokens(tmpl) == _tokens(match))
-    return _f1(correct, n_p, n_g)
+    return _Tally(predicted_templates, truth_templates).fta()
 
 
 @dataclass(frozen=True)
@@ -172,12 +168,7 @@ def evaluate(predicted_templates: Sequence[str],
              truth_templates: Sequence[str]) -> MetricsReport:
     """All four metrics for one dataset. Logs are grouped by predicted
     template: clusters sharing a template count as one group."""
-    ga = grouping_accuracy(predicted_templates, truth_templates)
-    fga_value, n_g, n_p, n_c = fga(predicted_templates, truth_templates)
-    return MetricsReport(
-        ga=ga,
-        fga=fga_value,
-        pa=parsing_accuracy(predicted_templates, truth_templates),
-        fta=fta(predicted_templates, truth_templates),
-        n_g=n_g, n_p=n_p, n_c=n_c,
-    )
+    tally = _Tally(predicted_templates, truth_templates)
+    fga_value, n_g, n_p, n_c = tally.fga()
+    return MetricsReport(ga=tally.ga(), fga=fga_value, pa=tally.pa(), fta=tally.fta(),
+                         n_g=n_g, n_p=n_p, n_c=n_c)

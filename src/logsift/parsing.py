@@ -208,7 +208,7 @@ class RemoteCompletionClient(RemoteClient, CompletionClient):
 
     def complete(self, system: str, user: str) -> str:
         self.query_count += 1
-        return self._post({
+        content = self._post({
             "model": self.model,
             "temperature": 0,
             "messages": [
@@ -216,6 +216,9 @@ class RemoteCompletionClient(RemoteClient, CompletionClient):
                 {"role": "user", "content": user},
             ],
         }, "content")
+        if not isinstance(content, str):
+            raise ProviderError(f"completion is not a string: {type(content).__name__}")
+        return content
 
 
 class TemplateStore:

@@ -124,6 +124,13 @@ class TestOracleEquivalence:
                 oracle_parsing_accuracy(predicted, truth)
             assert fta(predicted, truth) == \
                 pytest.approx(oracle_fta(predicted, truth), abs=1e-12)
+            # evaluate scores from its own tally, not through the functions above
+            report = evaluate(predicted, truth)
+            assert report.ga == oracle_grouping_accuracy(predicted, truth)
+            assert (report.n_g, report.n_p, report.n_c) == (wg, wp, wc)
+            assert report.fga == pytest.approx(want, abs=1e-12)
+            assert report.pa == oracle_parsing_accuracy(predicted, truth)
+            assert report.fta == pytest.approx(oracle_fta(predicted, truth), abs=1e-12)
 
     def test_duplication_leaves_ga_pa_unchanged(self):
         truth = ["t1", "t1", "t2"]
@@ -132,6 +139,23 @@ class TestOracleEquivalence:
         pa = parsing_accuracy(predicted, truth)
         assert grouping_accuracy(predicted * 2, truth * 2) == ga
         assert parsing_accuracy(predicted * 2, truth * 2) == pa
+
+
+class CountedSplits(str):
+    splits = 0
+
+    def split(self, *args):
+        CountedSplits.splits += 1
+        return super().split(*args)
+
+
+@pytest.mark.parametrize("score, most", [(parsing_accuracy, 2), (evaluate, 4)])
+def test_each_distinct_pair_is_split_once(score, most):
+    # PA over 1,000 logs of one (predicted, true) pair; FTA splits the
+    # matched pair once more
+    CountedSplits.splits = 0
+    score([CountedSplits("a <*> b")] * 1000, [CountedSplits("a <*>  b")] * 1000)
+    assert CountedSplits.splits <= most
 
 
 @pytest.mark.parametrize("case", ["one group", "distinct against one group", "singletons"])
@@ -155,6 +179,7 @@ def test_scoring_200k_logs_takes_linear_time(case):
 
     assert timed(grouping_accuracy) == want
     assert timed(fga) == (want, *counts)
+    assert timed(parsing_accuracy) == want
     assert timed(fta) == want
     report = timed(evaluate)
     assert (report.ga, report.fga, report.pa, report.fta) == (want,) * 4

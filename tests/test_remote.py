@@ -7,9 +7,10 @@ import requests
 
 from logsift import remote
 from logsift.cli import EXIT_PROVIDER, main
-from logsift.embedding import EncoderWeights, RemoteProvider, embed_log
+from logsift.embedding import EncoderWeights, HashingProvider, RemoteProvider, embed_log
 from logsift.errors import DimensionMismatchError, ProviderError
 from logsift.index import CentroidIndex, ParseState
+from logsift.ingest import Pipeline
 from logsift.parsing import ClusterParser, RemoteCompletionClient
 from logsift.records import LogRecord
 
@@ -157,6 +158,40 @@ def test_completion_survives_one_503(monkeypatch, sleeps):
     assert index.get(cid).parse_state == ParseState.PARSED
     assert len(post.calls) == 2 and len(sleeps) == 1
     assert post.calls[0]["timeout"] == RemoteCompletionClient.TIMEOUT_S == 60.0
+
+
+NOT_STRINGS = pytest.mark.parametrize("content", [None, ["disk full on <*>"], 7],
+                                      ids=["null", "list", "number"])
+
+
+@NOT_STRINGS
+def test_completion_that_is_not_a_string_is_a_provider_error(monkeypatch, sleeps, content):
+    monkeypatch.setenv("COMPLETION_API_KEY", "k")
+    post = script(monkeypatch, FakeResponse(200, {"content": content}))
+    client = RemoteCompletionClient(url="http://llm", model="m")
+    with pytest.raises(ProviderError, match=type(content).__name__):
+        client.complete("system", "user")
+    assert len(post.calls) == 1 and sleeps == []
+
+
+@NOT_STRINGS
+def test_ingest_goes_on_past_a_completion_that_is_not_a_string(monkeypatch, sleeps, content):
+    monkeypatch.setenv("COMPLETION_API_KEY", "k")
+    good = FakeResponse(200, {"content": "LogTemplate[6]: `disk full on {dev}`"})
+    post = script(monkeypatch, FakeResponse(200, {"content": content}), good)
+    parser = ClusterParser(client=RemoteCompletionClient(url="http://llm", model="m"))
+    pipeline = Pipeline(HashingProvider(dim=64), EncoderWeights.identity_init(64),
+                        CentroidIndex(), parser)
+    failed = pipeline.ingest(LogRecord("t", "disk full on sda1"))
+    parsed = pipeline.ingest(LogRecord("t", "fan failed on rack7"))
+    assert failed.template == "disk full on sda1"  # the raw-log fallback
+    cluster = pipeline.index.get(failed.cluster_id)
+    assert (cluster.parse_state, cluster.template) == (ParseState.FAILED, None)
+    assert pipeline.index.get(parsed.cluster_id).parse_state is ParseState.PARSED
+    # the next rebalance queues the failed cluster's parse again
+    pipeline.force_rebalance()
+    assert (cluster.parse_state, cluster.template) == (ParseState.PARSED, "disk full on <*>")
+    assert len(post.calls) == 3
 
 
 def test_ingest_exits_4_when_the_budget_runs_out(monkeypatch, sleeps, tmp_path):
